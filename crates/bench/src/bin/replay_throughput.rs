@@ -307,42 +307,6 @@ fn main() {
         String::new(),
     ]);
 
-    // Per-op bank baseline: one decode drives all four platforms, but
-    // each decoded op is handed to every simulator before the next is
-    // decoded — the pre-block replay loop, kept as the comparison row
-    // for the blocked path below.
-    let mut per_op_bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
-    let start = Instant::now();
-    {
-        let static_program = recording.program();
-        use bioperf_trace::TraceConsumer;
-        for op in recording.iter() {
-            for sim in per_op_bank.iter_mut() {
-                sim.consume(&op, static_program);
-            }
-        }
-        for sim in per_op_bank.iter_mut() {
-            sim.finish(static_program);
-        }
-    }
-    let per_op_secs = start.elapsed().as_secs_f64();
-    let per_op_mops = platform_ops as f64 / per_op_secs / 1e6;
-    for (platform, (banked, solo)) in platforms.iter().zip(per_op_bank.iter().zip(&sequential)) {
-        if banked.result() != *solo {
-            eprintln!(
-                "{ARTIFACT}: {}: per-op bank replay diverged from sequential replay",
-                platform.name
-            );
-            std::process::exit(1);
-        }
-    }
-    table.row_owned(vec![
-        "bank (per-op)".to_string(),
-        format!("{per_op_secs:.3}"),
-        format!("{per_op_mops:.1}"),
-        String::new(),
-    ]);
-
     // The blocked bank pass: the stream is decoded into SoA op blocks and
     // each simulator consumes a whole block at a time — the suite's
     // production replay path.
@@ -403,11 +367,10 @@ fn main() {
     json.value("bytes_per_op", Json::F64(recording.bytes_per_op()));
     json.value("block_ops", Json::U64(block_ops as u64));
     json.value("mops_per_sec/total", Json::F64(sequential_mops));
-    json.value("mops_per_sec/bank_per_op", Json::F64(per_op_mops));
     json.value("mops_per_sec/bank_total", Json::F64(bank_mops));
     json.value("mops_per_sec/streamed_bank", Json::F64(streamed_mops));
     json.value("segments", Json::U64(segmented.segment_count() as u64));
-    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one per-op bank decode, off one block-batched bank decode, then off one streamed segment decode");
+    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode");
     report_peak_rss(&mut json);
     json.write_if_requested(&args_to_bench(&args));
     enforce_floor("bank", bank_mops, args.min_mops);

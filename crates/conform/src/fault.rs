@@ -59,7 +59,7 @@ pub enum FaultId {
     /// The factored sweep's miss-level annotation cursor starts at 1
     /// instead of 0, so every annotated access reads its successor's
     /// level. (Atomic in `bioperf-trace` for the same dependency-graph
-    /// reason; the perturbation site is `CycleSim::with_annotations` in
+    /// reason; the perturbation site is `TimingBank::push_lane` in
     /// `bioperf-pipe`.)
     FactoredAnnotationSkew,
 }
@@ -159,10 +159,11 @@ impl FaultId {
             // single run, so the budget only bounds the fuzz phase that
             // runs alongside it.
             FaultId::SweepMergeOrder => 16,
-            // Like SweepMergeOrder: invisible to the op-level fuzzer
-            // (its replays own live hierarchies). The sweep-factor
-            // self-check runs a factored-vs-unfactored diff once and
-            // fires deterministically; the budget bounds the fuzz phase.
+            // The pipeline check's factored leg (a cache pass feeding a
+            // one-lane timing bank) reads every annotation one late, so
+            // the first access whose level differs from its successor's
+            // exposes it. The sweep-factor self-check also fires on its
+            // single run.
             FaultId::FactoredAnnotationSkew => 16,
         }
     }

@@ -20,10 +20,12 @@
 //! final statistics; [`run_case`] adds deterministic per-case seeding,
 //! platform rotation, and removal-based counterexample shrinking.
 
-use bioperf_branch::BranchProfiler;
+use std::sync::Arc;
+
+use bioperf_branch::{BranchProfiler, PredictorKind};
 use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
-use bioperf_pipe::{CycleSim, PlatformConfig, RegFile};
+use bioperf_pipe::{CachePassSim, CycleSim, PlatformConfig, RegFile, SimResult, TimingBank};
 use bioperf_trace::packed::PackedStream;
 use bioperf_trace::{SpillRecorder, TraceConsumer};
 use rand::rngs::StdRng;
@@ -546,19 +548,48 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
     })
 }
 
-/// Full cycle simulation, optimized vs. [`RefPipeline`].
+/// Full cycle simulation, the production engines vs. [`RefPipeline`]:
+/// `CycleSim` replayed from packed blocks of 1, 3 and 8 ops (the suite's
+/// engine, with block edges at every offset), and a [`CachePassSim`]
+/// feeding a one-lane [`TimingBank`] (the sweep's factored engine),
+/// taking cycles and counters from the bank and hierarchy stats from the
+/// cache pass.
 fn pipeline_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
     let program = Program::new();
-    let mut optimized = CycleSim::new(*platform);
     let mut reference = RefPipeline::new(*platform);
+    let mut stream = PackedStream::new();
     for op in ops {
-        optimized.consume(op, &program);
         reference.consume(op, &program);
+        stream.push(op);
     }
-    let fast = optimized.result();
     let slow = reference.result();
+    let replay = |consumer: &mut dyn TraceConsumer, block_ops: usize| {
+        let mut decoder = stream.block_decoder();
+        let mut block = bioperf_trace::OpBlock::with_capacity(block_ops);
+        while decoder.next_block(&mut block, block_ops) > 0 {
+            consumer.consume_block(&block, &program);
+        }
+    };
+    for block_ops in [1usize, 3, 8] {
+        let mut optimized = CycleSim::new(*platform);
+        replay(&mut optimized, block_ops);
+        let fast = optimized.result();
+        if fast != slow {
+            return Some(Divergence::new(
+                "pipeline",
+                format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}"),
+            ));
+        }
+    }
+    let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
+    replay(&mut pass, 8);
+    let (stats, annotations) = pass.finish_bank().pop().expect("one member");
+    let mut bank = TimingBank::new(platform.logical_regs, platform.if_conversion);
+    bank.push_lane(platform, PredictorKind::Hybrid, Arc::new(annotations));
+    replay(&mut bank, 8);
+    let fast = SimResult { cache: stats, ..bank.into_results()[0] };
     (fast != slow).then(|| {
-        Divergence::new("pipeline", format!("optimized {fast:?}, reference {slow:?}"))
+        Divergence::new("pipeline", format!("factored: optimized {fast:?}, reference {slow:?}"))
     })
 }
 

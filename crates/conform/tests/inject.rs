@@ -17,12 +17,12 @@ fn every_catalogued_fault_is_detected_within_its_budget() {
     );
 
     for f in FaultId::ALL {
-        // The sweep faults perturb code paths only the design-space
-        // sweep in bioperf-core exercises, above the op-level fuzzer's
-        // horizon — no micro-op stream can expose them. Their detectors
-        // are the sweep self-checks run_conform performs (see
+        // The sweep's cell merge runs only in the design-space sweep in
+        // bioperf-core, above the op-level fuzzer's horizon — no
+        // micro-op stream can expose it. Its detector is the sweep
+        // self-check run_conform performs (see
         // crates/core/tests/sweep_inject.rs and the CI mutation sweep).
-        if f == FaultId::SweepMergeOrder || f == FaultId::FactoredAnnotationSkew {
+        if f == FaultId::SweepMergeOrder {
             continue;
         }
         fault::arm(f);

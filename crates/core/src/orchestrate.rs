@@ -38,11 +38,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use bioperf_branch::PredictorKind;
 use bioperf_conform::fuzz::{self, CaseOutcome};
 use bioperf_conform::{RefPipeline, RefTape};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::{Json, MetricSet, Timings};
-use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
+use bioperf_pipe::{CachePassSim, CycleSim, PlatformConfig, SimResult, TimingBank};
 use bioperf_isa::MicroOp;
 use bioperf_trace::{
     replay::DEFAULT_CAPACITY, Recorder, Recording, SegmentError, SegmentedRecording,
@@ -1078,6 +1079,22 @@ fn cross_check_program(program: ProgramId, seed: u64) -> ProgramCrossCheck {
         if fast != slow {
             return fail(format!("{}: optimized {fast:?}, reference {slow:?}", platform.name));
         }
+        // The sweep's factored engine: a cache pass's annotation stream
+        // feeding a one-lane timing bank, with cycles and counters from
+        // the bank and hierarchy stats from the pass.
+        let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
+        recording.replay(&mut pass);
+        let (stats, annotations) = pass.finish_bank().pop().expect("one member");
+        let mut timing = TimingBank::new(platform.logical_regs, platform.if_conversion);
+        timing.push_lane(&platform, PredictorKind::Hybrid, Arc::new(annotations));
+        recording.replay(&mut timing);
+        let factored = SimResult { cache: stats, ..timing.into_results()[0] };
+        if factored != slow {
+            return fail(format!(
+                "{} factored: optimized {factored:?}, reference {slow:?}",
+                platform.name
+            ));
+        }
     }
     ProgramCrossCheck { program, ops, platforms: replayed, divergence: None }
 }
@@ -1148,11 +1165,11 @@ pub fn run_conform(cfg: &ConformConfig) -> io::Result<ConformResult> {
     } else {
         None
     };
-    // The factored sweep's annotation pipeline sits above the fuzzer's
-    // horizon too (fuzz replays own live hierarchies): its detector is
-    // a factored-vs-unfactored diff of a tiny sweep plus an analytic
-    // stack-distance cross-check of the cache pass — the detector for
-    // `factored-annotation-skew`, also run in clean full-check mode.
+    // The factored sweep end to end: a factored-vs-unfactored diff of a
+    // tiny sweep plus an analytic stack-distance cross-check of the cache
+    // pass. The fuzzer's factored leg already sees
+    // `factored-annotation-skew`; this check runs under that fault and in
+    // clean full-check mode.
     let factor_divergence = if cfg.inject == Some(FaultId::FactoredAnnotationSkew)
         || (cfg.inject.is_none() && cfg.check_programs)
     {

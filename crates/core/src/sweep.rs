@@ -22,10 +22,10 @@
 //! replays each recording once per distinct cache-axis configuration
 //! (L1 × L2 × line × prefetcher), banking several hierarchies per
 //! decode, and emits a 2-bit-per-access miss-level annotation stream
-//! plus final hierarchy stats. A *timing pass* then replays each cell
-//! with [`CycleSim::with_annotations`], converting levels back to
-//! latencies through the cell's own latency axis instead of simulating
-//! a hierarchy. On the standard grid this collapses 1152 hierarchy
+//! plus final hierarchy stats. A *timing pass* then replays each cell as
+//! a lane of a [`TimingBank`], converting levels back to latencies
+//! through the cell's own latency axis instead of simulating a
+//! hierarchy. On the standard grid this collapses 1152 hierarchy
 //! simulations to 64 while producing bit-identical measurements; the
 //! unfactored path survives behind `--no-factor` as the oracle the
 //! `sweep-factor` conformance self-check diffs against. Annotation

@@ -1,12 +1,11 @@
 //! Mutation tests for the sweep-level faults: `sweep-merge-order`
 //! rotates each bank job's per-cell results before the merge, and
 //! `factored-annotation-skew` starts the factored sweep's miss-level
-//! annotation cursor off by one. Neither is visible to any micro-op
-//! fuzz case (the perturbations sit above the op-level differential
-//! checks). The conformance harness detects them through its sweep
+//! annotation cursor off by one. The merge sits above the op-level
+//! differential checks; the skew is also caught by the fuzzer's factored
+//! pipeline leg. The conformance harness detects both through its sweep
 //! self-checks — tiny sweeps through the production paths diffed
-//! against oracles — so these tests live here, next to the sweep,
-//! rather than in `conform/tests/inject.rs`.
+//! against oracles — so these tests live here, next to the sweep.
 //!
 //! Both arming tests share one `#[test]` body because the injection
 //! hooks are process-global atomics (the same reasoning as the conform

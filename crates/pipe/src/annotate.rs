@@ -5,38 +5,30 @@
 //! [`CachePassSim`] replays exactly the hierarchy-access sequence a full
 //! [`CycleSim`](crate::CycleSim) would generate — the demand loads and
 //! stores plus the spill stores/reloads inserted by the register-pressure
-//! model — without any timing state. That sequence depends only on the
-//! trace and the platform's logical register count: every sweep cell
-//! shares the register file geometry, so one pass serves every timing
+//! model — without any timing state: it is the plan pass's access events
+//! fed to a [`MissLevelBank`]. That sequence depends only on the trace
+//! and the platform's logical register count: every sweep cell shares
+//! the register file geometry, so one pass serves every timing
 //! configuration (see `core::sweep`'s factored wave 2). Each access is
 //! applied to every member [`Hierarchy`], and the servicing level lands
 //! in that member's [`AnnotationStream`]; the timing pass later converts
 //! levels back to latencies through each cell's own latency axis.
 
-use bioperf_cache::{AccessKind, AnnotationStream, Hierarchy, HierarchyStats, MissLevelBank};
-use bioperf_isa::{MicroOp, OpKind, Program};
-use bioperf_trace::{
-    OpBlock, TraceConsumer, REG_EVENT_DST, REG_EVENT_DST_LOAD, REG_EVENT_IDX_SHIFT,
-};
+use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, MissLevelBank};
+use bioperf_isa::{MicroOp, Program};
+use bioperf_trace::{OpBlock, TraceConsumer};
 
-use crate::regfile::RegFile;
-use crate::simulator::{READY_RING, SPILL_BASE, SPILL_SLOTS};
+use crate::plan::Plan;
 
 /// Replays a trace's hierarchy-access sequence into a bank of cache
 /// configurations, producing per-config stats and annotation streams.
 #[derive(Debug)]
 pub struct CachePassSim {
-    regs: RegFile,
-    ready_tag: Vec<u64>,
-    ready_from_load: Vec<bool>,
+    plan: Plan,
     bank: MissLevelBank,
-    // Blocked-path scratch: the spill plan and the merged access columns.
-    spill_ci: Vec<u32>,
-    spill_addr: Vec<u64>,
-    spill_computed: Vec<bool>,
-    acc_addrs: Vec<u64>,
-    acc_loads: Vec<bool>,
     addr_log: Option<Vec<u64>>,
+    /// Reused one-op block for per-op [`TraceConsumer::consume`].
+    one: OpBlock,
 }
 
 impl CachePassSim {
@@ -45,16 +37,12 @@ impl CachePassSim {
     /// across sweep cells, so the access sequence is shared).
     pub fn new(logical_regs: u32, hierarchies: Vec<Hierarchy>) -> Self {
         Self {
-            regs: RegFile::new(logical_regs),
-            ready_tag: vec![u64::MAX; READY_RING],
-            ready_from_load: vec![false; READY_RING],
+            // Branch outcomes are never planned here, so if-conversion
+            // is irrelevant.
+            plan: Plan::new(logical_regs, true),
             bank: MissLevelBank::new(hierarchies),
-            spill_ci: Vec::new(),
-            spill_addr: Vec::new(),
-            spill_computed: Vec::new(),
-            acc_addrs: Vec::new(),
-            acc_loads: Vec::new(),
             addr_log: None,
+            one: OpBlock::default(),
         }
     }
 
@@ -82,118 +70,24 @@ impl CachePassSim {
     pub fn finish_bank(self) -> Vec<(HierarchyStats, AnnotationStream)> {
         self.bank.finish()
     }
-
-    fn bank_access(&mut self, addr: u64, kind: AccessKind) {
-        if let Some(log) = &mut self.addr_log {
-            log.push(addr);
-        }
-        self.bank.access(addr, kind);
-    }
 }
 
 impl TraceConsumer for CachePassSim {
-    fn consume(&mut self, op: &MicroOp, _program: &Program) {
-        // Mirrors `CycleSim::step`'s access order: spill traffic from
-        // operand resolution first, then the op's own demand access.
-        for src in op.sources() {
-            let slot = (src.0 as usize) & (READY_RING - 1);
-            if self.ready_tag[slot] != src.0 {
-                continue; // no recorded producer
-            }
-            if self.regs.touch(src.0) {
-                continue; // still architected: no spill traffic
-            }
-            let addr = SPILL_BASE + (src.0 % SPILL_SLOTS) * 8;
-            if !self.ready_from_load[slot] {
-                // Computed value: round-trips through the spill slot.
-                self.bank_access(addr, AccessKind::Store);
-            }
-            self.bank_access(addr, AccessKind::Load);
-            self.regs.insert(src.0);
-        }
-        match op.kind {
-            OpKind::IntLoad | OpKind::FpLoad => {
-                self.bank_access(op.addr.expect("loads carry addresses"), AccessKind::Load);
-            }
-            OpKind::IntStore | OpKind::FpStore => {
-                self.bank_access(op.addr.expect("stores carry addresses"), AccessKind::Store);
-            }
-            _ => {}
-        }
-        if let Some(dst) = op.dst {
-            let slot = (dst.0 as usize) & (READY_RING - 1);
-            self.ready_tag[slot] = dst.0;
-            self.ready_from_load[slot] = op.kind.is_load();
-            self.regs.insert(dst.0);
-        }
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        let mut one = std::mem::take(&mut self.one);
+        one.fill_one(op);
+        self.consume_block(&one, program);
+        self.one = one;
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        // Spill plan over the whole block: the register-event walk of
-        // `CycleSim::block_pass_regs`, keeping only what decides accesses.
-        self.spill_ci.clear();
-        self.spill_addr.clear();
-        self.spill_computed.clear();
-        let metas = block.reg_event_meta();
-        let vregs = block.reg_event_vreg();
-        for (e, &meta) in metas.iter().enumerate() {
-            let v = vregs[e];
-            let slot = (v as usize) & (READY_RING - 1);
-            if meta & REG_EVENT_DST != 0 {
-                self.ready_tag[slot] = v;
-                self.ready_from_load[slot] = meta & REG_EVENT_DST_LOAD != 0;
-                self.regs.insert(v);
-                continue;
-            }
-            if self.ready_tag[slot] != v {
-                continue;
-            }
-            if !self.regs.touch(v) {
-                self.spill_ci.push(meta >> REG_EVENT_IDX_SHIFT);
-                self.spill_addr.push(SPILL_BASE + (v % SPILL_SLOTS) * 8);
-                self.spill_computed.push(!self.ready_from_load[slot]);
-                self.regs.insert(v);
-            }
-        }
-
-        // Merge the planned spill traffic with the pre-filtered demand
-        // column into one access run, ties toward the spill stream — the
-        // same interleaving as `block_pass_memory`, which itself matches
-        // per-op order (an op resolves operands before executing).
-        self.acc_addrs.clear();
-        self.acc_loads.clear();
-        let mem_idx = block.mem_idx();
-        let mem_addrs = block.mem_addrs();
-        let mem_loads = block.mem_loads();
-        let codes = block.kind_codes();
-        let mut sp = 0;
-        let mut me = 0;
-        loop {
-            let sp_ci = self.spill_ci.get(sp).copied().unwrap_or(u32::MAX);
-            let mem_ci = mem_idx.get(me).copied().unwrap_or(u32::MAX);
-            if sp_ci <= mem_ci {
-                if sp_ci == u32::MAX {
-                    break;
-                }
-                if self.spill_computed[sp] {
-                    self.acc_addrs.push(self.spill_addr[sp]);
-                    self.acc_loads.push(false);
-                }
-                self.acc_addrs.push(self.spill_addr[sp]);
-                self.acc_loads.push(true);
-                sp += 1;
-                continue;
-            }
-            if codes[mem_ci as usize] <= OpKind::FpStore.code() {
-                self.acc_addrs.push(mem_addrs[me]);
-                self.acc_loads.push(mem_loads[me]);
-            }
-            me += 1;
-        }
+        // The whole block is one plan chunk, so each member hierarchy
+        // takes the block's accesses in a single run.
+        self.plan.chunk_memory(block, 0, block.len());
         if let Some(log) = &mut self.addr_log {
-            log.extend_from_slice(&self.acc_addrs);
+            log.extend_from_slice(&self.plan.acc_addr);
         }
-        self.bank.access_run(&self.acc_addrs, &self.acc_loads);
+        self.bank.access_run(&self.plan.acc_addr, &self.plan.acc_load);
     }
 }
 

@@ -44,8 +44,10 @@
 pub mod annotate;
 pub mod config;
 pub mod inject;
+mod plan;
 pub mod regfile;
 pub mod simulator;
+mod timing;
 pub mod timing_bank;
 
 pub use annotate::CachePassSim;

@@ -1,80 +1,20 @@
 //! The trace-driven cycle simulator.
+//!
+//! `CycleSim` is the plan pass ([`crate::plan`]) plus a live cache
+//! hierarchy and branch predictor feeding one timing core
+//! ([`crate::timing`]). Per-op [`TraceConsumer::consume`] runs the same
+//! engine on one-op blocks, so there is a single execution path.
 
 use bioperf_branch::{DynPredictor, PredictorKind};
-use bioperf_cache::{AccessKind, Hierarchy, HierarchyStats, Prefetcher};
-use bioperf_isa::{MicroOp, OpKind, Program, VReg};
-use bioperf_metrics::{LogHistogram, MetricSet};
-use bioperf_trace::{
-    OpBlock, TraceConsumer, REG_EVENT_DST, REG_EVENT_DST_LOAD, REG_EVENT_IDX_SHIFT,
-    REG_EVENT_POS,
-};
+use bioperf_cache::{Hierarchy, HierarchyStats, Prefetcher};
+use bioperf_isa::{MicroOp, Program};
+use bioperf_metrics::MetricSet;
+use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
-use crate::regfile::RegFile;
-
-/// Ring sizes; both bound the span of "active" cycles / values, which is
-/// limited by the ROB size times the largest latency.
-pub(crate) const ISSUE_RING: usize = 1 << 12;
-pub(crate) const READY_RING: usize = 1 << 16;
-
-/// Each issue-ring slot packs `(cycle << 4) | issued-count` into one
-/// `u64` (issue widths are ≤ 8, cycles nowhere near 2⁶⁰), so a claim is
-/// one load plus one store on a 32 KB ring instead of two fields on a
-/// 64 KB one.
-pub(crate) const ISSUE_COUNT_BITS: u32 = 4;
-pub(crate) const ISSUE_COUNT_MASK: u64 = (1 << ISSUE_COUNT_BITS) - 1;
-
-/// Two out-of-band ready-ring slots used by the blocked engine's
-/// pre-resolved operand plan: reads of `ZERO_SLOT` always see cycle 0
-/// (an absent or long-dead producer), writes to `SINK_SLOT` are
-/// discarded (an op with no destination). Both let the operand loop run
-/// without testing `Option`s.
-pub(crate) const SINK_SLOT: u32 = READY_RING as u32;
-pub(crate) const ZERO_SLOT: u32 = READY_RING as u32 + 1;
-
-/// Per-op flag byte in the blocked engine's plan: two bits per source
-/// position (`00` plain, `01` reload rematerialized from a load, `10`
-/// reload of a computed value through a spill slot), plus the
-/// branch-resolution bits.
-pub(crate) const SRC_RELOAD_LOAD: u8 = 0b01;
-pub(crate) const SRC_RELOAD_COMPUTED: u8 = 0b10;
-pub(crate) const SPILL_MASK: u8 = 0b11_11_11;
-/// The resolved branch mispredicted: redirect the front end.
-pub(crate) const FLAG_REDIRECT: u8 = 1 << 7;
-
-/// The blocked engine phases over sub-chunks of this many ops, not whole
-/// blocks: the plan arrays plus one chunk's columns stay cache-resident
-/// across the three passes, where a full 4096-op block would be
-/// re-fetched by each pass.
-pub(crate) const PHASE_CHUNK: usize = 512;
-
-/// Per-block cursors into the [`OpBlock`] filter columns; each chunk's
-/// passes consume their column prefix and leave the cursors at the next
-/// chunk's first entry.
-#[derive(Default, Clone, Copy)]
-struct ColCursors {
-    ev: usize,
-    mem: usize,
-    br: usize,
-    sel: usize,
-}
-
-/// Where spilled values live: a small stack-like region that stays
-/// L1-resident, as real spill slots do.
-pub(crate) const SPILL_BASE: u64 = 0x7fff_0000_0000;
-pub(crate) const SPILL_SLOTS: u64 = 512;
-
-/// Annotated-replay state (see [`CycleSim::with_annotations`]): a shared
-/// miss-level stream, the read cursor, and the platform's
-/// level-to-latency table.
-#[derive(Debug, Clone)]
-struct AnnCursor {
-    stream: std::sync::Arc<bioperf_cache::AnnotationStream>,
-    pos: usize,
-    /// Total access latency by 2-bit level code (L1 / L2 / memory; the
-    /// fourth entry aliases L1 so indexing a raw code never bounds-checks).
-    lat: [u64; 4],
-}
+use crate::plan::{Plan, PHASE_CHUNK};
+use crate::timing::TimingCore;
+pub use crate::timing::OpTiming;
 
 /// Results of simulating one trace on one platform.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,24 +55,6 @@ impl SimResult {
     }
 }
 
-/// One op's timing in the recorded timeline (see
-/// [`CycleSim::with_timeline`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpTiming {
-    /// Static instruction.
-    pub sid: bioperf_isa::StaticId,
-    /// Operation kind.
-    pub kind: OpKind,
-    /// Cycle the op was dispatched by the front end.
-    pub dispatch: u64,
-    /// Cycle the op issued to an execution unit.
-    pub issue: u64,
-    /// Cycle its result became available / it resolved.
-    pub complete: u64,
-    /// Whether this was a branch that mispredicted.
-    pub mispredicted: bool,
-}
-
 /// Trace-driven cycle-level model of one platform.
 ///
 /// Plug it into a [`Tape`](bioperf_trace::Tape) (or feed it ops directly
@@ -141,136 +63,35 @@ pub struct OpTiming {
 pub struct CycleSim {
     cfg: PlatformConfig,
     hierarchy: Hierarchy,
-    /// When set, every hierarchy access instead pops one precomputed
-    /// miss-level annotation — the factored sweep's timing pass.
-    ann: Option<AnnCursor>,
     predictor: DynPredictor,
-    fp_load_extra: u64,
-
-    fetch_cycle: u64,
-    fetched_this_cycle: u32,
-    issue_ring: Vec<u64>,
-    /// Ready-ring tags: the resident vreg keyed by `vreg & mask`. Split
-    /// from the cycles so the blocked engine's register pass can resolve
-    /// producers without touching timing state. The untouched-slot
-    /// sentinel `u64::MAX` is *observable* (an aliasing `VReg(u64::MAX)`
-    /// source reads as a computed value ready at cycle 0 — part of the
-    /// documented ring contract the conformance reference reproduces),
-    /// so the tag stores the full vreg and the from-load flag lives in
-    /// its own array rather than a stolen tag bit.
-    ready_tag: Vec<u64>,
-    /// Whether each ready-ring slot's resident value came straight from
-    /// a load (spill reloads of such values rematerialize: no store).
-    ready_from_load: Vec<bool>,
-    /// Ready-ring completion cycles, same keying as `ready_tag`, plus the
-    /// two out-of-band `SINK_SLOT`/`ZERO_SLOT` entries.
-    ready_cycle: Vec<u64>,
-    /// Completion cycles of in-flight ops, oldest first: a fixed ring
-    /// over `cfg.rob_size` slots (`rob_head` indexes the oldest,
-    /// `rob_len` counts residents — never more than `rob_size`).
-    rob: Vec<u64>,
-    rob_head: usize,
-    rob_len: usize,
-    last_issue: u64,
-    regs: RegFile,
-
-    /// Execution latency by `OpKind::code()` for kinds whose latency is a
-    /// platform constant (loads come from the hierarchy, stores and
-    /// resolving branches are 1); lets the blocked engine index instead
-    /// of re-matching per op.
-    lat_lut: [u32; 12],
-    /// Blocked-engine scratch, reused across blocks (see
-    /// [`Self::consume_block`]): per-op flag bytes, pre-resolved operand
-    /// slots, destination slots, completion latencies, and the in-order
-    /// stream of spill-reload latencies.
-    sc_flags: Vec<u8>,
-    sc_src: Vec<[u32; 3]>,
-    sc_dst: Vec<u32>,
-    sc_lat: Vec<u32>,
-    sc_spill_lat: Vec<u32>,
-    /// Spill events planned by pass A, in (op, source-position) order:
-    /// `ci << 1 | computed` plus the spill-slot address, consumed by pass
-    /// B's access merge.
-    sc_spill_ev: Vec<u32>,
-    sc_spill_addr: Vec<u64>,
-
-    max_completion: u64,
-    instructions: u64,
-    branches: u64,
+    plan: Plan,
+    core: TimingCore,
     mispredicts: u64,
-    spill_stores: u64,
-    spill_reloads: u64,
-    timeline: Option<Vec<OpTiming>>,
-    // Event metrics accumulate into dedicated local fields — not a
-    // name-keyed set — so the per-op cost when enabled is two histogram
-    // bumps, not two string lookups; `take_metrics` publishes them under
-    // their names.
-    metrics_on: bool,
-    m_op_latency: LogHistogram,
-    m_issue_delay: LogHistogram,
-    m_redirects: u64,
+    /// Reused one-op block for per-op [`TraceConsumer::consume`].
+    one: OpBlock,
 }
-
-/// Cap on recorded timeline entries; recording is for walkthroughs and
-/// debugging, not full runs.
-const TIMELINE_CAP: usize = 65_536;
 
 impl CycleSim {
     /// Creates a simulator for one platform.
     pub fn new(cfg: PlatformConfig) -> Self {
-        let mut lat_lut = [1u32; 12];
-        for kind in bioperf_isa::OpKind::ALL {
-            if !kind.is_load() && !kind.is_store() {
-                lat_lut[kind.code() as usize] = cfg.op_latency(kind) as u32;
-            }
-        }
         Self {
             hierarchy: cfg.hierarchy(),
-            ann: None,
             predictor: DynPredictor::default(),
-            fp_load_extra: cfg.fp_load_latency.saturating_sub(cfg.int_load_latency),
-            fetch_cycle: 0,
-            fetched_this_cycle: 0,
-            issue_ring: vec![u64::MAX; ISSUE_RING],
-            ready_tag: vec![u64::MAX; READY_RING],
-            ready_from_load: vec![false; READY_RING],
-            // Two extra slots: the write sink and the constant-zero read.
-            ready_cycle: vec![0; READY_RING + 2],
-            lat_lut,
-            sc_flags: Vec::new(),
-            sc_src: Vec::new(),
-            sc_dst: Vec::new(),
-            sc_lat: Vec::new(),
-            sc_spill_lat: Vec::new(),
-            sc_spill_ev: Vec::new(),
-            sc_spill_addr: Vec::new(),
-            rob: vec![0; cfg.rob_size],
-            rob_head: 0,
-            rob_len: 0,
-            last_issue: 0,
-            regs: RegFile::new(cfg.logical_regs),
-            max_completion: 0,
-            instructions: 0,
-            branches: 0,
+            plan: Plan::new(cfg.logical_regs, cfg.if_conversion),
+            core: TimingCore::new(&cfg),
             mispredicts: 0,
-            spill_stores: 0,
-            spill_reloads: 0,
-            timeline: None,
-            metrics_on: false,
-            m_op_latency: LogHistogram::new(),
-            m_issue_delay: LogHistogram::new(),
-            m_redirects: 0,
+            one: OpBlock::default(),
             cfg,
         }
     }
 
     /// Switches on event-metric collection: per-op dispatch-to-complete
     /// latency histograms in the pipeline plus the cache hierarchy's
-    /// service counters. Off by default; the per-op cost is then a single
-    /// predictable branch (the metrics layer's zero-cost-when-off
-    /// contract).
+    /// service counters. Off by default; the timing core then runs a
+    /// loop with no instrumentation in it (the metrics layer's
+    /// zero-cost-when-off contract).
     pub fn with_metrics(mut self) -> Self {
-        self.metrics_on = true;
+        self.core.metrics_on = true;
         self.hierarchy = self.hierarchy.with_metrics();
         self
     }
@@ -279,23 +100,8 @@ impl CycleSim {
     /// cache events under `cache/` — leaving collection in its current
     /// mode. Empty when collection is off.
     pub fn take_metrics(&mut self) -> MetricSet {
-        let mut pipe = MetricSet::new();
-        // Names appear only once touched, matching the lazily-created
-        // slots of the name-keyed path this replaced.
-        if self.m_op_latency.count() > 0 {
-            pipe.histogram_merge("op_latency_cycles", &self.m_op_latency);
-        }
-        if self.m_issue_delay.count() > 0 {
-            pipe.histogram_merge("issue_delay_cycles", &self.m_issue_delay);
-        }
-        if self.m_redirects > 0 {
-            pipe.counter_add("mispredict_redirects", self.m_redirects);
-        }
-        self.m_op_latency = LogHistogram::new();
-        self.m_issue_delay = LogHistogram::new();
-        self.m_redirects = 0;
         let mut out = MetricSet::new();
-        out.merge_prefixed("pipe/", &pipe);
+        out.merge_prefixed("pipe/", &self.core.take_metrics());
         out.merge_prefixed("cache/", &self.hierarchy.take_metrics());
         out
     }
@@ -317,69 +123,16 @@ impl CycleSim {
         self
     }
 
-    /// Replays against a precomputed miss-level annotation stream instead
-    /// of a live cache hierarchy — the factored sweep's timing pass.
-    /// Every access the pipeline would present to a hierarchy (demand
-    /// loads and stores plus spill traffic) pops exactly one annotation,
-    /// and the level maps to this platform's cumulative hit/miss
-    /// latencies. `SimResult::cache` stays zeroed in this mode: the cache
-    /// pass that produced the stream owns the stats.
-    pub fn with_annotations(
-        mut self,
-        stream: std::sync::Arc<bioperf_cache::AnnotationStream>,
-    ) -> Self {
-        let lat = bioperf_cache::LatencyConfig {
-            l1: self.cfg.int_load_latency,
-            l2: self.cfg.l2_latency,
-            memory: self.cfg.memory_latency,
-        };
-        // An armed `factored-annotation-skew` fault starts the cursor one
-        // annotation in — the off-by-one the sweep self-check must catch.
-        let pos =
-            bioperf_trace::inject::active(bioperf_trace::inject::ANN_SKEW) as usize;
-        self.ann = Some(AnnCursor {
-            stream,
-            pos,
-            lat: [
-                lat.total(false, false),
-                lat.total(true, false),
-                lat.total(true, true),
-                lat.total(false, false),
-            ],
-        });
-        self
-    }
-
-    /// Annotations consumed so far (None outside annotated mode).
-    pub fn annotations_consumed(&self) -> Option<usize> {
-        self.ann.as_ref().map(|c| c.pos)
-    }
-
-    /// One hierarchy access — or, in annotated mode, one pop of the
-    /// precomputed miss-level stream. An exhausted cursor reads the
-    /// benign L1 code, so a skewed replay diverges instead of crashing.
-    #[inline]
-    fn mem_access(&mut self, addr: u64, kind: AccessKind) -> u64 {
-        match &mut self.ann {
-            Some(c) => {
-                let code = c.stream.code(c.pos);
-                c.pos += 1;
-                c.lat[code as usize]
-            }
-            None => self.hierarchy.access(addr, kind),
-        }
-    }
-
     /// Enables per-op timeline recording (capped at 65 536 ops). Use for
     /// short pedagogical traces like the Figure 3/4 walkthrough.
     pub fn with_timeline(mut self) -> Self {
-        self.timeline = Some(Vec::new());
+        self.core.timeline = Some(Vec::new());
         self
     }
 
     /// The recorded timeline, if enabled.
     pub fn timeline(&self) -> Option<&[OpTiming]> {
-        self.timeline.as_deref()
+        self.core.timeline.as_deref()
     }
 
     /// The platform being simulated.
@@ -389,570 +142,51 @@ impl CycleSim {
 
     /// Finalizes and returns the simulation result.
     pub fn into_result(self) -> SimResult {
-        SimResult {
-            cycles: self.max_completion.max(self.fetch_cycle),
-            instructions: self.instructions,
-            branches: self.branches,
-            mispredicts: self.mispredicts,
-            spill_stores: self.spill_stores,
-            spill_reloads: self.spill_reloads,
-            cache: *self.hierarchy.stats(),
-        }
+        self.result()
     }
 
     /// Running result snapshot (cheap; caches copied).
     pub fn result(&self) -> SimResult {
         SimResult {
-            cycles: self.max_completion.max(self.fetch_cycle),
-            instructions: self.instructions,
-            branches: self.branches,
+            cycles: self.core.cycles(),
+            instructions: self.plan.instructions,
+            branches: self.plan.branches,
             mispredicts: self.mispredicts,
-            spill_stores: self.spill_stores,
-            spill_reloads: self.spill_reloads,
+            spill_stores: self.plan.spill_stores,
+            spill_reloads: self.plan.spill_reloads,
             cache: *self.hierarchy.stats(),
-        }
-    }
-
-    /// Claims an issue slot at the first cycle ≥ `earliest` with
-    /// bandwidth available.
-    fn issue_at(&mut self, earliest: u64) -> u64 {
-        let width = self.cfg.issue_width as u64;
-        let mut c = earliest;
-        loop {
-            let slot = &mut self.issue_ring[(c as usize) & (ISSUE_RING - 1)];
-            let packed = *slot;
-            if packed >> ISSUE_COUNT_BITS != c {
-                // Stale slot from a lapped cycle: reset and claim.
-                *slot = (c << ISSUE_COUNT_BITS) | 1;
-                return c;
-            }
-            if packed & ISSUE_COUNT_MASK < width {
-                *slot = packed + 1;
-                return c;
-            }
-            c += 1;
-        }
-    }
-
-    fn ready_of(&self, v: VReg) -> Option<u64> {
-        let slot = (v.0 as usize) & (READY_RING - 1);
-        (self.ready_tag[slot] == v.0).then(|| self.ready_cycle[slot])
-    }
-
-    fn set_ready(&mut self, v: VReg, cycle: u64, from_load: bool) {
-        let slot = (v.0 as usize) & (READY_RING - 1);
-        self.ready_tag[slot] = v.0;
-        self.ready_from_load[slot] = from_load;
-        self.ready_cycle[slot] = cycle;
-    }
-
-    /// Only meaningful right after [`ready_of`] confirmed the slot is
-    /// `v`'s (the flag belongs to whichever vreg owns the slot).
-    fn is_from_load(&self, v: VReg) -> bool {
-        self.ready_from_load[(v.0 as usize) & (READY_RING - 1)]
-    }
-
-    /// Advances the front end by one dispatch slot and returns the
-    /// dispatch cycle for the next op.
-    fn dispatch(&mut self) -> u64 {
-        if self.fetched_this_cycle >= self.cfg.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetched_this_cycle = 0;
-        }
-        // ROB full: the front end stalls until the oldest op retires.
-        if self.rob_len == self.cfg.rob_size {
-            let head = self.rob[self.rob_head];
-            self.rob_head += 1;
-            if self.rob_head == self.cfg.rob_size {
-                self.rob_head = 0;
-            }
-            self.rob_len -= 1;
-            if head > self.fetch_cycle {
-                self.fetch_cycle = head;
-                self.fetched_this_cycle = 0;
-            }
-        }
-        self.fetched_this_cycle += 1;
-        self.fetch_cycle
-    }
-
-    /// Operand readiness, inserting a reload if the value was spilled out
-    /// of the architected register file.
-    fn src_ready(&mut self, src: VReg, dispatch: u64) -> u64 {
-        let Some(base) = self.ready_of(src) else {
-            // No recorded producer: an immediate or long-dead value.
-            return 0;
-        };
-        if self.regs.touch(src.0) {
-            return base;
-        }
-        // Spilled and reused: this value really generates spill code — a
-        // store at its eviction and a reload here. Both are real
-        // instructions consuming front-end and issue bandwidth; the
-        // reload additionally pays load (+ store-forwarding) latency.
-        // Values that die without a post-eviction use generate no spill
-        // code: the allocator keeps dead intermediates out of the file.
-        self.spill_reloads += 1;
-        // One front-end slot: the reload folds into its consumer as a
-        // memory operand on the register-scarce ISA where spills matter.
-        self.fetched_this_cycle += 1;
-        let from_load = self.is_from_load(src);
-        let (addr, extra) = if from_load {
-            // The value came straight from a load: the allocator
-            // rematerializes it by repeating the load instead of storing
-            // it to a spill slot (no store, no forwarding stall).
-            (SPILL_BASE + (src.0 % SPILL_SLOTS) * 8, 0)
-        } else {
-            // A computed value must round-trip through a spill slot:
-            // one store plus a forwarded reload.
-            self.spill_stores += 1;
-            let addr = SPILL_BASE + (src.0 % SPILL_SLOTS) * 8;
-            self.mem_access(addr, AccessKind::Store);
-            self.issue_at(dispatch);
-            (addr, self.cfg.spill_forward_extra)
-        };
-        let start = self.issue_at(dispatch.max(base));
-        let lat = self.mem_access(addr, AccessKind::Load) + extra;
-        let ready = start + lat;
-        self.set_ready(src, ready, from_load);
-        self.regs.insert(src.0);
-        ready
-    }
-
-    /// One op through the pipeline model: the reference path, used by
-    /// per-op [`TraceConsumer::consume`] and by instrumented block
-    /// replay. Uninstrumented block replay goes through the phased
-    /// engine below, which computes identical simulation state.
-    fn step(&mut self, op: &MicroOp) {
-        self.instructions += 1;
-        let dispatch = self.dispatch();
-
-        let mut operands = 0u64;
-        for src in op.sources() {
-            operands = operands.max(self.src_ready(src, dispatch));
-        }
-        let mut earliest = dispatch.max(operands);
-        if self.cfg.in_order {
-            // Issue in program order: an op cannot issue before its elder.
-            earliest = earliest.max(self.last_issue);
-        }
-        let start = self.issue_at(earliest);
-        if self.cfg.in_order {
-            self.last_issue = start;
-        }
-
-        let mut mispredicted_now = false;
-        let completion = match op.kind {
-            OpKind::IntLoad | OpKind::FpLoad => {
-                let lat = self.mem_access(op.addr.expect("loads carry addresses"), AccessKind::Load);
-                let extra = if op.kind == OpKind::FpLoad { self.fp_load_extra } else { 0 };
-                start + lat + extra
-            }
-            OpKind::IntStore | OpKind::FpStore => {
-                self.mem_access(op.addr.expect("stores carry addresses"), AccessKind::Store);
-                start + 1
-            }
-            OpKind::CondBranch => {
-                let resolve = start + 1;
-                mispredicted_now = self.resolve_branch(op, resolve);
-                resolve
-            }
-            OpKind::CondMove if !self.cfg.if_conversion => {
-                // On platforms whose compiler/ISA cannot if-convert, the
-                // transformed code's select is really a compare-and-branch
-                // followed by a move: it predicts, can mispredict, and
-                // produces its value when it resolves.
-                let resolve = start + 1;
-                mispredicted_now = self.resolve_branch(op, resolve);
-                resolve
-            }
-            kind => start + self.cfg.op_latency(kind),
-        };
-
-        if let Some(tl) = self.timeline.as_mut() {
-            if tl.len() < TIMELINE_CAP {
-                tl.push(OpTiming {
-                    sid: op.sid,
-                    kind: op.kind,
-                    dispatch,
-                    issue: start,
-                    complete: completion,
-                    mispredicted: mispredicted_now,
-                });
-            }
-        }
-        if let Some(dst) = op.dst {
-            self.set_ready(dst, completion, op.kind.is_load());
-            self.regs.insert(dst.0);
-        }
-        // `dispatch` freed a slot whenever the ring was full, so this
-        // push can never overflow `rob_size`.
-        let mut pos = self.rob_head + self.rob_len;
-        if pos >= self.cfg.rob_size {
-            pos -= self.cfg.rob_size;
-        }
-        self.rob[pos] = completion;
-        self.rob_len += 1;
-        if completion > self.max_completion {
-            self.max_completion = completion;
-        }
-        if self.metrics_on {
-            self.m_op_latency.record(completion - dispatch);
-            self.m_issue_delay.record(start - dispatch);
-            if mispredicted_now {
-                self.m_redirects += 1;
-            }
-        }
-    }
-
-    /// Resolves a conditional branch (or a branch-realized select):
-    /// predicts, updates stats, and redirects the front end on a
-    /// misprediction.
-    fn resolve_branch(&mut self, op: &MicroOp, resolve: u64) -> bool {
-        self.branches += 1;
-        let correct = self.predictor.observe(op.sid, op.taken);
-        if !correct {
-            self.mispredicts += 1;
-            // Redirect: the front end restarts after the branch resolves —
-            // resolution delay (e.g. waiting on a load) adds directly to
-            // the misprediction cost.
-            if !crate::inject::active(crate::inject::DROPPED_FLUSH) {
-                let redirect = resolve + self.cfg.mispredict_penalty;
-                if redirect > self.fetch_cycle {
-                    self.fetch_cycle = redirect;
-                    self.fetched_this_cycle = 0;
-                }
-            }
-        }
-        !correct
-    }
-
-    // ---- The phased block engine -------------------------------------
-    //
-    // The monolithic `step` interleaves six stateful structures per op
-    // (register file, ready ring, issue ring, cache hierarchy, branch
-    // predictor, ROB), so the replay hot loop is dominated by
-    // data-dependent branches and a working set that spans all of them.
-    // But three of those structures evolve independently of simulated
-    // *time*: which values spill depends only on the vreg touch
-    // sequence, cache state depends only on the address sequence, and
-    // predictor state depends only on the outcome sequence. The blocked
-    // path therefore runs three passes over each block:
-    //
-    //  A. registers — resolves every source to a ready-ring slot
-    //     (`ZERO_SLOT` when there is no producer), decides which
-    //     sources spill-reload, writes destination tags, and emits a
-    //     per-op plan (flag byte + slots);
-    //  B. memory & branches — replays the exact access sequence
-    //     (including the spill traffic planned by A) through the
-    //     hierarchy and the predictor, emitting each op's completion
-    //     latency and the redirect flags;
-    //  D. timing — the serial scheduling core: dispatch, operand max
-    //     over pre-resolved slots (branchless in the no-spill common
-    //     case), issue-slot claim, ROB, redirects — consuming only the
-    //     dense plan arrays.
-    //
-    // Each pass keeps one structure hot and carries one dominant
-    // branch, where the monolithic step pays for all of them on every
-    // op. The passes apply state updates in the same program order as
-    // `step`, so the final simulator state is identical (pinned by the
-    // `blocked_replay_matches_per_op_replay` test and the conformance
-    // cross-checks).
-
-    /// Pass A: register file, spill planning, and ready-ring tags.
-    ///
-    /// Walks the block's register-event column — one entry per *present*
-    /// source or destination, in program order — so the loop never tests
-    /// an `Option` slot or touches a registerless op. Planned spill
-    /// traffic lands in `sc_spill_ev`/`sc_spill_addr` for pass B's
-    /// access merge. The cursor is left at the next chunk's first event.
-    fn block_pass_regs(&mut self, block: &OpBlock, lo: usize, hi: usize, ev: &mut usize) {
-        let n = hi - lo;
-        self.sc_flags.clear();
-        self.sc_flags.resize(n, 0);
-        self.sc_src.clear();
-        self.sc_src.resize(n, [ZERO_SLOT; 3]);
-        self.sc_dst.clear();
-        self.sc_dst.resize(n, SINK_SLOT);
-        self.sc_spill_ev.clear();
-        self.sc_spill_addr.clear();
-        let metas = block.reg_event_meta();
-        let vregs = block.reg_event_vreg();
-        // Flag bits live below the index field, so one shifted compare
-        // bounds the chunk.
-        let end = (hi as u32) << REG_EVENT_IDX_SHIFT;
-        while *ev < metas.len() {
-            let meta = metas[*ev];
-            if meta >= end {
-                break;
-            }
-            let v = vregs[*ev];
-            *ev += 1;
-            let ci = (meta >> REG_EVENT_IDX_SHIFT) as usize - lo;
-            let slot = (v as usize) & (READY_RING - 1);
-            if meta & REG_EVENT_DST != 0 {
-                self.ready_tag[slot] = v;
-                self.ready_from_load[slot] = meta & REG_EVENT_DST_LOAD != 0;
-                self.regs.insert(v);
-                self.sc_dst[ci] = slot as u32;
-                continue;
-            }
-            if self.ready_tag[slot] != v {
-                // No recorded producer: reads as cycle 0 via ZERO_SLOT.
-                continue;
-            }
-            let pos = (meta & REG_EVENT_POS) as usize;
-            self.sc_src[ci][pos] = slot as u32;
-            if !self.regs.touch(v) {
-                // Spilled and reused (see `src_ready` for the model).
-                self.spill_reloads += 1;
-                let computed = !self.ready_from_load[slot];
-                if computed {
-                    self.spill_stores += 1;
-                    self.sc_flags[ci] |= SRC_RELOAD_COMPUTED << (2 * pos);
-                } else {
-                    self.sc_flags[ci] |= SRC_RELOAD_LOAD << (2 * pos);
-                }
-                self.sc_spill_ev.push((ci as u32) << 1 | computed as u32);
-                self.sc_spill_addr.push(SPILL_BASE + (v % SPILL_SLOTS) * 8);
-                // The reload rewrites the slot with the same tag and
-                // flag, so only the cycle (timing pass) changes.
-                self.regs.insert(v);
-            }
-        }
-    }
-
-    /// Pass B: cache hierarchy and branch predictor driven entirely by
-    /// the filter columns; emits per-op completion latencies and the
-    /// spill-reload latency stream.
-    ///
-    /// The hierarchy and the predictor are independent structures, so
-    /// replaying all of the chunk's accesses and then all of its branch
-    /// outcomes preserves each structure's exact update order even though
-    /// the two streams no longer interleave.
-    fn block_pass_memory(&mut self, block: &OpBlock, lo: usize, hi: usize, cur: &mut ColCursors) {
-        // Latency classes: a branchless LUT fill over the kind-code
-        // column (loads are overwritten below; stores and branches
-        // resolve in 1, which is what the LUT holds for them).
-        let codes = &block.kind_codes()[lo..hi];
-        self.sc_lat.clear();
-        self.sc_lat.extend(codes.iter().map(|&c| self.lat_lut[c as usize]));
-        self.sc_spill_lat.clear();
-        let end = hi as u32;
-
-        // The pre-filtered demand stream merged with pass A's planned
-        // spill traffic: spill slots live in the same hierarchy as
-        // demand accesses, and an op resolves operands (reloads) before
-        // it executes (its own access), so ties break toward the spill
-        // stream. Chunks without spills pay one always-false compare per
-        // access.
-        let mem_idx = block.mem_idx();
-        let mem_addrs = block.mem_addrs();
-        let mem_loads = block.mem_loads();
-        let mut sp = 0;
-        loop {
-            let mem_ci = if cur.mem < mem_idx.len() && mem_idx[cur.mem] < end {
-                mem_idx[cur.mem] - lo as u32
-            } else {
-                u32::MAX
-            };
-            let sp_ci = if sp < self.sc_spill_ev.len() {
-                self.sc_spill_ev[sp] >> 1
-            } else {
-                u32::MAX
-            };
-            if sp_ci <= mem_ci {
-                if sp_ci == u32::MAX {
-                    break;
-                }
-                let computed = self.sc_spill_ev[sp] & 1 != 0;
-                let addr = self.sc_spill_addr[sp];
-                sp += 1;
-                let extra = if computed {
-                    // Computed values round-trip through the slot: the
-                    // store happens here, the forwarding stall rides on
-                    // the reload latency.
-                    self.mem_access(addr, AccessKind::Store);
-                    self.cfg.spill_forward_extra
-                } else {
-                    0
-                };
-                let lat = self.mem_access(addr, AccessKind::Load) + extra;
-                self.sc_spill_lat.push(lat as u32);
-                continue;
-            }
-            let e = cur.mem;
-            cur.mem += 1;
-            let ci = mem_ci as usize;
-            let code = codes[ci];
-            if code > OpKind::FpStore.code() {
-                // Address-carrying non-memory kind: the per-op path
-                // ignores its address, so the column entry is skipped.
-                continue;
-            }
-            let is_load = mem_loads[e];
-            let kind = if is_load { AccessKind::Load } else { AccessKind::Store };
-            let lat = self.mem_access(mem_addrs[e], kind)
-                + (code == OpKind::FpLoad.code()) as u64 * self.fp_load_extra;
-            if is_load {
-                self.sc_lat[ci] = lat as u32;
-            }
-        }
-
-        // The pre-filtered outcome stream. Without if-conversion,
-        // selects resolve through the same predictor, so the two columns
-        // merge back into program order.
-        let branch_idx = block.branch_idx();
-        let branch_sids = block.branch_sids();
-        let branch_taken = block.branch_taken();
-        if self.cfg.if_conversion {
-            while cur.br < branch_idx.len() && branch_idx[cur.br] < end {
-                let e = cur.br;
-                cur.br += 1;
-                let ci = branch_idx[e] as usize - lo;
-                self.branches += 1;
-                if !self.predictor.observe(branch_sids[e], branch_taken[e]) {
-                    self.mispredicts += 1;
-                    self.sc_flags[ci] |= FLAG_REDIRECT;
-                }
-                self.sc_lat[ci] = 1;
-            }
-            // Selects stay ALU ops here; step the cursor past the chunk.
-            let select_idx = block.select_idx();
-            while cur.sel < select_idx.len() && select_idx[cur.sel] < end {
-                cur.sel += 1;
-            }
-        } else {
-            let select_idx = block.select_idx();
-            let select_sids = block.select_sids();
-            let select_taken = block.select_taken();
-            loop {
-                let b = branch_idx.get(cur.br).copied().unwrap_or(u32::MAX);
-                let s = select_idx.get(cur.sel).copied().unwrap_or(u32::MAX);
-                let idx = b.min(s);
-                if idx >= end {
-                    break;
-                }
-                let (sid, taken) = if b < s {
-                    let e = cur.br;
-                    cur.br += 1;
-                    (branch_sids[e], branch_taken[e])
-                } else {
-                    let e = cur.sel;
-                    cur.sel += 1;
-                    (select_sids[e], select_taken[e])
-                };
-                let ci = idx as usize - lo;
-                self.branches += 1;
-                if !self.predictor.observe(sid, taken) {
-                    self.mispredicts += 1;
-                    self.sc_flags[ci] |= FLAG_REDIRECT;
-                }
-                self.sc_lat[ci] = 1;
-            }
-        }
-    }
-
-    /// Pass D: the serial timing core, driven entirely by the plan
-    /// arrays. `IN_ORDER` is monomorphized per platform class.
-    fn block_pass_timing<const IN_ORDER: bool>(&mut self, n: usize) {
-        let mut spill_idx = 0usize;
-        for i in 0..n {
-            self.instructions += 1;
-            let dispatch = self.dispatch();
-            let flags = self.sc_flags[i];
-            let slots = self.sc_src[i];
-            let operands = if flags & SPILL_MASK == 0 {
-                // Common case: three unconditional ring reads (absent
-                // sources resolve to ZERO_SLOT's constant 0).
-                let a = self.ready_cycle[slots[0] as usize];
-                let b = self.ready_cycle[slots[1] as usize];
-                let c = self.ready_cycle[slots[2] as usize];
-                a.max(b).max(c)
-            } else {
-                let mut operands = 0u64;
-                for (j, &slot) in slots.iter().enumerate() {
-                    let base = self.ready_cycle[slot as usize];
-                    let code = (flags >> (2 * j)) & 0b11;
-                    if code == 0 {
-                        operands = operands.max(base);
-                        continue;
-                    }
-                    // Spill reload: same bandwidth and ordering as
-                    // `src_ready`, latency precomputed by pass B.
-                    self.fetched_this_cycle += 1;
-                    if code == SRC_RELOAD_COMPUTED {
-                        self.issue_at(dispatch);
-                    }
-                    let start = self.issue_at(dispatch.max(base));
-                    let ready = start + self.sc_spill_lat[spill_idx] as u64;
-                    spill_idx += 1;
-                    self.ready_cycle[slot as usize] = ready;
-                    operands = operands.max(ready);
-                }
-                operands
-            };
-            let mut earliest = dispatch.max(operands);
-            if IN_ORDER {
-                earliest = earliest.max(self.last_issue);
-            }
-            let start = self.issue_at(earliest);
-            if IN_ORDER {
-                self.last_issue = start;
-            }
-            let completion = start + self.sc_lat[i] as u64;
-            if flags & FLAG_REDIRECT != 0
-                && !crate::inject::active(crate::inject::DROPPED_FLUSH)
-            {
-                let redirect = completion + self.cfg.mispredict_penalty;
-                if redirect > self.fetch_cycle {
-                    self.fetch_cycle = redirect;
-                    self.fetched_this_cycle = 0;
-                }
-            }
-            self.ready_cycle[self.sc_dst[i] as usize] = completion;
-            // `dispatch` freed a slot whenever the ring was full, so this
-            // push can never overflow `rob_size`.
-            let mut pos = self.rob_head + self.rob_len;
-            if pos >= self.cfg.rob_size {
-                pos -= self.cfg.rob_size;
-            }
-            self.rob[pos] = completion;
-            self.rob_len += 1;
-            if completion > self.max_completion {
-                self.max_completion = completion;
-            }
         }
     }
 }
 
 impl TraceConsumer for CycleSim {
-    fn consume(&mut self, op: &MicroOp, _program: &Program) {
-        self.step(op);
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        let mut one = std::mem::take(&mut self.one);
+        one.fill_one(op);
+        self.consume_block(&one, program);
+        self.one = one;
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        // Instrumented replays keep the reference path: timelines and
-        // event metrics observe per-op interleavings the phased engine
-        // does not materialize.
-        if self.metrics_on || self.timeline.is_some() {
-            for op in block.ops() {
-                self.step(op);
-            }
-            return;
-        }
+        let Self { hierarchy, predictor, plan, core, mispredicts, .. } = self;
         let n = block.len();
-        let mut cur = ColCursors::default();
         let mut lo = 0;
         while lo < n {
             let hi = (lo + PHASE_CHUNK).min(n);
-            self.block_pass_regs(block, lo, hi, &mut cur.ev);
-            self.block_pass_memory(block, lo, hi, &mut cur);
-            if self.cfg.in_order {
-                self.block_pass_timing::<true>(hi - lo);
-            } else {
-                self.block_pass_timing::<false>(hi - lo);
+            plan.chunk(block, lo, hi);
+            // The hierarchy and the predictor are independent, so all of
+            // the chunk's accesses and then all of its outcomes keep each
+            // structure's exact update order.
+            core.load_chunk(&block.kind_codes()[lo..hi], plan, |addr, kind| {
+                hierarchy.access(addr, kind)
+            });
+            for &(ci, sid, taken) in &plan.branch_ev {
+                if !predictor.observe(sid, taken) {
+                    *mispredicts += 1;
+                    core.mark_redirect(ci);
+                }
             }
+            core.run_chunk(plan, &block.ops()[lo..hi]);
             lo = hi;
         }
     }
@@ -1135,10 +369,11 @@ mod tests {
         assert!(io.cycles >= ooo.cycles, "in-order {} vs ooo {}", io.cycles, ooo.cycles);
     }
 
-    /// The phased block engine must leave the simulator in exactly the
-    /// state the monolithic per-op path produces — including spill
-    /// counters and cache stats, across odd block sizes whose edges fall
-    /// mid-spill-sequence and on both in-order and out-of-order cores.
+    /// Block size must never change a result: per-op `consume` (one-op
+    /// blocks built by `fill_one`) and decoded blocks of odd sizes, whose
+    /// edges fall mid-spill-sequence, must leave identical state —
+    /// including spill counters and cache stats, on both in-order and
+    /// out-of-order cores.
     #[test]
     fn blocked_replay_matches_per_op_replay() {
         use bioperf_trace::{Recorder, TraceConsumer};
@@ -1185,14 +420,15 @@ mod tests {
         }
     }
 
-    /// The factored timing pass: a sim fed the cache pass's annotation
-    /// stream must produce the exact cycles/branch/spill numbers of a
-    /// sim owning the live hierarchy — per-op and blocked, on every
-    /// platform.
+    /// The factored engine: a cache pass's annotation stream feeding a
+    /// one-lane `TimingBank` must reproduce a live `CycleSim` exactly —
+    /// cycles and counters from the bank, hierarchy stats from the pass —
+    /// blocked and per-op, on every platform.
     #[test]
     fn annotated_replay_matches_live_hierarchy_replay() {
         use crate::annotate::CachePassSim;
-        use bioperf_trace::Recorder;
+        use crate::timing_bank::TimingBank;
+        use bioperf_trace::{Recorder, TraceConsumer};
         let mut tape = Tape::new(Recorder::new());
         let xs: Vec<u64> = (0..512).map(|i| i * 5).collect();
         let mut state = 0xC0FF_EE11u64;
@@ -1216,38 +452,31 @@ mod tests {
         let (program, rec) = tape.finish();
         let recording = rec.into_recording(program.clone());
         for cfg in PlatformConfig::all() {
-            let mut live = CycleSim::new(cfg.clone());
+            let mut live = CycleSim::new(cfg);
             recording.replay_bank(std::slice::from_mut(&mut live));
             let reference = live.into_result();
 
             let mut pass = CachePassSim::new(cfg.logical_regs, vec![cfg.hierarchy()]);
             recording.replay_bank(std::slice::from_mut(&mut pass));
-            let (_, stream) = pass.finish_bank().pop().expect("one member");
+            let (stats, stream) = pass.finish_bank().pop().expect("one member");
+            assert_eq!(stats, reference.cache, "{} cache pass stats", cfg.name);
             let stream = std::sync::Arc::new(stream);
+            let bank = || {
+                let mut bank = TimingBank::new(cfg.logical_regs, cfg.if_conversion);
+                bank.push_lane(&cfg, PredictorKind::Hybrid, stream.clone());
+                bank
+            };
 
-            let mut blocked = CycleSim::new(cfg.clone()).with_annotations(stream.clone());
+            let mut blocked = bank();
             recording.replay_bank(std::slice::from_mut(&mut blocked));
-            assert_eq!(blocked.annotations_consumed(), Some(stream.len()), "{}", cfg.name);
-            let got = blocked.into_result();
-            assert_eq!(got.cycles, reference.cycles, "{} annotated cycles", cfg.name);
-            assert_eq!(
-                (got.instructions, got.branches, got.mispredicts, got.spill_stores, got.spill_reloads),
-                (
-                    reference.instructions,
-                    reference.branches,
-                    reference.mispredicts,
-                    reference.spill_stores,
-                    reference.spill_reloads
-                ),
-                "{} annotated counters",
-                cfg.name
-            );
-
-            let mut per_op = CycleSim::new(cfg.clone()).with_annotations(stream.clone());
+            let mut per_op = bank();
             for op in recording.iter() {
                 per_op.consume(&op, &program);
             }
-            assert_eq!(per_op.into_result().cycles, reference.cycles, "{} per-op", cfg.name);
+            for (path, lane) in [("blocked", blocked), ("per-op", per_op)] {
+                let got = SimResult { cache: stats, ..lane.into_results()[0] };
+                assert_eq!(got, reference, "{} {path} annotated lane", cfg.name);
+            }
         }
     }
 

@@ -1,230 +1,55 @@
 //! The factored sweep's timing pass: one trace decode drives a bank of
-//! annotated timing configurations through shared front-end passes.
+//! annotated timing configurations through one shared plan.
 //!
-//! An annotated [`CycleSim`](crate::CycleSim) spends most of its time in
-//! state that is *identical across sweep cells*: the register/spill plan
-//! depends only on the trace and the platform's logical register count,
-//! and predictor evolution depends only on the trace and the predictor
-//! family — both shared by construction across a sweep's timing axis
-//! (every cell keeps the base platform's register file and if-conversion
-//! mode). [`TimingBank`] therefore runs the phased engine's register
-//! pass once per chunk, each distinct predictor family once per chunk,
-//! and only the irreducible serial timing core (pass D) plus the cheap
-//! annotation-to-latency mapping per lane. Every lane's result is
-//! bit-identical to an independent `CycleSim::with_annotations` replay —
-//! pinned by this module's tests and, transitively, by the sweep's
+//! A sweep's timing cells differ only in what the timing core sees: the
+//! register/spill plan depends only on the trace and the platform's
+//! logical register count, and predictor evolution only on the trace and
+//! the predictor family — both shared by construction across a sweep's
+//! timing axis (every cell keeps the base platform's register file and
+//! if-conversion mode). [`TimingBank`] therefore runs the plan pass once
+//! per chunk, each distinct predictor family once per chunk, and per
+//! lane only the annotation-to-latency fill and the timing core. Every
+//! lane's result equals a live `CycleSim` replay with the lane's cache
+//! geometry and timing configuration (`SimResult::cache` aside) — pinned
+//! by this module's tests, the conformance fuzzer, and the sweep's
 //! factored-vs-oracle self-check.
 
 use std::sync::Arc;
 
 use bioperf_branch::{DynPredictor, PredictorKind};
 use bioperf_cache::{AnnotationStream, HierarchyStats, LatencyConfig};
-use bioperf_isa::{MicroOp, OpKind, Program, StaticId};
-use bioperf_trace::{
-    OpBlock, TraceConsumer, REG_EVENT_DST, REG_EVENT_DST_LOAD, REG_EVENT_IDX_SHIFT,
-    REG_EVENT_POS,
-};
+use bioperf_isa::{MicroOp, Program};
+use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
-use crate::regfile::RegFile;
-use crate::simulator::{
-    SimResult, FLAG_REDIRECT, ISSUE_COUNT_BITS, ISSUE_COUNT_MASK, ISSUE_RING, PHASE_CHUNK,
-    READY_RING, SINK_SLOT, SPILL_MASK, SRC_RELOAD_COMPUTED, SRC_RELOAD_LOAD, ZERO_SLOT,
-};
+use crate::plan::{Plan, PHASE_CHUNK};
+use crate::simulator::SimResult;
+use crate::timing::TimingCore;
 
-// Merged access-event tags, in the exact pop order of
-// `CycleSim::block_pass_memory`: an op's spill reloads precede its own
-// demand access, and a computed-value reload pops a store annotation
-// before its load annotation.
-const ACC_INT_LOAD: u32 = 0;
-const ACC_FP_LOAD: u32 = 1;
-const ACC_STORE: u32 = 2;
-const ACC_SPILL_LOAD: u32 = 3;
-const ACC_SPILL_COMPUTED: u32 = 4;
-const ACC_TAG_BITS: u32 = 3;
-
-/// One timing configuration's private state: annotation cursor, latency
-/// tables, and the serial scheduling core (ready ring, issue ring, ROB,
-/// front end).
+/// One timing configuration: its annotation cursor, level-to-latency
+/// table, predictor family, and timing core.
 #[derive(Debug, Clone)]
 struct TimingLane {
-    // Cell shape.
-    in_order: bool,
-    fetch_width: u32,
-    issue_width: u64,
-    rob_size: usize,
-    mispredict_penalty: u64,
-    spill_forward_extra: u64,
-    fp_load_extra: u64,
-    lat_lut: [u32; 12],
     /// Index into the bank's predictor families.
     family: usize,
-    // Annotation cursor (`CycleSim`'s `AnnCursor`).
     stream: Arc<AnnotationStream>,
     pos: usize,
+    /// Total access latency by 2-bit level code (L1 / L2 / memory; the
+    /// fourth entry aliases L1 so indexing a raw code never
+    /// bounds-checks). An exhausted cursor reads the benign L1 code, so
+    /// a skewed replay diverges instead of crashing.
     ann_lat: [u64; 4],
-    // Pass D state, field-for-field the timing half of `CycleSim`.
-    fetch_cycle: u64,
-    fetched_this_cycle: u32,
-    issue_ring: Vec<u64>,
-    ready_cycle: Vec<u64>,
-    rob: Vec<u64>,
-    rob_head: usize,
-    rob_len: usize,
-    last_issue: u64,
-    max_completion: u64,
-    // Per-chunk scratch.
-    flags: Vec<u8>,
-    lat: Vec<u32>,
-    spill_lat: Vec<u32>,
+    core: TimingCore,
 }
 
-impl TimingLane {
-    /// One annotation pop: the miss level's total latency on this lane.
-    #[inline]
-    fn pop(&mut self) -> u64 {
-        let code = self.stream.code(self.pos);
-        self.pos += 1;
-        self.ann_lat[code as usize]
-    }
-
-    /// Fills this lane's latency plan for one chunk: base LUT over the
-    /// kind codes, then the merged access events in pop order, then the
-    /// branch resolutions (latency 1).
-    fn fill_latencies(&mut self, codes: &[u8], acc: &[u32], branches: &[(u32, StaticId, bool)]) {
-        self.lat.clear();
-        self.lat.extend(codes.iter().map(|&c| self.lat_lut[c as usize]));
-        self.spill_lat.clear();
-        for &ev in acc {
-            let ci = (ev >> ACC_TAG_BITS) as usize;
-            match ev & ((1 << ACC_TAG_BITS) - 1) {
-                ACC_INT_LOAD => self.lat[ci] = self.pop() as u32,
-                ACC_FP_LOAD => self.lat[ci] = (self.pop() + self.fp_load_extra) as u32,
-                ACC_STORE => {
-                    self.pop();
-                }
-                ACC_SPILL_LOAD => {
-                    let l = self.pop();
-                    self.spill_lat.push(l as u32);
-                }
-                _ => {
-                    // Computed-value reload: the spill store pops first,
-                    // then the reload plus the forwarding stall.
-                    self.pop();
-                    let l = self.pop() + self.spill_forward_extra;
-                    self.spill_lat.push(l as u32);
-                }
-            }
-        }
-        for &(ci, _, _) in branches {
-            self.lat[ci as usize] = 1;
-        }
-    }
-
-    /// `CycleSim::issue_at`, on lane state.
-    fn issue_at(&mut self, earliest: u64) -> u64 {
-        let mut c = earliest;
-        loop {
-            let slot = &mut self.issue_ring[(c as usize) & (ISSUE_RING - 1)];
-            let packed = *slot;
-            if packed >> ISSUE_COUNT_BITS != c {
-                *slot = (c << ISSUE_COUNT_BITS) | 1;
-                return c;
-            }
-            if packed & ISSUE_COUNT_MASK < self.issue_width {
-                *slot = packed + 1;
-                return c;
-            }
-            c += 1;
-        }
-    }
-
-    /// `CycleSim::dispatch`, on lane state.
-    fn dispatch(&mut self) -> u64 {
-        if self.fetched_this_cycle >= self.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetched_this_cycle = 0;
-        }
-        if self.rob_len == self.rob_size {
-            let head = self.rob[self.rob_head];
-            self.rob_head += 1;
-            if self.rob_head == self.rob_size {
-                self.rob_head = 0;
-            }
-            self.rob_len -= 1;
-            if head > self.fetch_cycle {
-                self.fetch_cycle = head;
-                self.fetched_this_cycle = 0;
-            }
-        }
-        self.fetched_this_cycle += 1;
-        self.fetch_cycle
-    }
-
-    /// `CycleSim::block_pass_timing`, on lane state with the bank's
-    /// shared operand plan.
-    fn run_chunk<const IN_ORDER: bool>(&mut self, n: usize, src: &[[u32; 3]], dst: &[u32]) {
-        let mut spill_idx = 0usize;
-        for i in 0..n {
-            let dispatch = self.dispatch();
-            let flags = self.flags[i];
-            let slots = src[i];
-            let operands = if flags & SPILL_MASK == 0 {
-                let a = self.ready_cycle[slots[0] as usize];
-                let b = self.ready_cycle[slots[1] as usize];
-                let c = self.ready_cycle[slots[2] as usize];
-                a.max(b).max(c)
-            } else {
-                let mut operands = 0u64;
-                for (j, &slot) in slots.iter().enumerate() {
-                    let base = self.ready_cycle[slot as usize];
-                    let code = (flags >> (2 * j)) & 0b11;
-                    if code == 0 {
-                        operands = operands.max(base);
-                        continue;
-                    }
-                    self.fetched_this_cycle += 1;
-                    if code == SRC_RELOAD_COMPUTED {
-                        self.issue_at(dispatch);
-                    }
-                    let start = self.issue_at(dispatch.max(base));
-                    let ready = start + self.spill_lat[spill_idx] as u64;
-                    spill_idx += 1;
-                    self.ready_cycle[slot as usize] = ready;
-                    operands = operands.max(ready);
-                }
-                operands
-            };
-            let mut earliest = dispatch.max(operands);
-            if IN_ORDER {
-                earliest = earliest.max(self.last_issue);
-            }
-            let start = self.issue_at(earliest);
-            if IN_ORDER {
-                self.last_issue = start;
-            }
-            let completion = start + self.lat[i] as u64;
-            if flags & FLAG_REDIRECT != 0
-                && !crate::inject::active(crate::inject::DROPPED_FLUSH)
-            {
-                let redirect = completion + self.mispredict_penalty;
-                if redirect > self.fetch_cycle {
-                    self.fetch_cycle = redirect;
-                    self.fetched_this_cycle = 0;
-                }
-            }
-            self.ready_cycle[dst[i] as usize] = completion;
-            let mut pos = self.rob_head + self.rob_len;
-            if pos >= self.rob_size {
-                pos -= self.rob_size;
-            }
-            self.rob[pos] = completion;
-            self.rob_len += 1;
-            if completion > self.max_completion {
-                self.max_completion = completion;
-            }
-        }
-    }
+/// A predictor family shared by every lane that uses it.
+#[derive(Debug)]
+struct Family {
+    kind: PredictorKind,
+    predictor: DynPredictor,
+    mispredicts: u64,
+    /// The current chunk's mispredicted branch ops.
+    redirects: Vec<u32>,
 }
 
 /// Replays a trace once through a bank of annotated timing
@@ -234,35 +59,16 @@ impl TimingLane {
 /// All lanes must share the platform's `logical_regs` and
 /// `if_conversion` (true of every sweep grid cell — both come from the
 /// base platform, not the swept axes); [`Self::push_lane`] panics
-/// otherwise. Each lane's [`SimResult`] is bit-identical to replaying an
-/// independent `CycleSim::new(cfg).with_predictor(pred)
-/// .with_annotations(stream)`.
+/// otherwise.
 #[derive(Debug)]
 pub struct TimingBank {
     logical_regs: u32,
     if_conversion: bool,
-    // Shared front: the register/spill plan state.
-    regs: RegFile,
-    ready_tag: Vec<u64>,
-    ready_from_load: Vec<bool>,
-    instructions: u64,
-    branches: u64,
-    spill_stores: u64,
-    spill_reloads: u64,
-    // One predictor per distinct family among the lanes.
-    pred_kinds: Vec<PredictorKind>,
-    preds: Vec<DynPredictor>,
-    fam_mispredicts: Vec<u64>,
-    fam_redirects: Vec<Vec<u32>>,
-    // Shared per-chunk plan (the phased engine's pass A output plus the
-    // merged access-event and branch-outcome sequences).
-    sc_flags: Vec<u8>,
-    sc_src: Vec<[u32; 3]>,
-    sc_dst: Vec<u32>,
-    sc_spill_ev: Vec<u32>,
-    sc_acc: Vec<u32>,
-    sc_branch: Vec<(u32, StaticId, bool)>,
+    plan: Plan,
+    families: Vec<Family>,
     lanes: Vec<TimingLane>,
+    /// Reused one-op block for per-op [`TraceConsumer::consume`].
+    one: OpBlock,
 }
 
 impl TimingBank {
@@ -271,24 +77,10 @@ impl TimingBank {
         Self {
             logical_regs,
             if_conversion,
-            regs: RegFile::new(logical_regs),
-            ready_tag: vec![u64::MAX; READY_RING],
-            ready_from_load: vec![false; READY_RING],
-            instructions: 0,
-            branches: 0,
-            spill_stores: 0,
-            spill_reloads: 0,
-            pred_kinds: Vec::new(),
-            preds: Vec::new(),
-            fam_mispredicts: Vec::new(),
-            fam_redirects: Vec::new(),
-            sc_flags: Vec::new(),
-            sc_src: Vec::new(),
-            sc_dst: Vec::new(),
-            sc_spill_ev: Vec::new(),
-            sc_acc: Vec::new(),
-            sc_branch: Vec::new(),
+            plan: Plan::new(logical_regs, if_conversion),
+            families: Vec::new(),
             lanes: Vec::new(),
+            one: OpBlock::default(),
         }
     }
 
@@ -302,39 +94,28 @@ impl TimingBank {
     ) {
         assert_eq!(cfg.logical_regs, self.logical_regs, "lanes must share the register file");
         assert_eq!(cfg.if_conversion, self.if_conversion, "lanes must share if-conversion");
-        let family = match self.pred_kinds.iter().position(|&k| k == pred) {
+        let family = match self.families.iter().position(|f| f.kind == pred) {
             Some(f) => f,
             None => {
-                self.pred_kinds.push(pred);
-                self.preds.push(DynPredictor::new(pred));
-                self.fam_mispredicts.push(0);
-                self.fam_redirects.push(Vec::new());
-                self.pred_kinds.len() - 1
+                self.families.push(Family {
+                    kind: pred,
+                    predictor: DynPredictor::new(pred),
+                    mispredicts: 0,
+                    redirects: Vec::new(),
+                });
+                self.families.len() - 1
             }
         };
-        let mut lat_lut = [1u32; 12];
-        for kind in OpKind::ALL {
-            if !kind.is_load() && !kind.is_store() {
-                lat_lut[kind.code() as usize] = cfg.op_latency(kind) as u32;
-            }
-        }
         let lat = LatencyConfig {
             l1: cfg.int_load_latency,
             l2: cfg.l2_latency,
             memory: cfg.memory_latency,
         };
-        // Same skew hook as `CycleSim::with_annotations`: an armed
-        // `factored-annotation-skew` fault starts the cursor one in.
+        // An armed `factored-annotation-skew` fault starts the cursor one
+        // annotation in — the off-by-one the conformance fuzzer and the
+        // sweep self-check must catch.
         let pos = bioperf_trace::inject::active(bioperf_trace::inject::ANN_SKEW) as usize;
         self.lanes.push(TimingLane {
-            in_order: cfg.in_order,
-            fetch_width: cfg.fetch_width,
-            issue_width: cfg.issue_width as u64,
-            rob_size: cfg.rob_size,
-            mispredict_penalty: cfg.mispredict_penalty,
-            spill_forward_extra: cfg.spill_forward_extra,
-            fp_load_extra: cfg.fp_load_latency.saturating_sub(cfg.int_load_latency),
-            lat_lut,
             family,
             stream,
             pos,
@@ -344,18 +125,7 @@ impl TimingBank {
                 lat.total(true, true),
                 lat.total(false, false),
             ],
-            fetch_cycle: 0,
-            fetched_this_cycle: 0,
-            issue_ring: vec![u64::MAX; ISSUE_RING],
-            ready_cycle: vec![0; READY_RING + 2],
-            rob: vec![0; cfg.rob_size],
-            rob_head: 0,
-            rob_len: 0,
-            last_issue: 0,
-            max_completion: 0,
-            flags: Vec::new(),
-            lat: Vec::new(),
-            spill_lat: Vec::new(),
+            core: TimingCore::new(cfg),
         });
     }
 
@@ -370,279 +140,61 @@ impl TimingBank {
     }
 
     /// Final per-lane results, in push order. `SimResult::cache` is
-    /// zeroed exactly as in annotated `CycleSim` replay: the cache pass
-    /// that produced the streams owns the hierarchy stats.
+    /// zeroed: the cache pass that produced the streams owns the
+    /// hierarchy stats.
     pub fn into_results(self) -> Vec<SimResult> {
         self.lanes
             .iter()
             .map(|lane| SimResult {
-                cycles: lane.max_completion.max(lane.fetch_cycle),
-                instructions: self.instructions,
-                branches: self.branches,
-                mispredicts: self.fam_mispredicts[lane.family],
-                spill_stores: self.spill_stores,
-                spill_reloads: self.spill_reloads,
+                cycles: lane.core.cycles(),
+                instructions: self.plan.instructions,
+                branches: self.plan.branches,
+                mispredicts: self.families[lane.family].mispredicts,
+                spill_stores: self.plan.spill_stores,
+                spill_reloads: self.plan.spill_reloads,
                 cache: HierarchyStats::default(),
             })
             .collect()
     }
-
-    /// Pass A for one chunk — `CycleSim::block_pass_regs` on the shared
-    /// register state, without spill addresses (annotated pops ignore
-    /// them).
-    fn chunk_pass_regs(&mut self, block: &OpBlock, lo: usize, hi: usize, ev: &mut usize) {
-        let n = hi - lo;
-        self.sc_flags.clear();
-        self.sc_flags.resize(n, 0);
-        self.sc_src.clear();
-        self.sc_src.resize(n, [ZERO_SLOT; 3]);
-        self.sc_dst.clear();
-        self.sc_dst.resize(n, SINK_SLOT);
-        self.sc_spill_ev.clear();
-        let metas = block.reg_event_meta();
-        let vregs = block.reg_event_vreg();
-        let end = (hi as u32) << REG_EVENT_IDX_SHIFT;
-        while *ev < metas.len() {
-            let meta = metas[*ev];
-            if meta >= end {
-                break;
-            }
-            let v = vregs[*ev];
-            *ev += 1;
-            let ci = (meta >> REG_EVENT_IDX_SHIFT) as usize - lo;
-            let slot = (v as usize) & (READY_RING - 1);
-            if meta & REG_EVENT_DST != 0 {
-                self.ready_tag[slot] = v;
-                self.ready_from_load[slot] = meta & REG_EVENT_DST_LOAD != 0;
-                self.regs.insert(v);
-                self.sc_dst[ci] = slot as u32;
-                continue;
-            }
-            if self.ready_tag[slot] != v {
-                continue;
-            }
-            let pos = (meta & REG_EVENT_POS) as usize;
-            self.sc_src[ci][pos] = slot as u32;
-            if !self.regs.touch(v) {
-                self.spill_reloads += 1;
-                let computed = !self.ready_from_load[slot];
-                if computed {
-                    self.spill_stores += 1;
-                    self.sc_flags[ci] |= SRC_RELOAD_COMPUTED << (2 * pos);
-                } else {
-                    self.sc_flags[ci] |= SRC_RELOAD_LOAD << (2 * pos);
-                }
-                self.sc_spill_ev.push((ci as u32) << 1 | computed as u32);
-                self.regs.insert(v);
-            }
-        }
-    }
-
-    /// The chunk's merged access events, in `block_pass_memory`'s pop
-    /// order: pass A's spill plan interleaved with the pre-filtered
-    /// demand column, ties toward the spill stream.
-    fn chunk_pass_accesses(&mut self, block: &OpBlock, lo: usize, hi: usize, mem: &mut usize) {
-        self.sc_acc.clear();
-        let codes = &block.kind_codes()[lo..hi];
-        let mem_idx = block.mem_idx();
-        let mem_loads = block.mem_loads();
-        let end = hi as u32;
-        let mut sp = 0;
-        loop {
-            let mem_ci = if *mem < mem_idx.len() && mem_idx[*mem] < end {
-                mem_idx[*mem] - lo as u32
-            } else {
-                u32::MAX
-            };
-            let sp_ci = if sp < self.sc_spill_ev.len() {
-                self.sc_spill_ev[sp] >> 1
-            } else {
-                u32::MAX
-            };
-            if sp_ci <= mem_ci {
-                if sp_ci == u32::MAX {
-                    break;
-                }
-                let tag = if self.sc_spill_ev[sp] & 1 != 0 {
-                    ACC_SPILL_COMPUTED
-                } else {
-                    ACC_SPILL_LOAD
-                };
-                self.sc_acc.push(sp_ci << ACC_TAG_BITS | tag);
-                sp += 1;
-                continue;
-            }
-            let e = *mem;
-            *mem += 1;
-            let ci = mem_ci as usize;
-            let code = codes[ci];
-            if code > OpKind::FpStore.code() {
-                continue;
-            }
-            let tag = if !mem_loads[e] {
-                ACC_STORE
-            } else if code == OpKind::FpLoad.code() {
-                ACC_FP_LOAD
-            } else {
-                ACC_INT_LOAD
-            };
-            self.sc_acc.push(mem_ci << ACC_TAG_BITS | tag);
-        }
-    }
-
-    /// The chunk's branch outcomes, merged as in `block_pass_memory`,
-    /// then one predictor walk per family.
-    fn chunk_pass_branches(&mut self, block: &OpBlock, lo: usize, hi: usize, br: &mut usize, sel: &mut usize) {
-        self.sc_branch.clear();
-        let end = hi as u32;
-        let branch_idx = block.branch_idx();
-        let branch_sids = block.branch_sids();
-        let branch_taken = block.branch_taken();
-        if self.if_conversion {
-            while *br < branch_idx.len() && branch_idx[*br] < end {
-                let e = *br;
-                *br += 1;
-                self.sc_branch.push((branch_idx[e] - lo as u32, branch_sids[e], branch_taken[e]));
-            }
-            let select_idx = block.select_idx();
-            while *sel < select_idx.len() && select_idx[*sel] < end {
-                *sel += 1;
-            }
-        } else {
-            let select_idx = block.select_idx();
-            let select_sids = block.select_sids();
-            let select_taken = block.select_taken();
-            loop {
-                let b = branch_idx.get(*br).copied().unwrap_or(u32::MAX);
-                let s = select_idx.get(*sel).copied().unwrap_or(u32::MAX);
-                let idx = b.min(s);
-                if idx >= end {
-                    break;
-                }
-                let (sid, taken) = if b < s {
-                    let e = *br;
-                    *br += 1;
-                    (branch_sids[e], branch_taken[e])
-                } else {
-                    let e = *sel;
-                    *sel += 1;
-                    (select_sids[e], select_taken[e])
-                };
-                self.sc_branch.push((idx - lo as u32, sid, taken));
-            }
-        }
-        self.branches += self.sc_branch.len() as u64;
-        for f in 0..self.preds.len() {
-            self.fam_redirects[f].clear();
-            for &(ci, sid, taken) in &self.sc_branch {
-                if !self.preds[f].observe(sid, taken) {
-                    self.fam_mispredicts[f] += 1;
-                    self.fam_redirects[f].push(ci);
-                }
-            }
-        }
-    }
-
-    /// Runs every lane over the shared chunk plan.
-    fn chunk_pass_lanes(&mut self, codes: &[u8]) {
-        let n = codes.len();
-        for lane in &mut self.lanes {
-            lane.fill_latencies(codes, &self.sc_acc, &self.sc_branch);
-            lane.flags.clear();
-            lane.flags.extend_from_slice(&self.sc_flags);
-            for &ci in &self.fam_redirects[lane.family] {
-                lane.flags[ci as usize] |= FLAG_REDIRECT;
-            }
-            if lane.in_order {
-                lane.run_chunk::<true>(n, &self.sc_src, &self.sc_dst);
-            } else {
-                lane.run_chunk::<false>(n, &self.sc_src, &self.sc_dst);
-            }
-        }
-    }
 }
 
 impl TraceConsumer for TimingBank {
-    /// The per-op reference path: a degenerate one-op chunk through the
-    /// same shared-plan machinery (mirrors `CachePassSim::consume`'s
-    /// ordering — operand resolution, then the op's own access, then
-    /// destination tags).
-    fn consume(&mut self, op: &MicroOp, _program: &Program) {
-        self.instructions += 1;
-        self.sc_flags.clear();
-        self.sc_flags.push(0);
-        self.sc_src.clear();
-        self.sc_src.push([ZERO_SLOT; 3]);
-        self.sc_dst.clear();
-        self.sc_dst.push(SINK_SLOT);
-        self.sc_acc.clear();
-        self.sc_branch.clear();
-        for (pos, src) in op.sources().enumerate() {
-            let slot = (src.0 as usize) & (READY_RING - 1);
-            if self.ready_tag[slot] != src.0 {
-                continue;
-            }
-            self.sc_src[0][pos] = slot as u32;
-            if !self.regs.touch(src.0) {
-                self.spill_reloads += 1;
-                let computed = !self.ready_from_load[slot];
-                let tag = if computed {
-                    self.spill_stores += 1;
-                    self.sc_flags[0] |= SRC_RELOAD_COMPUTED << (2 * pos);
-                    ACC_SPILL_COMPUTED
-                } else {
-                    self.sc_flags[0] |= SRC_RELOAD_LOAD << (2 * pos);
-                    ACC_SPILL_LOAD
-                };
-                self.sc_acc.push(tag);
-                self.regs.insert(src.0);
-            }
-        }
-        match op.kind {
-            OpKind::IntLoad => self.sc_acc.push(ACC_INT_LOAD),
-            OpKind::FpLoad => self.sc_acc.push(ACC_FP_LOAD),
-            OpKind::IntStore | OpKind::FpStore => self.sc_acc.push(ACC_STORE),
-            _ => {}
-        }
-        let is_branch = op.kind == OpKind::CondBranch
-            || (op.kind == OpKind::CondMove && !self.if_conversion);
-        if is_branch {
-            self.sc_branch.push((0, op.sid, op.taken));
-            self.branches += 1;
-            for f in 0..self.preds.len() {
-                self.fam_redirects[f].clear();
-                if !self.preds[f].observe(op.sid, op.taken) {
-                    self.fam_mispredicts[f] += 1;
-                    self.fam_redirects[f].push(0);
-                }
-            }
-        } else {
-            for f in 0..self.preds.len() {
-                self.fam_redirects[f].clear();
-            }
-        }
-        if let Some(dst) = op.dst {
-            let slot = (dst.0 as usize) & (READY_RING - 1);
-            self.ready_tag[slot] = dst.0;
-            self.ready_from_load[slot] = op.kind.is_load();
-            self.regs.insert(dst.0);
-            self.sc_dst[0] = slot as u32;
-        }
-        let code = [op.kind.code()];
-        self.chunk_pass_lanes(&code);
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        let mut one = std::mem::take(&mut self.one);
+        one.fill_one(op);
+        self.consume_block(&one, program);
+        self.one = one;
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
+        let Self { plan, families, lanes, .. } = self;
         let n = block.len();
-        let (mut ev, mut mem, mut br, mut sel) = (0usize, 0usize, 0usize, 0usize);
         let mut lo = 0;
         while lo < n {
             let hi = (lo + PHASE_CHUNK).min(n);
-            self.instructions += (hi - lo) as u64;
-            self.chunk_pass_regs(block, lo, hi, &mut ev);
-            self.chunk_pass_accesses(block, lo, hi, &mut mem);
-            self.chunk_pass_branches(block, lo, hi, &mut br, &mut sel);
-            self.chunk_pass_lanes(&block.kind_codes()[lo..hi]);
+            plan.chunk(block, lo, hi);
+            for f in families.iter_mut() {
+                f.redirects.clear();
+                for &(ci, sid, taken) in &plan.branch_ev {
+                    if !f.predictor.observe(sid, taken) {
+                        f.mispredicts += 1;
+                        f.redirects.push(ci);
+                    }
+                }
+            }
+            for lane in lanes.iter_mut() {
+                let TimingLane { family, stream, pos, ann_lat, core } = lane;
+                // Every planned access pops exactly one annotation.
+                core.load_chunk(&block.kind_codes()[lo..hi], plan, |_, _| {
+                    let code = stream.code(*pos);
+                    *pos += 1;
+                    ann_lat[code as usize]
+                });
+                for &ci in &families[*family].redirects {
+                    core.mark_redirect(ci);
+                }
+                core.run_chunk(plan, &[]);
+            }
             lo = hi;
         }
     }
@@ -703,22 +255,20 @@ mod tests {
     }
 
     /// Every lane of a heterogeneous bank (mixed latencies, pipe shapes,
-    /// predictor families, and annotation streams) must be bit-identical
-    /// to an independent annotated `CycleSim`, blocked and per-op.
+    /// predictor families, and cache geometries) must reproduce a live
+    /// `CycleSim` with the lane's geometry and timing configuration —
+    /// which also pins the cache pass's annotations to the live
+    /// hierarchy.
     #[test]
-    fn bank_lanes_match_independent_annotated_cyclesims() {
+    fn bank_lanes_match_independent_live_cyclesims() {
         let recording = spill_heavy_recording();
         for base in PlatformConfig::all() {
-            // Two cache-axis geometries' annotation streams for this
-            // platform family.
-            let small = PlatformConfig::pentium4();
+            let mut alt = base;
+            alt.l1 = PlatformConfig::pentium4().l1;
+            let geometries = [base, alt];
             let mut pass = CachePassSim::new(
                 base.logical_regs,
-                vec![base.hierarchy(), {
-                    let mut alt = base;
-                    alt.l1 = small.l1;
-                    alt.hierarchy()
-                }],
+                geometries.iter().map(PlatformConfig::hierarchy).collect(),
             );
             recording.replay_bank(std::slice::from_mut(&mut pass));
             let streams: Vec<Arc<AnnotationStream>> =
@@ -727,14 +277,14 @@ mod tests {
             let preds = [PredictorKind::Hybrid, PredictorKind::Bimodal, PredictorKind::Aliased];
             let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
             let mut expected = Vec::new();
-            for (i, cfg) in variants(base).into_iter().enumerate() {
+            for (i, mut cfg) in variants(base).into_iter().enumerate() {
                 let pred = preds[i % preds.len()];
-                let stream = streams[i % streams.len()].clone();
-                bank.push_lane(&cfg, pred, stream.clone());
-                let mut solo =
-                    CycleSim::new(cfg).with_predictor(pred).with_annotations(stream);
-                recording.replay_bank(std::slice::from_mut(&mut solo));
-                expected.push(solo.into_result());
+                let g = i % geometries.len();
+                bank.push_lane(&cfg, pred, streams[g].clone());
+                cfg.l1 = geometries[g].l1;
+                let mut live = CycleSim::new(cfg).with_predictor(pred);
+                recording.replay_bank(std::slice::from_mut(&mut live));
+                expected.push(SimResult { cache: HierarchyStats::default(), ..live.into_result() });
             }
             recording.replay_bank(std::slice::from_mut(&mut bank));
             let got = bank.into_results();
@@ -742,8 +292,7 @@ mod tests {
         }
     }
 
-    /// The per-op consume path equals the blocked path (and therefore
-    /// the annotated `CycleSim` both paths mirror).
+    /// The per-op consume path (one-op blocks) equals the blocked path.
     #[test]
     fn per_op_path_matches_blocked_path() {
         let recording = spill_heavy_recording();

@@ -32,9 +32,10 @@ pub const BLOCK_CARRY: u8 = 4;
 pub const SWEEP_MERGE: u8 = 5;
 /// Start the factored sweep's miss-level annotation cursor at 1 instead
 /// of 0, so every annotated access reads its successor's level — the
-/// off-by-one the `sweep-factor` self-check must catch. Lives here for
-/// the same dependency-graph reason as [`SWEEP_MERGE`]; the perturbation
-/// site is `CycleSim::with_annotations` in `bioperf-pipe`.
+/// off-by-one the conformance fuzzer's factored leg and the
+/// `sweep-factor` self-check must catch. Lives here for the same
+/// dependency-graph reason as [`SWEEP_MERGE`]; the perturbation site is
+/// `TimingBank::push_lane` in `bioperf-pipe`.
 pub const ANN_SKEW: u8 = 6;
 
 #[cfg(feature = "conform-inject")]

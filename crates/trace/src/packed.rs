@@ -627,6 +627,52 @@ impl OpBlock {
         &self.reg_event_vreg
     }
 
+    /// Refills the block with the single op `op` — the per-op form of
+    /// [`BlockDecoder::next_block`], for consumers whose per-op path
+    /// runs their block engine on one-op blocks. The filter columns are
+    /// derived exactly as the decoder derives them.
+    pub fn fill_one(&mut self, op: &MicroOp) {
+        self.clear();
+        self.ops.clear();
+        self.ops.push(*op);
+        self.push_columns(0);
+    }
+
+    /// Appends op `i`'s entries to every filter column. The one place
+    /// column derivation lives, shared by the decoder and
+    /// [`fill_one`](Self::fill_one).
+    #[inline(always)]
+    fn push_columns(&mut self, i: usize) {
+        let op = &self.ops[i];
+        self.kind_codes.push(op.kind.code());
+        if let Some(addr) = op.addr {
+            self.mem_addrs.push(addr);
+            self.mem_loads.push(op.kind.is_load());
+            self.mem_idx.push(i as u32);
+        }
+        if op.kind.is_cond_branch() {
+            self.branch_sids.push(op.sid);
+            self.branch_taken.push(op.taken);
+            self.branch_idx.push(i as u32);
+        } else if op.kind == OpKind::CondMove {
+            self.select_idx.push(i as u32);
+            self.select_sids.push(op.sid);
+            self.select_taken.push(op.taken);
+        }
+        let idx = (i as u32) << REG_EVENT_IDX_SHIFT;
+        for (pos, src) in op.srcs.iter().enumerate() {
+            if let Some(v) = src {
+                self.reg_event_meta.push(idx | pos as u32);
+                self.reg_event_vreg.push(v.0);
+            }
+        }
+        if let Some(dst) = op.dst {
+            let load = if op.kind.is_load() { REG_EVENT_DST_LOAD } else { 0 };
+            self.reg_event_meta.push(idx | REG_EVENT_DST | load);
+            self.reg_event_vreg.push(dst.0);
+        }
+    }
+
     /// Clears the side columns only: `ops` is resized (not cleared) by
     /// the decoder so a steady-state refill overwrites each op in place
     /// instead of re-initializing it and writing it twice.
@@ -703,34 +749,7 @@ impl<'a> BlockDecoder<'a> {
         );
         for (i, packed) in self.stream.ops[self.index..end].iter().enumerate() {
             self.stream.decode_into(packed, &mut self.cursor, &mut block.ops[i]);
-            let op = &block.ops[i];
-            block.kind_codes.push(op.kind.code());
-            if let Some(addr) = op.addr {
-                block.mem_addrs.push(addr);
-                block.mem_loads.push(op.kind.is_load());
-                block.mem_idx.push(i as u32);
-            }
-            if op.kind.is_cond_branch() {
-                block.branch_sids.push(op.sid);
-                block.branch_taken.push(op.taken);
-                block.branch_idx.push(i as u32);
-            } else if op.kind == OpKind::CondMove {
-                block.select_idx.push(i as u32);
-                block.select_sids.push(op.sid);
-                block.select_taken.push(op.taken);
-            }
-            let idx = (i as u32) << REG_EVENT_IDX_SHIFT;
-            for (pos, src) in op.srcs.iter().enumerate() {
-                if let Some(v) = src {
-                    block.reg_event_meta.push(idx | pos as u32);
-                    block.reg_event_vreg.push(v.0);
-                }
-            }
-            if let Some(dst) = op.dst {
-                let load = if op.kind.is_load() { REG_EVENT_DST_LOAD } else { 0 };
-                block.reg_event_meta.push(idx | REG_EVENT_DST | load);
-                block.reg_event_vreg.push(dst.0);
-            }
+            block.push_columns(i);
         }
         let decoded = end - self.index;
         self.index = end;
@@ -1111,6 +1130,32 @@ mod tests {
                 .map(|op| (op.sid, op.taken))
                 .collect();
             assert_eq!(branches, expect_branches, "block size {block_size} branch column");
+        }
+    }
+
+    /// `fill_one` must build exactly the block a one-op decode builds —
+    /// every filter column included.
+    #[test]
+    fn fill_one_matches_one_op_block_decode() {
+        let ops = vec![
+            MicroOp::compute(sid(0), OpKind::IntAlu, VReg(0), [None; MAX_SRCS]),
+            MicroOp::load(sid(1), OpKind::FpLoad, VReg(2), 0x40, Some(VReg(0))),
+            MicroOp::store(sid(2), OpKind::IntStore, Some(VReg(2)), 0x80),
+            MicroOp::branch(sid(3), [Some(VReg(2)), None, Some(VReg(0))], true),
+            MicroOp { sid: sid(4), kind: OpKind::CondMove, dst: Some(VReg(3)), srcs: [Some(VReg(2)), None, None], addr: None, taken: true },
+            MicroOp { sid: sid(5), kind: OpKind::Jump, dst: None, srcs: [None; MAX_SRCS], addr: Some(0xbeef), taken: false },
+        ];
+        let mut stream = PackedStream::new();
+        for op in &ops {
+            stream.push(op);
+        }
+        let mut decoder = stream.block_decoder();
+        let mut decoded = OpBlock::with_capacity(1);
+        let mut filled = OpBlock::default();
+        for op in &ops {
+            assert_eq!(decoder.next_block(&mut decoded, 1), 1);
+            filled.fill_one(op);
+            assert_eq!(format!("{filled:?}"), format!("{decoded:?}"), "op {op:?}");
         }
     }
 

@@ -12,7 +12,7 @@
 //!   size), in-memory and segmented;
 //! * every filter column (memory, branch, select, kind codes, register
 //!   events) must agree entry-for-entry with the ops it summarizes —
-//!   the invariant the pipeline's phased block engine trusts blindly.
+//!   the invariant the pipeline's plan pass trusts blindly.
 
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
 use bioperf_trace::{

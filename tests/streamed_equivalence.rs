@@ -95,8 +95,8 @@ fn streamed_suite_is_worker_count_independent() {
 fn blocked_streamed_bank_matches_per_op_in_memory_replay() {
     // The two replay transports composed: disk-shaped segments (here
     // in-memory, same chunking and headers) *and* block-batched decode
-    // through the pipeline's phased block engine, against the plainest
-    // possible reference — one op at a time out of the in-memory
+    // through the pipeline's plan pass and timing core, against the
+    // plainest possible replay — one op at a time out of the in-memory
     // recording, straight into `consume`. Odd block sizes interact with
     // the segment edges (a block never spans two segments), so every
     // combination exercises mid-stream cursor hand-off.
