@@ -62,11 +62,15 @@ pub enum FaultId {
     /// reason; the perturbation site is `TimingBank::push_lane` in
     /// `bioperf-pipe`.)
     FactoredAnnotationSkew,
+    /// The factored sweep's timing bank keys its shared latency fill on
+    /// the annotation stream alone, ignoring the latency table, so a lane
+    /// reads the latencies of the first lane on its stream.
+    TimingFillOvershare,
 }
 
 impl FaultId {
     /// Every catalogued fault, in reporting order.
-    pub const ALL: [FaultId; 12] = [
+    pub const ALL: [FaultId; 13] = [
         FaultId::CacheLruTouch,
         FaultId::CacheDirtyWriteback,
         FaultId::PackedSrcDelta,
@@ -79,6 +83,7 @@ impl FaultId {
         FaultId::BranchChooserStale,
         FaultId::SweepMergeOrder,
         FaultId::FactoredAnnotationSkew,
+        FaultId::TimingFillOvershare,
     ];
 
     /// Stable CLI / report name.
@@ -96,6 +101,7 @@ impl FaultId {
             FaultId::BranchChooserStale => "branch-chooser-stale",
             FaultId::SweepMergeOrder => "sweep-merge-order",
             FaultId::FactoredAnnotationSkew => "factored-annotation-skew",
+            FaultId::TimingFillOvershare => "timing-fill-overshare",
         }
     }
 
@@ -120,6 +126,9 @@ impl FaultId {
             FaultId::SweepMergeOrder => "sweep cell merge rotates each bank's results by one",
             FaultId::FactoredAnnotationSkew => {
                 "factored sweep's annotation cursor starts off by one"
+            }
+            FaultId::TimingFillOvershare => {
+                "timing bank shares a latency fill across latency tables"
             }
         }
     }
@@ -160,11 +169,17 @@ impl FaultId {
             // runs alongside it.
             FaultId::SweepMergeOrder => 16,
             // The pipeline check's factored leg (a cache pass feeding a
-            // one-lane timing bank) reads every annotation one late, so
+            // timing bank) reads every annotation one late, so
             // the first access whose level differs from its successor's
             // exposes it. The sweep-factor self-check also fires on its
             // single run.
             FaultId::FactoredAnnotationSkew => 16,
+            // The pipeline check's checked lane follows a decoy whose L1
+            // latency is one cycle longer on the same stream, so the
+            // first load whose latency reaches the cycle count exposes
+            // it. The sweep-factor self-check's two latency triples on
+            // shared streams also fire on its single run.
+            FaultId::TimingFillOvershare => 16,
         }
     }
 }
@@ -211,6 +226,9 @@ pub fn arm(fault: FaultId) {
         FaultId::SweepMergeOrder => bioperf_trace::inject::set(bioperf_trace::inject::SWEEP_MERGE),
         FaultId::FactoredAnnotationSkew => {
             bioperf_trace::inject::set(bioperf_trace::inject::ANN_SKEW)
+        }
+        FaultId::TimingFillOvershare => {
+            bioperf_pipe::inject::set(bioperf_pipe::inject::FILL_OVERSHARE)
         }
     }
 }

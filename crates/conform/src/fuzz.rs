@@ -551,9 +551,13 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 /// Full cycle simulation, the production engines vs. [`RefPipeline`]:
 /// `CycleSim` replayed from packed blocks of 1, 3 and 8 ops (the suite's
 /// engine, with block edges at every offset), and a [`CachePassSim`]
-/// feeding a one-lane [`TimingBank`] (the sweep's factored engine),
-/// taking cycles and counters from the bank and hierarchy stats from the
-/// cache pass.
+/// feeding a [`TimingBank`] (the sweep's factored engine), taking cycles
+/// and counters from the bank and hierarchy stats from the cache pass.
+/// The checked lane is a latency-fill follower: two decoy lanes on the
+/// same stream go first, one whose L1 latency is one cycle longer (it
+/// must not share the fill) and one with the same latencies but another
+/// width, ROB and predictor (it must, and leads the checked lane's
+/// group).
 fn pipeline_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
     let program = Program::new();
     let mut reference = RefPipeline::new(*platform);
@@ -584,10 +588,20 @@ fn pipeline_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergen
     let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
     replay(&mut pass, 8);
     let (stats, annotations) = pass.finish_bank().pop().expect("one member");
+    let annotations = Arc::new(annotations);
+    let mut slower = *platform;
+    slower.int_load_latency += 1;
+    slower.fp_load_latency += 1;
+    let mut reshaped = *platform;
+    reshaped.fetch_width += 1;
+    reshaped.issue_width += 1;
+    reshaped.rob_size *= 2;
     let mut bank = TimingBank::new(platform.logical_regs, platform.if_conversion);
-    bank.push_lane(platform, PredictorKind::Hybrid, Arc::new(annotations));
+    bank.push_lane(&slower, PredictorKind::Hybrid, Arc::clone(&annotations));
+    bank.push_lane(&reshaped, PredictorKind::Bimodal, Arc::clone(&annotations));
+    bank.push_lane(platform, PredictorKind::Hybrid, annotations);
     replay(&mut bank, 8);
-    let fast = SimResult { cache: stats, ..bank.into_results()[0] };
+    let fast = SimResult { cache: stats, ..bank.into_results()[2] };
     (fast != slow).then(|| {
         Divergence::new("pipeline", format!("factored: optimized {fast:?}, reference {slow:?}"))
     })

@@ -1168,10 +1168,12 @@ pub fn run_conform(cfg: &ConformConfig) -> io::Result<ConformResult> {
     // The factored sweep end to end: a factored-vs-unfactored diff of a
     // tiny sweep plus an analytic stack-distance cross-check of the cache
     // pass. The fuzzer's factored leg already sees
-    // `factored-annotation-skew`; this check runs under that fault and in
-    // clean full-check mode.
-    let factor_divergence = if cfg.inject == Some(FaultId::FactoredAnnotationSkew)
-        || (cfg.inject.is_none() && cfg.check_programs)
+    // `factored-annotation-skew` and `timing-fill-overshare`; this check
+    // runs under those faults and in clean full-check mode.
+    let factor_divergence = if matches!(
+        cfg.inject,
+        Some(FaultId::FactoredAnnotationSkew | FaultId::TimingFillOvershare)
+    ) || (cfg.inject.is_none() && cfg.check_programs)
     {
         crate::sweep::sweep_factor_self_check(seed)
     } else {

@@ -45,6 +45,7 @@
 //! (AMAT, speedup of the load transformation, hardware-cost proxy) — see
 //! [`crate::pareto`].
 
+use std::cmp::Reverse;
 use std::fmt;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
@@ -80,10 +81,18 @@ pub const CHECKPOINT_HEADER_LEN: usize = 32;
 /// Size of one checkpoint record in bytes.
 pub const CHECKPOINT_RECORD_LEN: usize = 40;
 
-/// Cells measured per bank-replay job: each job decodes its recording
-/// once and drives this many per-cell simulators off the shared stream,
-/// amortizing the decode without making one job dominate the pool.
+/// Cells per wave-2 chunk (the unit of the merge and the checkpoint
+/// append), and per `--no-factor` bank job: each such job decodes its
+/// recording once and drives this many live per-cell simulators off the
+/// shared stream, amortizing the decode without making one job dominate
+/// the pool.
 const BANK_CELLS: usize = 8;
+
+/// Timing lanes per factored timing-pass job. A lane is a timing core
+/// (about 0.55 MiB of ready and issue rings), so the cap bounds a job's
+/// memory, while every lane past the first shares the job's decode,
+/// plan and predictor walks, and its group's latency fill.
+const TIMING_BANK_LANES: usize = 32;
 
 /// Cache-axis configurations simulated per cache-pass job in the
 /// factored sweep — the same decode-amortization tradeoff as
@@ -1239,7 +1248,8 @@ fn factored_outputs(
     // [`TimingBank`]s — every grid cell keeps the base platform's
     // register file and if-conversion mode (see `CellSpec::resolve`),
     // so within a job the register/spill plan runs once, each
-    // predictor family once, and only the serial timing core per lane.
+    // predictor family once, each (stream, latency table) fill once,
+    // and only the serial timing core per lane.
     // AMATs stay per cell: they come from the cache pass's
     // original-variant stats, the same counts a live hierarchy ends
     // with, so the measurement is bit-identical.
@@ -1251,8 +1261,8 @@ fn factored_outputs(
         streams: ((u64, u64), (u64, u64)),
     }
     let mut group_keys: Vec<Vec<TimingKey>> = vec![Vec::new(); recordings.len()];
-    let mut group_lane: Vec<Vec<(ResolvedCell, AnnHandle, AnnHandle)>> =
-        vec![Vec::new(); recordings.len()];
+    // Per program, each group's representative cell and cache-axis key.
+    let mut group_lane: Vec<Vec<(ResolvedCell, usize)>> = vec![Vec::new(); recordings.len()];
     // Per chunk, each cell's group index within its program.
     let mut cell_group: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
     for (p, cell_ids) in chunks {
@@ -1260,10 +1270,8 @@ fn factored_outputs(
         for &c in cell_ids {
             let spec = grid.spec(c);
             let k = cell_key[c].expect("scheduled cells have keys");
-            let (_, okey, oh) =
-                store[2 * p][k].as_ref().expect("cache pass covered every key");
-            let (_, tkey, th) =
-                store[2 * p + 1][k].as_ref().expect("cache pass covered every key");
+            let (_, okey, _) = store[2 * p][k].as_ref().expect("cache pass covered every key");
+            let (_, tkey, _) = store[2 * p + 1][k].as_ref().expect("cache pass covered every key");
             let key = TimingKey {
                 lat: spec.lat,
                 pipe: spec.pipe,
@@ -1272,11 +1280,7 @@ fn factored_outputs(
             };
             let g = group_keys[*p].iter().position(|&x| x == key).unwrap_or_else(|| {
                 group_keys[*p].push(key);
-                group_lane[*p].push((
-                    resolved[c].expect("scheduled cells are valid"),
-                    oh.clone(),
-                    th.clone(),
-                ));
+                group_lane[*p].push((resolved[c].expect("scheduled cells are valid"), k));
                 group_keys[*p].len() - 1
             });
             per_chunk.push(g);
@@ -1284,38 +1288,64 @@ fn factored_outputs(
         cell_group.push(per_chunk);
     }
 
-    // One job per ≤BANK_CELLS groups of one program, in group order.
-    let mut lane_descr: Vec<(usize, usize)> = Vec::new();
+    // One job per (program, variant, ≤TIMING_BANK_LANES groups): each
+    // bank decodes, plans and predictor-walks its trace once for all its
+    // lanes. Jobs go to the pool largest first (recording length ×
+    // lanes), since it claims them in order and a long job started last
+    // would run alone. Results go back by (program, group) index, so
+    // neither the partition nor the job order reaches the output.
+    let variant_rec = |p: usize, variant: usize| {
+        let (original, transformed) =
+            recordings[p].as_ref().expect("active programs have recordings");
+        Arc::clone(if variant == 0 { original } else { transformed })
+    };
+    let mut timing_descr: Vec<(usize, usize, std::ops::Range<usize>)> = Vec::new();
     for (p, lanes) in group_lane.iter().enumerate() {
-        for start in (0..lanes.len()).step_by(BANK_CELLS) {
-            lane_descr.push((p, start));
+        for variant in 0..2 {
+            for start in (0..lanes.len()).step_by(TIMING_BANK_LANES) {
+                let end = (start + TIMING_BANK_LANES).min(lanes.len());
+                timing_descr.push((p, variant, start..end));
+            }
         }
     }
-    let timing_jobs: Vec<_> = lane_descr
+    timing_descr.sort_by_key(|(p, variant, groups)| {
+        Reverse(variant_rec(*p, *variant).len() * groups.len())
+    });
+    let timing_jobs: Vec<_> = timing_descr
         .iter()
-        .map(|&(p, start)| {
-            let (original, transformed) =
-                recordings[p].as_ref().expect("active programs have recordings");
-            let original = Arc::clone(original);
-            let transformed = Arc::clone(transformed);
-            let end = (start + BANK_CELLS).min(group_lane[p].len());
-            let lanes = group_lane[p][start..end].to_vec();
-            move || -> Result<Vec<(u64, u64)>, String> {
+        .map(|(p, variant, groups)| {
+            let rec = variant_rec(*p, *variant);
+            // Each distinct annotation handle is fetched once per job, so
+            // a spilled stream is read once and its lanes share one `Arc`.
+            let mut keys: Vec<usize> = Vec::new();
+            let lanes: Vec<(ResolvedCell, usize)> = group_lane[*p][groups.clone()]
+                .iter()
+                .map(|&(rc, k)| {
+                    let h = keys.iter().position(|&x| x == k).unwrap_or_else(|| {
+                        keys.push(k);
+                        keys.len() - 1
+                    });
+                    (rc, h)
+                })
+                .collect();
+            let handles: Vec<AnnHandle> = keys
+                .iter()
+                .map(|&k| {
+                    let (_, _, handle) =
+                        store[2 * p + variant][k].as_ref().expect("cache pass covered every key");
+                    handle.clone()
+                })
+                .collect();
+            move || -> Result<Vec<u64>, String> {
+                let streams =
+                    handles.iter().map(AnnHandle::fetch).collect::<Result<Vec<_>, _>>()?;
                 let base = lanes[0].0.platform;
-                let mut orig_bank = TimingBank::new(base.logical_regs, base.if_conversion);
-                let mut trans_bank = TimingBank::new(base.logical_regs, base.if_conversion);
-                for (rc, oh, th) in &lanes {
-                    orig_bank.push_lane(&rc.platform, rc.pred, oh.fetch()?);
-                    trans_bank.push_lane(&rc.platform, rc.pred, th.fetch()?);
+                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+                for (rc, h) in &lanes {
+                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(&streams[*h]));
                 }
-                original.replay_bank(std::slice::from_mut(&mut orig_bank));
-                transformed.replay_bank(std::slice::from_mut(&mut trans_bank));
-                Ok(orig_bank
-                    .into_results()
-                    .into_iter()
-                    .zip(trans_bank.into_results())
-                    .map(|(o, t)| (o.cycles, t.cycles))
-                    .collect())
+                rec.replay_bank(std::slice::from_mut(&mut bank));
+                Ok(bank.into_results().into_iter().map(|r| r.cycles).collect())
             }
         })
         .collect();
@@ -1323,9 +1353,17 @@ fn factored_outputs(
     if let Some(dir) = &spill_dir {
         let _ = std::fs::remove_dir_all(dir.as_path());
     }
-    let mut group_cycles: Vec<Vec<(u64, u64)>> = vec![Vec::new(); recordings.len()];
-    for (&(p, _), out) in lane_descr.iter().zip(timing_results) {
-        group_cycles[p].extend(out.map_err(SweepError::AnnotationSpill)?);
+    let mut group_cycles: Vec<Vec<(u64, u64)>> =
+        group_lane.iter().map(|lanes| vec![(0, 0); lanes.len()]).collect();
+    for ((p, variant, groups), out) in timing_descr.iter().zip(timing_results) {
+        for (g, cycles) in groups.clone().zip(out.map_err(SweepError::AnnotationSpill)?) {
+            let slot = &mut group_cycles[*p][g];
+            if *variant == 0 {
+                slot.0 = cycles;
+            } else {
+                slot.1 = cycles;
+            }
+        }
     }
 
     let mut outputs = Vec::with_capacity(chunks.len());

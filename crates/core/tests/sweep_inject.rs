@@ -1,13 +1,15 @@
 //! Mutation tests for the sweep-level faults: `sweep-merge-order`
-//! rotates each bank job's per-cell results before the merge, and
+//! rotates each bank job's per-cell results before the merge,
 //! `factored-annotation-skew` starts the factored sweep's miss-level
-//! annotation cursor off by one. The merge sits above the op-level
-//! differential checks; the skew is also caught by the fuzzer's factored
-//! pipeline leg. The conformance harness detects both through its sweep
-//! self-checks — tiny sweeps through the production paths diffed
-//! against oracles — so these tests live here, next to the sweep.
+//! annotation cursor off by one, and `timing-fill-overshare` shares one
+//! latency fill across lanes with different latency tables. The merge
+//! sits above the op-level differential checks; the other two are also
+//! caught by the fuzzer's factored pipeline leg. The conformance harness
+//! detects all three through its sweep self-checks — tiny sweeps through
+//! the production paths diffed against oracles — so these tests live
+//! here, next to the sweep.
 //!
-//! Both arming tests share one `#[test]` body because the injection
+//! All arming tests share one `#[test]` body because the injection
 //! hooks are process-global atomics (the same reasoning as the conform
 //! crate's serial mutation test).
 
@@ -40,24 +42,28 @@ fn sweep_faults_are_detected_and_clean_build_passes() {
     let ce = armed.divergent.last().and_then(|o| o.divergence.as_ref()).expect("counterexample");
     assert_eq!(ce.component, "sweep-merge");
 
-    // Armed: the skewed annotation cursor must be flagged by the
-    // factored-vs-unfactored diff (the oracle path reads no annotations,
-    // so only the factored measurements move).
-    let armed = run_conform(&ConformConfig {
-        cases: 4,
-        seed: 42,
-        jobs: 1,
-        inject: Some(FaultId::FactoredAnnotationSkew),
-        check_programs: false,
-        out_dir: None,
-    })
-    .expect("conform run");
-    assert!(
-        armed.first_detection().is_some(),
-        "factored-annotation-skew fault escaped the sweep-factor self-check"
-    );
-    let ce = armed.divergent.last().and_then(|o| o.divergence.as_ref()).expect("counterexample");
-    assert_eq!(ce.component, "sweep-factor");
+    // Armed: a skewed annotation cursor, or one latency fill shared
+    // across the self-check grid's two latency triples, must be flagged
+    // by the factored-vs-unfactored diff (the oracle path reads no
+    // annotations, so only the factored measurements move).
+    for fault in [FaultId::FactoredAnnotationSkew, FaultId::TimingFillOvershare] {
+        let armed = run_conform(&ConformConfig {
+            cases: 4,
+            seed: 42,
+            jobs: 1,
+            inject: Some(fault),
+            check_programs: false,
+            out_dir: None,
+        })
+        .expect("conform run");
+        assert!(
+            armed.first_detection().is_some(),
+            "{fault} fault escaped the sweep-factor self-check"
+        );
+        let ce =
+            armed.divergent.last().and_then(|o| o.divergence.as_ref()).expect("counterexample");
+        assert_eq!(ce.component, "sweep-factor", "{fault}");
+    }
 
     // Disarmed, the same self-checks are clean.
     assert_eq!(sweep_merge_self_check(42), None);

@@ -3,6 +3,8 @@
 //! forces every cache-pass stream onto disk; the timing pass must load
 //! the spilled streams back and produce output byte-identical to the
 //! all-in-memory run, and the spill directory must be gone afterwards.
+//! Two pipe shapes put two lanes on every stream, so each timing job
+//! loads a spilled stream once and its lanes share it.
 //!
 //! This lives in its own integration-test binary because the budget is
 //! read from a process-global environment variable: any other test
@@ -24,7 +26,7 @@ fn cfg() -> SweepConfig {
             l2: vec![(4096, 1)],
             line: vec![64],
             lat: vec![(3, 5, 72)],
-            pipe: vec![(4, 80)],
+            pipe: vec![(4, 80), (2, 32)],
             pred: vec![PredictorKind::Hybrid],
             prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
         },

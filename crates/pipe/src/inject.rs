@@ -18,6 +18,10 @@ pub const DROPPED_FLUSH: u8 = 1;
 pub const REGFILE_EVICT_MRU: u8 = 2;
 /// Find a resident register without refreshing its LRU position.
 pub const REGFILE_TOUCH_STALE: u8 = 3;
+/// Key a `TimingBank` lane's shared latency fill on its annotation
+/// stream alone, so lanes with different latency tables read the first
+/// such lane's latencies.
+pub const FILL_OVERSHARE: u8 = 4;
 
 #[cfg(feature = "conform-inject")]
 mod imp {

@@ -13,7 +13,7 @@ use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
 use crate::plan::{Plan, PHASE_CHUNK};
-use crate::timing::TimingCore;
+use crate::timing::{predict_chunk, LatencyFill, TimingCore};
 pub use crate::timing::OpTiming;
 
 /// Results of simulating one trace on one platform.
@@ -65,6 +65,9 @@ pub struct CycleSim {
     hierarchy: Hierarchy,
     predictor: DynPredictor,
     plan: Plan,
+    /// The current chunk's flag column and latencies.
+    flags: Vec<u8>,
+    fill: LatencyFill,
     core: TimingCore,
     mispredicts: u64,
     /// Reused one-op block for per-op [`TraceConsumer::consume`].
@@ -78,6 +81,8 @@ impl CycleSim {
             hierarchy: cfg.hierarchy(),
             predictor: DynPredictor::default(),
             plan: Plan::new(cfg.logical_regs, cfg.if_conversion),
+            flags: Vec::new(),
+            fill: LatencyFill::new(&cfg),
             core: TimingCore::new(&cfg),
             mispredicts: 0,
             one: OpBlock::default(),
@@ -168,7 +173,7 @@ impl TraceConsumer for CycleSim {
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        let Self { hierarchy, predictor, plan, core, mispredicts, .. } = self;
+        let Self { hierarchy, predictor, plan, flags, fill, core, mispredicts, .. } = self;
         let n = block.len();
         let mut lo = 0;
         while lo < n {
@@ -177,16 +182,9 @@ impl TraceConsumer for CycleSim {
             // The hierarchy and the predictor are independent, so all of
             // the chunk's accesses and then all of its outcomes keep each
             // structure's exact update order.
-            core.load_chunk(&block.kind_codes()[lo..hi], plan, |addr, kind| {
-                hierarchy.access(addr, kind)
-            });
-            for &(ci, sid, taken) in &plan.branch_ev {
-                if !predictor.observe(sid, taken) {
-                    *mispredicts += 1;
-                    core.mark_redirect(ci);
-                }
-            }
-            core.run_chunk(plan, &block.ops()[lo..hi]);
+            fill.load(&block.kind_codes()[lo..hi], plan, |addr, kind| hierarchy.access(addr, kind));
+            *mispredicts += predict_chunk(predictor, plan, flags);
+            core.run_chunk(plan, flags, fill, &block.ops()[lo..hi]);
             lo = hi;
         }
     }

@@ -2,14 +2,16 @@
 //!
 //! [`TimingCore`] is the only part of a replay that depends on simulated
 //! time. It consumes one chunk of the [`Plan`] (operand and destination
-//! slots, spill flags) plus per-op latencies and redirect flags that the
-//! caller's memory/predictor stage fills in through
-//! [`load_chunk`](TimingCore::load_chunk) and
-//! [`mark_redirect`](TimingCore::mark_redirect). `CycleSim` feeds it from
-//! a live hierarchy and predictor; each `TimingBank` lane from a
-//! miss-level annotation stream and a shared predictor walk. The core
-//! owns the ready-ring *cycles*; the plan owns the ring's tags.
+//! slots) plus two columns its caller's memory/predictor stage fills in:
+//! the chunk's flag column (the plan's spill flags plus redirect bits,
+//! from [`predict_chunk`]) and its latencies ([`LatencyFill`]). `CycleSim`
+//! fills both from a live hierarchy and predictor; a `TimingBank` fills
+//! the flags once per predictor family and the latencies once per lane
+//! group sharing an annotation stream and latency table, and every lane
+//! core reads them as slices. The core owns the ready-ring *cycles*; the
+//! plan owns the ring's tags.
 
+use bioperf_branch::DynPredictor;
 use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, StaticId};
 use bioperf_metrics::{LogHistogram, MetricSet};
@@ -56,7 +58,102 @@ pub struct OpTiming {
     pub mispredicted: bool,
 }
 
-/// One timing configuration's scheduling state and per-chunk latencies.
+/// Writes the chunk's flag column — the plan's spill flags plus a
+/// redirect bit on every branch `predictor` mispredicts — walking the
+/// chunk's branch events in order. Returns the chunk's mispredicts.
+pub(crate) fn predict_chunk(
+    predictor: &mut DynPredictor,
+    plan: &Plan,
+    flags: &mut Vec<u8>,
+) -> u64 {
+    flags.clear();
+    flags.extend_from_slice(&plan.flags);
+    let mut mispredicts = 0;
+    for &(ci, sid, taken) in &plan.branch_ev {
+        if !predictor.observe(sid, taken) {
+            mispredicts += 1;
+            flags[ci as usize] |= FLAG_REDIRECT;
+        }
+    }
+    mispredicts
+}
+
+/// One latency table's per-chunk fill: every op's completion latency
+/// and the in-order stream of spill-reload latencies. Depends only on
+/// the chunk's plan, the table, and the access latencies fed to
+/// [`load`](Self::load) — not on pipe shape or predictor — so lanes
+/// sharing an annotation stream and a table share one fill.
+#[derive(Debug, Clone)]
+pub(crate) struct LatencyFill {
+    /// Execution latency by `OpKind::code()` for kinds whose latency is
+    /// a platform constant; loads are overwritten per chunk, stores and
+    /// resolving branches take 1.
+    lat_lut: [u32; 12],
+    fp_load_extra: u64,
+    spill_forward_extra: u64,
+    lat: Vec<u32>,
+    spill_lat: Vec<u32>,
+}
+
+impl LatencyFill {
+    /// An empty fill with `cfg`'s latency table.
+    pub(crate) fn new(cfg: &PlatformConfig) -> Self {
+        let mut lat_lut = [1u32; 12];
+        for kind in OpKind::ALL {
+            if !kind.is_load() && !kind.is_store() {
+                lat_lut[kind.code() as usize] = cfg.op_latency(kind) as u32;
+            }
+        }
+        Self {
+            lat_lut,
+            fp_load_extra: cfg.fp_load_latency.saturating_sub(cfg.int_load_latency),
+            spill_forward_extra: cfg.spill_forward_extra,
+            lat: Vec::new(),
+            spill_lat: Vec::new(),
+        }
+    }
+
+    /// Whether `other` turns the same access latencies into the same
+    /// fill (equal kind-code LUT, FP-load and spill-forward extras).
+    pub(crate) fn same_table(&self, other: &Self) -> bool {
+        self.lat_lut == other.lat_lut
+            && self.fp_load_extra == other.fp_load_extra
+            && self.spill_forward_extra == other.spill_forward_extra
+    }
+
+    /// Fills the chunk's latencies: the kind-code LUT, then one
+    /// `access(addr, kind)` per planned access event in order — the
+    /// caller's memory stage, returning the access's total latency —
+    /// then latency 1 for every resolving branch.
+    pub(crate) fn load(
+        &mut self,
+        codes: &[u8],
+        plan: &Plan,
+        mut access: impl FnMut(u64, AccessKind) -> u64,
+    ) {
+        self.lat.clear();
+        self.lat.extend(codes.iter().map(|&c| self.lat_lut[c as usize]));
+        self.spill_lat.clear();
+        for (e, &ev) in plan.acc_tag.iter().enumerate() {
+            let kind = if plan.acc_load[e] { AccessKind::Load } else { AccessKind::Store };
+            let l = access(plan.acc_addr[e], kind);
+            let ci = (ev >> ACC_TAG_BITS) as usize;
+            match ev & ((1 << ACC_TAG_BITS) - 1) {
+                ACC_LOAD => self.lat[ci] = l as u32,
+                ACC_FP_LOAD => self.lat[ci] = (l + self.fp_load_extra) as u32,
+                ACC_RELOAD => self.spill_lat.push(l as u32),
+                // The forwarding stall rides on the reload latency.
+                ACC_RELOAD_COMPUTED => self.spill_lat.push((l + self.spill_forward_extra) as u32),
+                _ => {}
+            }
+        }
+        for &(ci, _, _) in &plan.branch_ev {
+            self.lat[ci as usize] = 1;
+        }
+    }
+}
+
+/// One timing configuration's scheduling state.
 #[derive(Debug, Clone)]
 pub(crate) struct TimingCore {
     // Shape.
@@ -65,12 +162,6 @@ pub(crate) struct TimingCore {
     issue_width: u64,
     rob_size: usize,
     mispredict_penalty: u64,
-    spill_forward_extra: u64,
-    fp_load_extra: u64,
-    /// Execution latency by `OpKind::code()` for kinds whose latency is
-    /// a platform constant; loads are overwritten per chunk, stores and
-    /// resolving branches take 1.
-    lat_lut: [u32; 12],
     // Scheduling state.
     fetch_cycle: u64,
     fetched_this_cycle: u32,
@@ -86,11 +177,6 @@ pub(crate) struct TimingCore {
     rob_len: usize,
     last_issue: u64,
     max_completion: u64,
-    // The current chunk: flags (spill bits plus redirects), completion
-    // latencies, and the in-order stream of spill-reload latencies.
-    flags: Vec<u8>,
-    lat: Vec<u32>,
-    spill_lat: Vec<u32>,
     // Instrumentation, read only by the observed loop.
     pub(crate) metrics_on: bool,
     m_op_latency: LogHistogram,
@@ -100,23 +186,14 @@ pub(crate) struct TimingCore {
 }
 
 impl TimingCore {
-    /// An idle core with `cfg`'s shape and latencies.
+    /// An idle core with `cfg`'s shape.
     pub(crate) fn new(cfg: &PlatformConfig) -> Self {
-        let mut lat_lut = [1u32; 12];
-        for kind in OpKind::ALL {
-            if !kind.is_load() && !kind.is_store() {
-                lat_lut[kind.code() as usize] = cfg.op_latency(kind) as u32;
-            }
-        }
         Self {
             in_order: cfg.in_order,
             fetch_width: cfg.fetch_width,
             issue_width: cfg.issue_width as u64,
             rob_size: cfg.rob_size,
             mispredict_penalty: cfg.mispredict_penalty,
-            spill_forward_extra: cfg.spill_forward_extra,
-            fp_load_extra: cfg.fp_load_latency.saturating_sub(cfg.int_load_latency),
-            lat_lut,
             fetch_cycle: 0,
             fetched_this_cycle: 0,
             issue_ring: vec![u64::MAX; ISSUE_RING],
@@ -127,9 +204,6 @@ impl TimingCore {
             rob_len: 0,
             last_issue: 0,
             max_completion: 0,
-            flags: Vec::new(),
-            lat: Vec::new(),
-            spill_lat: Vec::new(),
             metrics_on: false,
             m_op_latency: LogHistogram::new(),
             m_issue_delay: LogHistogram::new(),
@@ -163,62 +237,40 @@ impl TimingCore {
         out
     }
 
-    /// Fills the chunk's latencies: the kind-code LUT, then one
-    /// `access(addr, kind)` per planned access event in order — the
-    /// caller's memory stage, returning the access's total latency —
-    /// then latency 1 for every resolving branch. Clears all redirects.
-    pub(crate) fn load_chunk(
+    /// Runs one planned chunk through the scheduling recurrence, with
+    /// the chunk's flag column (from [`predict_chunk`]) and latencies.
+    /// `ops` is the chunk's decoded ops, read only when a timeline is
+    /// recorded.
+    pub(crate) fn run_chunk(
         &mut self,
-        codes: &[u8],
         plan: &Plan,
-        mut access: impl FnMut(u64, AccessKind) -> u64,
+        flags: &[u8],
+        fill: &LatencyFill,
+        ops: &[MicroOp],
     ) {
-        self.flags.clear();
-        self.flags.extend_from_slice(&plan.flags);
-        self.lat.clear();
-        self.lat.extend(codes.iter().map(|&c| self.lat_lut[c as usize]));
-        self.spill_lat.clear();
-        for (e, &ev) in plan.acc_tag.iter().enumerate() {
-            let kind = if plan.acc_load[e] { AccessKind::Load } else { AccessKind::Store };
-            let l = access(plan.acc_addr[e], kind);
-            let ci = (ev >> ACC_TAG_BITS) as usize;
-            match ev & ((1 << ACC_TAG_BITS) - 1) {
-                ACC_LOAD => self.lat[ci] = l as u32,
-                ACC_FP_LOAD => self.lat[ci] = (l + self.fp_load_extra) as u32,
-                ACC_RELOAD => self.spill_lat.push(l as u32),
-                // The forwarding stall rides on the reload latency.
-                ACC_RELOAD_COMPUTED => self.spill_lat.push((l + self.spill_forward_extra) as u32),
-                _ => {}
-            }
-        }
-        for &(ci, _, _) in &plan.branch_ev {
-            self.lat[ci as usize] = 1;
-        }
-    }
-
-    /// Marks chunk op `ci` as a mispredicted branch.
-    pub(crate) fn mark_redirect(&mut self, ci: u32) {
-        self.flags[ci as usize] |= FLAG_REDIRECT;
-    }
-
-    /// Runs the loaded chunk through the scheduling recurrence. `ops` is
-    /// the chunk's decoded ops, read only when a timeline is recorded.
-    pub(crate) fn run_chunk(&mut self, plan: &Plan, ops: &[MicroOp]) {
+        let (lat, spill_lat) = (&fill.lat[..], &fill.spill_lat[..]);
         // One switch per chunk picks a monomorphized loop, so the
         // uninstrumented loop carries no instrumentation branch.
         match (self.in_order, self.metrics_on || self.timeline.is_some()) {
-            (false, false) => self.run::<false, false>(plan, ops),
-            (true, false) => self.run::<true, false>(plan, ops),
-            (false, true) => self.run::<false, true>(plan, ops),
-            (true, true) => self.run::<true, true>(plan, ops),
+            (false, false) => self.run::<false, false>(plan, flags, lat, spill_lat, ops),
+            (true, false) => self.run::<true, false>(plan, flags, lat, spill_lat, ops),
+            (false, true) => self.run::<false, true>(plan, flags, lat, spill_lat, ops),
+            (true, true) => self.run::<true, true>(plan, flags, lat, spill_lat, ops),
         }
     }
 
-    fn run<const IN_ORDER: bool, const OBSERVE: bool>(&mut self, plan: &Plan, ops: &[MicroOp]) {
+    fn run<const IN_ORDER: bool, const OBSERVE: bool>(
+        &mut self,
+        plan: &Plan,
+        flags: &[u8],
+        lat: &[u32],
+        spill_lat: &[u32],
+        ops: &[MicroOp],
+    ) {
         let mut spill_idx = 0usize;
         for (i, (&slots, &dst)) in plan.src.iter().zip(&plan.dst).enumerate() {
             let dispatch = self.dispatch();
-            let flags = self.flags[i];
+            let flags = flags[i];
             let operands = if flags & SPILL_MASK == 0 {
                 // Common case: three unconditional ring reads (absent
                 // sources resolve to ZERO_SLOT's constant 0).
@@ -244,7 +296,7 @@ impl TimingCore {
                         self.issue_at(dispatch);
                     }
                     let start = self.issue_at(dispatch.max(base));
-                    let ready = start + self.spill_lat[spill_idx] as u64;
+                    let ready = start + spill_lat[spill_idx] as u64;
                     spill_idx += 1;
                     self.ready_cycle[slot as usize] = ready;
                     operands = operands.max(ready);
@@ -261,7 +313,7 @@ impl TimingCore {
             if IN_ORDER {
                 self.last_issue = start;
             }
-            let completion = start + self.lat[i] as u64;
+            let completion = start + lat[i] as u64;
             let mispredicted = flags & FLAG_REDIRECT != 0;
             if mispredicted && !crate::inject::active(crate::inject::DROPPED_FLUSH) {
                 // The front end restarts after the branch resolves:
