@@ -30,7 +30,6 @@
 pub mod aliased;
 pub mod counter;
 pub mod dynpred;
-pub mod inject;
 pub mod predictor;
 pub mod profiler;
 

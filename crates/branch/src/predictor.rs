@@ -1,5 +1,7 @@
 //! Predictor components and the per-branch hybrid.
 
+use bioperf_trace::inject;
+
 use crate::counter::SatCounter;
 
 /// A single-counter bimodal predictor: learns a branch's bias.
@@ -105,7 +107,7 @@ impl Hybrid {
     pub fn update(&mut self, history: u64, taken: bool) {
         let bi = self.bimodal.predict();
         let hi = self.history.predict(history);
-        if bi != hi && !crate::inject::active(crate::inject::CHOOSER_STALE) {
+        if bi != hi && !inject::active(inject::CHOOSER_STALE) {
             // Train the chooser toward the correct component.
             self.chooser.train(hi == taken);
         }

@@ -1,5 +1,7 @@
 //! A single set-associative cache with true-LRU replacement.
 
+use bioperf_trace::inject;
+
 use crate::config::{CacheConfig, WritePolicy};
 
 /// Outcome of a single cache access.
@@ -226,7 +228,7 @@ fn access_set(
     set_shift: u32,
 ) -> AccessResult {
     if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-        if !crate::inject::active(crate::inject::LRU_TOUCH) {
+        if !inject::active(inject::LRU_TOUCH) {
             line.last_use = clock;
         }
         if is_store {
@@ -266,7 +268,7 @@ fn access_set(
         valid: true,
         dirty: is_store
             && write_policy == WritePolicy::WriteBackAllocate
-            && !crate::inject::active(crate::inject::DIRTY_WRITEBACK),
+            && !inject::active(inject::DIRTY_WRITEBACK),
         last_use: clock,
     };
     AccessResult { hit: false, writeback }

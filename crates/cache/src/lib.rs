@@ -25,7 +25,6 @@ pub mod annotation;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-pub mod inject;
 pub mod prefetch;
 pub mod stackdist;
 

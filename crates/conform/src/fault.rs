@@ -2,19 +2,22 @@
 //!
 //! A conformance harness is only trustworthy if it *would* catch the bug
 //! classes it claims to cover. Each [`FaultId`] names one realistic,
-//! subtle mutation compiled into an optimized crate behind that crate's
-//! `conform-inject` cargo feature (this crate's default `inject` feature
-//! turns them all on). [`arm`] activates exactly one process-wide;
-//! [`disarm`] restores correct behavior. The mutation tests in
-//! `tests/inject.rs` assert the fuzzer detects every catalogued fault
-//! within its [`budget`](FaultId::budget) of cases, and the `conform
-//! --inject <fault>` CLI mode does the same from the command line.
+//! subtle mutation hooked into an optimized crate. Every hook reads the
+//! one fault registry in `bioperf_trace::inject` (always compiled; a
+//! disarmed hook costs one relaxed load). [`arm`] stores exactly one
+//! fault's [`code`](FaultId::code) there, process-wide; [`disarm`]
+//! restores correct behavior. The mutation tests in `tests/inject.rs`
+//! assert the fuzzer detects every catalogued fault within its
+//! [`budget`](FaultId::budget) of cases, and the `conform --inject
+//! <fault>` CLI mode does the same from the command line.
 //!
-//! Faults are armed through a per-crate atomic, so arming happens-before
-//! any worker thread spawned afterwards; the orchestrator arms before
-//! fanning out and disarms after joining.
+//! Arming is a `SeqCst` store, so it happens-before any worker thread
+//! spawned afterwards; the orchestrator arms before fanning out and
+//! disarms after joining.
 
 use std::fmt;
+
+use bioperf_trace::inject;
 
 /// One catalogued seeded bug in an optimized component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,15 +55,11 @@ pub enum FaultId {
     BranchChooserStale,
     /// The design-space sweep's cell merge rotates each bank job's
     /// per-cell results by one, crediting every measurement to a
-    /// neighboring grid cell. (The atomic lives in `bioperf-trace`
-    /// because the perturbation site, `bioperf-core`, sits above this
-    /// crate in the dependency graph.)
+    /// neighboring grid cell.
     SweepMergeOrder,
     /// The factored sweep's miss-level annotation cursor starts at 1
     /// instead of 0, so every annotated access reads its successor's
-    /// level. (Atomic in `bioperf-trace` for the same dependency-graph
-    /// reason; the perturbation site is `TimingBank::push_lane` in
-    /// `bioperf-pipe`.)
+    /// level.
     FactoredAnnotationSkew,
     /// The factored sweep's timing bank keys its shared latency fill on
     /// the annotation stream alone, ignoring the latency table, so a lane
@@ -133,6 +132,26 @@ impl FaultId {
         }
     }
 
+    /// The fault's code in the `bioperf_trace::inject` registry: the
+    /// value its hook site checks with `inject::active`.
+    pub fn code(self) -> u8 {
+        match self {
+            FaultId::CacheLruTouch => inject::LRU_TOUCH,
+            FaultId::CacheDirtyWriteback => inject::DIRTY_WRITEBACK,
+            FaultId::PackedSrcDelta => inject::SRC_DELTA,
+            FaultId::PackedSsaResync => inject::SSA_RESYNC,
+            FaultId::SegmentStartCounter => inject::SEG_COUNTER,
+            FaultId::BlockBoundaryCarry => inject::BLOCK_CARRY,
+            FaultId::PipeDroppedFlush => inject::DROPPED_FLUSH,
+            FaultId::RegfileEvictMru => inject::REGFILE_EVICT_MRU,
+            FaultId::RegfileTouchStale => inject::REGFILE_TOUCH_STALE,
+            FaultId::BranchChooserStale => inject::CHOOSER_STALE,
+            FaultId::SweepMergeOrder => inject::SWEEP_MERGE,
+            FaultId::FactoredAnnotationSkew => inject::ANN_SKEW,
+            FaultId::TimingFillOvershare => inject::FILL_OVERSHARE,
+        }
+    }
+
     /// Fuzz-case budget within which the harness must detect this fault
     /// (asserted by `tests/inject.rs`; measured detection indices are
     /// recorded in `EXPERIMENTS.md` and sit well under these bounds).
@@ -190,55 +209,15 @@ impl fmt::Display for FaultId {
     }
 }
 
-/// Whether the fault hooks were compiled in (the `inject` feature).
-/// Without them, [`arm`] is a no-op and mutation mode cannot work.
-pub fn injection_compiled() -> bool {
-    cfg!(feature = "inject")
-}
-
-/// Arms exactly `fault`, disarming everything else first. Process-wide;
-/// arm before spawning workers so the store happens-before their reads.
+/// Arms exactly `fault`, replacing any armed fault. Process-wide; arm
+/// before spawning workers so the store happens-before their reads.
 pub fn arm(fault: FaultId) {
-    disarm();
-    match fault {
-        FaultId::CacheLruTouch => bioperf_cache::inject::set(bioperf_cache::inject::LRU_TOUCH),
-        FaultId::CacheDirtyWriteback => {
-            bioperf_cache::inject::set(bioperf_cache::inject::DIRTY_WRITEBACK)
-        }
-        FaultId::PackedSrcDelta => bioperf_trace::inject::set(bioperf_trace::inject::SRC_DELTA),
-        FaultId::PackedSsaResync => bioperf_trace::inject::set(bioperf_trace::inject::SSA_RESYNC),
-        FaultId::SegmentStartCounter => {
-            bioperf_trace::inject::set(bioperf_trace::inject::SEG_COUNTER)
-        }
-        FaultId::BlockBoundaryCarry => {
-            bioperf_trace::inject::set(bioperf_trace::inject::BLOCK_CARRY)
-        }
-        FaultId::PipeDroppedFlush => bioperf_pipe::inject::set(bioperf_pipe::inject::DROPPED_FLUSH),
-        FaultId::RegfileEvictMru => {
-            bioperf_pipe::inject::set(bioperf_pipe::inject::REGFILE_EVICT_MRU)
-        }
-        FaultId::RegfileTouchStale => {
-            bioperf_pipe::inject::set(bioperf_pipe::inject::REGFILE_TOUCH_STALE)
-        }
-        FaultId::BranchChooserStale => {
-            bioperf_branch::inject::set(bioperf_branch::inject::CHOOSER_STALE)
-        }
-        FaultId::SweepMergeOrder => bioperf_trace::inject::set(bioperf_trace::inject::SWEEP_MERGE),
-        FaultId::FactoredAnnotationSkew => {
-            bioperf_trace::inject::set(bioperf_trace::inject::ANN_SKEW)
-        }
-        FaultId::TimingFillOvershare => {
-            bioperf_pipe::inject::set(bioperf_pipe::inject::FILL_OVERSHARE)
-        }
-    }
+    inject::set(fault.code());
 }
 
-/// Disarms every fault in every instrumented crate.
+/// Disarms the armed fault, if any.
 pub fn disarm() {
-    bioperf_cache::inject::set(bioperf_cache::inject::NONE);
-    bioperf_trace::inject::set(bioperf_trace::inject::NONE);
-    bioperf_pipe::inject::set(bioperf_pipe::inject::NONE);
-    bioperf_branch::inject::set(bioperf_branch::inject::NONE);
+    inject::set(inject::NONE);
 }
 
 #[cfg(test)]

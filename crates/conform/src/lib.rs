@@ -18,10 +18,11 @@
 //!   and reference implementations, and diffs per-op events and final
 //!   results. Failing streams are shrunk to minimal witnesses via the
 //!   proptest shim's removal-based minimizer.
-//! * **A fault catalogue** ([`fault`]) — with the `inject` feature
-//!   (default), ~8 seeded bugs can be armed one at a time in the
-//!   optimized crates; mutation tests assert the fuzzer detects every
-//!   one within a bounded case budget, proving the harness has teeth.
+//! * **A fault catalogue** ([`fault`]) — 13 seeded bugs, hooked into
+//!   the optimized crates through the always-compiled registry in
+//!   `bioperf_trace::inject`, can be armed one at a time; mutation tests
+//!   assert the fuzzer detects every one within a bounded case budget,
+//!   proving the harness has teeth.
 //!
 //! The CLI front end lives in `bioperf_core::orchestrate::run_conform`
 //! (`bioperf-loadchar conform`), which also cross-checks all nine real

@@ -1,20 +1,33 @@
 //! Mutation tests: the fuzzer must detect every catalogued fault within
 //! its per-fault case budget.
 //!
-//! All arming happens inside ONE `#[test]` because the injection hooks
-//! are process-global atomics: were each fault its own test, the harness
+//! All arming happens inside ONE `#[test]` because the fault registry is
+//! one process-global atomic: were each fault its own test, the harness
 //! would run them on concurrent threads and the armed faults would
 //! perturb each other's (and any other test's) optimized components.
 
+use std::collections::HashSet;
+
 use bioperf_conform::fuzz::{check_stream, platform_for_case, run_case};
 use bioperf_conform::{fault, FaultId};
+use bioperf_trace::inject;
 
 #[test]
 fn every_catalogued_fault_is_detected_within_its_budget() {
-    assert!(
-        fault::injection_compiled(),
-        "tests require the conform crate's default `inject` feature"
-    );
+    // All faults share one registry, so a duplicated code would arm two
+    // faults at once: every code is distinct and nonzero, and arming a
+    // fault activates its own hook only.
+    let codes: HashSet<u8> = FaultId::ALL.iter().map(|f| f.code()).collect();
+    assert_eq!(codes.len(), FaultId::ALL.len(), "two faults share a code");
+    assert!(!codes.contains(&inject::NONE), "a fault uses the disarmed code");
+    for f in FaultId::ALL {
+        fault::arm(f);
+        for g in FaultId::ALL {
+            assert_eq!(inject::active(g.code()), f == g, "arming {f} activates {g}");
+        }
+    }
+    fault::disarm();
+    assert!(FaultId::ALL.iter().all(|f| !inject::active(f.code())), "disarm left a fault armed");
 
     for f in FaultId::ALL {
         // The sweep's cell merge runs only in the design-space sweep in

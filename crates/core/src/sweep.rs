@@ -1097,6 +1097,17 @@ enum AnnHandle {
     Disk(PathBuf),
 }
 
+/// The annotation spill directory. Dropping the last handle removes it
+/// and everything in it, so it goes on every exit path after its
+/// creation, success or failure.
+struct SpillDir(PathBuf);
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// One cache-pass output per geometry: hierarchy stats (AMAT inputs),
 /// the stream's content key (timing-memo grouping), and where the
 /// stream lives.
@@ -1169,12 +1180,12 @@ fn factored_outputs(
         let (orig, trans) = recordings[p].as_ref().expect("active programs have recordings");
         est_bytes += ((orig.len() + trans.len()) as u64).div_ceil(4) * ks.len() as u64;
     }
-    let spill_dir: Option<Arc<PathBuf>> = if est_bytes > ann_spill_budget() {
+    let spill_dir: Option<Arc<SpillDir>> = if est_bytes > ann_spill_budget() {
         let dir = std::env::temp_dir()
             .join(format!("bioperf-sweep-ann-{hash:016x}-{}", std::process::id()));
         std::fs::create_dir_all(&dir)
             .map_err(|e| SweepError::AnnotationSpill(format!("{}: {e}", dir.display())))?;
-        Some(Arc::new(dir))
+        Some(Arc::new(SpillDir(dir)))
     } else {
         None
     };
@@ -1214,7 +1225,7 @@ fn factored_outputs(
                         let content = stream.content_key();
                         let handle = match &dir {
                             Some(d) => {
-                                let path = d.join(format!("p{p}-v{variant}-k{k}.ann"));
+                                let path = d.0.join(format!("p{p}-v{variant}-k{k}.ann"));
                                 stream.save(&path).map_err(|e| e.to_string())?;
                                 AnnHandle::Disk(path)
                             }
@@ -1350,9 +1361,8 @@ fn factored_outputs(
         })
         .collect();
     let timing_results = run_jobs(timing_jobs, threads);
-    if let Some(dir) = &spill_dir {
-        let _ = std::fs::remove_dir_all(dir.as_path());
-    }
+    // Every spilled stream has been read: remove the directory now.
+    drop(spill_dir);
     let mut group_cycles: Vec<Vec<(u64, u64)>> =
         group_lane.iter().map(|lanes| vec![(0, 0); lanes.len()]).collect();
     for ((p, variant, groups), out) in timing_descr.iter().zip(timing_results) {

@@ -9,8 +9,8 @@
 //! the production paths diffed against oracles — so these tests live
 //! here, next to the sweep.
 //!
-//! All arming tests share one `#[test]` body because the injection
-//! hooks are process-global atomics (the same reasoning as the conform
+//! All arming tests share one `#[test]` body because the fault registry
+//! is one process-global atomic (the same reasoning as the conform
 //! crate's serial mutation test).
 
 use bioperf_core::{
@@ -19,11 +19,6 @@ use bioperf_core::{
 
 #[test]
 fn sweep_faults_are_detected_and_clean_build_passes() {
-    assert!(
-        bioperf_core::orchestrate::fault::injection_compiled(),
-        "test requires the conform crate's default `inject` feature"
-    );
-
     // Armed: the merge self-check alone (no fuzz cases needed) must
     // flag the rotated merge.
     let armed = run_conform(&ConformConfig {

@@ -2,7 +2,8 @@
 //! `BIOPERF_SWEEP_ANN_BYTES` below the estimated annotation footprint
 //! forces every cache-pass stream onto disk; the timing pass must load
 //! the spilled streams back and produce output byte-identical to the
-//! all-in-memory run, and the spill directory must be gone afterwards.
+//! all-in-memory run, and the spill directory must be gone afterwards —
+//! also when a stream cannot be written and the sweep fails.
 //! Two pipe shapes put two lanes on every stream, so each timing job
 //! loads a spilled stream once and its lanes share it.
 //!
@@ -12,7 +13,7 @@
 
 use bioperf_branch::PredictorKind;
 use bioperf_cache::Prefetcher;
-use bioperf_core::sweep::{run_sweep, SweepConfig, SweepGrid, ANN_SPILL_ENV};
+use bioperf_core::sweep::{run_sweep, SweepConfig, SweepError, SweepGrid, ANN_SPILL_ENV};
 use bioperf_kernels::{ProgramId, Scale};
 
 fn cfg() -> SweepConfig {
@@ -45,7 +46,20 @@ fn spilled_annotations_reproduce_the_in_memory_sweep() {
     // stream spills. `set_var` is safe here: this binary's only test.
     std::env::set_var(ANN_SPILL_ENV, "1");
     let spilled = run_sweep(&cfg()).expect("spilled factored sweep");
+
+    // A directory squatting on the first stream's file name makes its
+    // save fail: the sweep reports the spill error and still removes its
+    // spill directory, with the streams other jobs wrote into it.
+    let pid = std::process::id();
+    let dir = std::env::temp_dir()
+        .join(format!("bioperf-sweep-ann-{:016x}-{pid}", in_memory.run_hash));
+    std::fs::create_dir_all(dir.join("p0-v0-k0.ann")).expect("blocking dir");
+    let failed = run_sweep(&cfg());
+    let dir_survived = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
     std::env::remove_var(ANN_SPILL_ENV);
+    assert!(matches!(failed, Err(SweepError::AnnotationSpill(_))), "{failed:?}");
+    assert!(!dir_survived, "failed sweep left {} behind", dir.display());
 
     assert_eq!(spilled.measures, in_memory.measures);
     assert_eq!(
@@ -55,7 +69,6 @@ fn spilled_annotations_reproduce_the_in_memory_sweep() {
 
     // The spill directory is temporary: nothing under the temp dir may
     // survive the sweep that created it.
-    let pid = std::process::id();
     let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
         .expect("temp dir")
         .filter_map(|e| e.ok())

@@ -43,7 +43,6 @@
 
 pub mod annotate;
 pub mod config;
-pub mod inject;
 mod plan;
 pub mod regfile;
 pub mod simulator;

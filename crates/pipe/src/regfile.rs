@@ -11,6 +11,8 @@
 //! the eviction sequence is *identical* to the scanned version's
 //! (pinned by `tests/regfile_equivalence.rs` on real program traces).
 
+use bioperf_trace::inject;
+
 /// Sentinel for "no slot" in the linked list and the hash index.
 const NIL: u32 = u32::MAX;
 
@@ -83,7 +85,7 @@ impl RegFile {
     /// Touches `v`; returns `true` if it was resident (now MRU).
     pub fn touch(&mut self, v: u64) -> bool {
         if let Some(slot) = self.find(v) {
-            if !crate::inject::active(crate::inject::REGFILE_TOUCH_STALE) {
+            if !inject::active(inject::REGFILE_TOUCH_STALE) {
                 self.move_to_mru(slot);
             }
             true
@@ -107,7 +109,7 @@ impl RegFile {
             }
             if self.keys[pos] == v {
                 // Already resident: refresh, exactly like `touch`.
-                if !crate::inject::active(crate::inject::REGFILE_TOUCH_STALE) {
+                if !inject::active(inject::REGFILE_TOUCH_STALE) {
                     self.move_to_mru(slot);
                 }
                 return None;
@@ -125,7 +127,7 @@ impl RegFile {
             // Reuse the LRU slot for the incoming value. The removal's
             // backward shift can slide entries into (or past) `pos`, so
             // v's entry must be re-probed, not placed at the stale `pos`.
-            let slot = if crate::inject::active(crate::inject::REGFILE_EVICT_MRU) {
+            let slot = if inject::active(inject::REGFILE_EVICT_MRU) {
                 self.tail
             } else {
                 self.head

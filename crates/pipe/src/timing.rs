@@ -15,6 +15,7 @@ use bioperf_branch::DynPredictor;
 use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, StaticId};
 use bioperf_metrics::{LogHistogram, MetricSet};
+use bioperf_trace::inject;
 
 use crate::config::PlatformConfig;
 use crate::plan::{
@@ -315,7 +316,7 @@ impl TimingCore {
             }
             let completion = start + lat[i] as u64;
             let mispredicted = flags & FLAG_REDIRECT != 0;
-            if mispredicted && !crate::inject::active(crate::inject::DROPPED_FLUSH) {
+            if mispredicted && !inject::active(inject::DROPPED_FLUSH) {
                 // The front end restarts after the branch resolves:
                 // resolution delay (e.g. waiting on a load) adds directly
                 // to the misprediction cost.

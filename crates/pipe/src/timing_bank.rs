@@ -23,7 +23,7 @@ use std::sync::Arc;
 use bioperf_branch::{DynPredictor, PredictorKind};
 use bioperf_cache::{AnnotationStream, HierarchyStats, LatencyConfig};
 use bioperf_isa::{MicroOp, Program};
-use bioperf_trace::{OpBlock, TraceConsumer};
+use bioperf_trace::{inject, OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
 use crate::plan::{Plan, PHASE_CHUNK};
@@ -74,7 +74,7 @@ impl FillGroup {
         // An armed `timing-fill-overshare` fault keys the fill on the
         // stream alone, so lanes with different latency tables share.
         let same_table = (self.ann_lat == other.ann_lat && self.fill.same_table(&other.fill))
-            || crate::inject::active(crate::inject::FILL_OVERSHARE);
+            || inject::active(inject::FILL_OVERSHARE);
         same_table
             && self.pos == other.pos
             && (Arc::ptr_eq(&self.stream, &other.stream) || self.stream == other.stream)
@@ -148,7 +148,7 @@ impl TimingBank {
         // An armed `factored-annotation-skew` fault starts the cursor one
         // annotation in — the off-by-one the conformance fuzzer and the
         // sweep self-check must catch.
-        let pos = bioperf_trace::inject::active(bioperf_trace::inject::ANN_SKEW) as usize;
+        let pos = inject::active(inject::ANN_SKEW) as usize;
         let candidate = FillGroup {
             stream,
             pos,

@@ -304,81 +304,10 @@ impl PackedStream {
         BlockDecoder { stream: self, index: 0, cursor: self.start_cursor() }
     }
 
-    /// Iterates the decoded ops by value starting at op `start`.
-    ///
-    /// Decoding is stateful (the running SSA destination counter and the
-    /// side-table positions), so a mid-stream decoder must *reconstruct*
-    /// that state — a default cursor at a nonzero index would misattribute
-    /// every implicit destination after the first `lit()` gap. The state
-    /// is rebuilt by a flags-only scan of the skipped prefix
-    /// ([`cursor_at`](Self::cursor_at) — no `MicroOp` is materialized),
-    /// and the scan reads resynchronized counter values out of the
-    /// far-destination side table itself, so the resumed decoder is exact
-    /// even when the split lands on an SSA-resync gap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > len()`.
-    pub fn iter_from(&self, start: usize) -> Iter<'_> {
-        Iter { stream: self, index: start, cursor: self.cursor_at(start) }
-    }
-
-    /// Decodes ops `start..` into a reused [`MicroOp`], calling `f` once
-    /// per op — the resumable form of [`for_each`](Self::for_each).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > len()`.
-    pub fn for_each_from(&self, start: usize, mut f: impl FnMut(&MicroOp)) {
-        let mut cursor = self.cursor_at(start);
-        let mut op = MicroOp {
-            sid: StaticId::from_raw(0),
-            kind: OpKind::IntAlu,
-            dst: None,
-            srcs: [None; MAX_SRCS],
-            addr: None,
-            taken: false,
-        };
-        for packed in &self.ops[start..] {
-            self.decode_into(packed, &mut cursor, &mut op);
-            f(&op);
-        }
-    }
-
-    /// Reconstructs the decode state positioned just before op `index` by
-    /// scanning the packed flag words of the prefix: far-mode source and
-    /// address flags advance the side-table positions, a near destination
-    /// advances the SSA counter, and a far destination reloads the counter
-    /// from the side table exactly as [`decode_into`](Self::decode_into)
-    /// would.
     /// Decode state positioned at the start of the stream (the SSA
     /// counter begins at [`base_counter`](Self::base_counter)).
     fn start_cursor(&self) -> Cursor {
         Cursor { counter: self.base_counter, ..Cursor::default() }
-    }
-
-    fn cursor_at(&self, index: usize) -> Cursor {
-        assert!(index <= self.ops.len(), "cursor index {index} out of range");
-        let mut cursor = self.start_cursor();
-        for packed in &self.ops[..index] {
-            for shift in SRC_SHIFT {
-                if (packed.flags >> shift) & FIELD_MASK == MODE_FAR {
-                    cursor.far_src += 1;
-                }
-            }
-            match (packed.flags >> DST_SHIFT) & FIELD_MASK {
-                MODE_NONE => {}
-                MODE_NEAR => cursor.counter = cursor.counter.wrapping_add(1),
-                _ => {
-                    cursor.counter = self.far_dsts[cursor.far_dst].wrapping_add(1);
-                    cursor.far_dst += 1;
-                }
-            }
-            if packed.flags & ADDR_BIT != 0 {
-                cursor.addr += 1;
-            }
-        }
-        cursor
     }
 
     /// Bytes held by the encoded representation (ops, addresses, side
@@ -932,27 +861,11 @@ mod tests {
         assert!(stream.bytes_per_op() <= 24.0, "got {}", stream.bytes_per_op());
     }
 
-    /// Split-pass decode must equal one-pass decode for every split
-    /// point — including splits landing exactly on SSA-resync gaps
-    /// (far-dst ops), far sources, and address-carrying ops.
-    fn assert_split_passes_match(stream: &PackedStream, expected: &[MicroOp]) {
-        for split in 0..=stream.len() {
-            let mut halves = Vec::with_capacity(expected.len());
-            for op in stream.iter().take(split) {
-                halves.push(op);
-            }
-            stream.for_each_from(split, |op| halves.push(*op));
-            assert_eq!(halves, expected, "split at {split} diverged (for_each_from)");
-            let resumed: Vec<MicroOp> = stream.iter_from(split).collect();
-            assert_eq!(resumed, expected[split..], "split at {split} diverged (iter_from)");
-        }
-    }
-
     #[test]
-    fn split_pass_decode_matches_one_pass_across_ssa_resync_gaps() {
+    fn ssa_resync_gaps_round_trip() {
         // lit() gaps force far-dst entries (counter resyncs); zero-distance
         // references force far srcs; loads and stores exercise the address
-        // column. Every split point must reconstruct the same stream.
+        // column.
         let ops = vec![
             MicroOp::compute(sid(0), OpKind::IntAlu, VReg(0), [None; MAX_SRCS]),
             // vreg 1 claimed by lit(): the next producer resyncs the counter.
@@ -971,11 +884,11 @@ mod tests {
             stream.push(op);
         }
         assert!(stream.far_entries() > 0, "the fixture must exercise the side tables");
-        assert_split_passes_match(&stream, &ops);
+        round_trip(&ops);
     }
 
     #[test]
-    fn split_pass_decode_matches_on_a_real_tape() {
+    fn lit_gapped_tape_round_trips() {
         use crate::{Tape, TraceConsumer, Tracer};
         use bioperf_isa::Program;
 
@@ -1002,7 +915,8 @@ mod tests {
             tape.branch(here!("k"), &[acc], i % 3 == 0);
         }
         let (_, both) = tape.finish();
-        assert_split_passes_match(&both.packed, &both.raw);
+        assert_eq!(both.packed.len(), both.raw.len());
+        round_trip(&both.raw);
     }
 
     #[test]
@@ -1080,7 +994,7 @@ mod tests {
 
     #[test]
     fn block_decode_matches_per_op_decode_at_every_block_size() {
-        // The SSA-resync fixture from the split-pass test: block edges
+        // The fixture of `ssa_resync_gaps_round_trip`: block edges
         // must carry the counter across lit() gaps exactly like a
         // single-pass decode.
         let ops = vec![
@@ -1178,13 +1092,6 @@ mod tests {
         stream.push(&MicroOp::compute(sid(0), OpKind::IntAlu, VReg(0), [None; MAX_SRCS]));
         let mut block = OpBlock::with_capacity(1);
         let _ = stream.block_decoder().next_block(&mut block, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn iter_from_rejects_out_of_range_starts() {
-        let stream = PackedStream::new();
-        let _ = stream.iter_from(1);
     }
 
     #[test]

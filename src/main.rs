@@ -24,7 +24,7 @@ use bioperf_core::candidates::{find_candidates, CandidateCriteria};
 use bioperf_core::characterize::characterize_program;
 use bioperf_core::evaluate::{evaluate_program, EvalMatrix};
 use bioperf_core::orchestrate::{
-    fault, run_conform, run_suite, ConformConfig, FaultId, SpillConfig, SuiteConfig,
+    run_conform, run_suite, ConformConfig, FaultId, SpillConfig, SuiteConfig,
 };
 use bioperf_core::report::{pct, pct2, TextTable};
 use bioperf_core::sweep::{parse_prefetcher, run_sweep, SweepConfig, SweepGrid};
@@ -565,11 +565,6 @@ fn cmd_conform(args: &ConformArgs) -> ExitCode {
             }
         },
     };
-    if injected.is_some() && !fault::injection_compiled() {
-        eprintln!("error: fault-injection hooks are not compiled in");
-        eprintln!("(build with bioperf-conform's default `inject` feature)");
-        return ExitCode::FAILURE;
-    }
 
     // Mutation mode runs exactly the fault's case budget: exit status is
     // the harness's answer to "would the fuzzer catch this bug in time".
