@@ -19,6 +19,8 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use bioperf_trace::fnv1a;
+
 use crate::hierarchy::{AccessKind, Hierarchy, HierarchyStats, ServicedBy};
 
 /// Schema tag of the on-disk annotation container.
@@ -28,15 +30,6 @@ const ANN_MAGIC: [u8; 8] = *b"BPANN1\0\0";
 const ANN_VERSION: u32 = 1;
 /// magic(8) + version(4) + reserved(4) + count(8) + payload checksum(8).
 const ANN_HEADER_LEN: usize = 32;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Errors loading a `bioperf-ann/v1` container.
 #[derive(Debug)]

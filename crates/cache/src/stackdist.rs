@@ -10,7 +10,8 @@
 //!
 //! The model is exact for demand-only write-allocate true-LRU caches —
 //! the sweep's L1 axis with `Prefetcher::None` — and is used to
-//! cross-check the banked cache pass (see `sweep_factor_self_check`) and
+//! cross-check the banked cache pass (see the core crate's
+//! `sweep_self_check`) and
 //! in the `stackdist_prop` property tests. Prefetchers inject non-demand
 //! fills that perturb recency order, so prefetching geometries go
 //! through the [`MissLevelBank`](crate::MissLevelBank) instead.

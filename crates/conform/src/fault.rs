@@ -182,7 +182,7 @@ impl FaultId {
             // components; patterned branch modes make these common.
             FaultId::BranchChooserStale => 1024,
             // Not detected by the op-level fuzzer at all: the sweep
-            // self-check (one tiny multi-cell sweep diffed against
+            // self-check (one tiny 16-cell factored sweep diffed against
             // direct per-cell replays) fires deterministically on its
             // single run, so the budget only bounds the fuzz phase that
             // runs alongside it.
@@ -190,14 +190,14 @@ impl FaultId {
             // The pipeline check's factored leg (a cache pass feeding a
             // timing bank) reads every annotation one late, so
             // the first access whose level differs from its successor's
-            // exposes it. The sweep-factor self-check also fires on its
-            // single run.
+            // exposes it. The sweep self-check also fires on its single
+            // run.
             FaultId::FactoredAnnotationSkew => 16,
             // The pipeline check's checked lane follows a decoy whose L1
             // latency is one cycle longer on the same stream, so the
             // first load whose latency reaches the cycle count exposes
-            // it. The sweep-factor self-check's two latency triples on
-            // shared streams also fire on its single run.
+            // it. The sweep self-check's two latency triples on shared
+            // streams also fire on its single run.
             FaultId::TimingFillOvershare => 16,
         }
     }

@@ -15,9 +15,12 @@
 //!   exercise every hybrid-predictor component and mispredict-flush
 //!   interleavings.
 //!
-//! [`check_stream`] replays one stream through every optimized
-//! implementation and its reference twin, diffing per-op events and
-//! final statistics; [`run_case`] adds deterministic per-case seeding,
+//! [`check_trace`] replays one trace through every optimized
+//! implementation and its reference twin on a set of platforms, diffing
+//! per-op events and final statistics. It is the one implementation of
+//! each differential check: fuzz streams run it on one platform
+//! ([`check_stream`]), and the conformance harness runs it on every
+//! real program trace. [`run_case`] adds deterministic per-case seeding,
 //! platform rotation, and removal-based counterexample shrinking.
 
 use std::sync::Arc;
@@ -27,7 +30,7 @@ use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
 use bioperf_pipe::{CachePassSim, CycleSim, PlatformConfig, RegFile, SimResult, TimingBank};
 use bioperf_trace::packed::PackedStream;
-use bioperf_trace::{SpillRecorder, TraceConsumer};
+use bioperf_trace::{OpBlock, SpillRecorder, TraceConsumer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -58,6 +61,12 @@ pub struct Divergence {
 impl Divergence {
     fn new(component: &'static str, detail: String) -> Self {
         Self { component, detail }
+    }
+
+    /// Names the platform a per-platform check diverged on.
+    fn on(mut self, platform: &PlatformConfig) -> Self {
+        self.detail = format!("{}: {}", platform.name, self.detail);
+        self
     }
 }
 
@@ -262,25 +271,59 @@ fn pick_addr(
     }
 }
 
-/// Runs every differential check over one stream, returning the first
-/// divergence. Check order is cheapest-first so shrinking re-evaluations
-/// stay fast.
+/// Runs every differential check over one stream on one platform,
+/// returning the first divergence: [`check_trace`] with a single
+/// platform.
 pub fn check_stream(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
-    codec_check(ops)
-        .or_else(|| block_check(ops))
-        .or_else(|| segment_check(ops))
-        .or_else(|| cache_check(ops, platform))
-        .or_else(|| regfile_check(ops, platform))
-        .or_else(|| predictor_check(ops))
-        .or_else(|| pipeline_check(ops, platform))
+    check_trace(ops, std::slice::from_ref(platform))
 }
 
-/// Packed round-trip vs. the raw stream, via both decode paths.
-fn codec_check(ops: &[MicroOp]) -> Option<Divergence> {
+/// Runs every differential check over one trace, returning the first
+/// divergence. The platform-independent checks (codec, block, segment,
+/// predictor) run once; the cache and register-file checks run once per
+/// platform; the pipeline check replays one simulator bank over all
+/// platforms. Check order is cheapest-first so shrinking re-evaluations
+/// stay fast.
+///
+/// Block, segment and pipeline sizes scale with the trace: with
+/// `unit = max(1, len / 4096)`, blocks are `3·unit` and `8·unit` ops,
+/// segments `unit` and `5·unit`, and pipeline blocks `unit`, `3·unit`
+/// and `8·unit`. Fuzz streams (under 4096 ops) keep `unit = 1`, so
+/// every offset is a block or segment edge; a real program trace gets
+/// a few thousand edges per size instead of millions.
+pub fn check_trace(ops: &[MicroOp], platforms: &[PlatformConfig]) -> Option<Divergence> {
+    let unit = (ops.len() >> 12).max(1);
     let mut stream = PackedStream::new();
     for op in ops {
         stream.push(op);
     }
+    codec_check(ops, &stream)
+        .or_else(|| block_check(ops, &stream, [3 * unit, 8 * unit]))
+        .or_else(|| segment_check(ops, [unit, 5 * unit]))
+        .or_else(|| {
+            platforms.iter().find_map(|p| {
+                cache_check(ops, p).or_else(|| regfile_check(ops, p)).map(|d| d.on(p))
+            })
+        })
+        .or_else(|| predictor_check(ops))
+        .or_else(|| pipeline_check(ops, &stream, platforms, [unit, 3 * unit, 8 * unit]))
+}
+
+/// Decodes `stream` in `block_ops`-op blocks, driving every member of
+/// `bank` off each decoded block.
+fn replay_blocks<C: TraceConsumer>(stream: &PackedStream, bank: &mut [C], block_ops: usize) {
+    let program = Program::new();
+    let mut decoder = stream.block_decoder();
+    let mut block = OpBlock::with_capacity(block_ops);
+    while decoder.next_block(&mut block, block_ops) > 0 {
+        for member in bank.iter_mut() {
+            member.consume_block(&block, &program);
+        }
+    }
+}
+
+/// Packed round-trip vs. the raw stream, via both decode paths.
+fn codec_check(ops: &[MicroOp], stream: &PackedStream) -> Option<Divergence> {
     if stream.len() != ops.len() {
         return Some(Divergence::new(
             "codec",
@@ -312,38 +355,28 @@ fn codec_check(ops: &[MicroOp]) -> Option<Divergence> {
     None
 }
 
-/// Block decoder vs. per-op decode through a [`RefTape`]. Block sizes 3
-/// and 8 put several block edges inside even the shortest fuzz streams,
-/// so the cross-block cursor carry (SSA counter, address, far-ref bases)
-/// is exercised at every offset; the SoA filter columns are checked
+/// Block decoder vs. the raw stream (which [`codec_check`] has already
+/// pinned the per-op decode paths against). At the fuzzer's sizes, 3 and
+/// 8, several block edges fall inside even the shortest stream, so the
+/// cross-block cursor carry (SSA counter, address, far-ref bases) is
+/// exercised at every offset; the SoA filter columns are checked
 /// against the decoded ops they were derived from.
-fn block_check(ops: &[MicroOp]) -> Option<Divergence> {
-    let mut stream = PackedStream::new();
-    for op in ops {
-        stream.push(op);
-    }
-    // Per-op reference: the iter() decode path feeding an encoding-free
-    // RefTape (codec_check already pinned iter() against the raw ops).
-    let program = Program::new();
-    let mut reference = crate::tape::RefTape::new();
-    for op in stream.iter() {
-        reference.consume(&op, &program);
-    }
-    for block_ops in [3usize, 8] {
+fn block_check(ops: &[MicroOp], stream: &PackedStream, sizes: [usize; 2]) -> Option<Divergence> {
+    for block_ops in sizes {
         let mut decoder = stream.block_decoder();
-        let mut block = bioperf_trace::OpBlock::with_capacity(block_ops);
+        let mut block = OpBlock::with_capacity(block_ops);
         let mut at = 0usize;
         while decoder.next_block(&mut block, block_ops) > 0 {
             let mut mem = 0usize;
             let mut branches = 0usize;
             for (j, op) in block.ops().iter().enumerate() {
                 let i = at + j;
-                if *op != reference.ops[i] {
+                if *op != ops[i] {
                     return Some(Divergence::new(
                         "block",
                         format!(
-                            "block_ops {block_ops} op {i}: block decoded {op:?}, per-op {:?}",
-                            reference.ops[i]
+                            "block_ops {block_ops} op {i}: block decoded {op:?}, recorded {:?}",
+                            ops[i]
                         ),
                     ));
                 }
@@ -392,11 +425,11 @@ fn block_check(ops: &[MicroOp]) -> Option<Divergence> {
     None
 }
 
-/// Segmented spill/replay round-trip vs. the raw stream. Segment sizes
-/// 1 and 5 force splits at every position and mid-resync-gap, so the
-/// per-segment header state (the SSA start counter) carries the whole
-/// standalone-decode burden.
-fn segment_check(ops: &[MicroOp]) -> Option<Divergence> {
+/// Segmented spill/replay round-trip vs. the raw stream. At the
+/// fuzzer's sizes, 1 and 5, segments split at every position and
+/// mid-resync-gap, so the per-segment header state (the SSA start
+/// counter) carries the whole standalone-decode burden.
+fn segment_check(ops: &[MicroOp], sizes: [usize; 2]) -> Option<Divergence> {
     #[derive(Default)]
     struct Collect(Vec<MicroOp>);
     impl TraceConsumer for Collect {
@@ -405,7 +438,7 @@ fn segment_check(ops: &[MicroOp]) -> Option<Divergence> {
         }
     }
 
-    for segment_ops in [1usize, 5] {
+    for segment_ops in sizes {
         let mut spill = SpillRecorder::in_memory(segment_ops, usize::MAX);
         let program = Program::new();
         for op in ops {
@@ -549,8 +582,10 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 }
 
 /// Full cycle simulation, the production engines vs. [`RefPipeline`]:
-/// `CycleSim` replayed from packed blocks of 1, 3 and 8 ops (the suite's
-/// engine, with block edges at every offset), and a [`CachePassSim`]
+/// one bank of `CycleSim`s, one per platform, replayed from packed
+/// blocks of each size in `sizes` (the suite's engine: one decode
+/// drives every member, with block edges at every offset at the
+/// fuzzer's sizes 1, 3 and 8); then, per platform, a [`CachePassSim`]
 /// feeding a [`TimingBank`] (the sweep's factored engine), taking cycles
 /// and counters from the bank and hierarchy stats from the cache pass.
 /// The checked lane is a latency-fill follower: two decoy lanes on the
@@ -558,53 +593,60 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 /// must not share the fill) and one with the same latencies but another
 /// width, ROB and predictor (it must, and leads the checked lane's
 /// group).
-fn pipeline_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
+fn pipeline_check(
+    ops: &[MicroOp],
+    stream: &PackedStream,
+    platforms: &[PlatformConfig],
+    sizes: [usize; 3],
+) -> Option<Divergence> {
     let program = Program::new();
-    let mut reference = RefPipeline::new(*platform);
-    let mut stream = PackedStream::new();
-    for op in ops {
-        reference.consume(op, &program);
-        stream.push(op);
-    }
-    let slow = reference.result();
-    let replay = |consumer: &mut dyn TraceConsumer, block_ops: usize| {
-        let mut decoder = stream.block_decoder();
-        let mut block = bioperf_trace::OpBlock::with_capacity(block_ops);
-        while decoder.next_block(&mut block, block_ops) > 0 {
-            consumer.consume_block(&block, &program);
-        }
-    };
-    for block_ops in [1usize, 3, 8] {
-        let mut optimized = CycleSim::new(*platform);
-        replay(&mut optimized, block_ops);
-        let fast = optimized.result();
-        if fast != slow {
-            return Some(Divergence::new(
-                "pipeline",
-                format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}"),
-            ));
+    let slow: Vec<SimResult> = platforms
+        .iter()
+        .map(|&platform| {
+            let mut reference = RefPipeline::new(platform);
+            for op in ops {
+                reference.consume(op, &program);
+            }
+            reference.result()
+        })
+        .collect();
+    for block_ops in sizes {
+        let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
+        replay_blocks(stream, &mut bank, block_ops);
+        for ((platform, optimized), slow) in platforms.iter().zip(&bank).zip(&slow) {
+            let fast = optimized.result();
+            if fast != *slow {
+                let detail =
+                    format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}");
+                return Some(Divergence::new("pipeline", detail).on(platform));
+            }
         }
     }
-    let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
-    replay(&mut pass, 8);
-    let (stats, annotations) = pass.finish_bank().pop().expect("one member");
-    let annotations = Arc::new(annotations);
-    let mut slower = *platform;
-    slower.int_load_latency += 1;
-    slower.fp_load_latency += 1;
-    let mut reshaped = *platform;
-    reshaped.fetch_width += 1;
-    reshaped.issue_width += 1;
-    reshaped.rob_size *= 2;
-    let mut bank = TimingBank::new(platform.logical_regs, platform.if_conversion);
-    bank.push_lane(&slower, PredictorKind::Hybrid, Arc::clone(&annotations));
-    bank.push_lane(&reshaped, PredictorKind::Bimodal, Arc::clone(&annotations));
-    bank.push_lane(platform, PredictorKind::Hybrid, annotations);
-    replay(&mut bank, 8);
-    let fast = SimResult { cache: stats, ..bank.into_results()[2] };
-    (fast != slow).then(|| {
-        Divergence::new("pipeline", format!("factored: optimized {fast:?}, reference {slow:?}"))
-    })
+    let block_ops = sizes[2];
+    for (platform, slow) in platforms.iter().zip(&slow) {
+        let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
+        replay_blocks(stream, std::slice::from_mut(&mut pass), block_ops);
+        let (stats, annotations) = pass.finish_bank().pop().expect("one member");
+        let annotations = Arc::new(annotations);
+        let mut slower = *platform;
+        slower.int_load_latency += 1;
+        slower.fp_load_latency += 1;
+        let mut reshaped = *platform;
+        reshaped.fetch_width += 1;
+        reshaped.issue_width += 1;
+        reshaped.rob_size *= 2;
+        let mut bank = TimingBank::new(platform.logical_regs, platform.if_conversion);
+        bank.push_lane(&slower, PredictorKind::Hybrid, Arc::clone(&annotations));
+        bank.push_lane(&reshaped, PredictorKind::Bimodal, Arc::clone(&annotations));
+        bank.push_lane(platform, PredictorKind::Hybrid, annotations);
+        replay_blocks(stream, std::slice::from_mut(&mut bank), block_ops);
+        let fast = SimResult { cache: stats, ..bank.into_results()[2] };
+        if fast != *slow {
+            let detail = format!("factored: optimized {fast:?}, reference {slow:?}");
+            return Some(Divergence::new("pipeline", detail).on(platform));
+        }
+    }
+    None
 }
 
 /// Runs one fuzz case: derive the seed, generate, check, and — on

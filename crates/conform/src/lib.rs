@@ -11,13 +11,15 @@
 //!   [`RefPredictor`], [`RefPipeline`], [`RefTape`]) — deliberately
 //!   naive, scan-everything implementations whose correctness is
 //!   auditable by inspection. They trade all speed for obviousness.
+//! * **One set of differential checks** ([`fuzz::check_trace`]) — runs
+//!   a trace through the optimized and reference implementations on a
+//!   set of platforms and diffs per-op events and final results.
 //! * **A seeded fuzzer** ([`fuzz`]) — generates adversarial op streams
 //!   biased toward the hard cases (SSA-counter resync around `lit()`
 //!   gaps, set-conflict address patterns, register eviction storms,
-//!   mispredict-flush interleavings), runs each through the optimized
-//!   and reference implementations, and diffs per-op events and final
-//!   results. Failing streams are shrunk to minimal witnesses via the
-//!   proptest shim's removal-based minimizer.
+//!   mispredict-flush interleavings) and checks each on one platform.
+//!   Failing streams are shrunk to minimal witnesses via the proptest
+//!   shim's removal-based minimizer.
 //! * **A fault catalogue** ([`fault`]) — 13 seeded bugs, hooked into
 //!   the optimized crates through the always-compiled registry in
 //!   `bioperf_trace::inject`, can be armed one at a time; mutation tests
@@ -25,8 +27,10 @@
 //!   proving the harness has teeth.
 //!
 //! The CLI front end lives in `bioperf_core::orchestrate::run_conform`
-//! (`bioperf-loadchar conform`), which also cross-checks all nine real
-//! program traces end-to-end.
+//! (`bioperf-loadchar conform`), which also runs `check_trace` over all
+//! nine real program traces and one sweep self-check
+//! (`bioperf_core::sweep_self_check`) for the sweep-level code above
+//! any op stream.
 
 pub mod cache;
 pub mod fault;

@@ -8,8 +8,11 @@
 
 use std::collections::HashSet;
 
-use bioperf_conform::fuzz::{check_stream, platform_for_case, run_case};
+use bioperf_conform::fuzz::{
+    case_seed, check_stream, check_trace, generate_stream, platform_for_case, run_case,
+};
 use bioperf_conform::{fault, FaultId};
+use bioperf_pipe::PlatformConfig;
 use bioperf_trace::inject;
 
 #[test]
@@ -83,5 +86,28 @@ fn every_catalogued_fault_is_detected_within_its_budget() {
     // Disarmed again, the same seeds must be clean.
     for index in 0..8u64 {
         assert!(run_case(1, index).divergence.is_none(), "residual armed fault");
+    }
+
+    // A trace of at least 8192 ops scales the block, segment and
+    // pipeline sizes (unit = len / 4096 ≥ 2), the regime the real
+    // program traces run in. It must be clean on all four platforms,
+    // and every op-level fault must still be caught at those sizes.
+    let mut long = Vec::new();
+    for index in 0.. {
+        if long.len() >= 8192 {
+            break;
+        }
+        long.extend(generate_stream(case_seed(1, index)));
+    }
+    let platforms = PlatformConfig::all();
+    assert_eq!(check_trace(&long, &platforms), None, "clean {}-op trace diverged", long.len());
+    for f in FaultId::ALL {
+        if f == FaultId::SweepMergeOrder {
+            continue;
+        }
+        fault::arm(f);
+        let divergence = check_trace(&long, &platforms);
+        fault::disarm();
+        assert!(divergence.is_some(), "fault {f} escaped the {}-op trace", long.len());
     }
 }

@@ -65,6 +65,6 @@ pub use orchestrate::{
 };
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use sweep::{
-    run_sweep, sweep_factor_self_check, sweep_merge_self_check, CellMeasure, CellSpec,
-    CheckpointError, SweepConfig, SweepError, SweepGrid, SweepResult, SWEEP_SCHEMA,
+    run_sweep, sweep_self_check, CellMeasure, CellSpec, CheckpointError, SweepConfig,
+    SweepError, SweepGrid, SweepResult, SWEEP_SCHEMA,
 };

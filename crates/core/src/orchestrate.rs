@@ -27,9 +27,12 @@
 //! The same pool also drives the conformance harness ([`run_conform`]):
 //! seeded differential fuzz cases (optimized implementations vs. the
 //! `bioperf_conform` reference models) fan out one job per case, the
-//! nine real program traces are cross-checked end-to-end, and mutation
-//! mode arms one catalogued [`FaultId`] before spawning workers so the
-//! fuzzer can prove it would catch that bug class.
+//! nine real program traces run the same differential checks
+//! (`fuzz::check_trace`) on every platform they are evaluated on, one
+//! sweep self-check diffs a tiny factored sweep against direct per-cell
+//! replays, and mutation mode arms one catalogued [`FaultId`] before
+//! spawning workers so the harness can prove it would catch that bug
+//! class.
 
 use std::fmt;
 use std::io;
@@ -38,13 +41,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bioperf_branch::PredictorKind;
 use bioperf_conform::fuzz::{self, CaseOutcome};
-use bioperf_conform::{RefPipeline, RefTape};
+use bioperf_conform::RefTape;
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::{Json, MetricSet, Timings};
-use bioperf_pipe::{CachePassSim, CycleSim, PlatformConfig, SimResult, TimingBank};
-use bioperf_isa::MicroOp;
+use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
 use bioperf_trace::{
     replay::DEFAULT_CAPACITY, Recorder, Recording, SegmentError, SegmentedRecording,
     SpillRecorder, Tape, TraceConsumer,
@@ -955,148 +956,23 @@ impl ConformResult {
     }
 }
 
-/// Streams a recording through the segment codec (spill → standalone
-/// per-segment decode) and diffs each replayed op against the reference
-/// tape. Small segments force many header-state handoffs per trace.
-fn segment_cross_check(recording: &Recording, reference: &[MicroOp]) -> Option<String> {
-    struct Diff<'a> {
-        expected: &'a [MicroOp],
-        at: usize,
-        mismatch: Option<String>,
-    }
-    impl TraceConsumer for Diff<'_> {
-        fn consume(&mut self, op: &bioperf_isa::MicroOp, _p: &bioperf_isa::Program) {
-            if self.mismatch.is_none() {
-                match self.expected.get(self.at) {
-                    Some(want) if want == op => {}
-                    want => {
-                        self.mismatch = Some(format!(
-                            "segment: op {}: streamed {op:?}, reference {want:?}",
-                            self.at
-                        ))
-                    }
-                }
-            }
-            self.at += 1;
-        }
-    }
-
-    let mut spill = SpillRecorder::in_memory(4096, usize::MAX);
-    recording.replay(&mut spill);
-    let segmented = match spill.into_segmented(recording.program().clone()) {
-        Ok(s) => s,
-        Err(e) => return Some(format!("segment: spill failed: {e}")),
-    };
-    let mut diff = Diff { expected: reference, at: 0, mismatch: None };
-    if let Err(e) = segmented.replay(&mut diff) {
-        return Some(format!("segment: streamed replay failed: {e}"));
-    }
-    if diff.mismatch.is_none() && diff.at != reference.len() {
-        return Some(format!("segment: streamed {} ops, reference {}", diff.at, reference.len()));
-    }
-    diff.mismatch
-}
-
-/// Traces `program` once with a `(RefTape, Recorder)` fan-out and diffs
-/// the packed trace against the unpacked reference tape — both the
-/// in-memory decode and the spill-to-segments streamed decode — then
-/// replays the recording once through a *bank* of optimized platform
-/// simulators — the exact single-decode fan-out the suite's replay wave
-/// uses — and diffs each bank member against a standalone
-/// reference-pipeline replay of the same platform.
+/// Traces `program` into an unpacked reference tape and runs the
+/// conformance layer's differential checks ([`fuzz::check_trace`]) over
+/// it on every platform the program is evaluated on: the same codec,
+/// block, segment, cache, register-file, predictor and pipeline checks
+/// the fuzzer runs, at block and segment sizes scaled to the trace.
 fn cross_check_program(program: ProgramId, seed: u64) -> ProgramCrossCheck {
-    let mut tape = Tape::new((RefTape::new(), Recorder::new()));
+    let mut tape = Tape::new(RefTape::new());
     registry::run(&mut tape, program, Variant::Original, Scale::Test, seed);
-    let (static_program, (reference, recorder)) = tape.finish();
-    let ops = recorder.len() as u64;
-    let fail = |divergence: String| ProgramCrossCheck {
-        program,
-        ops,
-        platforms: 0,
-        divergence: Some(divergence),
-    };
-    if recorder.overflowed() {
-        return fail(format!("trace overflowed the recorder after {ops} ops"));
-    }
-    let recording = recorder.into_recording(static_program);
-
-    // Codec: the packed recording must decode to the unpacked tape.
-    if recording.len() != reference.len() {
-        return fail(format!("codec: packed {} ops, reference {}", recording.len(), reference.len()));
-    }
-    for (i, decoded) in recording.iter().enumerate() {
-        if decoded != reference.ops[i] {
-            return fail(format!(
-                "codec: op {i}: packed {decoded:?}, reference {:?}",
-                reference.ops[i]
-            ));
-        }
-    }
-
-    // Block decoder: replaying through the blocked path (the production
-    // replay loop) into a fresh reference tape must also reproduce the
-    // per-op decode. An odd non-default block size forces several
-    // interior block edges on Test-scale traces, pinning the cross-block
-    // cursor carry.
-    for block_ops in [257usize, bioperf_trace::BLOCK_OPS] {
-        let mut replayed = RefTape::new();
-        recording.replay_bank_blocks(std::slice::from_mut(&mut replayed), block_ops);
-        if replayed.len() != reference.len() {
-            return fail(format!(
-                "block: {block_ops}-op blocks replayed {} ops, reference {}",
-                replayed.len(),
-                reference.len()
-            ));
-        }
-        for (i, (blocked, per_op)) in replayed.ops.iter().zip(&reference.ops).enumerate() {
-            if blocked != per_op {
-                return fail(format!(
-                    "block: {block_ops}-op blocks op {i}: blocked {blocked:?}, reference {per_op:?}"
-                ));
-            }
-        }
-    }
-
-    // Segment codec: spilling to standalone segments and streaming them
-    // back must also reproduce the reference tape exactly.
-    if let Some(divergence) = segment_cross_check(&recording, &reference.ops) {
-        return fail(divergence);
-    }
-
-    // Pipelines: one bank replay drives every optimized simulator off a
-    // single decode (the suite's production path); each result is then
-    // diffed against an independent reference-pipeline replay, so a bug
-    // in the shared-decode fan-out itself cannot hide.
+    let (_, reference) = tape.finish();
     let platforms = applicable_platforms(program);
-    let replayed = platforms.len();
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
-    recording.replay_bank(&mut bank);
-    for (platform, sim) in platforms.into_iter().zip(&bank) {
-        let mut reference = RefPipeline::new(platform);
-        recording.replay(&mut reference);
-        let fast = sim.result();
-        let slow = reference.result();
-        if fast != slow {
-            return fail(format!("{}: optimized {fast:?}, reference {slow:?}", platform.name));
-        }
-        // The sweep's factored engine: a cache pass's annotation stream
-        // feeding a one-lane timing bank, with cycles and counters from
-        // the bank and hierarchy stats from the pass.
-        let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
-        recording.replay(&mut pass);
-        let (stats, annotations) = pass.finish_bank().pop().expect("one member");
-        let mut timing = TimingBank::new(platform.logical_regs, platform.if_conversion);
-        timing.push_lane(&platform, PredictorKind::Hybrid, Arc::new(annotations));
-        recording.replay(&mut timing);
-        let factored = SimResult { cache: stats, ..timing.into_results()[0] };
-        if factored != slow {
-            return fail(format!(
-                "{} factored: optimized {factored:?}, reference {slow:?}",
-                platform.name
-            ));
-        }
+    ProgramCrossCheck {
+        program,
+        ops: reference.len() as u64,
+        platforms: platforms.len(),
+        divergence: fuzz::check_trace(&reference.ops, &platforms)
+            .map(|d| format!("{}: {}", d.component, d.detail)),
     }
-    ProgramCrossCheck { program, ops, platforms: replayed, divergence: None }
 }
 
 /// Writes one shrunk counterexample as a self-contained text artifact.
@@ -1153,29 +1029,23 @@ pub fn run_conform(cfg: &ConformConfig) -> io::Result<ConformResult> {
     let jobs: Vec<_> = (0..cfg.cases).map(|index| move || fuzz::run_case(seed, index)).collect();
     let outcomes = run_jobs(jobs, threads);
 
-    // The sweep's cell merge runs above the op-level fuzzer's horizon, so
-    // it gets its own differential check: a tiny sweep through the
-    // production merge path diffed against direct per-cell replays. Runs
-    // while the fault is still armed — it is the detector for
-    // `sweep-merge-order` — and in clean full-check mode.
-    let sweep_divergence = if cfg.inject == Some(FaultId::SweepMergeOrder)
-        || (cfg.inject.is_none() && cfg.check_programs)
-    {
-        crate::sweep::sweep_merge_self_check(seed)
-    } else {
-        None
-    };
-    // The factored sweep end to end: a factored-vs-unfactored diff of a
-    // tiny sweep plus an analytic stack-distance cross-check of the cache
-    // pass. The fuzzer's factored leg already sees
-    // `factored-annotation-skew` and `timing-fill-overshare`; this check
-    // runs under those faults and in clean full-check mode.
-    let factor_divergence = if matches!(
+    // The sweep end to end: a tiny factored sweep diffed against direct
+    // per-cell replays, plus an analytic stack-distance cross-check of
+    // its cache pass. The cell merge runs above the op-level fuzzer's
+    // horizon, so this is the detector for `sweep-merge-order`; the
+    // fuzzer's factored leg also sees `factored-annotation-skew` and
+    // `timing-fill-overshare`. Runs while the fault is still armed, under
+    // those three faults and in clean full-check mode.
+    let sweep_divergence = if matches!(
         cfg.inject,
-        Some(FaultId::FactoredAnnotationSkew | FaultId::TimingFillOvershare)
+        Some(
+            FaultId::SweepMergeOrder
+                | FaultId::FactoredAnnotationSkew
+                | FaultId::TimingFillOvershare
+        )
     ) || (cfg.inject.is_none() && cfg.check_programs)
     {
-        crate::sweep::sweep_factor_self_check(seed)
+        crate::sweep::sweep_self_check(seed)
     } else {
         None
     };
@@ -1190,24 +1060,7 @@ pub fn run_conform(cfg: &ConformConfig) -> io::Result<ConformResult> {
             seed,
             platform: "sweep",
             ops: 0,
-            divergence: Some(fuzz::CounterExample {
-                component: "sweep-merge",
-                detail,
-                ops: Vec::new(),
-            }),
-        });
-    }
-    if let Some(detail) = factor_divergence {
-        divergent.push(CaseOutcome {
-            index: cfg.cases + 1,
-            seed,
-            platform: "sweep",
-            ops: 0,
-            divergence: Some(fuzz::CounterExample {
-                component: "sweep-factor",
-                detail,
-                ops: Vec::new(),
-            }),
+            divergence: Some(fuzz::CounterExample { component: "sweep", detail, ops: Vec::new() }),
         });
     }
 

@@ -27,8 +27,9 @@
 //! through the cell's own latency axis instead of simulating a
 //! hierarchy. On the standard grid this collapses 1152 hierarchy
 //! simulations to 64 while producing bit-identical measurements; the
-//! unfactored path survives behind `--no-factor` as the oracle the
-//! `sweep-factor` conformance self-check diffs against. Annotation
+//! unfactored path survives behind `--no-factor`; the conformance
+//! harness's sweep self-check diffs the factored path against direct
+//! per-cell replays instead ([`sweep_self_check`]). Annotation
 //! streams larger than the [`ANN_SPILL_ENV`] budget spill to disk in
 //! the checksummed `bioperf-ann/v1` format rather than accumulating in
 //! RAM.
@@ -59,7 +60,7 @@ use bioperf_cache::{
 use bioperf_kernels::{ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
 use bioperf_pipe::{CachePassSim, CycleSim, OpLatencies, PlatformConfig, TimingBank};
-use bioperf_trace::{replay::DEFAULT_CAPACITY, Recording};
+use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, Recording};
 
 use crate::orchestrate::{default_jobs, record_variant, run_jobs, SuiteError};
 use crate::pareto::{pareto_frontier, ParetoPoint};
@@ -114,16 +115,6 @@ fn ann_spill_budget() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(ANN_SPILL_DEFAULT)
-}
-
-/// FNV-1a 64 — the same dependency-free checksum the trace segments use.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// A typed failure of the checkpoint reader or writer. Every variant
@@ -1402,21 +1393,28 @@ fn factored_outputs(
     Ok(outputs)
 }
 
-/// Differential self-check of the sweep's cell merge, run by the
-/// conformance harness: a tiny single-program sweep goes through the
-/// production merge path, then every cell is re-measured directly (one
-/// simulator at a time, no banking, no merge) and compared. Returns the
-/// first divergence, if any — under the `sweep-merge-order` fault this
-/// is how the mutation is detected.
-pub fn sweep_merge_self_check(seed: u64) -> Option<String> {
+/// Differential self-check of the factored sweep end to end, run by
+/// the conformance harness. A tiny 16-cell sweep (two L1 sizes × two
+/// latency triples × two predictor families × two prefetchers, predator
+/// at Test scale) goes through the production path — cache pass,
+/// annotated timing banks, chunked merge — and every cell is then
+/// re-measured by direct live [`CycleSim`] replays, one simulator at a
+/// time (no bank, no annotations, no merge), and compared bitwise. A
+/// stack-distance cross-check then validates the cache pass
+/// analytically: for the prefetcher-free cells, L1 miss counts derived
+/// from one LRU stack-distance profile of the shared access stream must
+/// equal the banked hierarchies' counts. Returns the first divergence;
+/// under the `sweep-merge-order`, `factored-annotation-skew` and
+/// `timing-fill-overshare` faults the direct-replay diff fires.
+pub fn sweep_self_check(seed: u64) -> Option<String> {
     let grid = SweepGrid {
         l1: vec![(32, 2), (64, 2)],
         l2: vec![(4096, 1)],
         line: vec![64],
-        lat: vec![(3, 5, 72)],
+        lat: vec![(3, 5, 72), (2, 4, 60)],
         pipe: vec![(4, 80)],
         pred: vec![PredictorKind::Hybrid, PredictorKind::Bimodal],
-        prefetch: vec![Prefetcher::None],
+        prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
     };
     let program = ProgramId::Predator;
     let cfg = SweepConfig {
@@ -1434,24 +1432,19 @@ pub fn sweep_merge_self_check(seed: u64) -> Option<String> {
         Err(e) => return Some(format!("sweep failed: {e}")),
     };
 
-    let original = match record_variant(program, Variant::Original, Scale::Test, seed, DEFAULT_CAPACITY)
+    let record = |variant| record_variant(program, variant, Scale::Test, seed, DEFAULT_CAPACITY);
+    let (original, transformed) = match (record(Variant::Original), record(Variant::LoadTransformed))
     {
-        Ok(r) => r,
-        Err(e) => return Some(format!("sweep reference recording failed: {e}")),
+        (Ok(o), Ok(t)) => (o, t),
+        (Err(e), _) | (_, Err(e)) => return Some(format!("sweep reference recording failed: {e}")),
     };
-    let transformed =
-        match record_variant(program, Variant::LoadTransformed, Scale::Test, seed, DEFAULT_CAPACITY)
-        {
-            Ok(r) => r,
-            Err(e) => return Some(format!("sweep reference recording failed: {e}")),
-        };
     for cell in 0..grid.cells() {
         let rc = grid.spec(cell).resolve().expect("self-check grid is valid");
         let replay = |rec: &Recording| {
             let mut sim = CycleSim::new(rc.platform)
                 .with_predictor(rc.pred)
                 .with_prefetcher(rc.prefetch);
-            rec.replay_bank(std::slice::from_mut(&mut sim));
+            rec.replay(&mut sim);
             sim.into_result()
         };
         let o = replay(&original);
@@ -1467,60 +1460,7 @@ pub fn sweep_merge_self_check(seed: u64) -> Option<String> {
         };
         if got != want {
             return Some(format!(
-                "sweep cell {cell} ({}): merged {got:?}, direct replay {want:?}",
-                grid.spec(cell).describe()
-            ));
-        }
-    }
-    None
-}
-
-/// Differential self-check of the factored two-pass sweep, run by the
-/// conformance harness: a tiny sweep is evaluated through the factored
-/// pipeline (cache pass + annotated timing replay) and through the
-/// unfactored oracle (one live hierarchy per cell), and every
-/// measurement is compared bitwise. A stack-distance cross-check then
-/// validates the cache pass analytically: for the prefetcher-free
-/// cells, L1 miss counts derived from one LRU stack-distance profile of
-/// the shared access stream must equal the banked hierarchies' counts.
-/// Under the `factored-annotation-skew` fault the annotated replay
-/// reads every miss level off by one and the first comparison fires.
-pub fn sweep_factor_self_check(seed: u64) -> Option<String> {
-    let grid = SweepGrid {
-        l1: vec![(32, 2), (64, 2)],
-        l2: vec![(4096, 1)],
-        line: vec![64],
-        lat: vec![(3, 5, 72), (2, 4, 60)],
-        pipe: vec![(4, 80)],
-        pred: vec![PredictorKind::Hybrid],
-        prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
-    };
-    let program = ProgramId::Predator;
-    let factored_cfg = SweepConfig {
-        scale: Scale::Test,
-        seed,
-        jobs: 1,
-        programs: vec![program],
-        grid: grid.clone(),
-        checkpoint: None,
-        max_cells: 0,
-        factor: true,
-    };
-    let oracle_cfg = SweepConfig { factor: false, ..factored_cfg.clone() };
-    let factored = match run_sweep(&factored_cfg) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("factored sweep failed: {e}")),
-    };
-    let oracle = match run_sweep(&oracle_cfg) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("unfactored sweep failed: {e}")),
-    };
-    for cell in 0..grid.cells() {
-        let got = factored.measures[0][cell];
-        let want = oracle.measures[0][cell];
-        if got != want {
-            return Some(format!(
-                "sweep cell {cell} ({}): factored {got:?}, unfactored oracle {want:?}",
+                "sweep cell {cell} ({}): factored {got:?}, direct replay {want:?}",
                 grid.spec(cell).describe()
             ));
         }
@@ -1528,11 +1468,6 @@ pub fn sweep_factor_self_check(seed: u64) -> Option<String> {
 
     // Analytic cross-check: one all-associativity LRU profile of the
     // access stream predicts each prefetcher-free L1's miss count.
-    let original = match record_variant(program, Variant::Original, Scale::Test, seed, DEFAULT_CAPACITY)
-    {
-        Ok(r) => r,
-        Err(e) => return Some(format!("sweep reference recording failed: {e}")),
-    };
     let mut members: Vec<(CellSpec, ResolvedCell)> = Vec::new();
     for cell in 0..grid.cells() {
         let spec = grid.spec(cell);
@@ -1550,7 +1485,7 @@ pub fn sweep_factor_self_check(seed: u64) -> Option<String> {
         .collect();
     let mut pass =
         CachePassSim::new(members[0].1.platform.logical_regs, hierarchies).with_address_log();
-    original.replay_bank(std::slice::from_mut(&mut pass));
+    original.replay(&mut pass);
     let log: Vec<u64> = pass.address_log().expect("log enabled").to_vec();
     let banked = pass.finish_bank();
     let set_counts: Vec<u64> = members.iter().map(|(_, rc)| rc.platform.l1.num_sets()).collect();

@@ -7,7 +7,7 @@
 //! `segment_corrupt.rs` discipline one layer up.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bioperf_branch::PredictorKind;
 use bioperf_cache::Prefetcher;
@@ -122,8 +122,8 @@ fn factored_and_unfactored_checkpoints_are_byte_identical() {
 
 /// Runs a sweep against `path` and returns the checkpoint error it must
 /// produce.
-fn checkpoint_err(path: &PathBuf) -> CheckpointError {
-    match run_sweep(&cfg(Some(path.clone()), 0)) {
+fn checkpoint_err(path: &Path) -> CheckpointError {
+    match run_sweep(&cfg(Some(path.to_path_buf()), 0)) {
         Ok(_) => panic!("sweep over a damaged checkpoint must fail"),
         Err(SweepError::Checkpoint(e)) => e,
         Err(e) => panic!("expected a checkpoint error, got {e}"),
@@ -132,8 +132,8 @@ fn checkpoint_err(path: &PathBuf) -> CheckpointError {
 
 /// Every error must name the file it concerns, both structurally and in
 /// its rendered message (that is what the sweep CLI prints).
-fn assert_names(err: &CheckpointError, victim: &PathBuf) {
-    assert_eq!(err.path(), victim.as_path(), "error must carry the offending path");
+fn assert_names(err: &CheckpointError, victim: &Path) {
+    assert_eq!(err.path(), victim, "error must carry the offending path");
     assert!(
         err.to_string().contains(&victim.display().to_string()),
         "display must name the path: {err}"

@@ -132,7 +132,7 @@ mod tests {
     fn cache_pass_reproduces_cyclesim_hierarchy_stats() {
         let (program, recording) = spill_heavy_recording();
         for cfg in PlatformConfig::all() {
-            let mut sim = CycleSim::new(cfg.clone());
+            let mut sim = CycleSim::new(cfg);
             recording.replay_bank(std::slice::from_mut(&mut sim));
             let reference = sim.into_result().cache;
 

@@ -71,3 +71,26 @@ pub use segment::{
 };
 pub use tape::Tape;
 pub use tracer::{NullTracer, TraceConsumer, Tracer};
+
+/// FNV-1a 64: the one dependency-free checksum behind every on-disk
+/// format in the workspace (trace segments, annotation streams, sweep
+/// checkpoints) and the sweep's run hash. It detects bit rot, not
+/// tampering; logic bugs are the conformance harness's job.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

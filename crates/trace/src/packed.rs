@@ -128,9 +128,12 @@ impl PackedStream {
     }
 
     /// Exact wire size of [`write_payload`](Self::write_payload) for the
-    /// given [`column_lens`](Self::column_lens).
-    pub fn payload_wire_len(columns: [usize; 4]) -> usize {
-        columns[0] * 12 + (columns[1] + columns[2] + columns[3]) * 8
+    /// given [`column_lens`](Self::column_lens), or `None` if it does not
+    /// fit in a `usize` (only possible for counts read from a damaged
+    /// header).
+    pub fn payload_wire_len(columns: [usize; 4]) -> Option<usize> {
+        let words = columns[1].checked_add(columns[2])?.checked_add(columns[3])?;
+        columns[0].checked_mul(12)?.checked_add(words.checked_mul(8)?)
     }
 
     /// Appends the wire encoding of the stream's payload to `out`: the
@@ -138,7 +141,7 @@ impl PackedStream {
     /// little-endian) followed by the address, far-destination, and
     /// far-source `u64` columns.
     pub fn write_payload(&self, out: &mut Vec<u8>) {
-        out.reserve(Self::payload_wire_len(self.column_lens()));
+        out.reserve(Self::payload_wire_len(self.column_lens()).expect("in-memory columns fit"));
         for op in &self.ops {
             out.extend_from_slice(&op.sid.to_le_bytes());
             out.extend_from_slice(&op.flags.to_le_bytes());
@@ -162,7 +165,7 @@ impl PackedStream {
     /// at `base_counter`, so pushing further ops onto it would re-encode
     /// from the segment start rather than the true stream tail.
     pub fn from_payload(columns: [usize; 4], base_counter: u64, bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != Self::payload_wire_len(columns) {
+        if Some(bytes.len()) != Self::payload_wire_len(columns) {
             return None;
         }
         let (mut stream, [n_ops, n_addrs, n_far_dsts, n_far_srcs]) =
@@ -933,7 +936,7 @@ mod tests {
         }
         let mut bytes = Vec::new();
         stream.write_payload(&mut bytes);
-        assert_eq!(bytes.len(), PackedStream::payload_wire_len(stream.column_lens()));
+        assert_eq!(Some(bytes.len()), PackedStream::payload_wire_len(stream.column_lens()));
         let parsed = PackedStream::from_payload(stream.column_lens(), 0, &bytes)
             .expect("well-formed payload parses");
         let decoded: Vec<MicroOp> = parsed.iter().collect();

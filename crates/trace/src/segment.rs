@@ -54,6 +54,7 @@ use std::sync::mpsc;
 use bioperf_isa::{MicroOp, Program};
 
 use crate::packed::{OpBlock, PackedStream, BLOCK_OPS};
+use crate::fnv1a;
 use crate::tracer::TraceConsumer;
 
 /// Magic bytes opening every segment file.
@@ -200,22 +201,12 @@ impl fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
-/// FNV-1a 64 over the payload — cheap, dependency-free bit-rot
-/// detection (logic bugs are the conformance harness's job).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Encodes one closed chunk as a complete segment: header then payload.
 /// `start_counter` is the SSA counter the chunk's encoding began at.
 fn encode_segment(stream: &PackedStream, index: u32, start_counter: u64) -> Vec<u8> {
     let columns = stream.column_lens();
-    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN + PackedStream::payload_wire_len(columns));
+    let payload_len = PackedStream::payload_wire_len(columns).expect("in-memory columns fit");
+    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN + payload_len);
     bytes.extend_from_slice(&SEGMENT_MAGIC);
     bytes.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     bytes.extend_from_slice(&index.to_le_bytes());
@@ -279,7 +270,14 @@ fn decode_segment(
     let columns = columns_u64.map(|c| c as usize);
     let start_counter = u64_at(48);
     let checksum = u64_at(56);
-    let expected_len = (SEGMENT_HEADER_LEN + PackedStream::payload_wire_len(columns)) as u64;
+    // The header is outside the payload checksum, so a flipped high bit
+    // in a column count must not wrap the implied length back into range.
+    let Some(expected_len) = PackedStream::payload_wire_len(columns)
+        .and_then(|n| n.checked_add(SEGMENT_HEADER_LEN))
+        .map(|n| n as u64)
+    else {
+        return reject(SegmentError::Corrupt { path: path.to_path_buf() });
+    };
     let actual_len = bytes.len() as u64;
     if actual_len < expected_len {
         return reject(SegmentError::Truncated {

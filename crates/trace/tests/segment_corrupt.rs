@@ -219,6 +219,23 @@ fn payload_bit_flip_fails_the_checksum() {
 }
 
 #[test]
+fn overflowing_header_column_count_is_corrupt_not_a_panic() {
+    // The header sits outside the payload checksum. Bit 61 of the
+    // address count (header offset 24) makes `(addrs + 2^61) * 8` wrap to
+    // `addrs * 8`, so the implied length and the checksum would both
+    // still match if the wire size were computed unchecked.
+    let dir = scratch("colcount");
+    let (segmented, paths) = spill(&dir, 40, 8);
+    let mut bytes = fs::read(&paths[1]).unwrap();
+    bytes[24 + 7] ^= 0x20;
+    fs::write(&paths[1], &bytes).unwrap();
+    let err = replay_err(&segmented);
+    assert!(matches!(err, SegmentError::Corrupt { .. }), "got {err:?}");
+    assert_names(&err, &paths[1]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trailing_garbage_is_rejected() {
     let dir = scratch("trailing");
     let (segmented, paths) = spill(&dir, 40, 8);
