@@ -179,26 +179,25 @@ fn bench_regfile(c: &mut Criterion) {
     group.sample_size(20).measurement_time(Duration::from_secs(3));
     group.bench_function("linked_lru", |b| {
         b.iter(|| {
-            let mut rf = RegFile::new(logical_regs);
-            let mut evictions = 0u64;
+            let mut rf = RegFile::new(&[logical_regs]);
+            let mut misses = 0u64;
             for &v in &accesses {
-                if !rf.touch(v) {
-                    evictions += rf.insert(v).is_some() as u64;
-                }
+                misses += (rf.reference(v) == 0) as u64;
             }
-            evictions
+            misses
         })
     });
     group.bench_function("scanned_vec", |b| {
         b.iter(|| {
             let mut rf = VecRegFile::new(logical_regs);
-            let mut evictions = 0u64;
+            let mut misses = 0u64;
             for &v in &accesses {
                 if !rf.touch(v) {
-                    evictions += rf.insert(v).is_some() as u64;
+                    misses += 1;
+                    rf.insert(v);
                 }
             }
-            evictions
+            misses
         })
     });
     group.finish();

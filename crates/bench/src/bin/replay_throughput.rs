@@ -3,8 +3,9 @@
 //! platform, the packed encoding's bytes/op, and the process's peak
 //! RSS. Platforms are measured three ways — once each sequentially
 //! (per-platform regression signal), once as a single-decode in-memory
-//! *bank* (the suite's production replay path), and once as a *streamed*
-//! bank off spilled disk segments (the spill-mode replay path) — and
+//! `PlatformBank` (the suite's production replay path: one decode and
+//! one plan walk for all four), and once as a *streamed* bank off
+//! spilled disk segments (the spill-mode replay path) — and
 //! `--min-mops <x>` turns the bank aggregate into a hard floor: the
 //! binary exits 1 below it, which is how CI fails a change that
 //! regresses the replay hot loop. CI runs this in release mode and
@@ -23,7 +24,7 @@ use bioperf_bench::{banner, peak_rss_bytes, usage as usage_line, JsonReport, REP
 use bioperf_core::report::TextTable;
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
-use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
+use bioperf_pipe::{CycleSim, PlatformBank, PlatformConfig, SimResult};
 use bioperf_trace::{segment_recording, Recorder, SegmentedRecording, SpillRecorder, Tape};
 
 const ARTIFACT: &str = "replay_throughput";
@@ -152,14 +153,14 @@ fn effective_block_ops(args: &Args) -> usize {
 /// Streamed bank replay of a segmented recording; returns per-platform
 /// results and elapsed seconds. Exits 1 on a segment error.
 fn streamed_bank(segmented: &SegmentedRecording, platforms: &[PlatformConfig]) -> (Vec<SimResult>, f64) {
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
+    let mut bank = PlatformBank::new(platforms);
     let start = Instant::now();
-    if let Err(e) = segmented.replay_bank(&mut bank) {
+    if let Err(e) = segmented.replay_bank(std::slice::from_mut(&mut bank)) {
         eprintln!("{ARTIFACT}: streamed replay failed: {e}");
         std::process::exit(1);
     }
     let secs = start.elapsed().as_secs_f64();
-    (bank.into_iter().map(CycleSim::into_result).collect(), secs)
+    (bank.results(), secs)
 }
 
 fn report_peak_rss(json: &mut JsonReport) {
@@ -308,16 +309,17 @@ fn main() {
     ]);
 
     // The blocked bank pass: the stream is decoded into SoA op blocks and
-    // each simulator consumes a whole block at a time — the suite's
-    // production replay path.
+    // one `PlatformBank` consumes a whole block at a time — one plan walk
+    // and one predictor walk per family for all four platforms, the
+    // suite's production replay path.
     let block_ops = effective_block_ops(&args);
-    let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
+    let mut bank = PlatformBank::new(&platforms);
     let start = Instant::now();
-    recording.replay_bank_blocks(&mut bank, block_ops);
+    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
     let bank_secs = start.elapsed().as_secs_f64();
     let bank_mops = platform_ops as f64 / bank_secs / 1e6;
-    for (platform, (banked, solo)) in platforms.iter().zip(bank.iter().zip(&sequential)) {
-        if banked.result() != *solo {
+    for (platform, (banked, solo)) in platforms.iter().zip(bank.results().iter().zip(&sequential)) {
+        if banked != solo {
             eprintln!("{ARTIFACT}: {}: bank replay diverged from sequential replay", platform.name);
             std::process::exit(1);
         }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use bioperf_branch::{BranchProfiler, PredictorKind};
 use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
-use bioperf_pipe::{CachePassSim, CycleSim, PlatformConfig, RegFile, SimResult, TimingBank};
+use bioperf_pipe::{CachePassSim, PlatformBank, PlatformConfig, RegFile, SimResult, TimingBank};
 use bioperf_trace::packed::PackedStream;
 use bioperf_trace::{OpBlock, SpillRecorder, TraceConsumer};
 use rand::rngs::StdRng;
@@ -280,8 +280,9 @@ pub fn check_stream(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Diverg
 
 /// Runs every differential check over one trace, returning the first
 /// divergence. The platform-independent checks (codec, block, segment,
-/// predictor) run once; the cache and register-file checks run once per
-/// platform; the pipeline check replays one simulator bank over all
+/// predictor) run once; the cache check runs once per platform; the
+/// register-file check drives one multi-size file over every platform's
+/// size; the pipeline check replays one platform bank over all
 /// platforms. Check order is cheapest-first so shrinking re-evaluations
 /// stay fast.
 ///
@@ -300,11 +301,8 @@ pub fn check_trace(ops: &[MicroOp], platforms: &[PlatformConfig]) -> Option<Dive
     codec_check(ops, &stream)
         .or_else(|| block_check(ops, &stream, [3 * unit, 8 * unit]))
         .or_else(|| segment_check(ops, [unit, 5 * unit]))
-        .or_else(|| {
-            platforms.iter().find_map(|p| {
-                cache_check(ops, p).or_else(|| regfile_check(ops, p)).map(|d| d.on(p))
-            })
-        })
+        .or_else(|| platforms.iter().find_map(|p| cache_check(ops, p).map(|d| d.on(p))))
+        .or_else(|| regfile_check(ops, platforms))
         .or_else(|| predictor_check(ops))
         .or_else(|| pipeline_check(ops, &stream, platforms, [unit, 3 * unit, 8 * unit]))
 }
@@ -508,38 +506,62 @@ fn cache_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence>
     })
 }
 
-/// Optimized O(1) register file vs. [`RefRegFile`] under the simulator's
-/// touch-sources / insert-destination access pattern.
-fn regfile_check(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Divergence> {
-    let mut optimized = RegFile::new(platform.logical_regs);
-    let mut reference = RefRegFile::new(platform.logical_regs);
+/// One optimized multi-size register file — a size per distinct
+/// capacity among `platforms` — vs. one [`RefRegFile`] per size, under
+/// the plan's access pattern: a source is a `touch` plus an `insert` on
+/// a miss, a destination an `insert`. Every residency bit and each
+/// size's final resident count must agree.
+fn regfile_check(ops: &[MicroOp], platforms: &[PlatformConfig]) -> Option<Divergence> {
+    let regs: Vec<u32> = platforms.iter().map(|p| p.logical_regs).collect();
+    let mut optimized = RegFile::new(&regs);
+    let mut reference: Vec<RefRegFile> = regs.iter().map(|&r| RefRegFile::new(r)).collect();
+    reference.sort_by_key(RefRegFile::capacity);
+    reference.dedup_by_key(|r| r.capacity());
+    let sizes: Vec<usize> = reference.iter().map(RefRegFile::capacity).collect();
+    if optimized.sizes() != sizes {
+        let detail = format!("sizes: optimized {:?}, reference {sizes:?}", optimized.sizes());
+        return Some(Divergence::new("regfile", detail));
+    }
     for (i, op) in ops.iter().enumerate() {
-        for src in op.sources() {
-            let fast = optimized.touch(src.0);
-            let slow = reference.touch(src.0);
-            if fast != slow {
-                return Some(Divergence::new(
-                    "regfile",
-                    format!("op {i} touch({}): optimized {fast}, reference {slow}", src.0),
-                ));
+        let refs = op.sources().map(|v| (v, false)).chain(op.dst.map(|d| (d, true)));
+        for (v, is_dst) in refs {
+            let fast = optimized.reference(v.0);
+            let mut slow = 0u32;
+            for (k, file) in reference.iter_mut().enumerate() {
+                let resident = if is_dst {
+                    // An insert neither grows the file nor evicts
+                    // exactly when the value was already resident.
+                    let before = file.len();
+                    file.insert(v.0).is_none() && file.len() == before
+                } else {
+                    let hit = file.touch(v.0);
+                    if !hit {
+                        file.insert(v.0);
+                    }
+                    hit
+                };
+                slow |= (resident as u32) << k;
             }
-        }
-        if let Some(dst) = op.dst {
-            let fast = optimized.insert(dst.0);
-            let slow = reference.insert(dst.0);
             if fast != slow {
+                let what = if is_dst { "insert" } else { "touch" };
                 return Some(Divergence::new(
                     "regfile",
-                    format!("op {i} insert({}): optimized {fast:?}, reference {slow:?}", dst.0),
+                    format!(
+                        "op {i} {what}({}) over sizes {sizes:?}: optimized residency {fast:#b}, reference {slow:#b}",
+                        v.0
+                    ),
                 ));
             }
         }
     }
-    (optimized.len() != reference.len()).then(|| {
-        Divergence::new(
-            "regfile",
-            format!("residents: optimized {}, reference {}", optimized.len(), reference.len()),
-        )
+    sizes.iter().enumerate().find_map(|(k, size)| {
+        let (fast, slow) = (optimized.residents(k), reference[k].len());
+        (fast != slow).then(|| {
+            Divergence::new(
+                "regfile",
+                format!("size {size} residents: optimized {fast}, reference {slow}"),
+            )
+        })
     })
 }
 
@@ -582,10 +604,11 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 }
 
 /// Full cycle simulation, the production engines vs. [`RefPipeline`]:
-/// one bank of `CycleSim`s, one per platform, replayed from packed
-/// blocks of each size in `sizes` (the suite's engine: one decode
-/// drives every member, with block edges at every offset at the
-/// fuzzer's sizes 1, 3 and 8); then, per platform, a [`CachePassSim`]
+/// one [`PlatformBank`] over every platform, replayed from packed
+/// blocks of each size in `sizes` (the suite's engine: one decode, one
+/// register walk and one predictor walk per family drive every member,
+/// with block edges at every offset at the fuzzer's sizes 1, 3 and 8);
+/// then, per platform, a [`CachePassSim`]
 /// feeding a [`TimingBank`] (the sweep's factored engine), taking cycles
 /// and counters from the bank and hierarchy stats from the cache pass.
 /// The checked lane is a latency-fill follower: two decoy lanes on the
@@ -611,10 +634,10 @@ fn pipeline_check(
         })
         .collect();
     for block_ops in sizes {
-        let mut bank: Vec<CycleSim> = platforms.iter().map(|&p| CycleSim::new(p)).collect();
-        replay_blocks(stream, &mut bank, block_ops);
-        for ((platform, optimized), slow) in platforms.iter().zip(&bank).zip(&slow) {
-            let fast = optimized.result();
+        let mut bank = PlatformBank::new(platforms);
+        replay_blocks(stream, std::slice::from_mut(&mut bank), block_ops);
+        for (i, (platform, slow)) in platforms.iter().zip(&slow).enumerate() {
+            let fast = bank.result(i);
             if fast != *slow {
                 let detail =
                     format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}");

@@ -1,12 +1,13 @@
 //! The scanned reference register file.
 //!
 //! This is the original `Vec`-scan move-to-front LRU that
-//! `bioperf_pipe::RegFile` replaced with an intrusive linked list. LRU
-//! order is a pure function of the access sequence, so the two must
-//! agree on every `touch`/`insert` outcome — including which value each
-//! eviction returns. This is the *only* copy of the oracle; the
-//! equivalence tests in `tests/regfile_equivalence.rs` and the
-//! conformance fuzzer both import it from here.
+//! `bioperf_pipe::RegFile` replaced with an intrusive linked list, now
+//! holding several file sizes at once. LRU order is a pure function of
+//! the access sequence, so one reference file per size must agree with
+//! every residency bit the optimized file reports for that size — which
+//! pins which value each eviction removes. This is the *only* copy of
+//! the oracle; the equivalence tests in `tests/regfile_equivalence.rs`
+//! and the conformance fuzzer both import it from here.
 
 /// Scan-based LRU over virtual-register numbers: index 0 is the LRU
 /// victim, the back is most recently used.

@@ -65,6 +65,6 @@ pub use orchestrate::{
 };
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use sweep::{
-    run_sweep, sweep_self_check, CellMeasure, CellSpec, CheckpointError, SweepConfig,
+    run_sweep, sweep_self_check, CellError, CellMeasure, CellSpec, CheckpointError, SweepConfig,
     SweepError, SweepGrid, SweepResult, SWEEP_SCHEMA,
 };

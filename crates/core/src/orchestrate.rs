@@ -45,7 +45,7 @@ use bioperf_conform::fuzz::{self, CaseOutcome};
 use bioperf_conform::RefTape;
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::{Json, MetricSet, Timings};
-use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
+use bioperf_pipe::{PlatformBank, PlatformConfig, SimResult};
 use bioperf_trace::{
     replay::DEFAULT_CAPACITY, Recorder, Recording, SegmentError, SegmentedRecording,
     SpillRecorder, Tape, TraceConsumer,
@@ -587,20 +587,12 @@ fn replay_bank_job(
     platforms: &[PlatformConfig],
     events: bool,
 ) -> Result<BankOutput, SegmentError> {
-    let mut sims: Vec<CycleSim> = platforms
-        .iter()
-        .map(|&p| if events { CycleSim::new(p).with_metrics() } else { CycleSim::new(p) })
-        .collect();
+    let bank = PlatformBank::new(platforms);
+    let mut bank = if events { bank.with_metrics() } else { bank };
     let start = Instant::now();
-    store.replay_bank(&mut sims)?;
+    store.replay_bank(std::slice::from_mut(&mut bank))?;
     let elapsed = start.elapsed();
-    let results = sims
-        .into_iter()
-        .map(|mut sim| {
-            let events = sim.take_metrics();
-            (sim.into_result(), events)
-        })
-        .collect();
+    let results = (0..bank.len()).map(|i| (bank.result(i), bank.take_metrics(i))).collect();
     Ok(BankOutput { results, ops: store.len() as u64, elapsed })
 }
 

@@ -59,7 +59,7 @@ use bioperf_cache::{
 };
 use bioperf_kernels::{ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
-use bioperf_pipe::{CachePassSim, CycleSim, OpLatencies, PlatformConfig, TimingBank};
+use bioperf_pipe::{CachePassSim, CycleSim, OpLatencies, PlatformConfig, TimingBank, MAX_WIDTH};
 use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, Recording};
 
 use crate::orchestrate::{default_jobs, record_variant, run_jobs, SuiteError};
@@ -320,6 +320,42 @@ pub struct CellSpec {
     pub prefetch: Prefetcher,
 }
 
+/// Why a grid cell cannot be simulated; the report surfaces it as a
+/// skipped cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellError {
+    /// A degenerate cache geometry.
+    Cache(CacheConfigError),
+    /// A pipe shape the timing core cannot run: a width outside
+    /// `1..=MAX_WIDTH`, or an empty ROB.
+    Pipe {
+        /// Fetch and issue width.
+        width: u32,
+        /// ROB entries.
+        rob: usize,
+    },
+}
+
+impl fmt::Display for CellError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CellError::Cache(e) => e.fmt(f),
+            CellError::Pipe { width, rob } => write!(
+                f,
+                "pipe {width}x{rob}: width must be 1..={MAX_WIDTH} and the ROB non-empty"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CellError {}
+
+impl From<CacheConfigError> for CellError {
+    fn from(e: CacheConfigError) -> Self {
+        CellError::Cache(e)
+    }
+}
+
 /// A validated cell: the platform model to simulate plus the report
 /// metadata derived from the spec.
 #[derive(Debug, Clone, Copy)]
@@ -352,10 +388,10 @@ pub fn parse_prefetcher(name: &str) -> Option<Prefetcher> {
 }
 
 impl CellSpec {
-    /// Validates the geometry and builds the platform model. Degenerate
-    /// geometries come back as the typed cache-config error the report
+    /// Validates the geometry and pipe shape and builds the platform
+    /// model. Degenerate cells come back as the typed error the report
     /// surfaces as a skipped cell.
-    pub fn resolve(&self) -> Result<ResolvedCell, CacheConfigError> {
+    pub fn resolve(&self) -> Result<ResolvedCell, CellError> {
         let l1 = CacheConfig::try_new(self.l1.0 * 1024, self.l1.1, self.line)?;
         let l2 = CacheConfig::try_new(self.l2.0 * 1024, self.l2.1, self.line)?;
         // The sweep requires power-of-two L2 indexing (the shipped
@@ -363,6 +399,9 @@ impl CellSpec {
         // odd L1 set counts are allowed and take the general index path.
         l2.require_pow2_sets()?;
         let (width, rob) = self.pipe;
+        if !(1..=MAX_WIDTH).contains(&width) || rob == 0 {
+            return Err(CellError::Pipe { width, rob });
+        }
         let (lat1, lat2, mem) = self.lat;
         let base = PlatformConfig::alpha21264();
         let platform = PlatformConfig {
@@ -1541,21 +1580,30 @@ mod tests {
         let mut grid = SweepGrid::smoke();
         grid.l1 = vec![(64, 0)]; // zero ways
         let err = grid.spec(0).resolve().unwrap_err();
-        assert!(matches!(err, CacheConfigError::ZeroGeometry { ways: 0, .. }));
+        assert!(matches!(err, CellError::Cache(CacheConfigError::ZeroGeometry { ways: 0, .. })));
 
         let mut grid = SweepGrid::smoke();
         grid.line = vec![8192]; // line > 4 KB
         assert!(matches!(
             grid.spec(0).resolve().unwrap_err(),
-            CacheConfigError::BlockTooLarge { block_bytes: 8192 }
+            CellError::Cache(CacheConfigError::BlockTooLarge { block_bytes: 8192 })
         ));
 
         let mut grid = SweepGrid::smoke();
         grid.l2 = vec![(3000, 1)]; // 48000 sets: not a power of two
         assert!(matches!(
             grid.spec(0).resolve().unwrap_err(),
-            CacheConfigError::SetsNotPowerOfTwo { .. }
+            CellError::Cache(CacheConfigError::SetsNotPowerOfTwo { .. })
         ));
+
+        for (width, rob) in [(0, 80), (4, 0), (256, 80)] {
+            let mut grid = SweepGrid::smoke();
+            grid.pipe = vec![(width, rob)];
+            assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Pipe { width, rob });
+        }
+        let mut grid = SweepGrid::smoke();
+        grid.pipe = vec![(MAX_WIDTH, 1)];
+        assert!(grid.spec(0).resolve().is_ok(), "the widest runnable pipe resolves");
     }
 
     #[test]

@@ -37,9 +37,9 @@ impl CachePassSim {
     /// across sweep cells, so the access sequence is shared).
     pub fn new(logical_regs: u32, hierarchies: Vec<Hierarchy>) -> Self {
         Self {
-            // Branch outcomes are never planned here, so if-conversion
-            // is irrelevant.
-            plan: Plan::new(logical_regs, true),
+            // Branch outcomes are never planned here, so no
+            // if-conversion mode is.
+            plan: Plan::new(&[logical_regs], &[]),
             bank: MissLevelBank::new(hierarchies),
             addr_log: None,
             one: OpBlock::default(),
@@ -84,10 +84,11 @@ impl TraceConsumer for CachePassSim {
         // The whole block is one plan chunk, so each member hierarchy
         // takes the block's accesses in a single run.
         self.plan.chunk_memory(block, 0, block.len());
+        let accesses = &self.plan.sizes[0];
         if let Some(log) = &mut self.addr_log {
-            log.extend_from_slice(&self.plan.acc_addr);
+            log.extend_from_slice(&accesses.acc_addr);
         }
-        self.bank.access_run(&self.plan.acc_addr, &self.plan.acc_load);
+        self.bank.access_run(&accesses.acc_addr, &accesses.acc_load);
     }
 }
 

@@ -52,5 +52,6 @@ pub mod timing_bank;
 pub use annotate::CachePassSim;
 pub use config::{OpLatencies, PlatformConfig};
 pub use regfile::RegFile;
-pub use simulator::{CycleSim, OpTiming, SimResult};
+pub use simulator::{CycleSim, OpTiming, PlatformBank, SimResult};
+pub use timing::MAX_WIDTH;
 pub use timing_bank::TimingBank;

@@ -1,11 +1,14 @@
 //! The trace-driven cycle simulator.
 //!
-//! `CycleSim` is the plan pass ([`crate::plan`]) plus a live cache
-//! hierarchy and branch predictor feeding one timing core
-//! ([`crate::timing`]). Per-op [`TraceConsumer::consume`] runs the same
-//! engine on one-op blocks, so there is a single execution path.
+//! [`PlatformBank`] is the live-replay engine: one plan pass
+//! ([`crate::plan`]) and one predictor walk per (if-conversion,
+//! predictor kind) family shared by every member, then per member a live
+//! cache hierarchy feeding one timing core ([`crate::timing`]).
+//! [`CycleSim`] is a one-member bank. Per-op [`TraceConsumer::consume`]
+//! runs the same engine on one-op blocks, so there is a single execution
+//! path.
 
-use bioperf_branch::{DynPredictor, PredictorKind};
+use bioperf_branch::PredictorKind;
 use bioperf_cache::{Hierarchy, HierarchyStats, Prefetcher};
 use bioperf_isa::{MicroOp, Program};
 use bioperf_metrics::MetricSet;
@@ -13,7 +16,7 @@ use bioperf_trace::{OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
 use crate::plan::{Plan, PHASE_CHUNK};
-use crate::timing::{predict_chunk, LatencyFill, TimingCore};
+use crate::timing::{LatencyFill, PredictorWalk, TimingCore};
 pub use crate::timing::OpTiming;
 
 /// Results of simulating one trace on one platform.
@@ -55,39 +58,212 @@ impl SimResult {
     }
 }
 
-/// Trace-driven cycle-level model of one platform.
+/// One platform model's own stages: its live hierarchy, latency fill and
+/// timing core, reading its register-file size's plan and its predictor
+/// walk's redirects.
+#[derive(Debug, Clone)]
+struct Member {
+    cfg: PlatformConfig,
+    /// Index into the plan's register-file sizes.
+    size: usize,
+    /// Index into the bank's predictor walks.
+    walk: usize,
+    hierarchy: Hierarchy,
+    /// The current chunk's flag column.
+    flags: Vec<u8>,
+    fill: LatencyFill,
+    core: TimingCore,
+}
+
+/// Trace-driven cycle-level models of several platforms off one decode
+/// and one plan walk.
+///
+/// Per chunk the bank makes one register walk through a multi-size
+/// register file (the plan's spill flags and access events per distinct
+/// register-file size) and one predictor walk per (if-conversion,
+/// predictor kind) family; each member then runs only its own stages —
+/// live hierarchy, latency fill and timing core. Every member's result
+/// equals its own [`CycleSim`] replay, which is a one-member bank.
+#[derive(Debug, Clone)]
+pub struct PlatformBank {
+    plan: Plan,
+    walks: Vec<PredictorWalk>,
+    members: Vec<Member>,
+    /// Reused one-op block for per-op [`TraceConsumer::consume`].
+    one: OpBlock,
+}
+
+impl PlatformBank {
+    /// One member per platform, each with the paper's hybrid predictor
+    /// (panics like [`Self::with_predictors`]).
+    pub fn new(platforms: &[PlatformConfig]) -> Self {
+        Self::with_predictors(platforms.iter().map(|&p| (p, PredictorKind::Hybrid)))
+    }
+
+    /// One member per (platform, predictor family) pair, in order.
+    ///
+    /// # Panics
+    ///
+    /// If `members` is empty or spans more than 32 register-file
+    /// capacities.
+    pub fn with_predictors(
+        members: impl IntoIterator<Item = (PlatformConfig, PredictorKind)>,
+    ) -> Self {
+        let members: Vec<(PlatformConfig, PredictorKind)> = members.into_iter().collect();
+        let regs: Vec<u32> = members.iter().map(|(cfg, _)| cfg.logical_regs).collect();
+        let modes: Vec<bool> = members.iter().map(|(cfg, _)| cfg.if_conversion).collect();
+        let plan = Plan::new(&regs, &modes);
+        let mut walks: Vec<PredictorWalk> = Vec::new();
+        let members = members
+            .into_iter()
+            .map(|(cfg, kind)| {
+                let mode = plan.mode_index(cfg.if_conversion);
+                let walk = match walks.iter().position(|w| w.kind == kind && w.mode == mode) {
+                    Some(w) => w,
+                    None => {
+                        walks.push(PredictorWalk::new(kind, mode));
+                        walks.len() - 1
+                    }
+                };
+                Member {
+                    size: plan.size_index(cfg.logical_regs),
+                    walk,
+                    hierarchy: cfg.hierarchy(),
+                    flags: Vec::new(),
+                    fill: LatencyFill::new(&cfg),
+                    core: TimingCore::new(&cfg),
+                    cfg,
+                }
+            })
+            .collect();
+        Self { plan, walks, members, one: OpBlock::default() }
+    }
+
+    /// Switches on event-metric collection in every member (see
+    /// [`CycleSim::with_metrics`]).
+    pub fn with_metrics(mut self) -> Self {
+        for m in &mut self.members {
+            m.core.metrics_on = true;
+        }
+        self.map_hierarchies(Hierarchy::with_metrics)
+    }
+
+    fn map_hierarchies(mut self, f: impl Fn(Hierarchy) -> Hierarchy) -> Self {
+        self.members = self
+            .members
+            .into_iter()
+            .map(|mut m| {
+                m.hierarchy = f(m.hierarchy);
+                m
+            })
+            .collect();
+        self
+    }
+
+    /// Members in the bank.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether the bank has no members.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Predictor walks per chunk: one per distinct (if-conversion,
+    /// predictor kind) family.
+    pub fn predictor_walks(&self) -> usize {
+        self.walks.len()
+    }
+
+    /// Distinct register-file capacities the one register walk plans.
+    pub fn register_sizes(&self) -> usize {
+        self.plan.sizes.len()
+    }
+
+    /// Member `i`'s running result.
+    pub fn result(&self, i: usize) -> SimResult {
+        let m = &self.members[i];
+        let size = &self.plan.sizes[m.size];
+        let walk = &self.walks[m.walk];
+        SimResult {
+            cycles: m.core.cycles(),
+            instructions: self.plan.instructions,
+            branches: self.plan.modes[walk.mode].branches,
+            mispredicts: walk.mispredicts,
+            spill_stores: size.spill_stores,
+            spill_reloads: size.spill_reloads,
+            cache: *m.hierarchy.stats(),
+        }
+    }
+
+    /// Every member's result, in construction order.
+    pub fn results(&self) -> Vec<SimResult> {
+        (0..self.len()).map(|i| self.result(i)).collect()
+    }
+
+    /// Takes member `i`'s event metrics — pipeline events under `pipe/`,
+    /// cache events under `cache/` — leaving collection in its current
+    /// mode. Empty when collection is off.
+    pub fn take_metrics(&mut self, i: usize) -> MetricSet {
+        let m = &mut self.members[i];
+        let mut out = MetricSet::new();
+        out.merge_prefixed("pipe/", &m.core.take_metrics());
+        out.merge_prefixed("cache/", &m.hierarchy.take_metrics());
+        out
+    }
+}
+
+impl TraceConsumer for PlatformBank {
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        let mut one = std::mem::take(&mut self.one);
+        one.fill_one(op);
+        self.consume_block(&one, program);
+        self.one = one;
+    }
+
+    fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
+        let Self { plan, walks, members, .. } = self;
+        let n = block.len();
+        let mut lo = 0;
+        while lo < n {
+            let hi = (lo + PHASE_CHUNK).min(n);
+            plan.chunk(block, lo, hi);
+            for walk in walks.iter_mut() {
+                walk.walk(plan);
+            }
+            for m in members.iter_mut() {
+                let size = &plan.sizes[m.size];
+                let walk = &walks[m.walk];
+                // The hierarchy and the predictor are independent, so all
+                // of the chunk's accesses and then all of its outcomes keep
+                // each structure's exact update order.
+                let Member { hierarchy, fill, .. } = m;
+                fill.load(&block.kind_codes()[lo..hi], size, &plan.modes[walk.mode], |addr, kind| {
+                    hierarchy.access(addr, kind)
+                });
+                walk.flags(&size.flags, &mut m.flags);
+                m.core.run_chunk(plan, &m.flags, &m.fill, &block.ops()[lo..hi]);
+            }
+            lo = hi;
+        }
+    }
+}
+
+/// Trace-driven cycle-level model of one platform: a one-member
+/// [`PlatformBank`].
 ///
 /// Plug it into a [`Tape`](bioperf_trace::Tape) (or feed it ops directly
 /// via [`TraceConsumer`]) and read the final [`SimResult`].
 #[derive(Debug, Clone)]
 pub struct CycleSim {
-    cfg: PlatformConfig,
-    hierarchy: Hierarchy,
-    predictor: DynPredictor,
-    plan: Plan,
-    /// The current chunk's flag column and latencies.
-    flags: Vec<u8>,
-    fill: LatencyFill,
-    core: TimingCore,
-    mispredicts: u64,
-    /// Reused one-op block for per-op [`TraceConsumer::consume`].
-    one: OpBlock,
+    bank: PlatformBank,
 }
 
 impl CycleSim {
     /// Creates a simulator for one platform.
     pub fn new(cfg: PlatformConfig) -> Self {
-        Self {
-            hierarchy: cfg.hierarchy(),
-            predictor: DynPredictor::default(),
-            plan: Plan::new(cfg.logical_regs, cfg.if_conversion),
-            flags: Vec::new(),
-            fill: LatencyFill::new(&cfg),
-            core: TimingCore::new(&cfg),
-            mispredicts: 0,
-            one: OpBlock::default(),
-            cfg,
-        }
+        Self { bank: PlatformBank::new(&[cfg]) }
     }
 
     /// Switches on event-metric collection: per-op dispatch-to-complete
@@ -95,20 +271,15 @@ impl CycleSim {
     /// service counters. Off by default; the timing core then runs a
     /// loop with no instrumentation in it (the metrics layer's
     /// zero-cost-when-off contract).
-    pub fn with_metrics(mut self) -> Self {
-        self.core.metrics_on = true;
-        self.hierarchy = self.hierarchy.with_metrics();
-        self
+    pub fn with_metrics(self) -> Self {
+        Self { bank: self.bank.with_metrics() }
     }
 
     /// Takes the collected event metrics — pipeline events under `pipe/`,
     /// cache events under `cache/` — leaving collection in its current
     /// mode. Empty when collection is off.
     pub fn take_metrics(&mut self) -> MetricSet {
-        let mut out = MetricSet::new();
-        out.merge_prefixed("pipe/", &self.core.take_metrics());
-        out.merge_prefixed("cache/", &self.hierarchy.take_metrics());
-        out
+        self.bank.take_metrics(0)
     }
 
     /// Swaps in a branch predictor of the given family. The default is
@@ -116,33 +287,32 @@ impl CycleSim {
     /// ([`PredictorKind::Hybrid`]); design-space sweep cells select other
     /// families per configuration.
     pub fn with_predictor(mut self, kind: PredictorKind) -> Self {
-        self.predictor = DynPredictor::new(kind);
+        self.bank.walks[0] = PredictorWalk::new(kind, 0);
         self
     }
 
     /// Installs a hardware prefetcher in the cache hierarchy. The default
     /// is [`Prefetcher::None`] — the paper's baseline machines do not
     /// prefetch.
-    pub fn with_prefetcher(mut self, policy: Prefetcher) -> Self {
-        self.hierarchy = self.hierarchy.with_prefetcher(policy);
-        self
+    pub fn with_prefetcher(self, policy: Prefetcher) -> Self {
+        Self { bank: self.bank.map_hierarchies(|h| h.with_prefetcher(policy)) }
     }
 
     /// Enables per-op timeline recording (capped at 65 536 ops). Use for
     /// short pedagogical traces like the Figure 3/4 walkthrough.
     pub fn with_timeline(mut self) -> Self {
-        self.core.timeline = Some(Vec::new());
+        self.bank.members[0].core.timeline = Some(Vec::new());
         self
     }
 
     /// The recorded timeline, if enabled.
     pub fn timeline(&self) -> Option<&[OpTiming]> {
-        self.core.timeline.as_deref()
+        self.bank.members[0].core.timeline.as_deref()
     }
 
     /// The platform being simulated.
     pub fn config(&self) -> &PlatformConfig {
-        &self.cfg
+        &self.bank.members[0].cfg
     }
 
     /// Finalizes and returns the simulation result.
@@ -152,41 +322,17 @@ impl CycleSim {
 
     /// Running result snapshot (cheap; caches copied).
     pub fn result(&self) -> SimResult {
-        SimResult {
-            cycles: self.core.cycles(),
-            instructions: self.plan.instructions,
-            branches: self.plan.branches,
-            mispredicts: self.mispredicts,
-            spill_stores: self.plan.spill_stores,
-            spill_reloads: self.plan.spill_reloads,
-            cache: *self.hierarchy.stats(),
-        }
+        self.bank.result(0)
     }
 }
 
 impl TraceConsumer for CycleSim {
     fn consume(&mut self, op: &MicroOp, program: &Program) {
-        let mut one = std::mem::take(&mut self.one);
-        one.fill_one(op);
-        self.consume_block(&one, program);
-        self.one = one;
+        self.bank.consume(op, program);
     }
 
-    fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        let Self { hierarchy, predictor, plan, flags, fill, core, mispredicts, .. } = self;
-        let n = block.len();
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + PHASE_CHUNK).min(n);
-            plan.chunk(block, lo, hi);
-            // The hierarchy and the predictor are independent, so all of
-            // the chunk's accesses and then all of its outcomes keep each
-            // structure's exact update order.
-            fill.load(&block.kind_codes()[lo..hi], plan, |addr, kind| hierarchy.access(addr, kind));
-            *mispredicts += predict_chunk(predictor, plan, flags);
-            core.run_chunk(plan, flags, fill, &block.ops()[lo..hi]);
-            lo = hi;
-        }
+    fn consume_block(&mut self, block: &OpBlock, program: &Program) {
+        self.bank.consume_block(block, program);
     }
 }
 
@@ -367,14 +513,10 @@ mod tests {
         assert!(io.cycles >= ooo.cycles, "in-order {} vs ooo {}", io.cycles, ooo.cycles);
     }
 
-    /// Block size must never change a result: per-op `consume` (one-op
-    /// blocks built by `fill_one`) and decoded blocks of odd sizes, whose
-    /// edges fall mid-spill-sequence, must leave identical state —
-    /// including spill counters and cache stats, on both in-order and
-    /// out-of-order cores.
-    #[test]
-    fn blocked_replay_matches_per_op_replay() {
-        use bioperf_trace::{Recorder, TraceConsumer};
+    /// Enough live temporaries to force P4 spills, plus branches,
+    /// selects, FP traffic, and strided loads.
+    fn mixed_recording() -> (Program, bioperf_trace::Recording) {
+        use bioperf_trace::Recorder;
         let mut tape = Tape::new(Recorder::new());
         let xs: Vec<u64> = (0..512).map(|i| i * 3).collect();
         let mut state = 0xDEAD_BEEFu64;
@@ -383,8 +525,6 @@ mod tests {
             (state >> 40) & 1 == 1
         };
         for r in 0..400usize {
-            // Enough live temporaries to force P4 spills, plus branches,
-            // selects, FP traffic, and strided loads.
             let temps: Vec<_> = (0..12).map(|i| tape.int_load(here!("t"), &xs[(r * 7 + i) % 512])).collect();
             let mut acc = tape.lit();
             for v in &temps {
@@ -398,6 +538,17 @@ mod tests {
         }
         let (program, rec) = tape.finish();
         let recording = rec.into_recording(program.clone());
+        (program, recording)
+    }
+
+    /// Block size must never change a result: per-op `consume` (one-op
+    /// blocks built by `fill_one`) and decoded blocks of odd sizes, whose
+    /// edges fall mid-spill-sequence, must leave identical state —
+    /// including spill counters and cache stats, on both in-order and
+    /// out-of-order cores.
+    #[test]
+    fn blocked_replay_matches_per_op_replay() {
+        let (program, recording) = mixed_recording();
         for cfg in PlatformConfig::all() {
             let mut per_op = CycleSim::new(cfg);
             for op in recording.iter() {
@@ -414,6 +565,66 @@ mod tests {
                     cfg.name,
                     block_ops
                 );
+            }
+        }
+    }
+
+    /// Sharing the plan and the predictor walks never changes a member:
+    /// every member of a bank — the four presets; duplicate platforms;
+    /// mixed predictor kinds and if-conversion modes over every register
+    /// size — equals its own `CycleSim` replay, results and event series,
+    /// at every block size and through per-op `consume`, with metrics
+    /// off (the uninstrumented core loop) and on.
+    #[test]
+    fn platform_bank_members_match_independent_cyclesims() {
+        let (program, recording) = mixed_recording();
+        let presets = PlatformConfig::all();
+        let kinds = [PredictorKind::Hybrid, PredictorKind::Bimodal, PredictorKind::Aliased];
+        let hybrid = |p: &PlatformConfig| (*p, PredictorKind::Hybrid);
+        let mut mixed: Vec<(PlatformConfig, PredictorKind)> = Vec::new();
+        for (i, p) in presets.iter().enumerate() {
+            let mut flipped = *p;
+            flipped.if_conversion = !p.if_conversion;
+            mixed.push((*p, kinds[i % 3]));
+            mixed.push((flipped, kinds[(i + 1) % 3]));
+        }
+        let banks = [
+            ("presets", presets.iter().map(hybrid).collect(), 3, 2),
+            ("duplicates", [0, 2, 0, 2, 2].iter().map(|&i| hybrid(&presets[i])).collect(), 2, 2),
+            ("mixed", mixed, 3, 4),
+        ];
+        for (name, members, sizes, walks) in banks {
+            for metrics in [false, true] {
+                let solo: Vec<(SimResult, MetricSet)> = members
+                    .iter()
+                    .map(|&(cfg, kind)| {
+                        let sim = CycleSim::new(cfg).with_predictor(kind);
+                        let mut sim = if metrics { sim.with_metrics() } else { sim };
+                        recording.replay_bank(std::slice::from_mut(&mut sim));
+                        (sim.result(), sim.take_metrics())
+                    })
+                    .collect();
+                let new_bank = || {
+                    let bank = PlatformBank::with_predictors(members.iter().copied());
+                    if metrics { bank.with_metrics() } else { bank }
+                };
+                let check = |mut bank: PlatformBank, path: &str| {
+                    assert_eq!((bank.register_sizes(), bank.predictor_walks()), (sizes, walks), "{name}");
+                    for (i, expected) in solo.iter().enumerate() {
+                        let got = (bank.result(i), bank.take_metrics(i));
+                        assert_eq!(&got, expected, "{name} member {i} ({path}, metrics {metrics})");
+                    }
+                };
+                for block_ops in [1usize, 3, 64, 4096] {
+                    let mut bank = new_bank();
+                    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+                    check(bank, &format!("{block_ops}-op blocks"));
+                }
+                let mut bank = new_bank();
+                for op in recording.iter() {
+                    bank.consume(&op, &program);
+                }
+                check(bank, "per-op");
             }
         }
     }

@@ -3,15 +3,17 @@
 //! [`TimingCore`] is the only part of a replay that depends on simulated
 //! time. It consumes one chunk of the [`Plan`] (operand and destination
 //! slots) plus two columns its caller's memory/predictor stage fills in:
-//! the chunk's flag column (the plan's spill flags plus redirect bits,
-//! from [`predict_chunk`]) and its latencies ([`LatencyFill`]). `CycleSim`
-//! fills both from a live hierarchy and predictor; a `TimingBank` fills
-//! the flags once per predictor family and the latencies once per lane
+//! the chunk's flag column (a register-file size's spill flags plus a
+//! [`PredictorWalk`]'s redirect bits) and its latencies
+//! ([`LatencyFill`]). A `PlatformBank` fills both per member from a live
+//! hierarchy and a predictor walk shared by the members of one
+//! (if-conversion, predictor kind) family; a `TimingBank` fills the
+//! flags once per predictor family and the latencies once per lane
 //! group sharing an annotation stream and latency table, and every lane
 //! core reads them as slices. The core owns the ready-ring *cycles*; the
 //! plan owns the ring's tags.
 
-use bioperf_branch::DynPredictor;
+use bioperf_branch::{DynPredictor, PredictorKind};
 use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, StaticId};
 use bioperf_metrics::{LogHistogram, MetricSet};
@@ -19,19 +21,23 @@ use bioperf_trace::inject;
 
 use crate::config::PlatformConfig;
 use crate::plan::{
-    Plan, ACC_FP_LOAD, ACC_LOAD, ACC_RELOAD, ACC_RELOAD_COMPUTED, ACC_TAG_BITS, READY_RING,
-    SPILL_MASK, SRC_RELOAD_COMPUTED,
+    BranchPlan, Plan, SizePlan, ACC_FP_LOAD, ACC_LOAD, ACC_RELOAD, ACC_RELOAD_COMPUTED,
+    ACC_TAG_BITS, READY_RING, SPILL_MASK, SRC_RELOAD_COMPUTED,
 };
 
 /// Issue-ring size; bounds the span of active cycles, which is limited
 /// by the ROB size times the largest latency.
 const ISSUE_RING: usize = 1 << 12;
 
-/// Each issue-ring slot packs `(cycle << 4) | issued-count` into one
-/// `u64` (issue widths are ≤ 8, cycles nowhere near 2⁶⁰), so a claim is
-/// one load plus one store on a 32 KB ring.
-const ISSUE_COUNT_BITS: u32 = 4;
+/// Each issue-ring slot packs `(cycle << 8) | issued-count` into one
+/// `u64` (issue widths are ≤ [`MAX_WIDTH`], cycles nowhere near 2⁵⁶),
+/// so a claim is one load plus one store on a 32 KB ring.
+const ISSUE_COUNT_BITS: u32 = 8;
 const ISSUE_COUNT_MASK: u64 = (1 << ISSUE_COUNT_BITS) - 1;
+
+/// The widest fetch and issue the core can run: a full slot's count must
+/// fit the issue ring's count field.
+pub const MAX_WIDTH: u32 = (1 << ISSUE_COUNT_BITS) - 1;
 
 /// Flag bit next to the plan's spill bits: the op is a branch that
 /// mispredicted, so the front end redirects when it resolves.
@@ -59,24 +65,45 @@ pub struct OpTiming {
     pub mispredicted: bool,
 }
 
-/// Writes the chunk's flag column — the plan's spill flags plus a
-/// redirect bit on every branch `predictor` mispredicts — walking the
-/// chunk's branch events in order. Returns the chunk's mispredicts.
-pub(crate) fn predict_chunk(
-    predictor: &mut DynPredictor,
-    plan: &Plan,
-    flags: &mut Vec<u8>,
-) -> u64 {
-    flags.clear();
-    flags.extend_from_slice(&plan.flags);
-    let mut mispredicts = 0;
-    for &(ci, sid, taken) in &plan.branch_ev {
-        if !predictor.observe(sid, taken) {
-            mispredicts += 1;
+/// One predictor walk over each chunk's branch events, shared by every
+/// consumer with the same if-conversion mode and predictor kind.
+#[derive(Debug, Clone)]
+pub(crate) struct PredictorWalk {
+    pub(crate) kind: PredictorKind,
+    /// Index into the plan's if-conversion modes.
+    pub(crate) mode: usize,
+    predictor: DynPredictor,
+    pub(crate) mispredicts: u64,
+    /// The current chunk's mispredicted branches (chunk-relative ops).
+    redirects: Vec<u32>,
+}
+
+impl PredictorWalk {
+    /// A fresh predictor of `kind` over the plan's mode `mode`.
+    pub(crate) fn new(kind: PredictorKind, mode: usize) -> Self {
+        Self { kind, mode, predictor: DynPredictor::new(kind), mispredicts: 0, redirects: Vec::new() }
+    }
+
+    /// Walks the chunk's branch events of this walk's mode in order.
+    pub(crate) fn walk(&mut self, plan: &Plan) {
+        self.redirects.clear();
+        for &(ci, sid, taken) in &plan.modes[self.mode].events {
+            if !self.predictor.observe(sid, taken) {
+                self.redirects.push(ci);
+            }
+        }
+        self.mispredicts += self.redirects.len() as u64;
+    }
+
+    /// Writes the chunk's flag column: a size's spill flags plus a
+    /// redirect bit on every branch this walk mispredicted.
+    pub(crate) fn flags(&self, spill: &[u8], flags: &mut Vec<u8>) {
+        flags.clear();
+        flags.extend_from_slice(spill);
+        for &ci in &self.redirects {
             flags[ci as usize] |= FLAG_REDIRECT;
         }
     }
-    mispredicts
 }
 
 /// One latency table's per-chunk fill: every op's completion latency
@@ -123,21 +150,22 @@ impl LatencyFill {
     }
 
     /// Fills the chunk's latencies: the kind-code LUT, then one
-    /// `access(addr, kind)` per planned access event in order — the
+    /// `access(addr, kind)` per access event of `size` in order — the
     /// caller's memory stage, returning the access's total latency —
-    /// then latency 1 for every resolving branch.
+    /// then latency 1 for every branch that resolves in `branches`' mode.
     pub(crate) fn load(
         &mut self,
         codes: &[u8],
-        plan: &Plan,
+        size: &SizePlan,
+        branches: &BranchPlan,
         mut access: impl FnMut(u64, AccessKind) -> u64,
     ) {
         self.lat.clear();
         self.lat.extend(codes.iter().map(|&c| self.lat_lut[c as usize]));
         self.spill_lat.clear();
-        for (e, &ev) in plan.acc_tag.iter().enumerate() {
-            let kind = if plan.acc_load[e] { AccessKind::Load } else { AccessKind::Store };
-            let l = access(plan.acc_addr[e], kind);
+        for (e, &ev) in size.acc_tag.iter().enumerate() {
+            let kind = if size.acc_load[e] { AccessKind::Load } else { AccessKind::Store };
+            let l = access(size.acc_addr[e], kind);
             let ci = (ev >> ACC_TAG_BITS) as usize;
             match ev & ((1 << ACC_TAG_BITS) - 1) {
                 ACC_LOAD => self.lat[ci] = l as u32,
@@ -148,7 +176,7 @@ impl LatencyFill {
                 _ => {}
             }
         }
-        for &(ci, _, _) in &plan.branch_ev {
+        for &(ci, _, _) in &branches.events {
             self.lat[ci as usize] = 1;
         }
     }
@@ -188,7 +216,23 @@ pub(crate) struct TimingCore {
 
 impl TimingCore {
     /// An idle core with `cfg`'s shape.
+    ///
+    /// # Panics
+    ///
+    /// If a width is outside `1..=MAX_WIDTH` or the ROB is empty: the
+    /// recurrence would silently mis-time (or index out of bounds).
     pub(crate) fn new(cfg: &PlatformConfig) -> Self {
+        assert!(
+            (1..=MAX_WIDTH).contains(&cfg.fetch_width)
+                && (1..=MAX_WIDTH).contains(&cfg.issue_width)
+                && cfg.rob_size > 0,
+            "{}: fetch/issue widths must be 1..={MAX_WIDTH} and the ROB non-empty \
+             (fetch {}, issue {}, ROB {})",
+            cfg.name,
+            cfg.fetch_width,
+            cfg.issue_width,
+            cfg.rob_size
+        );
         Self {
             in_order: cfg.in_order,
             fetch_width: cfg.fetch_width,
@@ -239,7 +283,7 @@ impl TimingCore {
     }
 
     /// Runs one planned chunk through the scheduling recurrence, with
-    /// the chunk's flag column (from [`predict_chunk`]) and latencies.
+    /// the chunk's flag column (from [`PredictorWalk::flags`]) and latencies.
     /// `ops` is the chunk's decoded ops, read only when a timeline is
     /// recorded.
     pub(crate) fn run_chunk(

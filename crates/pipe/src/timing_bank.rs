@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use bioperf_branch::{DynPredictor, PredictorKind};
+use bioperf_branch::PredictorKind;
 use bioperf_cache::{AnnotationStream, HierarchyStats, LatencyConfig};
 use bioperf_isa::{MicroOp, Program};
 use bioperf_trace::{inject, OpBlock, TraceConsumer};
@@ -28,7 +28,7 @@ use bioperf_trace::{inject, OpBlock, TraceConsumer};
 use crate::config::PlatformConfig;
 use crate::plan::{Plan, PHASE_CHUNK};
 use crate::simulator::SimResult;
-use crate::timing::{predict_chunk, LatencyFill, TimingCore};
+use crate::timing::{LatencyFill, PredictorWalk, TimingCore};
 
 /// One timing configuration: its predictor family, its fill group, and
 /// its timing core.
@@ -44,9 +44,7 @@ struct TimingLane {
 /// A predictor family shared by every lane that uses it.
 #[derive(Debug)]
 struct Family {
-    kind: PredictorKind,
-    predictor: DynPredictor,
-    mispredicts: u64,
+    walk: PredictorWalk,
     /// The current chunk's flag column: plan flags plus this family's
     /// redirect bits.
     flags: Vec<u8>,
@@ -108,7 +106,7 @@ impl TimingBank {
         Self {
             logical_regs,
             if_conversion,
-            plan: Plan::new(logical_regs, if_conversion),
+            plan: Plan::new(&[logical_regs], &[if_conversion]),
             families: Vec::new(),
             groups: Vec::new(),
             lanes: Vec::new(),
@@ -128,15 +126,10 @@ impl TimingBank {
     ) {
         assert_eq!(cfg.logical_regs, self.logical_regs, "lanes must share the register file");
         assert_eq!(cfg.if_conversion, self.if_conversion, "lanes must share if-conversion");
-        let family = match self.families.iter().position(|f| f.kind == pred) {
+        let family = match self.families.iter().position(|f| f.walk.kind == pred) {
             Some(f) => f,
             None => {
-                self.families.push(Family {
-                    kind: pred,
-                    predictor: DynPredictor::new(pred),
-                    mispredicts: 0,
-                    flags: Vec::new(),
-                });
+                self.families.push(Family { walk: PredictorWalk::new(pred, 0), flags: Vec::new() });
                 self.families.len() - 1
             }
         };
@@ -190,15 +183,16 @@ impl TimingBank {
     /// zeroed: the cache pass that produced the streams owns the
     /// hierarchy stats.
     pub fn into_results(self) -> Vec<SimResult> {
+        let size = &self.plan.sizes[0];
         self.lanes
             .iter()
             .map(|lane| SimResult {
                 cycles: lane.core.cycles(),
                 instructions: self.plan.instructions,
-                branches: self.plan.branches,
-                mispredicts: self.families[lane.family].mispredicts,
-                spill_stores: self.plan.spill_stores,
-                spill_reloads: self.plan.spill_reloads,
+                branches: self.plan.modes[0].branches,
+                mispredicts: self.families[lane.family].walk.mispredicts,
+                spill_stores: size.spill_stores,
+                spill_reloads: size.spill_reloads,
                 cache: HierarchyStats::default(),
             })
             .collect()
@@ -221,12 +215,13 @@ impl TraceConsumer for TimingBank {
             let hi = (lo + PHASE_CHUNK).min(n);
             plan.chunk(block, lo, hi);
             for f in families.iter_mut() {
-                f.mispredicts += predict_chunk(&mut f.predictor, plan, &mut f.flags);
+                f.walk.walk(plan);
+                f.walk.flags(&plan.sizes[0].flags, &mut f.flags);
             }
             for g in groups.iter_mut() {
                 let FillGroup { stream, pos, ann_lat, fill } = g;
                 // Every planned access pops exactly one annotation.
-                fill.load(&block.kind_codes()[lo..hi], plan, |_, _| {
+                fill.load(&block.kind_codes()[lo..hi], &plan.sizes[0], &plan.modes[0], |_, _| {
                     let code = stream.code(*pos);
                     *pos += 1;
                     ann_lat[code as usize]

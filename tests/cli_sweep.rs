@@ -130,6 +130,17 @@ fn degenerate_cells_are_skipped_with_diagnostics_not_panics() {
     let out = run(&["sweep", "--programs", "predator", "--l1", "32x0,32x2"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("zero-sized cache"), "stdout: {}", stdout(&out));
+
+    // Pipe shapes the timing core cannot run (zero width, empty ROB) are
+    // diagnosed the same way, next to a valid shape that still runs.
+    let out = run(&["sweep", "--programs", "predator", "--l1", "32x2", "--pipe", "0x80,4x0,4x80"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    for shape in ["pipe 0x80:", "pipe 4x0:"] {
+        assert!(text.contains(shape), "stdout: {text}");
+    }
+    assert!(!text.contains("pipe 4x80:"), "stdout: {text}");
+    assert!(text.contains("predator Pareto frontier:"), "stdout: {text}");
 }
 
 fn load_committed_artifact() -> Json {
