@@ -59,7 +59,9 @@ use bioperf_cache::{
 };
 use bioperf_kernels::{ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
-use bioperf_pipe::{CachePassSim, CycleSim, OpLatencies, PlatformConfig, TimingBank, MAX_WIDTH};
+use bioperf_pipe::{
+    CachePassSim, CycleSim, OpLatencies, PlatformConfig, TimingBank, MAX_LATENCY, MAX_WIDTH,
+};
 use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, Recording};
 
 use crate::orchestrate::{default_jobs, record_variant, run_jobs, SuiteError};
@@ -326,6 +328,18 @@ pub struct CellSpec {
 pub enum CellError {
     /// A degenerate cache geometry.
     Cache(CacheConfigError),
+    /// A cache capacity whose byte count overflows a `u64`.
+    Capacity {
+        /// The rejected capacity in KB.
+        kb: u64,
+    },
+    /// A latency triple the timing core cannot run: an L2 or memory
+    /// latency above [`MAX_LATENCY`], or an L1 hit not below it (the FP
+    /// load hit takes one cycle more).
+    Latency {
+        /// (L1, L2, memory) latencies.
+        lat: (u64, u64, u64),
+    },
     /// A pipe shape the timing core cannot run: a width outside
     /// `1..=MAX_WIDTH`, or an empty ROB.
     Pipe {
@@ -340,6 +354,12 @@ impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CellError::Cache(e) => e.fmt(f),
+            CellError::Capacity { kb } => write!(f, "cache {kb} KB: byte capacity overflows 64 bits"),
+            CellError::Latency { lat: (l1, l2, memory) } => write!(
+                f,
+                "lat {l1}:{l2}:{memory}: level latencies must be at most {MAX_LATENCY} cycles, \
+                 the L1 hit below it"
+            ),
             CellError::Pipe { width, rob } => write!(
                 f,
                 "pipe {width}x{rob}: width must be 1..={MAX_WIDTH} and the ROB non-empty"
@@ -392,8 +412,9 @@ impl CellSpec {
     /// model. Degenerate cells come back as the typed error the report
     /// surfaces as a skipped cell.
     pub fn resolve(&self) -> Result<ResolvedCell, CellError> {
-        let l1 = CacheConfig::try_new(self.l1.0 * 1024, self.l1.1, self.line)?;
-        let l2 = CacheConfig::try_new(self.l2.0 * 1024, self.l2.1, self.line)?;
+        let bytes = |kb: u64| kb.checked_mul(1024).ok_or(CellError::Capacity { kb });
+        let l1 = CacheConfig::try_new(bytes(self.l1.0)?, self.l1.1, self.line)?;
+        let l2 = CacheConfig::try_new(bytes(self.l2.0)?, self.l2.1, self.line)?;
         // The sweep requires power-of-two L2 indexing (the shipped
         // presets and the address-normalization staggering assume it);
         // odd L1 set counts are allowed and take the general index path.
@@ -403,6 +424,9 @@ impl CellSpec {
             return Err(CellError::Pipe { width, rob });
         }
         let (lat1, lat2, mem) = self.lat;
+        if lat1 >= MAX_LATENCY || lat2 > MAX_LATENCY || mem > MAX_LATENCY {
+            return Err(CellError::Latency { lat: self.lat });
+        }
         let base = PlatformConfig::alpha21264();
         let platform = PlatformConfig {
             name: "sweep",
@@ -591,6 +615,18 @@ pub struct CellMeasure {
 }
 
 impl CellMeasure {
+    /// A cell's measurement from both variants' cycles and the original
+    /// variant's hierarchy stats, whose L1/L2 load-miss ratios give the
+    /// AMAT under the cell's latencies.
+    fn new(cell: &ResolvedCell, original: &HierarchyStats, cycles: (u64, u64)) -> Self {
+        let (cycles_original, cycles_transformed) = cycles;
+        Self {
+            cycles_original,
+            cycles_transformed,
+            amat: cell.lat.amat(original.l1.load_miss_ratio(), original.l2.load_miss_ratio()),
+        }
+    }
+
     /// Speedup of the load transformation on this configuration.
     pub fn speedup(&self) -> f64 {
         if self.cycles_transformed == 0 {
@@ -1045,15 +1081,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
                         .zip(orig_bank.into_iter().zip(trans_bank))
                         .map(|(rc, (o, t))| {
                             let o = o.into_result();
-                            let t = t.into_result();
-                            CellMeasure {
-                                cycles_original: o.cycles,
-                                cycles_transformed: t.cycles,
-                                amat: rc.lat.amat(
-                                    o.cache.l1.load_miss_ratio(),
-                                    o.cache.l2.load_miss_ratio(),
-                                ),
-                            }
+                            CellMeasure::new(rc, &o.cache, (o.cycles, t.into_result().cycles))
                         })
                         .collect()
                 }
@@ -1417,14 +1445,7 @@ fn factored_outputs(
                     let rc = resolved[c].expect("scheduled cells are valid");
                     let (ostats, _, _) =
                         store[2 * p][k].as_ref().expect("cache pass covered every key");
-                    let (cycles_original, cycles_transformed) = group_cycles[*p][g];
-                    CellMeasure {
-                        cycles_original,
-                        cycles_transformed,
-                        amat: rc
-                            .lat
-                            .amat(ostats.l1.load_miss_ratio(), ostats.l2.load_miss_ratio()),
-                    }
+                    CellMeasure::new(&rc, ostats, group_cycles[*p][g])
                 })
                 .collect(),
         );
@@ -1487,12 +1508,7 @@ pub fn sweep_self_check(seed: u64) -> Option<String> {
             sim.into_result()
         };
         let o = replay(&original);
-        let t = replay(&transformed);
-        let want = CellMeasure {
-            cycles_original: o.cycles,
-            cycles_transformed: t.cycles,
-            amat: rc.lat.amat(o.cache.l1.load_miss_ratio(), o.cache.l2.load_miss_ratio()),
-        };
+        let want = CellMeasure::new(&rc, &o.cache, (o.cycles, replay(&transformed).cycles));
         let got = match result.measures[0][cell] {
             Some(m) => m,
             None => return Some(format!("sweep cell {cell}: no measurement produced")),
@@ -1604,6 +1620,28 @@ mod tests {
         let mut grid = SweepGrid::smoke();
         grid.pipe = vec![(MAX_WIDTH, 1)];
         assert!(grid.spec(0).resolve().is_ok(), "the widest runnable pipe resolves");
+
+        // 18014398509481985 KB is 2^64 + 1024 bytes: it used to wrap to 1 KB.
+        for kb in [18014398509481985, u64::MAX] {
+            let mut grid = SweepGrid::smoke();
+            grid.l1 = vec![(kb, 1)];
+            assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Capacity { kb });
+            let mut grid = SweepGrid::smoke();
+            grid.l2 = vec![(kb, 1)];
+            assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Capacity { kb });
+        }
+
+        // 4294967368 cycles used to truncate to 72 in the timing core, and
+        // `u64::MAX` overflowed the FP hit's `lat1 + 1`.
+        let max = MAX_LATENCY;
+        for lat in [(3, 8, 4294967368), (3, max + 1, 72), (max, 8, 72), (u64::MAX, 8, 72)] {
+            let mut grid = SweepGrid::smoke();
+            grid.lat = vec![lat];
+            assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Latency { lat });
+        }
+        let mut grid = SweepGrid::smoke();
+        grid.lat = vec![(max - 1, max, max)];
+        assert!(grid.spec(0).resolve().is_ok(), "the slowest runnable latencies resolve");
     }
 
     #[test]

@@ -96,42 +96,16 @@ impl TraceConsumer for CachePassSim {
 mod tests {
     use super::*;
     use crate::config::PlatformConfig;
+    use crate::simulator::tests::spill_heavy_recording;
     use crate::simulator::CycleSim;
-    use bioperf_isa::here;
-    use bioperf_trace::{Recorder, Tape, Tracer};
-
-    fn spill_heavy_recording() -> (Program, bioperf_trace::Recording) {
-        let mut tape = Tape::new(Recorder::new());
-        let xs: Vec<u64> = (0..512).map(|i| i * 3).collect();
-        let mut state = 0xFEED_F00Du64;
-        let mut rand_bit = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        for r in 0..400usize {
-            let temps: Vec<_> =
-                (0..12).map(|i| tape.int_load(here!("t"), &xs[(r * 7 + i) % 512])).collect();
-            let mut acc = tape.lit();
-            for v in &temps {
-                acc = tape.int_op(here!("t"), &[acc, *v]);
-            }
-            let sel = tape.select(here!("t"), &[acc], rand_bit());
-            tape.branch(here!("t"), &[sel], rand_bit());
-            let f = tape.fp_load(here!("t"), &xs[r % 512]);
-            let g = tape.fp_op(here!("t"), &[f]);
-            tape.fp_store(here!("t"), &xs[(r * 13) % 512], g);
-        }
-        let (program, rec) = tape.finish();
-        let recording = rec.into_recording(program.clone());
-        (program, recording)
-    }
 
     /// The cache pass must present exactly the access sequence a live
     /// `CycleSim` presents to its hierarchy — pinned by comparing final
     /// hierarchy stats on every platform, per-op and blocked.
     #[test]
     fn cache_pass_reproduces_cyclesim_hierarchy_stats() {
-        let (program, recording) = spill_heavy_recording();
+        let recording = spill_heavy_recording();
+        let program = recording.program().clone();
         for cfg in PlatformConfig::all() {
             let mut sim = CycleSim::new(cfg);
             recording.replay_bank(std::slice::from_mut(&mut sim));
@@ -160,7 +134,7 @@ mod tests {
     /// A multi-member bank must equal independent single-member passes.
     #[test]
     fn bank_members_are_independent() {
-        let (_, recording) = spill_heavy_recording();
+        let recording = spill_heavy_recording();
         let cfg = PlatformConfig::pentium4();
         let others = PlatformConfig::alpha21264();
         let mut bank =

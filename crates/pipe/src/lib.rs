@@ -22,6 +22,14 @@
 //! * an **in-order issue** mode (why the Itanium 2 still speeds up: the
 //!   transformation lengthens basic blocks and removes hard branches).
 //!
+//! One engine times every replay: a [`PlatformBank`] shares one decode,
+//! one register/spill plan and one predictor walk per family across its
+//! members, and each member runs only its own timing core. A member's
+//! access latencies come from a live hierarchy ([`CycleSim`] is a
+//! one-member live bank) or from the miss-level stream a
+//! [`CachePassSim`] recorded ([`TimingBank`], the factored sweep's timing
+//! pass).
+//!
 //! # Example
 //!
 //! ```
@@ -47,11 +55,9 @@ mod plan;
 pub mod regfile;
 pub mod simulator;
 mod timing;
-pub mod timing_bank;
 
 pub use annotate::CachePassSim;
 pub use config::{OpLatencies, PlatformConfig};
 pub use regfile::RegFile;
-pub use simulator::{CycleSim, OpTiming, PlatformBank, SimResult};
-pub use timing::MAX_WIDTH;
-pub use timing_bank::TimingBank;
+pub use simulator::{CycleSim, OpTiming, PlatformBank, SimResult, TimingBank};
+pub use timing::{MAX_LATENCY, MAX_WIDTH};

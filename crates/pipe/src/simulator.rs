@@ -1,18 +1,26 @@
-//! The trace-driven cycle simulator.
+//! The trace-driven replay engine.
 //!
-//! [`PlatformBank`] is the live-replay engine: one plan pass
-//! ([`crate::plan`]) and one predictor walk per (if-conversion,
-//! predictor kind) family shared by every member, then per member a live
-//! cache hierarchy feeding one timing core ([`crate::timing`]).
-//! [`CycleSim`] is a one-member bank. Per-op [`TraceConsumer::consume`]
-//! runs the same engine on one-op blocks, so there is a single execution
-//! path.
+//! [`PlatformBank`] is the one replay engine. Per chunk it makes one
+//! plan pass ([`crate::plan`]), one predictor walk per (if-conversion,
+//! predictor kind) family, one flag column per (walk, register-file
+//! size) pair and one latency fill per *fill group*; each member then
+//! runs only its timing core ([`crate::timing`]). A fill group's access
+//! latencies come either from a live cache hierarchy — every live member
+//! has a group of its own — or from a cache pass's miss-level
+//! annotations, shared by every member with the same stream and latency
+//! table. [`CycleSim`] is a one-member live bank; [`TimingBank`], the
+//! factored sweep's timing pass, is a bank of annotated members over one
+//! register file and if-conversion mode. Per-op
+//! [`TraceConsumer::consume`] runs the same engine on one-op blocks, so
+//! there is a single execution path.
+
+use std::sync::Arc;
 
 use bioperf_branch::PredictorKind;
-use bioperf_cache::{Hierarchy, HierarchyStats, Prefetcher};
+use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, LatencyConfig, Prefetcher};
 use bioperf_isa::{MicroOp, Program};
 use bioperf_metrics::MetricSet;
-use bioperf_trace::{OpBlock, TraceConsumer};
+use bioperf_trace::{inject, OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
 use crate::plan::{Plan, PHASE_CHUNK};
@@ -58,21 +66,123 @@ impl SimResult {
     }
 }
 
-/// One platform model's own stages: its live hierarchy, latency fill and
-/// timing core, reading its register-file size's plan and its predictor
-/// walk's redirects.
+/// Where a fill group's access latencies come from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// A live cache hierarchy, simulated access by access.
+    Live(Box<Hierarchy>),
+    /// A cache pass's miss-level stream, read from cursor `pos` on.
+    Annotated {
+        stream: Arc<AnnotationStream>,
+        pos: usize,
+        /// Total access latency by 2-bit level code (L1 / L2 / memory;
+        /// the fourth entry aliases L1 so indexing a raw code never
+        /// bounds-checks). An exhausted cursor reads the benign L1 code,
+        /// so a skewed replay diverges instead of crashing.
+        lat: [u64; 4],
+    },
+}
+
+impl Source {
+    /// `stream` read through `cfg`'s level latencies.
+    fn annotated(cfg: &PlatformConfig, stream: Arc<AnnotationStream>) -> Self {
+        let lat = LatencyConfig { l1: cfg.int_load_latency, l2: cfg.l2_latency, memory: cfg.memory_latency };
+        // An armed `factored-annotation-skew` fault starts the cursor one
+        // annotation in — the off-by-one the conformance fuzzer and the
+        // sweep self-check must catch.
+        let pos = inject::active(inject::ANN_SKEW) as usize;
+        let hit = lat.total(false, false);
+        Source::Annotated { stream, pos, lat: [hit, lat.total(true, false), lat.total(true, true), hit] }
+    }
+}
+
+/// One latency fill per chunk, read by every member of the group.
+#[derive(Debug, Clone)]
+struct FillGroup {
+    source: Source,
+    /// Index into the plan's register-file sizes (access events).
+    size: usize,
+    /// Index into the plan's if-conversion modes (resolving branches).
+    mode: usize,
+    fill: LatencyFill,
+}
+
+impl FillGroup {
+    /// Whether a member with `other`'s source can read this group's
+    /// fill: both annotated, with the same stream (the same `Arc`, or
+    /// equal contents), cursor start, level latencies, latency table,
+    /// register-file size and if-conversion mode. A live hierarchy
+    /// belongs to its member alone.
+    fn shares_fill(&self, other: &Self) -> bool {
+        let (
+            Source::Annotated { stream, pos, lat },
+            Source::Annotated { stream: other_stream, pos: other_pos, lat: other_lat },
+        ) = (&self.source, &other.source)
+        else {
+            return false;
+        };
+        // An armed `timing-fill-overshare` fault keys the fill on the
+        // stream alone, so members with different latency tables share.
+        let same_table = (lat == other_lat && self.fill.same_table(&other.fill))
+            || inject::active(inject::FILL_OVERSHARE);
+        same_table
+            && (self.size, self.mode, pos) == (other.size, other.mode, other_pos)
+            && (Arc::ptr_eq(stream, other_stream) || stream == other_stream)
+    }
+
+    /// Fills the chunk's latencies (`codes` are its kind codes) from
+    /// this group's source.
+    fn load(&mut self, codes: &[u8], plan: &Plan) {
+        let (size, branches) = (&plan.sizes[self.size], &plan.modes[self.mode]);
+        match &mut self.source {
+            Source::Live(hierarchy) => {
+                self.fill.load(codes, size, branches, |addr, kind| hierarchy.access(addr, kind))
+            }
+            Source::Annotated { stream, pos, lat } => {
+                // Every planned access pops exactly one annotation.
+                self.fill.load(codes, size, branches, |_, _| {
+                    let code = stream.code(*pos);
+                    *pos += 1;
+                    lat[code as usize]
+                })
+            }
+        }
+    }
+}
+
+/// One flag column per chunk — a register-file size's spill flags plus
+/// a predictor walk's redirect bits — read by every member with both.
+#[derive(Debug, Clone)]
+struct FlagColumn {
+    /// Index into the bank's predictor walks.
+    walk: usize,
+    /// Index into the plan's register-file sizes.
+    size: usize,
+    flags: Vec<u8>,
+}
+
+/// One platform model: the flag column and fill group it reads, and
+/// its own timing core.
 #[derive(Debug, Clone)]
 struct Member {
     cfg: PlatformConfig,
-    /// Index into the plan's register-file sizes.
-    size: usize,
-    /// Index into the bank's predictor walks.
-    walk: usize,
-    hierarchy: Hierarchy,
-    /// The current chunk's flag column.
-    flags: Vec<u8>,
-    fill: LatencyFill,
+    /// Index into the bank's flag columns.
+    column: usize,
+    /// Index into the bank's fill groups.
+    group: usize,
     core: TimingCore,
+}
+
+/// The index of the first element of `v` that is `same` as `item`,
+/// after pushing `item` if there is none.
+fn index_or_push<T>(v: &mut Vec<T>, item: T, same: impl Fn(&T, &T) -> bool) -> usize {
+    match v.iter().position(|x| same(x, &item)) {
+        Some(i) => i,
+        None => {
+            v.push(item);
+            v.len() - 1
+        }
+    }
 }
 
 /// Trace-driven cycle-level models of several platforms off one decode
@@ -80,14 +190,17 @@ struct Member {
 ///
 /// Per chunk the bank makes one register walk through a multi-size
 /// register file (the plan's spill flags and access events per distinct
-/// register-file size) and one predictor walk per (if-conversion,
-/// predictor kind) family; each member then runs only its own stages —
-/// live hierarchy, latency fill and timing core. Every member's result
-/// equals its own [`CycleSim`] replay, which is a one-member bank.
+/// register-file size), one predictor walk per (if-conversion, predictor
+/// kind) family, one flag column per (walk, size) pair and one latency
+/// fill per fill group; each member then runs only its timing core.
+/// Every member's result equals its own [`CycleSim`] replay, which is a
+/// one-member bank.
 #[derive(Debug, Clone)]
 pub struct PlatformBank {
     plan: Plan,
     walks: Vec<PredictorWalk>,
+    columns: Vec<FlagColumn>,
+    groups: Vec<FillGroup>,
     members: Vec<Member>,
     /// Reused one-op block for per-op [`TraceConsumer::consume`].
     one: OpBlock,
@@ -100,43 +213,62 @@ impl PlatformBank {
         Self::with_predictors(platforms.iter().map(|&p| (p, PredictorKind::Hybrid)))
     }
 
-    /// One member per (platform, predictor family) pair, in order.
+    /// One live member per (platform, predictor family) pair, in order.
     ///
     /// # Panics
     ///
     /// If `members` is empty or spans more than 32 register-file
-    /// capacities.
+    /// capacities, or a platform fails [`TimingCore`]'s or
+    /// [`LatencyFill`]'s bounds.
     pub fn with_predictors(
         members: impl IntoIterator<Item = (PlatformConfig, PredictorKind)>,
     ) -> Self {
         let members: Vec<(PlatformConfig, PredictorKind)> = members.into_iter().collect();
         let regs: Vec<u32> = members.iter().map(|(cfg, _)| cfg.logical_regs).collect();
         let modes: Vec<bool> = members.iter().map(|(cfg, _)| cfg.if_conversion).collect();
-        let plan = Plan::new(&regs, &modes);
-        let mut walks: Vec<PredictorWalk> = Vec::new();
-        let members = members
-            .into_iter()
-            .map(|(cfg, kind)| {
-                let mode = plan.mode_index(cfg.if_conversion);
-                let walk = match walks.iter().position(|w| w.kind == kind && w.mode == mode) {
-                    Some(w) => w,
-                    None => {
-                        walks.push(PredictorWalk::new(kind, mode));
-                        walks.len() - 1
-                    }
-                };
-                Member {
-                    size: plan.size_index(cfg.logical_regs),
-                    walk,
-                    hierarchy: cfg.hierarchy(),
-                    flags: Vec::new(),
-                    fill: LatencyFill::new(&cfg),
-                    core: TimingCore::new(&cfg),
-                    cfg,
-                }
-            })
-            .collect();
-        Self { plan, walks, members, one: OpBlock::default() }
+        let mut bank = Self::planned(&regs, &modes);
+        for (cfg, kind) in members {
+            bank.push(cfg, kind, None);
+        }
+        bank
+    }
+
+    /// An empty bank whose plan covers register files of `logical_regs`
+    /// registers and the if-conversion `modes`.
+    fn planned(logical_regs: &[u32], modes: &[bool]) -> Self {
+        Self {
+            plan: Plan::new(logical_regs, modes),
+            walks: Vec::new(),
+            columns: Vec::new(),
+            groups: Vec::new(),
+            members: Vec::new(),
+            one: OpBlock::default(),
+        }
+    }
+
+    /// Adds a member timing `cfg` with a `kind` predictor. It reads a
+    /// live hierarchy of its own when `stream` is `None`, and otherwise
+    /// joins the first fill group over an equal stream and latency
+    /// table, or starts one. Walks and flag columns are shared by key.
+    fn push(&mut self, cfg: PlatformConfig, kind: PredictorKind, stream: Option<Arc<AnnotationStream>>) {
+        let fill = LatencyFill::new(&cfg);
+        let core = TimingCore::new(&cfg);
+        let source = match stream {
+            None => Source::Live(Box::new(cfg.hierarchy())),
+            Some(stream) => Source::annotated(&cfg, stream),
+        };
+        let (size, mode) =
+            (self.plan.size_index(cfg.logical_regs), self.plan.mode_index(cfg.if_conversion));
+        let walk = index_or_push(&mut self.walks, PredictorWalk::new(kind, mode), |a, b| {
+            (a.kind, a.mode) == (b.kind, b.mode)
+        });
+        let column =
+            index_or_push(&mut self.columns, FlagColumn { walk, size, flags: Vec::new() }, |a, b| {
+                (a.walk, a.size) == (b.walk, b.size)
+            });
+        let group =
+            index_or_push(&mut self.groups, FillGroup { source, size, mode, fill }, FillGroup::shares_fill);
+        self.members.push(Member { cfg, column, group, core });
     }
 
     /// Switches on event-metric collection in every member (see
@@ -149,12 +281,14 @@ impl PlatformBank {
     }
 
     fn map_hierarchies(mut self, f: impl Fn(Hierarchy) -> Hierarchy) -> Self {
-        self.members = self
-            .members
+        self.groups = self
+            .groups
             .into_iter()
-            .map(|mut m| {
-                m.hierarchy = f(m.hierarchy);
-                m
+            .map(|mut g| {
+                if let Source::Live(h) = g.source {
+                    g.source = Source::Live(Box::new(f(*h)));
+                }
+                g
             })
             .collect();
         self
@@ -170,22 +304,14 @@ impl PlatformBank {
         self.members.is_empty()
     }
 
-    /// Predictor walks per chunk: one per distinct (if-conversion,
-    /// predictor kind) family.
-    pub fn predictor_walks(&self) -> usize {
-        self.walks.len()
-    }
-
-    /// Distinct register-file capacities the one register walk plans.
-    pub fn register_sizes(&self) -> usize {
-        self.plan.sizes.len()
-    }
-
-    /// Member `i`'s running result.
+    /// Member `i`'s running result. `SimResult::cache` is zeroed for an
+    /// annotated member: the cache pass that produced its stream owns
+    /// the hierarchy stats.
     pub fn result(&self, i: usize) -> SimResult {
         let m = &self.members[i];
-        let size = &self.plan.sizes[m.size];
-        let walk = &self.walks[m.walk];
+        let column = &self.columns[m.column];
+        let size = &self.plan.sizes[column.size];
+        let walk = &self.walks[column.walk];
         SimResult {
             cycles: m.core.cycles(),
             instructions: self.plan.instructions,
@@ -193,7 +319,10 @@ impl PlatformBank {
             mispredicts: walk.mispredicts,
             spill_stores: size.spill_stores,
             spill_reloads: size.spill_reloads,
-            cache: *m.hierarchy.stats(),
+            cache: match &self.groups[m.group].source {
+                Source::Live(hierarchy) => *hierarchy.stats(),
+                Source::Annotated { .. } => HierarchyStats::default(),
+            },
         }
     }
 
@@ -209,7 +338,9 @@ impl PlatformBank {
         let m = &mut self.members[i];
         let mut out = MetricSet::new();
         out.merge_prefixed("pipe/", &m.core.take_metrics());
-        out.merge_prefixed("cache/", &m.hierarchy.take_metrics());
+        if let Source::Live(hierarchy) = &mut self.groups[m.group].source {
+            out.merge_prefixed("cache/", &hierarchy.take_metrics());
+        }
         out
     }
 }
@@ -223,7 +354,7 @@ impl TraceConsumer for PlatformBank {
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        let Self { plan, walks, members, .. } = self;
+        let Self { plan, walks, columns, groups, members, .. } = self;
         let n = block.len();
         let mut lo = 0;
         while lo < n {
@@ -232,18 +363,18 @@ impl TraceConsumer for PlatformBank {
             for walk in walks.iter_mut() {
                 walk.walk(plan);
             }
+            for c in columns.iter_mut() {
+                walks[c.walk].flags(&plan.sizes[c.size].flags, &mut c.flags);
+            }
+            // Hierarchies, predictors and timing cores are independent,
+            // so all of the chunk's fills and then all of its cores keep
+            // each structure's exact update order.
+            for g in groups.iter_mut() {
+                g.load(&block.kind_codes()[lo..hi], plan);
+            }
             for m in members.iter_mut() {
-                let size = &plan.sizes[m.size];
-                let walk = &walks[m.walk];
-                // The hierarchy and the predictor are independent, so all
-                // of the chunk's accesses and then all of its outcomes keep
-                // each structure's exact update order.
-                let Member { hierarchy, fill, .. } = m;
-                fill.load(&block.kind_codes()[lo..hi], size, &plan.modes[walk.mode], |addr, kind| {
-                    hierarchy.access(addr, kind)
-                });
-                walk.flags(&size.flags, &mut m.flags);
-                m.core.run_chunk(plan, &m.flags, &m.fill, &block.ops()[lo..hi]);
+                let flags = &columns[m.column].flags;
+                m.core.run_chunk(plan, flags, &groups[m.group].fill, &block.ops()[lo..hi]);
             }
             lo = hi;
         }
@@ -336,11 +467,116 @@ impl TraceConsumer for CycleSim {
     }
 }
 
+/// The factored sweep's timing pass: a [`PlatformBank`] of annotated
+/// members, one per sweep timing configuration ("lane").
+///
+/// A lane's access latencies come from a cache pass's miss-level
+/// stream ([`CachePassSim`](crate::CachePassSim)) converted through the
+/// lane's own latency table, so lanes on one stream with one table
+/// share a fill, and the register/spill plan and each predictor family
+/// run once for every lane. Every lane's result equals a live
+/// [`CycleSim`] replay with the lane's cache geometry and timing
+/// configuration, `SimResult::cache` aside.
+///
+/// All lanes must share the platform's `logical_regs` and
+/// `if_conversion` (true of every sweep grid cell — both come from the
+/// base platform, not the swept axes); [`Self::push_lane`] panics
+/// otherwise.
+#[derive(Debug)]
+pub struct TimingBank {
+    logical_regs: u32,
+    if_conversion: bool,
+    bank: PlatformBank,
+}
+
+impl TimingBank {
+    /// An empty bank over the shared platform invariants.
+    pub fn new(logical_regs: u32, if_conversion: bool) -> Self {
+        Self { logical_regs, if_conversion, bank: PlatformBank::planned(&[logical_regs], &[if_conversion]) }
+    }
+
+    /// Adds one timing configuration: a platform shape, a predictor
+    /// family, and its precomputed miss-level stream. The lane joins the
+    /// first fill group with the same stream and latency table, or
+    /// starts a new one.
+    pub fn push_lane(
+        &mut self,
+        cfg: &PlatformConfig,
+        pred: PredictorKind,
+        stream: Arc<AnnotationStream>,
+    ) {
+        assert_eq!(cfg.logical_regs, self.logical_regs, "lanes must share the register file");
+        assert_eq!(cfg.if_conversion, self.if_conversion, "lanes must share if-conversion");
+        self.bank.push(*cfg, pred, Some(stream));
+    }
+
+    /// Lanes pushed so far.
+    pub fn len(&self) -> usize {
+        self.bank.len()
+    }
+
+    /// Distinct latency fills per chunk: lanes sharing an annotation
+    /// stream and a latency table share one.
+    pub fn fill_groups(&self) -> usize {
+        self.bank.groups.len()
+    }
+
+    /// Whether the bank has no lanes.
+    pub fn is_empty(&self) -> bool {
+        self.bank.is_empty()
+    }
+
+    /// Final per-lane results, in push order. `SimResult::cache` is
+    /// zeroed: the cache pass that produced the streams owns the
+    /// hierarchy stats.
+    pub fn into_results(self) -> Vec<SimResult> {
+        self.bank.results()
+    }
+}
+
+impl TraceConsumer for TimingBank {
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        self.bank.consume(op, program);
+    }
+
+    fn consume_block(&mut self, block: &OpBlock, program: &Program) {
+        self.bank.consume_block(block, program);
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::annotate::CachePassSim;
     use bioperf_isa::here;
-    use bioperf_trace::{Tape, Tracer};
+    use bioperf_trace::{Recorder, Recording, Tape, Tracer};
+
+    /// Enough live temporaries to force Pentium 4 spills, plus random
+    /// branches and selects, FP traffic, and strided loads and stores.
+    pub(crate) fn spill_heavy_recording() -> Recording {
+        let mut tape = Tape::new(Recorder::new());
+        let xs: Vec<u64> = (0..512).map(|i| i * 3).collect();
+        let mut state = 0xFEED_F00Du64;
+        let mut rand_bit = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 40) & 1 == 1
+        };
+        for r in 0..400usize {
+            let temps: Vec<_> =
+                (0..12).map(|i| tape.int_load(here!("t"), &xs[(r * 7 + i) % 512])).collect();
+            let mut acc = tape.lit();
+            for v in &temps {
+                acc = tape.int_op(here!("t"), &[acc, *v]);
+            }
+            let sel = tape.select(here!("t"), &[acc], rand_bit());
+            tape.branch(here!("t"), &[sel], rand_bit());
+            let f = tape.fp_load(here!("t"), &xs[r % 512]);
+            let g = tape.fp_op(here!("t"), &[f]);
+            tape.fp_store(here!("t"), &xs[(r * 13) % 512], g);
+        }
+        let (program, rec) = tape.finish();
+        rec.into_recording(program)
+    }
 
     fn sim(cfg: PlatformConfig, f: impl FnOnce(&mut Tape<CycleSim>)) -> SimResult {
         let mut tape = Tape::new(CycleSim::new(cfg));
@@ -513,34 +749,6 @@ mod tests {
         assert!(io.cycles >= ooo.cycles, "in-order {} vs ooo {}", io.cycles, ooo.cycles);
     }
 
-    /// Enough live temporaries to force P4 spills, plus branches,
-    /// selects, FP traffic, and strided loads.
-    fn mixed_recording() -> (Program, bioperf_trace::Recording) {
-        use bioperf_trace::Recorder;
-        let mut tape = Tape::new(Recorder::new());
-        let xs: Vec<u64> = (0..512).map(|i| i * 3).collect();
-        let mut state = 0xDEAD_BEEFu64;
-        let mut rand_bit = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        for r in 0..400usize {
-            let temps: Vec<_> = (0..12).map(|i| tape.int_load(here!("t"), &xs[(r * 7 + i) % 512])).collect();
-            let mut acc = tape.lit();
-            for v in &temps {
-                acc = tape.int_op(here!("t"), &[acc, *v]);
-            }
-            let sel = tape.select(here!("t"), &[acc], rand_bit());
-            tape.branch(here!("t"), &[sel], rand_bit());
-            let f = tape.fp_load(here!("t"), &xs[r % 512]);
-            let g = tape.fp_op(here!("t"), &[f]);
-            tape.fp_store(here!("t"), &xs[(r * 13) % 512], g);
-        }
-        let (program, rec) = tape.finish();
-        let recording = rec.into_recording(program.clone());
-        (program, recording)
-    }
-
     /// Block size must never change a result: per-op `consume` (one-op
     /// blocks built by `fill_one`) and decoded blocks of odd sizes, whose
     /// edges fall mid-spill-sequence, must leave identical state —
@@ -548,7 +756,8 @@ mod tests {
     /// out-of-order cores.
     #[test]
     fn blocked_replay_matches_per_op_replay() {
-        let (program, recording) = mixed_recording();
+        let recording = spill_heavy_recording();
+        let program = recording.program().clone();
         for cfg in PlatformConfig::all() {
             let mut per_op = CycleSim::new(cfg);
             for op in recording.iter() {
@@ -569,7 +778,8 @@ mod tests {
         }
     }
 
-    /// Sharing the plan and the predictor walks never changes a member:
+    /// Sharing the plan, the predictor walks and the flag columns never
+    /// changes a member:
     /// every member of a bank — the four presets; duplicate platforms;
     /// mixed predictor kinds and if-conversion modes over every register
     /// size — equals its own `CycleSim` replay, results and event series,
@@ -577,7 +787,8 @@ mod tests {
     /// off (the uninstrumented core loop) and on.
     #[test]
     fn platform_bank_members_match_independent_cyclesims() {
-        let (program, recording) = mixed_recording();
+        let recording = spill_heavy_recording();
+        let program = recording.program().clone();
         let presets = PlatformConfig::all();
         let kinds = [PredictorKind::Hybrid, PredictorKind::Bimodal, PredictorKind::Aliased];
         let hybrid = |p: &PlatformConfig| (*p, PredictorKind::Hybrid);
@@ -589,11 +800,11 @@ mod tests {
             mixed.push((flipped, kinds[(i + 1) % 3]));
         }
         let banks = [
-            ("presets", presets.iter().map(hybrid).collect(), 3, 2),
-            ("duplicates", [0, 2, 0, 2, 2].iter().map(|&i| hybrid(&presets[i])).collect(), 2, 2),
-            ("mixed", mixed, 3, 4),
+            ("presets", presets.iter().map(hybrid).collect(), [3, 2, 4]),
+            ("duplicates", [0, 2, 0, 2, 2].iter().map(|&i| hybrid(&presets[i])).collect(), [2, 2, 2]),
+            ("mixed", mixed, [3, 4, 7]),
         ];
-        for (name, members, sizes, walks) in banks {
+        for (name, members, shared) in banks {
             for metrics in [false, true] {
                 let solo: Vec<(SimResult, MetricSet)> = members
                     .iter()
@@ -609,7 +820,8 @@ mod tests {
                     if metrics { bank.with_metrics() } else { bank }
                 };
                 let check = |mut bank: PlatformBank, path: &str| {
-                    assert_eq!((bank.register_sizes(), bank.predictor_walks()), (sizes, walks), "{name}");
+                    let counts = [bank.plan.sizes.len(), bank.walks.len(), bank.columns.len()];
+                    assert_eq!(counts, shared, "{name}: sizes, walks, flag columns");
                     for (i, expected) in solo.iter().enumerate() {
                         let got = (bank.result(i), bank.take_metrics(i));
                         assert_eq!(&got, expected, "{name} member {i} ({path}, metrics {metrics})");
@@ -635,31 +847,8 @@ mod tests {
     /// blocked and per-op, on every platform.
     #[test]
     fn annotated_replay_matches_live_hierarchy_replay() {
-        use crate::annotate::CachePassSim;
-        use crate::timing_bank::TimingBank;
-        use bioperf_trace::{Recorder, TraceConsumer};
-        let mut tape = Tape::new(Recorder::new());
-        let xs: Vec<u64> = (0..512).map(|i| i * 5).collect();
-        let mut state = 0xC0FF_EE11u64;
-        let mut rand_bit = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 40) & 1 == 1
-        };
-        for r in 0..400usize {
-            let temps: Vec<_> =
-                (0..12).map(|i| tape.int_load(here!("a"), &xs[(r * 11 + i) % 512])).collect();
-            let mut acc = tape.lit();
-            for v in &temps {
-                acc = tape.int_op(here!("a"), &[acc, *v]);
-            }
-            let sel = tape.select(here!("a"), &[acc], rand_bit());
-            tape.branch(here!("a"), &[sel], rand_bit());
-            let f = tape.fp_load(here!("a"), &xs[r % 512]);
-            let g = tape.fp_op(here!("a"), &[f]);
-            tape.fp_store(here!("a"), &xs[(r * 3) % 512], g);
-        }
-        let (program, rec) = tape.finish();
-        let recording = rec.into_recording(program.clone());
+        let recording = spill_heavy_recording();
+        let program = recording.program().clone();
         for cfg in PlatformConfig::all() {
             let mut live = CycleSim::new(cfg);
             recording.replay_bank(std::slice::from_mut(&mut live));
@@ -669,7 +858,7 @@ mod tests {
             recording.replay_bank(std::slice::from_mut(&mut pass));
             let (stats, stream) = pass.finish_bank().pop().expect("one member");
             assert_eq!(stats, reference.cache, "{} cache pass stats", cfg.name);
-            let stream = std::sync::Arc::new(stream);
+            let stream = Arc::new(stream);
             let bank = || {
                 let mut bank = TimingBank::new(cfg.logical_regs, cfg.if_conversion);
                 bank.push_lane(&cfg, PredictorKind::Hybrid, stream.clone());
@@ -726,4 +915,212 @@ mod tests {
         assert!(off.take_metrics().is_empty());
     }
 
+    /// One timing-axis variant of a base platform (latency triple, pipe
+    /// shape), as the sweep derives it.
+    fn variant(
+        base: PlatformConfig,
+        (l1, l2, mem): (u64, u64, u64),
+        (width, rob): (u32, usize),
+    ) -> PlatformConfig {
+        let mut cfg = base;
+        cfg.int_load_latency = l1;
+        cfg.fp_load_latency = l1 + 1;
+        cfg.l2_latency = l2;
+        cfg.memory_latency = mem;
+        cfg.issue_width = width;
+        cfg.fetch_width = width;
+        cfg.rob_size = rob;
+        cfg
+    }
+
+    fn variants(base: PlatformConfig) -> Vec<PlatformConfig> {
+        let mut v = Vec::new();
+        for lat in [(3, 8, 72), (2, 5, 60)] {
+            for pipe in [(2u32, 32usize), (6, 128)] {
+                v.push(variant(base, lat, pipe));
+            }
+        }
+        v
+    }
+
+    /// The `sweep-timing` benchmark's 24 timing cells in grid order
+    /// (latency outermost, then pipe shape, then predictor).
+    fn sweep_timing_lanes(base: PlatformConfig) -> Vec<(PlatformConfig, PredictorKind)> {
+        let mut v = Vec::new();
+        for lat in [(1, 3, 40), (3, 5, 72), (4, 8, 100)] {
+            for pipe in [(2u32, 32usize), (4, 80), (6, 128), (8, 192)] {
+                for pred in [PredictorKind::Hybrid, PredictorKind::Bimodal] {
+                    v.push((variant(base, lat, pipe), pred));
+                }
+            }
+        }
+        v
+    }
+
+    /// The miss-level stream of `cfg`'s hierarchy over `recording`.
+    fn annotations(
+        recording: &Recording,
+        cfg: &PlatformConfig,
+    ) -> Arc<AnnotationStream> {
+        let mut pass = CachePassSim::new(cfg.logical_regs, vec![cfg.hierarchy()]);
+        recording.replay_bank(std::slice::from_mut(&mut pass));
+        Arc::new(pass.finish_bank().pop().expect("one member").1)
+    }
+
+    /// A live `CycleSim` replay of `cfg` with predictor `pred`, with the
+    /// cache stats a bank lane leaves zeroed.
+    fn live(
+        recording: &Recording,
+        cfg: PlatformConfig,
+        pred: PredictorKind,
+    ) -> SimResult {
+        let mut sim = CycleSim::new(cfg).with_predictor(pred);
+        recording.replay_bank(std::slice::from_mut(&mut sim));
+        SimResult { cache: HierarchyStats::default(), ..sim.into_result() }
+    }
+
+    /// Every lane of a heterogeneous bank (mixed latencies, pipe shapes,
+    /// predictor families, and cache geometries) must reproduce a live
+    /// `CycleSim` with the lane's geometry and timing configuration —
+    /// which also pins the cache pass's annotations to the live
+    /// hierarchy.
+    #[test]
+    fn bank_lanes_match_independent_live_cyclesims() {
+        let recording = spill_heavy_recording();
+        for base in PlatformConfig::all() {
+            let mut alt = base;
+            alt.l1 = PlatformConfig::pentium4().l1;
+            let geometries = [base, alt];
+            let mut pass = CachePassSim::new(
+                base.logical_regs,
+                geometries.iter().map(PlatformConfig::hierarchy).collect(),
+            );
+            recording.replay_bank(std::slice::from_mut(&mut pass));
+            let streams: Vec<Arc<AnnotationStream>> =
+                pass.finish_bank().into_iter().map(|(_, s)| Arc::new(s)).collect();
+
+            let preds = [PredictorKind::Hybrid, PredictorKind::Bimodal, PredictorKind::Aliased];
+            let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+            let mut expected = Vec::new();
+            for (i, mut cfg) in variants(base).into_iter().enumerate() {
+                let pred = preds[i % preds.len()];
+                let g = i % geometries.len();
+                bank.push_lane(&cfg, pred, streams[g].clone());
+                cfg.l1 = geometries[g].l1;
+                expected.push(live(&recording, cfg, pred));
+            }
+            recording.replay_bank(std::slice::from_mut(&mut bank));
+            let got = bank.into_results();
+            assert_eq!(got, expected, "{}: banked timing lanes diverged", base.name);
+        }
+    }
+
+    /// Lanes that share one fill — the same stream, or an equal stream
+    /// in its own `Arc`, under the same latency table — but differ in
+    /// pipe shape and predictor, next to a lane that differs only in its
+    /// latency triple: every lane must still equal its live `CycleSim`.
+    #[test]
+    fn lanes_sharing_a_fill_match_live_cyclesims() {
+        let recording = spill_heavy_recording();
+        for base in PlatformConfig::all() {
+            let stream = annotations(&recording, &base);
+            let twin = Arc::new(AnnotationStream::clone(&stream));
+            let lat = (base.int_load_latency, base.l2_latency, base.memory_latency);
+            let slower = (lat.0 + 1, lat.1, lat.2);
+            let lanes = [
+                (variant(base, lat, (2, 32)), PredictorKind::Hybrid, &stream),
+                (variant(base, lat, (6, 128)), PredictorKind::Bimodal, &stream),
+                (variant(base, lat, (4, 80)), PredictorKind::Aliased, &twin),
+                (variant(base, slower, (2, 32)), PredictorKind::Hybrid, &stream),
+            ];
+            let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+            for (cfg, pred, stream) in &lanes {
+                bank.push_lane(cfg, *pred, Arc::clone(stream));
+            }
+            assert_eq!(bank.fill_groups(), 2, "{}: three lanes share one fill", base.name);
+            recording.replay_bank(std::slice::from_mut(&mut bank));
+            let expected: Vec<SimResult> =
+                lanes.iter().map(|&(cfg, pred, _)| live(&recording, cfg, pred)).collect();
+            assert_eq!(bank.into_results(), expected, "{}: shared-fill lanes diverged", base.name);
+        }
+    }
+
+    /// How lanes are split into banks never changes a lane's result: one
+    /// bank, one-lane banks, and a shuffled uneven split agree.
+    #[test]
+    fn results_do_not_depend_on_bank_partition() {
+        let recording = spill_heavy_recording();
+        let base = PlatformConfig::pentium4();
+        let mut alt = base;
+        alt.l1 = PlatformConfig::alpha21264().l1;
+        let streams = [annotations(&recording, &base), annotations(&recording, &alt)];
+        let lanes = sweep_timing_lanes(base);
+        let run = |idx: &[usize]| {
+            let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+            for &i in idx {
+                bank.push_lane(&lanes[i].0, lanes[i].1, Arc::clone(&streams[i % 2]));
+            }
+            recording.replay_bank(std::slice::from_mut(&mut bank));
+            bank.into_results()
+        };
+        let all: Vec<usize> = (0..lanes.len()).collect();
+        let whole = run(&all);
+        let singles: Vec<SimResult> = all.iter().flat_map(|&i| run(&[i])).collect();
+        assert_eq!(singles, whole, "one-lane banks diverged from one bank");
+
+        let mut order = all.clone();
+        let mut state = 0x5EED_u64;
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let mut split = vec![None; lanes.len()];
+        for part in [&order[..5], &order[5..16], &order[16..]] {
+            for (&i, r) in part.iter().zip(run(part)) {
+                split[i] = Some(r);
+            }
+        }
+        let split: Vec<SimResult> = split.into_iter().map(|r| r.expect("every lane ran")).collect();
+        assert_eq!(split, whole, "a shuffled split diverged from one bank");
+    }
+
+    /// The sweep-timing grid's 24 lanes on one stream need one fill per
+    /// latency triple, not one per lane.
+    #[test]
+    fn sweep_timing_lanes_form_one_fill_group_per_latency_triple() {
+        let recording = spill_heavy_recording();
+        let base = PlatformConfig::alpha21264();
+        let stream = annotations(&recording, &base);
+        let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+        for (cfg, pred) in sweep_timing_lanes(base) {
+            bank.push_lane(&cfg, pred, Arc::clone(&stream));
+        }
+        assert_eq!(bank.len(), 24);
+        assert_eq!(bank.fill_groups(), 3);
+    }
+
+    /// The per-op consume path (one-op blocks) equals the blocked path.
+    #[test]
+    fn per_op_path_matches_blocked_path() {
+        let recording = spill_heavy_recording();
+        let base = PlatformConfig::alpha21264();
+        let stream = annotations(&recording, &base);
+
+        let mk = || {
+            let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+            for (i, cfg) in variants(base).into_iter().enumerate() {
+                let pred = [PredictorKind::Hybrid, PredictorKind::Bimodal][i % 2];
+                bank.push_lane(&cfg, pred, stream.clone());
+            }
+            bank
+        };
+        let mut blocked = mk();
+        recording.replay_bank(std::slice::from_mut(&mut blocked));
+        let mut per_op = mk();
+        let program = recording.program().clone();
+        for op in recording.iter() {
+            per_op.consume(&op, &program);
+        }
+        assert_eq!(per_op.into_results(), blocked.into_results());
+    }
 }

@@ -5,11 +5,9 @@
 //! slots) plus two columns its caller's memory/predictor stage fills in:
 //! the chunk's flag column (a register-file size's spill flags plus a
 //! [`PredictorWalk`]'s redirect bits) and its latencies
-//! ([`LatencyFill`]). A `PlatformBank` fills both per member from a live
-//! hierarchy and a predictor walk shared by the members of one
-//! (if-conversion, predictor kind) family; a `TimingBank` fills the
-//! flags once per predictor family and the latencies once per lane
-//! group sharing an annotation stream and latency table, and every lane
+//! ([`LatencyFill`]). A `PlatformBank` builds each flag column once per
+//! (walk, size) pair and each fill once per fill group — from a live
+//! hierarchy or from a miss-level annotation stream — and every member's
 //! core reads them as slices. The core owns the ready-ring *cycles*; the
 //! plan owns the ring's tags.
 
@@ -38,6 +36,13 @@ const ISSUE_COUNT_MASK: u64 = (1 << ISSUE_COUNT_BITS) - 1;
 /// The widest fetch and issue the core can run: a full slot's count must
 /// fit the issue ring's count field.
 pub const MAX_WIDTH: u32 = (1 << ISSUE_COUNT_BITS) - 1;
+
+/// The longest latency, in cycles, of one level of an access: the L1
+/// hit (integer or FP), the L2 extra and the memory extra. A fill
+/// stores an access's total as a `u32`, and at this bound a
+/// `DEFAULT_CAPACITY`-op trace still ends below the issue ring's
+/// 2⁵⁶-cycle limit.
+pub const MAX_LATENCY: u64 = 1 << 20;
 
 /// Flag bit next to the plan's spill bits: the op is a branch that
 /// mispredicted, so the front end redirects when it resolves.
@@ -125,7 +130,18 @@ pub(crate) struct LatencyFill {
 
 impl LatencyFill {
     /// An empty fill with `cfg`'s latency table.
+    ///
+    /// # Panics
+    ///
+    /// If a level latency exceeds [`MAX_LATENCY`]: its access totals
+    /// would silently truncate.
     pub(crate) fn new(cfg: &PlatformConfig) -> Self {
+        let levels = [cfg.int_load_latency, cfg.fp_load_latency, cfg.l2_latency, cfg.memory_latency];
+        assert!(
+            levels.iter().all(|&l| l <= MAX_LATENCY),
+            "{}: int load, FP load, L2 and memory latencies {levels:?} must be at most {MAX_LATENCY}",
+            cfg.name
+        );
         let mut lat_lut = [1u32; 12];
         for kind in OpKind::ALL {
             if !kind.is_load() && !kind.is_store() {

@@ -34,7 +34,7 @@ pub const BLOCK_CARRY: u8 = 4;
 pub const SWEEP_MERGE: u8 = 5;
 /// Start the factored sweep's miss-level annotation cursor at 1 instead
 /// of 0, so every annotated access reads its successor's level. Site:
-/// `TimingBank::push_lane` in `bioperf-pipe`.
+/// the annotated fill source in `bioperf-pipe`'s `PlatformBank`.
 pub const ANN_SKEW: u8 = 6;
 /// Skip the LRU `last_use` refresh on a cache hit, so replacement decays
 /// toward FIFO order. Site: `bioperf-cache`.
@@ -55,9 +55,9 @@ pub const REGFILE_EVICT_MRU: u8 = 11;
 /// Find a resident register without refreshing its LRU position. Site:
 /// `bioperf-pipe`'s register file.
 pub const REGFILE_TOUCH_STALE: u8 = 12;
-/// Key a `TimingBank` lane's shared latency fill on its annotation
-/// stream alone, so lanes with different latency tables read the first
-/// such lane's latencies. Site: `bioperf-pipe`.
+/// Key an annotated `PlatformBank` member's shared latency fill on its
+/// annotation stream alone, so `TimingBank` lanes with different latency
+/// tables read the first such lane's latencies. Site: `bioperf-pipe`.
 pub const FILL_OVERSHARE: u8 = 13;
 
 static ARMED: AtomicU8 = AtomicU8::new(NONE);

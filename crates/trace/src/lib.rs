@@ -22,8 +22,7 @@
 //! [`normalize`]) so traces — and everything derived from them, cache
 //! miss counts included — are bit-identical across runs. [`Tape::raw`]
 //! opts out. Need one kernel execution to feed several analyses? Wrap
-//! them in a consumer tuple (or a `Vec<Box<dyn TraceConsumer>>`) instead
-//! of re-tracing.
+//! them in a consumer tuple instead of re-tracing.
 //!
 //! # Example
 //!

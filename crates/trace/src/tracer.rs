@@ -63,24 +63,6 @@ impl<C: TraceConsumer + ?Sized> TraceConsumer for Box<C> {
     }
 }
 
-impl TraceConsumer for Vec<Box<dyn TraceConsumer>> {
-    fn consume(&mut self, op: &MicroOp, program: &Program) {
-        for c in self.iter_mut() {
-            c.consume(op, program);
-        }
-    }
-    fn consume_block(&mut self, block: &OpBlock, program: &Program) {
-        for c in self.iter_mut() {
-            c.consume_block(block, program);
-        }
-    }
-    fn finish(&mut self, program: &Program) {
-        for c in self.iter_mut() {
-            c.finish(program);
-        }
-    }
-}
-
 macro_rules! impl_consumer_for_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: TraceConsumer),+> TraceConsumer for ($($name,)+) {
@@ -303,20 +285,5 @@ mod tests {
         assert_eq!(pair.0 .0, 1);
         assert_eq!(pair.1 .0, 1);
         assert!(pair.0 .1 && pair.1 .1);
-    }
-
-    #[test]
-    fn boxed_dyn_consumers_fan_out() {
-        let mut v: Vec<Box<dyn TraceConsumer>> =
-            vec![Box::new(Counter::default()), Box::new(Counter::default())];
-        let p = Program::new();
-        let op = MicroOp::compute(
-            bioperf_isa::StaticId::from_raw(0),
-            OpKind::IntAlu,
-            bioperf_isa::VReg(0),
-            [None, None, None],
-        );
-        v.consume(&op, &p);
-        v.finish(&p);
     }
 }

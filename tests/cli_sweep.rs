@@ -141,6 +141,25 @@ fn degenerate_cells_are_skipped_with_diagnostics_not_panics() {
     }
     assert!(!text.contains("pipe 4x80:"), "stdout: {text}");
     assert!(text.contains("predator Pareto frontier:"), "stdout: {text}");
+
+    // A capacity whose byte count overflows (2^64 + 1024 bytes used to
+    // wrap to 1 KB) and latencies the timing core cannot hold (2^32 + 72
+    // used to truncate to 72) are diagnosed next to a valid cell.
+    let base = ["sweep", "--programs", "predator", "--l2", "1024x4", "--pipe", "4x80"];
+    let out = run(&[&base[..], &["--l1", "18014398509481985x1,1x1", "--lat", "3:8:72"]].concat());
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("cache 18014398509481985 KB: byte capacity overflows"), "stdout: {text}");
+    assert!(text.contains("l1 1Kx1"), "stdout: {text}");
+    let lat = "3:8:4294967368,3:8:72,18446744073709551615:1:1";
+    let out = run(&[&base[..], &["--l1", "32x2", "--lat", lat]].concat());
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    for bad in ["lat 3:8:4294967368:", "lat 18446744073709551615:1:1:"] {
+        assert!(text.contains(bad), "stdout: {text}");
+    }
+    assert!(!text.contains("lat 3:8:72:"), "stdout: {text}");
+    assert!(text.contains("predator Pareto frontier:"), "stdout: {text}");
 }
 
 fn load_committed_artifact() -> Json {
