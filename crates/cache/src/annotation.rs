@@ -1,4 +1,4 @@
-//! Packed per-access miss-level annotation streams (`bioperf-ann/v1`).
+//! Packed per-access miss-level annotation streams.
 //!
 //! The factored sweep's cache pass walks a recording's hierarchy-access
 //! sequence once per cache-axis configuration and records, for every
@@ -9,62 +9,15 @@
 //! cell's own [`LatencyConfig`](crate::LatencyConfig), without touching
 //! a live cache.
 //!
-//! Streams normally live in memory (2 bits/access: a 256 M-op trace
-//! costs ~64 MB per config), but for grids whose resident set would
-//! exceed the spill budget the sweep writes them to disk in the
-//! checksummed `bioperf-ann/v1` container defined here — the same
-//! magic/version/count/FNV discipline as `bioperf-seg/v1`.
-
-use std::fmt;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+//! Streams live only in memory, inside the sweep job that makes them:
+//! a job runs a cache pass and then the timing lanes its streams feed,
+//! and drops the streams before its next pass. At 2 bits per access
+//! (about 0.44 accesses per recorded op) a stream costs about 0.11 B per
+//! op of the trace.
 
 use bioperf_trace::fnv1a;
 
 use crate::hierarchy::{AccessKind, Hierarchy, HierarchyStats, ServicedBy};
-
-/// Schema tag of the on-disk annotation container.
-pub const ANN_SCHEMA: &str = "bioperf-ann/v1";
-
-const ANN_MAGIC: [u8; 8] = *b"BPANN1\0\0";
-const ANN_VERSION: u32 = 1;
-/// magic(8) + version(4) + reserved(4) + count(8) + payload checksum(8).
-const ANN_HEADER_LEN: usize = 32;
-
-/// Errors loading a `bioperf-ann/v1` container.
-#[derive(Debug)]
-pub enum AnnotationError {
-    /// Underlying I/O failure.
-    Io(PathBuf, std::io::Error),
-    /// The file does not start with the `bioperf-ann/v1` magic.
-    BadMagic(PathBuf),
-    /// The container version is not one this build reads.
-    BadVersion(PathBuf, u32),
-    /// The payload is shorter than the header's annotation count implies.
-    Truncated(PathBuf),
-    /// The payload checksum does not match the header.
-    ChecksumMismatch(PathBuf),
-}
-
-impl fmt::Display for AnnotationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(p, e) => write!(f, "annotation store {}: {e}", p.display()),
-            Self::BadMagic(p) => {
-                write!(f, "annotation store {}: not a {ANN_SCHEMA} file", p.display())
-            }
-            Self::BadVersion(p, v) => {
-                write!(f, "annotation store {}: unsupported version {v}", p.display())
-            }
-            Self::Truncated(p) => write!(f, "annotation store {}: truncated payload", p.display()),
-            Self::ChecksumMismatch(p) => {
-                write!(f, "annotation store {}: payload checksum mismatch", p.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for AnnotationError {}
 
 /// A packed sequence of miss-level codes, two bits per access.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -94,7 +47,7 @@ impl AnnotationStream {
         self.len == 0
     }
 
-    /// Bytes of packed payload (what a save writes after the header).
+    /// Bytes of packed payload.
     pub fn byte_len(&self) -> usize {
         self.bits.len()
     }
@@ -126,8 +79,7 @@ impl AnnotationStream {
     }
 
     /// A cheap content identity: `(annotation count, FNV-1a of the
-    /// packed payload)` — the same checksum a `bioperf-ann/v1` save
-    /// writes. Equal keys mean equal miss sequences for the sweep's
+    /// packed payload)`. Equal keys mean equal miss sequences for the sweep's
     /// timing memo (distinct cache geometries frequently produce the
     /// same sequence — e.g. every L2 that never misses after warmup).
     pub fn content_key(&self) -> (u64, u64) {
@@ -145,46 +97,6 @@ impl AnnotationStream {
             _ => ServicedBy::Memory,
         })
     }
-
-    /// Writes the stream as a `bioperf-ann/v1` container.
-    pub fn save(&self, path: &Path) -> Result<(), AnnotationError> {
-        let io_err = |e| AnnotationError::Io(path.to_path_buf(), e);
-        let mut header = [0u8; ANN_HEADER_LEN];
-        header[..8].copy_from_slice(&ANN_MAGIC);
-        header[8..12].copy_from_slice(&ANN_VERSION.to_le_bytes());
-        header[16..24].copy_from_slice(&(self.len as u64).to_le_bytes());
-        header[24..32].copy_from_slice(&fnv1a(&self.bits).to_le_bytes());
-        let mut file = std::fs::File::create(path).map_err(io_err)?;
-        file.write_all(&header).map_err(io_err)?;
-        file.write_all(&self.bits).map_err(io_err)?;
-        Ok(())
-    }
-
-    /// Reads a `bioperf-ann/v1` container back.
-    pub fn load(path: &Path) -> Result<Self, AnnotationError> {
-        let io_err = |e| AnnotationError::Io(path.to_path_buf(), e);
-        let mut file = std::fs::File::open(path).map_err(io_err)?;
-        let mut header = [0u8; ANN_HEADER_LEN];
-        file.read_exact(&mut header).map_err(io_err)?;
-        if header[..8] != ANN_MAGIC {
-            return Err(AnnotationError::BadMagic(path.to_path_buf()));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != ANN_VERSION {
-            return Err(AnnotationError::BadVersion(path.to_path_buf(), version));
-        }
-        let len = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")) as usize;
-        let checksum = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-        let mut bits = Vec::new();
-        file.read_to_end(&mut bits).map_err(io_err)?;
-        if bits.len() < len.div_ceil(4) {
-            return Err(AnnotationError::Truncated(path.to_path_buf()));
-        }
-        if fnv1a(&bits) != checksum {
-            return Err(AnnotationError::ChecksumMismatch(path.to_path_buf()));
-        }
-        Ok(Self { bits, len })
-    }
 }
 
 fn level_code(level: ServicedBy) -> u8 {
@@ -200,7 +112,7 @@ fn level_code(level: ServicedBy) -> u8 {
 /// member hierarchy, and each member records the servicing level into its
 /// own [`AnnotationStream`]. One trace decode thus produces the
 /// miss-level streams (and final [`HierarchyStats`]) for every cache
-/// geometry in a sweep chunk.
+/// geometry in a cache pass.
 #[derive(Debug)]
 pub struct MissLevelBank {
     members: Vec<(Hierarchy, AnnotationStream)>,
@@ -334,47 +246,5 @@ mod tests {
             assert_eq!(sa, sb);
             assert_eq!(ta, tb);
         }
-    }
-
-    #[test]
-    fn save_load_round_trips_and_detects_corruption() {
-        let dir = std::env::temp_dir().join(format!("bioperf-ann-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("roundtrip.ann");
-
-        let mut s = AnnotationStream::new();
-        for i in 0..1000usize {
-            s.push(match i % 5 {
-                0 => ServicedBy::Memory,
-                1 | 2 => ServicedBy::L2,
-                _ => ServicedBy::L1,
-            });
-        }
-        s.save(&path).expect("save");
-        let back = AnnotationStream::load(&path).expect("load");
-        assert_eq!(back, s);
-
-        // Flip a payload bit: checksum must catch it.
-        let mut bytes = std::fs::read(&path).expect("read");
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(matches!(
-            AnnotationStream::load(&path),
-            Err(AnnotationError::ChecksumMismatch(_))
-        ));
-
-        // Wrong magic.
-        bytes[0] ^= 0xff;
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(matches!(AnnotationStream::load(&path), Err(AnnotationError::BadMagic(_))));
-
-        // Truncated payload.
-        s.save(&path).expect("save");
-        let full = std::fs::read(&path).expect("read");
-        std::fs::write(&path, &full[..full.len() - 4]).expect("write");
-        assert!(matches!(AnnotationStream::load(&path), Err(AnnotationError::Truncated(_))));
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -28,7 +28,7 @@ pub mod hierarchy;
 pub mod prefetch;
 pub mod stackdist;
 
-pub use annotation::{AnnotationError, AnnotationStream, MissLevelBank, ANN_SCHEMA};
+pub use annotation::{AnnotationStream, MissLevelBank};
 pub use cache::{AccessResult, Cache};
 pub use config::{CacheConfig, CacheConfigError, LatencyConfig, WritePolicy, MAX_BLOCK_BYTES};
 pub use hierarchy::{

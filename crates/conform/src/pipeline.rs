@@ -4,7 +4,7 @@
 //! rings and an intrusive register-file LRU. [`RefPipeline`] recomputes
 //! the same cycle accounting with `HashMap`s and `Vec::remove(0)`,
 //! layered on the conformance crate's own reference models
-//! ([`RefHierarchy`](crate::RefHierarchy), [`RefRegFile`],
+//! ([`RefHierarchy`], [`RefRegFile`],
 //! [`RefPredictor`]) so no optimized component is in the loop.
 //!
 //! Two ring behaviors are part of the simulator's *documented contract*

@@ -18,28 +18,31 @@
 //! independent axis groups. The hierarchy-access sequence a cell's
 //! simulator generates depends only on the trace and the register-file
 //! geometry — which every cell shares — never on latencies, pipeline
-//! shape, or predictor. So a *cache pass* ([`bioperf_pipe::CachePassSim`])
-//! replays each recording once per distinct cache-axis configuration
-//! (L1 × L2 × line × prefetcher), banking several hierarchies per
-//! decode, and emits a 2-bit-per-access miss-level annotation stream
-//! plus final hierarchy stats. A *timing pass* then replays each cell as
-//! a lane of a [`TimingBank`], converting levels back to latencies
-//! through the cell's own latency axis instead of simulating a
-//! hierarchy. On the standard grid this collapses 1152 hierarchy
-//! simulations to 64 while producing bit-identical measurements; the
-//! unfactored path survives behind `--no-factor`; the conformance
-//! harness's sweep self-check diffs the factored path against direct
-//! per-cell replays instead ([`sweep_self_check`]). Annotation
-//! streams larger than the [`ANN_SPILL_ENV`] budget spill to disk in
-//! the checksummed `bioperf-ann/v1` format rather than accumulating in
-//! RAM.
+//! shape, or predictor. So each (program, variant) is one pool job that
+//! runs two passes back to back. A *cache pass*
+//! ([`bioperf_pipe::CachePassSim`]) replays the recording once per
+//! `CACHE_PASS_KEYS` (32) distinct cache-axis configurations (L1 × L2 ×
+//! line × prefetcher) and emits a 2-bit-per-access miss-level annotation
+//! stream plus final hierarchy stats per configuration. A *timing pass*
+//! then replays each cell as a lane of a [`TimingBank`], converting
+//! levels back to latencies through the cell's own latency axis instead
+//! of simulating a hierarchy. The streams are dropped when the job's
+//! timing pass is done with them; none leaves the job. On the standard
+//! grid this collapses 1152 hierarchy simulations to 64 while producing
+//! bit-identical measurements; the unfactored path survives behind
+//! `--no-factor`; the conformance harness's sweep self-check diffs the
+//! factored path against direct per-cell replays instead
+//! ([`sweep_self_check`]).
 //!
 //! Completed `(program, cell)` measurements append to a
 //! **`bioperf-sweep/v1` checkpoint** (binary, FNV-1a-checksummed records,
 //! content-addressed by a hash of seed/scale/programs/grid — the same
-//! header discipline as the `bioperf-seg/v1` trace segments). An
-//! interrupted sweep resumes from the checkpoint; re-running a finished
-//! sweep replays nothing. Corruption (truncation, bit flips, a grid-hash
+//! header discipline as the `bioperf-seg/v1` trace segments). The append
+//! happens once, after every scheduled cell is measured, so a killed run
+//! keeps nothing; resumption works per invocation: a run stopped by its
+//! `--max-cells` budget checkpoints what it measured, and the next
+//! invocation measures only the rest. Re-running a finished sweep
+//! replays nothing. Corruption (truncation, bit flips, a grid-hash
 //! mismatch) surfaces as a typed [`CheckpointError`] naming the path.
 //!
 //! The report reduces each program's cells to the Pareto frontier over
@@ -84,40 +87,33 @@ pub const CHECKPOINT_HEADER_LEN: usize = 32;
 /// Size of one checkpoint record in bytes.
 pub const CHECKPOINT_RECORD_LEN: usize = 40;
 
-/// Cells per wave-2 chunk (the unit of the merge and the checkpoint
-/// append), and per `--no-factor` bank job: each such job decodes its
-/// recording once and drives this many live per-cell simulators off the
-/// shared stream, amortizing the decode without making one job dominate
-/// the pool.
+/// Cells per wave-2 chunk (the unit of the merge), and per `--no-factor`
+/// bank job: each such job decodes its recording once and drives this
+/// many live per-cell simulators off the shared stream, amortizing the
+/// decode without making one job dominate the pool.
 const BANK_CELLS: usize = 8;
 
-/// Timing lanes per factored timing-pass job. A lane is a timing core
+/// Timing lanes per factored timing bank. A lane is a timing core
 /// (about 0.55 MiB of ready and issue rings), so the cap bounds a job's
-/// memory, while every lane past the first shares the job's decode,
+/// memory, while every lane past the first shares the bank's decode,
 /// plan and predictor walks, and its group's latency fill.
 const TIMING_BANK_LANES: usize = 32;
 
-/// Cache-axis configurations simulated per cache-pass job in the
-/// factored sweep — the same decode-amortization tradeoff as
-/// [`BANK_CELLS`], applied to hierarchies instead of timing cells.
-const ANN_BANK: usize = 8;
+/// Cache-axis configurations per cache pass of a factored job: one
+/// decode and register plan drive this many hierarchies, and the pass's
+/// annotation streams (about 0.11 B per recorded op each) are all a job
+/// holds at once. The standard grid has exactly this many.
+const CACHE_PASS_KEYS: usize = 32;
 
-/// Environment variable overriding the in-memory byte budget for the
-/// factored sweep's annotation store. When the (estimated) total size
-/// of all annotation streams exceeds the budget, the cache pass spills
-/// each stream to a `bioperf-ann/v1` file under a per-run temporary
-/// directory and the timing pass reloads it on demand.
-pub const ANN_SPILL_ENV: &str = "BIOPERF_SWEEP_ANN_BYTES";
+/// Largest cache level a grid cell may ask for, in KB (64 MiB): 8× the
+/// largest geometry any shipped grid uses, and about 24 MiB of line
+/// state. A larger level is a skipped cell, not an allocation failure.
+pub const MAX_CACHE_KB: u64 = 65536;
 
-/// Default annotation-store budget: 1 GiB.
-const ANN_SPILL_DEFAULT: u64 = 1 << 30;
-
-fn ann_spill_budget() -> u64 {
-    std::env::var(ANN_SPILL_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(ANN_SPILL_DEFAULT)
-}
+/// Largest ROB a grid cell may ask for, in entries: far past any real
+/// core, and 512 KiB of ROB ring. A larger ROB is a skipped cell, not an
+/// allocation failure.
+pub const MAX_ROB: usize = 65536;
 
 /// A typed failure of the checkpoint reader or writer. Every variant
 /// names the checkpoint path, mirroring the segment-error discipline.
@@ -246,9 +242,6 @@ pub enum SweepError {
     Untransformable(ProgramId),
     /// The grid enumerates no cells (some axis is empty).
     EmptyGrid,
-    /// Spilling or reloading a factored-sweep annotation stream failed
-    /// (the message names the stream file and the underlying error).
-    AnnotationSpill(String),
 }
 
 impl fmt::Display for SweepError {
@@ -260,9 +253,6 @@ impl fmt::Display for SweepError {
                 write!(f, "{p} has no load-transformed variant; sweep needs both variants")
             }
             SweepError::EmptyGrid => write!(f, "sweep grid has an empty axis (no cells)"),
-            SweepError::AnnotationSpill(msg) => {
-                write!(f, "factored sweep annotation spill failed: {msg}")
-            }
         }
     }
 }
@@ -328,7 +318,7 @@ pub struct CellSpec {
 pub enum CellError {
     /// A degenerate cache geometry.
     Cache(CacheConfigError),
-    /// A cache capacity whose byte count overflows a `u64`.
+    /// A cache level larger than [`MAX_CACHE_KB`].
     Capacity {
         /// The rejected capacity in KB.
         kb: u64,
@@ -341,7 +331,7 @@ pub enum CellError {
         lat: (u64, u64, u64),
     },
     /// A pipe shape the timing core cannot run: a width outside
-    /// `1..=MAX_WIDTH`, or an empty ROB.
+    /// `1..=MAX_WIDTH`, or a ROB outside `1..=`[`MAX_ROB`].
     Pipe {
         /// Fetch and issue width.
         width: u32,
@@ -354,7 +344,9 @@ impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CellError::Cache(e) => e.fmt(f),
-            CellError::Capacity { kb } => write!(f, "cache {kb} KB: byte capacity overflows 64 bits"),
+            CellError::Capacity { kb } => {
+                write!(f, "cache {kb} KB: capacity exceeds the {MAX_CACHE_KB} KB limit")
+            }
             CellError::Latency { lat: (l1, l2, memory) } => write!(
                 f,
                 "lat {l1}:{l2}:{memory}: level latencies must be at most {MAX_LATENCY} cycles, \
@@ -362,7 +354,7 @@ impl fmt::Display for CellError {
             ),
             CellError::Pipe { width, rob } => write!(
                 f,
-                "pipe {width}x{rob}: width must be 1..={MAX_WIDTH} and the ROB non-empty"
+                "pipe {width}x{rob}: width must be 1..={MAX_WIDTH} and the ROB 1..={MAX_ROB}"
             ),
         }
     }
@@ -400,7 +392,8 @@ fn prefetcher_name(p: Prefetcher) -> &'static str {
     }
 }
 
-/// Inverse of [`prefetcher_name`], for the CLI axis flags.
+/// Parses a prefetcher policy name (`none`, `nextline`, `stride`), for
+/// the CLI axis flags.
 pub fn parse_prefetcher(name: &str) -> Option<Prefetcher> {
     [Prefetcher::None, Prefetcher::NextLine, Prefetcher::Stride]
         .into_iter()
@@ -412,7 +405,12 @@ impl CellSpec {
     /// model. Degenerate cells come back as the typed error the report
     /// surfaces as a skipped cell.
     pub fn resolve(&self) -> Result<ResolvedCell, CellError> {
-        let bytes = |kb: u64| kb.checked_mul(1024).ok_or(CellError::Capacity { kb });
+        let bytes = |kb: u64| {
+            if kb > MAX_CACHE_KB {
+                return Err(CellError::Capacity { kb });
+            }
+            Ok(kb * 1024)
+        };
         let l1 = CacheConfig::try_new(bytes(self.l1.0)?, self.l1.1, self.line)?;
         let l2 = CacheConfig::try_new(bytes(self.l2.0)?, self.l2.1, self.line)?;
         // The sweep requires power-of-two L2 indexing (the shipped
@@ -420,7 +418,7 @@ impl CellSpec {
         // odd L1 set counts are allowed and take the general index path.
         l2.require_pow2_sets()?;
         let (width, rob) = self.pipe;
-        if !(1..=MAX_WIDTH).contains(&width) || rob == 0 {
+        if !(1..=MAX_WIDTH).contains(&width) || !(1..=MAX_ROB).contains(&rob) {
             return Err(CellError::Pipe { width, rob });
         }
         let (lat1, lat2, mem) = self.lat;
@@ -656,7 +654,7 @@ pub struct SweepResult {
     /// order — the skipped-cell diagnostics.
     pub skipped: Vec<(u32, String)>,
     /// `measures[p][c]`: program `p` × cell `c`; `None` for skipped
-    /// cells and for cells an interrupted run never reached.
+    /// cells and for cells a budget-stopped run never reached.
     pub measures: Vec<Vec<Option<CellMeasure>>>,
     /// Measurements replayed by this invocation.
     pub computed: usize,
@@ -694,7 +692,7 @@ impl SweepResult {
     /// The deterministic sweep report: configuration, skipped-cell
     /// diagnostics, and each program's Pareto frontier. Byte-identical
     /// for every worker count, and identical between an uninterrupted
-    /// run and an interrupt+resume of the same sweep.
+    /// run and budget-stopped runs resumed to completion.
     pub fn deterministic_json(&self) -> Json {
         let config = Json::object(vec![
             ("scale", Json::str(self.scale.name())),
@@ -1051,7 +1049,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         out
     };
     let outputs: Vec<Vec<CellMeasure>> = if cfg.factor {
-        factored_outputs(threads, &cfg.grid, &resolved, &chunks, &recordings, hash)?
+        factored_outputs(threads, &cfg.grid, &resolved, &chunks, &recordings)
     } else {
         // Unfactored oracle: each job decodes the recordings once and
         // drives one live simulator (with its own hierarchy) per cell.
@@ -1145,312 +1143,169 @@ impl CacheAxisKey {
     }
 }
 
-/// Where one (program, variant, cache-config) annotation stream lives
-/// between the cache pass and the timing pass.
-#[derive(Debug, Clone)]
-enum AnnHandle {
-    /// Shared in memory.
-    Mem(Arc<AnnotationStream>),
-    /// Spilled to a `bioperf-ann/v1` file; reloaded per timing job.
-    Disk(PathBuf),
+/// The timing-axis coordinates of a cell: latency triple, pipe shape
+/// and predictor family.
+type TimingAxis = ((u64, u64, u64), (u32, usize), PredictorKind);
+
+/// One program's share of the factored wave 2: one representative cell
+/// per distinct cache-axis key (first-seen order), and each scheduled
+/// cell (chunk order) with its key index and timing axis. Both variants
+/// of the program run the same job over their own recordings.
+#[derive(Default)]
+struct FactoredJob {
+    keys: Vec<CacheAxisKey>,
+    reps: Vec<ResolvedCell>,
+    cells: Vec<(usize, TimingAxis, ResolvedCell)>,
 }
 
-/// The annotation spill directory. Dropping the last handle removes it
-/// and everything in it, so it goes on every exit path after its
-/// creation, success or failure.
-struct SpillDir(PathBuf);
+impl FactoredJob {
+    /// Runs the job on one variant's recording: cache passes of at most
+    /// [`CACHE_PASS_KEYS`] hierarchies, each followed by the timing
+    /// lanes its streams feed, after which the streams are dropped.
+    /// Returns, per cell, its key's hierarchy stats and its cycles.
+    ///
+    /// A cell's cycles depend only on its timing axis and the *contents*
+    /// of its annotation stream — never on which cache geometry produced
+    /// it. Distinct geometries frequently produce identical miss
+    /// sequences (every L2 that stops missing after warmup, every line
+    /// size the access pattern strides past), so lanes are keyed by
+    /// (timing axis, stream content key) in a job-wide memo that keeps
+    /// only cycles: a stream equal to one from an earlier pass reuses
+    /// that pass's lane. Every grid cell keeps the base platform's
+    /// register file and if-conversion mode (see `CellSpec::resolve`), so
+    /// within a [`TimingBank`] the register/spill plan runs once, each
+    /// predictor family once, each (stream, latency table) fill once,
+    /// and only the serial timing core per lane.
+    fn run(&self, rec: &Recording) -> Vec<(HierarchyStats, u64)> {
+        let base = self.reps[0].platform;
+        let mut stats: Vec<HierarchyStats> = Vec::with_capacity(self.reps.len());
+        // The memo: lane `i` is keyed by `lane_keys[i]` and timed at
+        // `cycles[i]`.
+        let mut lane_keys: Vec<(TimingAxis, (u64, u64))> = Vec::new();
+        let mut cycles: Vec<u64> = Vec::new();
+        let mut cell_lane: Vec<usize> = vec![0; self.cells.len()];
+        for reps in self.reps.chunks(CACHE_PASS_KEYS) {
+            let first = stats.len();
+            let hierarchies: Vec<Hierarchy> = reps
+                .iter()
+                .map(|rc| {
+                    Hierarchy::new(rc.platform.l1, rc.platform.l2, rc.lat)
+                        .with_prefetcher(rc.prefetch)
+                })
+                .collect();
+            let mut pass = CachePassSim::new(base.logical_regs, hierarchies);
+            rec.replay_bank(std::slice::from_mut(&mut pass));
+            let mut streams: Vec<Arc<AnnotationStream>> = Vec::with_capacity(reps.len());
+            for (s, stream) in pass.finish_bank() {
+                stats.push(s);
+                streams.push(Arc::new(stream));
+            }
 
-impl Drop for SpillDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// One cache-pass output per geometry: hierarchy stats (AMAT inputs),
-/// the stream's content key (timing-memo grouping), and where the
-/// stream lives.
-type CachePassOutput = (HierarchyStats, (u64, u64), AnnHandle);
-
-impl AnnHandle {
-    fn fetch(&self) -> Result<Arc<AnnotationStream>, String> {
-        match self {
-            AnnHandle::Mem(s) => Ok(Arc::clone(s)),
-            AnnHandle::Disk(p) => {
-                AnnotationStream::load(p).map(Arc::new).map_err(|e| e.to_string())
+            // This pass's cells join the memo; a key not seen before
+            // becomes a new lane on its stream.
+            let mut lanes: Vec<(ResolvedCell, Arc<AnnotationStream>)> = Vec::new();
+            for ((k, axis, rc), lane) in self.cells.iter().zip(&mut cell_lane) {
+                if !(first..stats.len()).contains(k) {
+                    continue;
+                }
+                let stream = &streams[k - first];
+                let key = (*axis, stream.content_key());
+                *lane = lane_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
+                    lane_keys.push(key);
+                    lanes.push((*rc, Arc::clone(stream)));
+                    lane_keys.len() - 1
+                });
+            }
+            // New lanes were keyed in order, so their cycles append in
+            // the same order.
+            for chunk in lanes.chunks(TIMING_BANK_LANES) {
+                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+                for (rc, stream) in chunk {
+                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(stream));
+                }
+                rec.replay_bank(std::slice::from_mut(&mut bank));
+                cycles.extend(bank.into_results().into_iter().map(|r| r.cycles));
             }
         }
+        self.cells.iter().zip(cell_lane).map(|((k, _, _), lane)| (stats[*k], cycles[lane])).collect()
     }
 }
 
-/// The factored wave 2: a cache pass produces per-cache-config miss
-/// annotations and hierarchy stats (one trace decode per ≤[`ANN_BANK`]
-/// configs), then a timing pass replays every chunk's cells in
-/// annotated mode — no live hierarchies. Chunk outputs are returned in
-/// `chunks` order, exactly like the unfactored bank jobs.
+/// The factored wave 2: one job per (program, variant) runs that
+/// recording's cache passes and annotated timing lanes (no live
+/// hierarchies). Chunk outputs are returned in `chunks` order, exactly
+/// like the unfactored bank jobs, and each cell pairs its two variants'
+/// cycles with the original variant's hierarchy stats.
 fn factored_outputs(
     threads: usize,
     grid: &SweepGrid,
     resolved: &[Option<ResolvedCell>],
     chunks: &[(usize, Vec<usize>)],
     recordings: &[Option<(Arc<Recording>, Arc<Recording>)>],
-    hash: u64,
-) -> Result<Vec<Vec<CellMeasure>>, SweepError> {
-    // Distinct cache-axis keys in first-seen (missing-order) sequence,
-    // one representative resolved cell per key, and each scheduled
-    // cell's key index.
-    let mut keys: Vec<CacheAxisKey> = Vec::new();
-    let mut reps: Vec<ResolvedCell> = Vec::new();
-    let mut cell_key: Vec<Option<usize>> = vec![None; resolved.len()];
-    // Per program, the key indices it needs, ascending.
-    let mut prog_keys: Vec<Vec<usize>> = vec![Vec::new(); recordings.len()];
+) -> Vec<Vec<CellMeasure>> {
+    let mut programs: Vec<FactoredJob> =
+        (0..recordings.len()).map(|_| FactoredJob::default()).collect();
     for (p, cell_ids) in chunks {
+        let job = &mut programs[*p];
         for &c in cell_ids {
-            let k = match cell_key[c] {
-                Some(k) => k,
-                None => {
-                    let key = CacheAxisKey::of(&grid.spec(c));
-                    let k = keys.iter().position(|&x| x == key).unwrap_or_else(|| {
-                        keys.push(key);
-                        reps.push(resolved[c].expect("scheduled cells are valid"));
-                        keys.len() - 1
-                    });
-                    cell_key[c] = Some(k);
-                    k
-                }
-            };
-            if !prog_keys[*p].contains(&k) {
-                prog_keys[*p].push(k);
-            }
+            let spec = grid.spec(c);
+            let rc = resolved[c].expect("scheduled cells are valid");
+            let key = CacheAxisKey::of(&spec);
+            let k = job.keys.iter().position(|&x| x == key).unwrap_or_else(|| {
+                job.keys.push(key);
+                job.reps.push(rc);
+                job.keys.len() - 1
+            });
+            job.cells.push((k, (spec.lat, spec.pipe, spec.pred), rc));
         }
-    }
-    for ks in &mut prog_keys {
-        ks.sort_unstable();
     }
 
-    // Spill decision, up front and for the whole store: the estimate
-    // assumes about one hierarchy access per recorded op (2 bits each),
-    // which is the right order of magnitude for every shipped kernel.
-    let mut est_bytes = 0u64;
-    for (p, ks) in prog_keys.iter().enumerate() {
-        if ks.is_empty() {
-            continue;
-        }
-        let (orig, trans) = recordings[p].as_ref().expect("active programs have recordings");
-        est_bytes += ((orig.len() + trans.len()) as u64).div_ceil(4) * ks.len() as u64;
-    }
-    let spill_dir: Option<Arc<SpillDir>> = if est_bytes > ann_spill_budget() {
-        let dir = std::env::temp_dir()
-            .join(format!("bioperf-sweep-ann-{hash:016x}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| SweepError::AnnotationSpill(format!("{}: {e}", dir.display())))?;
-        Some(Arc::new(SpillDir(dir)))
-    } else {
-        None
+    // Jobs go to the pool largest first (recording length × cells),
+    // since it claims them in order and a long job started last would
+    // run alone. Results go back by (program, variant) index, so the job
+    // order never reaches the output.
+    let variant_rec = |p: usize, variant: usize| -> &Recording {
+        let (original, transformed) =
+            recordings[p].as_ref().expect("active programs have recordings");
+        if variant == 0 { original } else { transformed }
     };
-
-    // Cache pass: one job per (program, variant, ≤ANN_BANK keys).
-    let mut descriptors: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-    for (p, ks) in prog_keys.iter().enumerate() {
-        for variant in 0..2usize {
-            for chunk in ks.chunks(ANN_BANK) {
-                descriptors.push((p, variant, chunk.to_vec()));
-            }
-        }
-    }
-    let cache_jobs: Vec<_> = descriptors
+    let mut descr: Vec<(usize, usize)> = (0..programs.len())
+        .filter(|&p| !programs[p].cells.is_empty())
+        .flat_map(|p| [(p, 0), (p, 1)])
+        .collect();
+    descr.sort_by_key(|&(p, variant)| {
+        Reverse(variant_rec(p, variant).len() * programs[p].cells.len())
+    });
+    let jobs: Vec<_> = descr
         .iter()
-        .map(|(p, variant, key_ids)| {
-            let (orig, trans) = recordings[*p].as_ref().expect("active programs have recordings");
-            let rec = Arc::clone(if *variant == 0 { orig } else { trans });
-            let members: Vec<ResolvedCell> = key_ids.iter().map(|&k| reps[k]).collect();
-            let key_ids = key_ids.clone();
-            let dir = spill_dir.clone();
-            let (p, variant) = (*p, *variant);
-            move || -> Result<Vec<CachePassOutput>, String> {
-                let hierarchies: Vec<Hierarchy> = members
-                    .iter()
-                    .map(|rc| {
-                        Hierarchy::new(rc.platform.l1, rc.platform.l2, rc.lat)
-                            .with_prefetcher(rc.prefetch)
-                    })
-                    .collect();
-                let mut pass = CachePassSim::new(members[0].platform.logical_regs, hierarchies);
-                rec.replay_bank(std::slice::from_mut(&mut pass));
-                pass.finish_bank()
-                    .into_iter()
-                    .zip(&key_ids)
-                    .map(|((stats, stream), &k)| {
-                        let content = stream.content_key();
-                        let handle = match &dir {
-                            Some(d) => {
-                                let path = d.0.join(format!("p{p}-v{variant}-k{k}.ann"));
-                                stream.save(&path).map_err(|e| e.to_string())?;
-                                AnnHandle::Disk(path)
-                            }
-                            None => AnnHandle::Mem(Arc::new(stream)),
-                        };
-                        Ok((stats, content, handle))
-                    })
-                    .collect()
-            }
+        .map(|&(p, variant)| {
+            let (job, rec) = (&programs[p], variant_rec(p, variant));
+            move || job.run(rec)
         })
         .collect();
-    let mut store: Vec<Vec<Option<CachePassOutput>>> =
-        vec![vec![None; keys.len()]; 2 * recordings.len()];
-    for ((p, variant, key_ids), out) in
-        descriptors.iter().zip(run_jobs(cache_jobs, threads))
-    {
-        let out = out.map_err(SweepError::AnnotationSpill)?;
-        for ((stats, content, handle), &k) in out.into_iter().zip(key_ids) {
-            store[2 * p + variant][k] = Some((stats, content, handle));
-        }
+    let mut results: Vec<[Vec<(HierarchyStats, u64)>; 2]> =
+        (0..programs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
+    for (&(p, variant), out) in descr.iter().zip(run_jobs(jobs, threads)) {
+        results[p][variant] = out;
     }
 
-    // Timing pass, memoized: a cell's cycle counts depend only on its
-    // timing axis (latency triple, pipe shape, predictor) and the
-    // *contents* of its two annotation streams — never on which cache
-    // geometry produced them. Distinct geometries frequently produce
-    // identical miss sequences (every L2 that stops missing after
-    // warmup, every line size the access pattern strides past), so
-    // cells are grouped by (timing axis, stream content keys) and each
-    // group is simulated once. The groups run through shared-pass
-    // [`TimingBank`]s — every grid cell keeps the base platform's
-    // register file and if-conversion mode (see `CellSpec::resolve`),
-    // so within a job the register/spill plan runs once, each
-    // predictor family once, each (stream, latency table) fill once,
-    // and only the serial timing core per lane.
     // AMATs stay per cell: they come from the cache pass's
     // original-variant stats, the same counts a live hierarchy ends
     // with, so the measurement is bit-identical.
-    #[derive(PartialEq, Clone, Copy)]
-    struct TimingKey {
-        lat: (u64, u64, u64),
-        pipe: (u32, usize),
-        pred: PredictorKind,
-        streams: ((u64, u64), (u64, u64)),
-    }
-    let mut group_keys: Vec<Vec<TimingKey>> = vec![Vec::new(); recordings.len()];
-    // Per program, each group's representative cell and cache-axis key.
-    let mut group_lane: Vec<Vec<(ResolvedCell, usize)>> = vec![Vec::new(); recordings.len()];
-    // Per chunk, each cell's group index within its program.
-    let mut cell_group: Vec<Vec<usize>> = Vec::with_capacity(chunks.len());
-    for (p, cell_ids) in chunks {
-        let mut per_chunk = Vec::with_capacity(cell_ids.len());
-        for &c in cell_ids {
-            let spec = grid.spec(c);
-            let k = cell_key[c].expect("scheduled cells have keys");
-            let (_, okey, _) = store[2 * p][k].as_ref().expect("cache pass covered every key");
-            let (_, tkey, _) = store[2 * p + 1][k].as_ref().expect("cache pass covered every key");
-            let key = TimingKey {
-                lat: spec.lat,
-                pipe: spec.pipe,
-                pred: spec.pred,
-                streams: (*okey, *tkey),
-            };
-            let g = group_keys[*p].iter().position(|&x| x == key).unwrap_or_else(|| {
-                group_keys[*p].push(key);
-                group_lane[*p].push((resolved[c].expect("scheduled cells are valid"), k));
-                group_keys[*p].len() - 1
-            });
-            per_chunk.push(g);
-        }
-        cell_group.push(per_chunk);
-    }
-
-    // One job per (program, variant, ≤TIMING_BANK_LANES groups): each
-    // bank decodes, plans and predictor-walks its trace once for all its
-    // lanes. Jobs go to the pool largest first (recording length ×
-    // lanes), since it claims them in order and a long job started last
-    // would run alone. Results go back by (program, group) index, so
-    // neither the partition nor the job order reaches the output.
-    let variant_rec = |p: usize, variant: usize| {
-        let (original, transformed) =
-            recordings[p].as_ref().expect("active programs have recordings");
-        Arc::clone(if variant == 0 { original } else { transformed })
-    };
-    let mut timing_descr: Vec<(usize, usize, std::ops::Range<usize>)> = Vec::new();
-    for (p, lanes) in group_lane.iter().enumerate() {
-        for variant in 0..2 {
-            for start in (0..lanes.len()).step_by(TIMING_BANK_LANES) {
-                let end = (start + TIMING_BANK_LANES).min(lanes.len());
-                timing_descr.push((p, variant, start..end));
-            }
-        }
-    }
-    timing_descr.sort_by_key(|(p, variant, groups)| {
-        Reverse(variant_rec(*p, *variant).len() * groups.len())
-    });
-    let timing_jobs: Vec<_> = timing_descr
-        .iter()
-        .map(|(p, variant, groups)| {
-            let rec = variant_rec(*p, *variant);
-            // Each distinct annotation handle is fetched once per job, so
-            // a spilled stream is read once and its lanes share one `Arc`.
-            let mut keys: Vec<usize> = Vec::new();
-            let lanes: Vec<(ResolvedCell, usize)> = group_lane[*p][groups.clone()]
-                .iter()
-                .map(|&(rc, k)| {
-                    let h = keys.iter().position(|&x| x == k).unwrap_or_else(|| {
-                        keys.push(k);
-                        keys.len() - 1
-                    });
-                    (rc, h)
-                })
-                .collect();
-            let handles: Vec<AnnHandle> = keys
-                .iter()
-                .map(|&k| {
-                    let (_, _, handle) =
-                        store[2 * p + variant][k].as_ref().expect("cache pass covered every key");
-                    handle.clone()
-                })
-                .collect();
-            move || -> Result<Vec<u64>, String> {
-                let streams =
-                    handles.iter().map(AnnHandle::fetch).collect::<Result<Vec<_>, _>>()?;
-                let base = lanes[0].0.platform;
-                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
-                for (rc, h) in &lanes {
-                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(&streams[*h]));
-                }
-                rec.replay_bank(std::slice::from_mut(&mut bank));
-                Ok(bank.into_results().into_iter().map(|r| r.cycles).collect())
-            }
-        })
-        .collect();
-    let timing_results = run_jobs(timing_jobs, threads);
-    // Every spilled stream has been read: remove the directory now.
-    drop(spill_dir);
-    let mut group_cycles: Vec<Vec<(u64, u64)>> =
-        group_lane.iter().map(|lanes| vec![(0, 0); lanes.len()]).collect();
-    for ((p, variant, groups), out) in timing_descr.iter().zip(timing_results) {
-        for (g, cycles) in groups.clone().zip(out.map_err(SweepError::AnnotationSpill)?) {
-            let slot = &mut group_cycles[*p][g];
-            if *variant == 0 {
-                slot.0 = cycles;
-            } else {
-                slot.1 = cycles;
-            }
-        }
-    }
-
+    let mut next = vec![0usize; programs.len()];
     let mut outputs = Vec::with_capacity(chunks.len());
-    for ((p, cell_ids), groups) in chunks.iter().zip(&cell_group) {
-        outputs.push(
-            cell_ids
-                .iter()
-                .zip(groups)
-                .map(|(&c, &g)| {
-                    let k = cell_key[c].expect("scheduled cells have keys");
-                    let rc = resolved[c].expect("scheduled cells are valid");
-                    let (ostats, _, _) =
-                        store[2 * p][k].as_ref().expect("cache pass covered every key");
-                    CellMeasure::new(&rc, ostats, group_cycles[*p][g])
-                })
-                .collect(),
-        );
+    for (p, cell_ids) in chunks {
+        let [original, transformed] = &results[*p];
+        let mut out = Vec::with_capacity(cell_ids.len());
+        for &c in cell_ids {
+            let i = next[*p];
+            next[*p] += 1;
+            let rc = resolved[c].expect("scheduled cells are valid");
+            out.push(CellMeasure::new(&rc, &original[i].0, (original[i].1, transformed[i].1)));
+        }
+        outputs.push(out);
     }
-    Ok(outputs)
+    outputs
 }
 
 /// Differential self-check of the factored sweep end to end, run by
@@ -1612,7 +1467,7 @@ mod tests {
             CellError::Cache(CacheConfigError::SetsNotPowerOfTwo { .. })
         ));
 
-        for (width, rob) in [(0, 80), (4, 0), (256, 80)] {
+        for (width, rob) in [(0, 80), (4, 0), (256, 80), (4, MAX_ROB + 1), (4, usize::MAX)] {
             let mut grid = SweepGrid::smoke();
             grid.pipe = vec![(width, rob)];
             assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Pipe { width, rob });
@@ -1620,9 +1475,13 @@ mod tests {
         let mut grid = SweepGrid::smoke();
         grid.pipe = vec![(MAX_WIDTH, 1)];
         assert!(grid.spec(0).resolve().is_ok(), "the widest runnable pipe resolves");
+        grid.pipe = vec![(4, MAX_ROB)];
+        assert!(grid.spec(0).resolve().is_ok(), "the deepest allowed ROB resolves");
 
         // 18014398509481985 KB is 2^64 + 1024 bytes: it used to wrap to 1 KB.
-        for kb in [18014398509481985, u64::MAX] {
+        // 18014398509481983 KB fits in 64 bits and used to abort the
+        // process allocating its lines.
+        for kb in [MAX_CACHE_KB + 1, 18014398509481983, 18014398509481985, u64::MAX] {
             let mut grid = SweepGrid::smoke();
             grid.l1 = vec![(kb, 1)];
             assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Capacity { kb });
@@ -1630,6 +1489,11 @@ mod tests {
             grid.l2 = vec![(kb, 1)];
             assert_eq!(grid.spec(0).resolve().unwrap_err(), CellError::Capacity { kb });
         }
+
+        let mut grid = SweepGrid::smoke();
+        grid.l1 = vec![(MAX_CACHE_KB, 1)];
+        grid.l2 = vec![(MAX_CACHE_KB, 1)];
+        assert!(grid.spec(0).resolve().is_ok(), "the largest allowed levels resolve");
 
         // 4294967368 cycles used to truncate to 72 in the timing core, and
         // `u64::MAX` overflowed the FP hit's `lat1 + 1`.

@@ -7,8 +7,8 @@
 //!
 //! * [`counter`] — monotonic [`Counter`]s and last-write [`Gauge`]s,
 //! * [`histogram`] — the mergeable log-scale [`LogHistogram`],
-//! * [`set`] — the named [`MetricSet`] and the hot-loop [`Sink`] with its
-//!   zero-cost-when-off [`Sink::Null`] fast path,
+//! * [`set`] — the named [`MetricSet`] that simulators fill when their
+//!   metrics are switched on and that suites merge under path prefixes,
 //! * [`timer`] — scoped wall-clock [`Timings`] spans (per program ×
 //!   phase),
 //! * [`json`] — a dependency-free, escape-correct, deterministic [`Json`]
@@ -28,14 +28,14 @@
 //! # Example
 //!
 //! ```
-//! use bioperf_metrics::{MetricSet, Sink};
+//! use bioperf_metrics::MetricSet;
 //!
-//! let mut sink = Sink::collecting();
-//! sink.add("l1_hits", 3);
-//! sink.record("latency_cycles", 72);
+//! let mut shard = MetricSet::new();
+//! shard.counter_add("l1_hits", 3);
+//! shard.histogram_record("latency_cycles", 72);
 //!
 //! let mut suite = MetricSet::new();
-//! suite.merge_prefixed("events/blast/cache/", &sink.take());
+//! suite.merge_prefixed("events/blast/cache/", &shard);
 //! assert_eq!(suite.counter("events/blast/cache/l1_hits"), Some(3));
 //! let text = suite.to_json().render();
 //! assert!(text.contains("\"events/blast/cache/l1_hits\":3"));
@@ -50,5 +50,5 @@ pub mod timer;
 pub use counter::{Counter, Gauge};
 pub use histogram::LogHistogram;
 pub use json::Json;
-pub use set::{MetricSet, Sink};
+pub use set::MetricSet;
 pub use timer::{SpanStats, Timings};

@@ -124,75 +124,6 @@ impl MetricSet {
     }
 }
 
-/// Where a hot loop sends its events: nowhere, or into an owned
-/// [`MetricSet`].
-///
-/// The recording methods are `#[inline]` and reduce to a single
-/// discriminant branch in the [`Sink::Null`] state, so instrumented inner
-/// loops (one `record`/`add` per simulated access) cost nothing
-/// measurable when metrics are off — the zero-cost-when-off contract
-/// documented in DESIGN.md. The boxed set keeps the null variant one
-/// word, so carrying a sink does not bloat simulator structs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub enum Sink {
-    /// Drop everything (the default).
-    #[default]
-    Null,
-    /// Record into the owned set.
-    Collect(Box<MetricSet>),
-}
-
-impl Sink {
-    /// A discarding sink.
-    pub fn null() -> Self {
-        Sink::Null
-    }
-
-    /// A collecting sink with an empty set.
-    pub fn collecting() -> Self {
-        Sink::Collect(Box::default())
-    }
-
-    /// Whether events are being recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        matches!(self, Sink::Collect(_))
-    }
-
-    /// Counter increment (no-op when null).
-    #[inline]
-    pub fn add(&mut self, name: &str, n: u64) {
-        if let Sink::Collect(m) = self {
-            m.counter_add(name, n);
-        }
-    }
-
-    /// Gauge write (no-op when null).
-    #[inline]
-    pub fn set(&mut self, name: &str, v: f64) {
-        if let Sink::Collect(m) = self {
-            m.gauge_set(name, v);
-        }
-    }
-
-    /// Histogram sample (no-op when null).
-    #[inline]
-    pub fn record(&mut self, name: &str, sample: u64) {
-        if let Sink::Collect(m) = self {
-            m.histogram_record(name, sample);
-        }
-    }
-
-    /// Takes the collected set (empty for a null sink), leaving the sink
-    /// in its current mode with a fresh set.
-    pub fn take(&mut self) -> MetricSet {
-        match self {
-            Sink::Null => MetricSet::new(),
-            Sink::Collect(m) => std::mem::take(m.as_mut()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,23 +160,5 @@ mod tests {
         let json = m.to_json();
         assert_eq!(json.get("counters").expect("counters").keys(), vec!["ant", "zebra"]);
         assert_eq!(json.keys(), vec!["counters", "gauges", "histograms"]);
-    }
-
-    #[test]
-    fn null_sink_drops_collecting_sink_keeps() {
-        let mut null = Sink::null();
-        null.add("x", 1);
-        null.record("y", 1);
-        assert!(!null.enabled());
-        assert!(null.take().is_empty());
-
-        let mut sink = Sink::collecting();
-        sink.add("x", 1);
-        sink.set("g", 2.0);
-        assert!(sink.enabled());
-        let taken = sink.take();
-        assert_eq!(taken.counter("x"), Some(1));
-        assert!(sink.enabled(), "take leaves the sink collecting");
-        assert!(sink.take().is_empty());
     }
 }

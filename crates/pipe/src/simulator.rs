@@ -1,10 +1,10 @@
 //! The trace-driven replay engine.
 //!
 //! [`PlatformBank`] is the one replay engine. Per chunk it makes one
-//! plan pass ([`crate::plan`]), one predictor walk per (if-conversion,
+//! plan pass (the `plan` module), one predictor walk per (if-conversion,
 //! predictor kind) family, one flag column per (walk, register-file
 //! size) pair and one latency fill per *fill group*; each member then
-//! runs only its timing core ([`crate::timing`]). A fill group's access
+//! runs only its timing core (the `timing` module). A fill group's access
 //! latencies come either from a live cache hierarchy — every live member
 //! has a group of its own — or from a cache pass's miss-level
 //! annotations, shared by every member with the same stream and latency
@@ -218,8 +218,9 @@ impl PlatformBank {
     /// # Panics
     ///
     /// If `members` is empty or spans more than 32 register-file
-    /// capacities, or a platform fails [`TimingCore`]'s or
-    /// [`LatencyFill`]'s bounds.
+    /// capacities, or a platform fails the timing core's or the latency
+    /// fill's bounds ([`MAX_WIDTH`](crate::MAX_WIDTH),
+    /// [`MAX_LATENCY`](crate::MAX_LATENCY)).
     pub fn with_predictors(
         members: impl IntoIterator<Item = (PlatformConfig, PredictorKind)>,
     ) -> Self {

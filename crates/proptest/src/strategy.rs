@@ -274,7 +274,7 @@ pub fn vec<S: Strategy>(element: S, sizes: core::ops::Range<usize>) -> VecStrate
     VecStrategy { element, sizes }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -626,7 +626,7 @@ impl OpBlock {
 
 /// Resumable block decoder over a [`PackedStream`].
 ///
-/// Carries the streaming decode state ([`Cursor`]) across
+/// Carries the streaming decode state (its cursor) across
 /// [`next_block`](Self::next_block) calls, so a sequence of block
 /// decodes reproduces exactly the op stream a single
 /// [`for_each`](PackedStream::for_each) pass would — the property the

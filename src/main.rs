@@ -518,7 +518,7 @@ fn cmd_sweep(args: &SweepArgs) -> ExitCode {
 
     // Worker count and cache-hit statistics go to stderr: stdout and the
     // JSON report are byte-identical for every --jobs value and for any
-    // interrupt/resume split of the same sweep.
+    // --max-cells/resume split of the same sweep.
     eprintln!(
         "sweep: {} cells x {} programs on {} workers \
          ({} replayed, {} from checkpoint, {} traces recorded)",

@@ -131,25 +131,33 @@ fn degenerate_cells_are_skipped_with_diagnostics_not_panics() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("zero-sized cache"), "stdout: {}", stdout(&out));
 
-    // Pipe shapes the timing core cannot run (zero width, empty ROB) are
+    // Pipe shapes the timing core cannot run (zero width, empty ROB, a
+    // ROB whose ring used to abort the process allocating it) are
     // diagnosed the same way, next to a valid shape that still runs.
-    let out = run(&["sweep", "--programs", "predator", "--l1", "32x2", "--pipe", "0x80,4x0,4x80"]);
+    let pipes = "0x80,4x0,4x100000000000,4x80";
+    let out = run(&["sweep", "--programs", "predator", "--l1", "32x2", "--pipe", pipes]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    for shape in ["pipe 0x80:", "pipe 4x0:"] {
+    for shape in ["pipe 0x80:", "pipe 4x0:", "pipe 4x100000000000:"] {
         assert!(text.contains(shape), "stdout: {text}");
     }
     assert!(!text.contains("pipe 4x80:"), "stdout: {text}");
     assert!(text.contains("predator Pareto frontier:"), "stdout: {text}");
 
-    // A capacity whose byte count overflows (2^64 + 1024 bytes used to
-    // wrap to 1 KB) and latencies the timing core cannot hold (2^32 + 72
-    // used to truncate to 72) are diagnosed next to a valid cell.
+    // Capacities over the per-level limit (2^64 + 1024 bytes used to
+    // wrap to 1 KB; 2^64 - 1024 bytes used to abort the process
+    // allocating its lines) and latencies the timing core cannot hold
+    // (2^32 + 72 used to truncate to 72) are diagnosed next to a valid
+    // cell.
     let base = ["sweep", "--programs", "predator", "--l2", "1024x4", "--pipe", "4x80"];
-    let out = run(&[&base[..], &["--l1", "18014398509481985x1,1x1", "--lat", "3:8:72"]].concat());
+    let l1 = "18014398509481985x1,18014398509481983x1,1x1";
+    let out = run(&[&base[..], &["--l1", l1, "--lat", "3:8:72"]].concat());
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    assert!(text.contains("cache 18014398509481985 KB: byte capacity overflows"), "stdout: {text}");
+    for kb in ["18014398509481985", "18014398509481983"] {
+        let reason = format!("cache {kb} KB: capacity exceeds the 65536 KB limit");
+        assert!(text.contains(&reason), "stdout: {text}");
+    }
     assert!(text.contains("l1 1Kx1"), "stdout: {text}");
     let lat = "3:8:4294967368,3:8:72,18446744073709551615:1:1";
     let out = run(&[&base[..], &["--l1", "32x2", "--lat", lat]].concat());
