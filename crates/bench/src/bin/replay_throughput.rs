@@ -11,6 +11,12 @@
 //! regresses the replay hot loop. CI runs this in release mode and
 //! posts the table to the job summary.
 //!
+//! A last row times the factored sweep's production lane shape: one
+//! cache pass at the `sweep-timing` benchmark workload's geometry, then
+//! one 24-lane `TimingBank` over its miss-level stream, reported as
+//! lane-op Mops/s and as the ratio of lane ns/op to the ns/op of a
+//! decode-only pass in the same process (no floor: informational).
+//!
 //! `--spill-dir <dir>` switches to a streamed-only run: the trace is
 //! recorded directly into segment files (never held in memory whole)
 //! and only the streamed bank is measured, with `--min-mops` applied to
@@ -18,14 +24,22 @@
 //! memory is bounded by the segment size, not the trace size.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use bioperf_bench::{banner, peak_rss_bytes, usage as usage_line, JsonReport, REPRO_SEED, USAGE_EXIT};
+use bioperf_branch::PredictorKind;
+use bioperf_cache::{Hierarchy, Prefetcher};
 use bioperf_core::report::TextTable;
+use bioperf_core::SweepGrid;
+use bioperf_isa::{MicroOp, Program};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
-use bioperf_pipe::{CycleSim, PlatformBank, PlatformConfig, SimResult};
-use bioperf_trace::{segment_recording, Recorder, SegmentedRecording, SpillRecorder, Tape};
+use bioperf_pipe::{CachePassSim, CycleSim, PlatformBank, PlatformConfig, SimResult, TimingBank};
+use bioperf_trace::{
+    segment_recording, OpBlock, Recorder, Recording, SegmentedRecording, SpillRecorder, Tape,
+    TraceConsumer,
+};
 
 const ARTIFACT: &str = "replay_throughput";
 
@@ -161,6 +175,62 @@ fn streamed_bank(segmented: &SegmentedRecording, platforms: &[PlatformConfig]) -
     }
     let secs = start.elapsed().as_secs_f64();
     (bank.results(), secs)
+}
+
+/// The `sweep-timing` benchmark workload's grid: one cache geometry and
+/// 24 timing configurations (3 latency triples × 4 pipe shapes × 2
+/// predictor families).
+fn sweep_timing_grid() -> SweepGrid {
+    SweepGrid {
+        l1: vec![(64, 2)],
+        l2: vec![(4096, 1)],
+        line: vec![64],
+        lat: vec![(1, 3, 40), (3, 5, 72), (4, 8, 100)],
+        pipe: vec![(2, 32), (4, 80), (6, 128), (8, 192)],
+        pred: vec![PredictorKind::Hybrid, PredictorKind::Bimodal],
+        prefetch: vec![Prefetcher::None],
+    }
+}
+
+/// A consumer that does nothing with its blocks, so a replay into it
+/// times the packed decode alone.
+struct DecodeOnly;
+
+impl TraceConsumer for DecodeOnly {
+    fn consume(&mut self, _op: &MicroOp, _program: &Program) {}
+
+    fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
+        std::hint::black_box(block.len());
+    }
+}
+
+/// The sweep's production lane shape over `recording`: one cache pass
+/// at the `sweep-timing` geometry, then one `TimingBank` with a lane per
+/// grid cell over its stream. Returns the lane count, the bank's
+/// seconds and a decode-only pass's seconds.
+fn sweep_timing_lanes(recording: &Recording, block_ops: usize) -> (usize, f64, f64) {
+    let grid = sweep_timing_grid();
+    let cells: Vec<_> = (0..grid.cells())
+        .map(|c| grid.spec(c).resolve().expect("the sweep-timing grid's cells are valid"))
+        .collect();
+    let base = cells[0];
+    let hierarchy = Hierarchy::new(base.platform.l1, base.platform.l2, base.lat).with_prefetcher(base.prefetch);
+    let mut pass = CachePassSim::new(base.platform.logical_regs, vec![hierarchy]);
+    recording.replay_bank_blocks(std::slice::from_mut(&mut pass), block_ops);
+    let (_, stream) = pass.finish_bank().pop().expect("one cache-pass member");
+    let stream = Arc::new(stream);
+    let mut bank = TimingBank::new(base.platform.logical_regs, base.platform.if_conversion);
+    for rc in &cells {
+        bank.push_lane(&rc.platform, rc.pred, Arc::clone(&stream));
+    }
+    let start = Instant::now();
+    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+    let lane_secs = start.elapsed().as_secs_f64();
+    std::hint::black_box(bank.into_results());
+    let start = Instant::now();
+    recording.replay_bank_blocks(std::slice::from_mut(&mut DecodeOnly), block_ops);
+    let decode_secs = start.elapsed().as_secs_f64();
+    (cells.len(), lane_secs, decode_secs)
 }
 
 fn report_peak_rss(json: &mut JsonReport) {
@@ -363,7 +433,26 @@ fn main() {
         format!("{streamed_mops:.1}"),
         String::new(),
     ]);
+
+    // The sweep's production lane shape, against a decode-only pass in
+    // the same process: the ratio cancels most of the host's speed.
+    let (lanes, lane_secs, decode_secs) = sweep_timing_lanes(&recording, block_ops);
+    let lane_ops = ops * lanes as u64;
+    let lane_mops = lane_ops as f64 / lane_secs / 1e6;
+    let lane_ns = lane_secs * 1e9 / lane_ops as f64;
+    let decode_ns = decode_secs * 1e9 / ops as f64;
+    let lane_ratio = lane_ns / decode_ns;
+    table.row_owned(vec![
+        format!("sweep-timing lanes ({lanes})"),
+        format!("{lane_secs:.3}"),
+        format!("{lane_mops:.1}"),
+        String::new(),
+    ]);
     println!("{}", table.render());
+    println!(
+        "sweep-timing lanes: {lane_ns:.2} ns/lane-op vs {decode_ns:.2} ns/op decode-only \
+         (ratio {lane_ratio:.2})\n"
+    );
 
     json.value("ops", Json::U64(ops));
     json.value("bytes_per_op", Json::F64(recording.bytes_per_op()));
@@ -372,7 +461,9 @@ fn main() {
     json.value("mops_per_sec/bank_total", Json::F64(bank_mops));
     json.value("mops_per_sec/streamed_bank", Json::F64(streamed_mops));
     json.value("segments", Json::U64(segmented.segment_count() as u64));
-    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode");
+    json.value("mops_per_sec/sweep_timing_lanes", Json::F64(lane_mops));
+    json.value("sweep_timing_lane_to_decode_ratio", Json::F64(lane_ratio));
+    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode; then a 24-lane sweep-timing TimingBank over one cache pass's stream, as lane-op Mops/s and lane ns/op over decode-only ns/op");
     report_peak_rss(&mut json);
     json.write_if_requested(&args_to_bench(&args));
     enforce_floor("bank", bank_mops, args.min_mops);

@@ -2,13 +2,14 @@
 //! and adversarial register-file sequences (one multi-size file against
 //! one [`RefRegFile`] per size; `tests/regfile_equivalence.rs` runs the
 //! same comparison on real program traces), hierarchy agreement on a
-//! stride ladder, and wide pipe shapes against [`RefPipeline`].
+//! stride ladder, and corner pipe shapes against [`RefPipeline`].
 
 use bioperf_cache::AccessKind;
-use bioperf_conform::{RefHierarchy, RefPipeline, RefRegFile};
-use bioperf_isa::here;
+use bioperf_conform::fuzz::{case_seed, generate_stream};
+use bioperf_conform::{RefHierarchy, RefPipeline, RefRegFile, RefTape};
+use bioperf_isa::{here, Program};
 use bioperf_pipe::{CycleSim, PlatformConfig, RegFile};
-use bioperf_trace::{Tape, Tracer};
+use bioperf_trace::{OpBlock, PackedStream, Tape, TraceConsumer, Tracer};
 
 /// Drives one multi-size `RegFile` over `logical_regs` and one
 /// `RefRegFile` per size with `seq`, each reference being a `touch`
@@ -90,27 +91,81 @@ fn multi_size_regfile_matches_per_size_references_on_edge_sequences() {
     }
 }
 
-/// Cores wider than a 4-bit issue-ring count field could hold: 50 loads
-/// each feeding 64 independent dependents saturate issue, and a 16- and
-/// a 24-wide core must time it exactly like the reference.
+/// Corner pipe shapes — ROB 1, 2, 3 and 8; fetch and issue widths 1
+/// and 2; in-order and out-of-order; the platform's memory latency and
+/// a 5000-cycle one — plus cores wider than a 4-bit issue-ring count
+/// field could hold and a slow-fetch, 2048-entry-ROB core whose live
+/// issue claims span more than the 4096-slot issue ring (so slots alias
+/// and evict), each on a register-rich and a register-starved platform.
+/// Every shape must time exactly like the reference, per op and through
+/// packed blocks of 1, 7 and 4096 ops, on a fan-out trace (50 loads each
+/// feeding 64 independent dependents) and on fuzzer streams.
 #[test]
 fn wide_cores_match_the_reference_pipeline_on_a_fan_out_trace() {
-    let cells: Vec<u64> = (0..50).collect();
-    for issue_width in [16u32, 24] {
-        let mut cfg = PlatformConfig::alpha21264();
-        cfg.fetch_width = 32;
-        cfg.issue_width = issue_width;
-        cfg.rob_size = 512;
-        let mut tape = Tape::new((CycleSim::new(cfg), RefPipeline::new(cfg)));
-        for cell in &cells {
-            let v = tape.int_load(here!("fan"), cell);
-            for _ in 0..64 {
-                tape.int_op(here!("fan"), &[v]);
+    let mut shapes: Vec<(u32, u32, usize, bool, Option<u64>)> = Vec::new();
+    for rob in [1, 2, 3, 8] {
+        for (fetch, issue) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+            for in_order in [false, true] {
+                for memory in [None, Some(5000)] {
+                    shapes.push((fetch, issue, rob, in_order, memory));
+                }
             }
         }
-        let (_, (fast, slow)) = tape.finish();
-        assert_eq!(fast.into_result(), slow.result(), "issue width {issue_width}");
     }
+    shapes.extend([(32, 16, 512, false, None), (32, 24, 512, false, None)]);
+    shapes.extend([(1, 1, 2048, false, Some(5000)), (1, 1, 2048, true, Some(5000))]);
+
+    let mut tape = Tape::new(RefTape::new());
+    let cells: Vec<u64> = (0..50).collect();
+    for cell in &cells {
+        let v = tape.int_load(here!("fan"), cell);
+        for _ in 0..64 {
+            tape.int_op(here!("fan"), &[v]);
+        }
+    }
+    let mut traces = vec![("fan-out".to_string(), tape.finish().1.ops)];
+    traces.extend((0..8).map(|i| (format!("fuzz stream {i}"), generate_stream(case_seed(1, i)))));
+
+    let program = Program::new();
+    for (name, ops) in &traces {
+        let mut stream = PackedStream::new();
+        for op in ops {
+            stream.push(op);
+        }
+        for base in [PlatformConfig::alpha21264(), PlatformConfig::pentium4()] {
+            for &(fetch, issue, rob, in_order, memory) in &shapes {
+                let mut cfg = base;
+                (cfg.fetch_width, cfg.issue_width, cfg.rob_size, cfg.in_order) =
+                    (fetch, issue, rob, in_order);
+                cfg.memory_latency = memory.unwrap_or(cfg.memory_latency);
+                let what = format!("{name} on {} fetch {fetch} issue {issue} ROB {rob} \
+                                    in-order {in_order} memory {}", base.name, cfg.memory_latency);
+                let mut reference = RefPipeline::new(cfg);
+                let mut per_op = CycleSim::new(cfg);
+                for op in ops {
+                    reference.consume(op, &program);
+                    per_op.consume(op, &program);
+                }
+                let expect = reference.result();
+                assert_eq!(per_op.into_result(), expect, "{what}: per op");
+                for block_ops in [1, 7, 4096] {
+                    assert_eq!(blocked(&stream, cfg, block_ops), expect, "{what}: {block_ops}-op blocks");
+                }
+            }
+        }
+    }
+}
+
+/// `cfg`'s result over `stream` decoded in `block_ops`-op blocks.
+fn blocked(stream: &PackedStream, cfg: PlatformConfig, block_ops: usize) -> bioperf_pipe::SimResult {
+    let program = Program::new();
+    let mut sim = CycleSim::new(cfg);
+    let mut decoder = stream.block_decoder();
+    let mut block = OpBlock::with_capacity(block_ops);
+    while decoder.next_block(&mut block, block_ops) > 0 {
+        sim.consume_block(&block, &program);
+    }
+    sim.into_result()
 }
 
 /// Every platform's optimized hierarchy agrees with the reference on a

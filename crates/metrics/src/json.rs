@@ -204,14 +204,22 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The emitter's
+/// documents nest about 6 deep; the bound keeps a hostile file from
+/// overflowing the stack of the recursive parser.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document produced by this module's emitter.
 ///
 /// Minimal by design (see the module docs): strict on structure, accepts
-/// spaces/tabs/newlines between tokens, rejects trailing garbage.
+/// spaces/tabs/newlines between tokens, rejects trailing garbage. Any
+/// input — including nesting deeper than 128 levels and malformed
+/// `\u` escapes — yields `Err`, never a panic, in time linear in its
+/// length.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(text, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -234,14 +242,18 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -251,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -273,10 +285,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -330,7 +342,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     text.parse::<f64>().map(Json::F64).map_err(|e| format!("bad number '{text}': {e}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -362,6 +375,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             {
                                 *pos += 2;
                                 let lo = parse_hex4(bytes, pos)?;
+                                if !(0xDC00..=0xDFFF).contains(&lo) {
+                                    return Err(format!("bad low surrogate at byte {}", *pos));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 return Err("lone high surrogate".into());
@@ -378,12 +394,14 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("valid utf-8 input");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash. Both are
+                // ASCII, so they never sit inside a multi-byte scalar and
+                // the run is a valid `&str` slice.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&text[start..*pos]);
             }
         }
     }
@@ -396,8 +414,12 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     if end > bytes.len() {
         return Err("truncated \\u escape".into());
     }
-    let text = std::str::from_utf8(&bytes[start..end]).map_err(|_| "bad \\u escape")?;
-    let v = u32::from_str_radix(text, 16).map_err(|_| "bad \\u escape")?;
+    let digits = &bytes[start..end];
+    if !digits.iter().all(u8::is_ascii_hexdigit) {
+        return Err(format!("bad \\u escape at byte {start}"));
+    }
+    let text = std::str::from_utf8(digits).expect("ascii hex digits");
+    let v = u32::from_str_radix(text, 16).expect("four hex digits");
     *pos = end - 1;
     Ok(v)
 }
@@ -434,5 +456,22 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("{").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_hostile_input_without_panicking() {
+        // A high surrogate followed by a non-low-surrogate escape.
+        assert!(parse(r#""\uD800\u0041""#).is_err());
+        assert_eq!(parse(r#""\uD83D\uDE00""#), Ok(Json::str("\u{1F600}")));
+        assert!(parse(r#""\u+041""#).is_err());
+        // Nesting is bounded instead of overflowing the stack.
+        let deep = "[".repeat(200_000);
+        assert_eq!(parse(&deep), Err(format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")));
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        // A long multi-byte string parses in linear time.
+        let long = "é".repeat(1 << 20);
+        assert_eq!(parse(&format!("\"{long}\"")), Ok(Json::Str(long)));
     }
 }

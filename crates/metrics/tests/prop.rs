@@ -16,6 +16,14 @@ fn hist_of(samples: &[u64]) -> LogHistogram {
 /// A handful of counter names so generated streams collide on names.
 const NAMES: [&str; 4] = ["l1_hits", "l2_hits", "memory", "writebacks"];
 
+/// JSON tokens and fragments of tokens — brackets, separators, escapes,
+/// surrogate halves, number pieces, literals and multi-byte text — that
+/// generated documents splice together.
+const TOKENS: [&str; 24] = [
+    "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u", "D800", "DC00", "0041", "+41", "1", "-",
+    ".", "e", "true", "nul", "\"k\"", "é", "😀", " ", "\n",
+];
+
 fn set_of(events: &[(u8, u64)]) -> MetricSet {
     let mut m = MetricSet::new();
     for &(which, n) in events {
@@ -121,5 +129,14 @@ proptest! {
         let doc = Json::object(vec![(s.clone(), Json::Str(s.clone()))]);
         let parsed = bioperf_metrics::json::parse(&doc.render()).expect("emitter output parses");
         prop_assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn parsing_token_soup_never_panics(
+        picks in prop::collection::vec(0usize..TOKENS.len(), 0..48),
+    ) {
+        // Any outcome but a panic is fine.
+        let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+        let _ = bioperf_metrics::json::parse(&text);
     }
 }

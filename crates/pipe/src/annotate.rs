@@ -81,9 +81,9 @@ impl TraceConsumer for CachePassSim {
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        // The whole block is one plan chunk, so each member hierarchy
-        // takes the block's accesses in a single run.
-        self.plan.chunk_memory(block, 0, block.len());
+        // Each member hierarchy takes the block's accesses in a single
+        // run.
+        self.plan.block_memory(block);
         let accesses = &self.plan.sizes[0];
         if let Some(log) = &mut self.addr_log {
             log.extend_from_slice(&accesses.acc_addr);

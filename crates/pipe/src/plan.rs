@@ -3,8 +3,10 @@
 //! Three of the pipeline's structures evolve independently of simulated
 //! *time*: which values spill depends only on the vreg touch sequence,
 //! cache state only on the access sequence, and predictor state only on
-//! the outcome sequence. [`Plan`] therefore turns each chunk of an
-//! [`OpBlock`] into dense per-chunk arrays that every consumer shares:
+//! the outcome sequence. [`Plan`] therefore turns each decoded
+//! [`OpBlock`] — up to `BLOCK_OPS` ops, or one op on the per-op
+//! `consume` path — into dense per-block arrays that every consumer
+//! shares, in one call:
 //!
 //! * per-op **operand slots** and **destination slots** for the timing
 //!   core (absent producers read `ZERO_SLOT`, absent destinations write
@@ -47,18 +49,13 @@ pub(crate) const SRC_RELOAD_LOAD: u8 = 0b01;
 pub(crate) const SRC_RELOAD_COMPUTED: u8 = 0b10;
 pub(crate) const SPILL_MASK: u8 = 0b11_11_11;
 
-/// Consumers plan over sub-chunks of this many ops, not whole blocks:
-/// the plan arrays plus one chunk's columns stay cache-resident across
-/// the plan, memory and timing stages.
-pub(crate) const PHASE_CHUNK: usize = 512;
-
 /// Where spilled values live: a small stack-like region that stays
 /// L1-resident, as real spill slots do.
 pub(crate) const SPILL_BASE: u64 = 0x7fff_0000_0000;
 pub(crate) const SPILL_SLOTS: u64 = 512;
 
-/// Access-event tags (low bits of [`Plan::acc_tag`]; the chunk-relative
-/// op index sits above [`ACC_TAG_BITS`]). Spill stores are tagged
+/// Access-event tags (low bits of [`SizePlan::acc_tag`]; the op's index
+/// in its block sits above [`ACC_TAG_BITS`]). Spill stores are tagged
 /// `ACC_STORE` like demand stores: neither produces a latency.
 pub(crate) const ACC_LOAD: u32 = 0;
 pub(crate) const ACC_FP_LOAD: u32 = 1;
@@ -67,24 +64,13 @@ pub(crate) const ACC_RELOAD: u32 = 3;
 pub(crate) const ACC_RELOAD_COMPUTED: u32 = 4;
 pub(crate) const ACC_TAG_BITS: u32 = 3;
 
-/// Per-block cursors into the [`OpBlock`] columns; each chunk consumes
-/// its column prefix and leaves the cursors at the next chunk's first
-/// entry.
-#[derive(Debug, Default, Clone, Copy)]
-struct Cursors {
-    ev: usize,
-    mem: usize,
-    br: usize,
-    sel: usize,
-}
-
 /// One register-file size's share of the plan: its spill counters and
-/// the current chunk's spill flags and merged access events.
+/// the current block's spill flags and merged access events.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SizePlan {
     pub(crate) spill_stores: u64,
     pub(crate) spill_reloads: u64,
-    /// Per op of the chunk: spill flags.
+    /// Per op of the block: spill flags.
     pub(crate) flags: Vec<u8>,
     /// Spill events in (op, source-position) order: `ci << 1 | computed`
     /// plus the spill-slot address, merged into the access events.
@@ -102,13 +88,13 @@ pub(crate) struct SizePlan {
 pub(crate) struct BranchPlan {
     if_conversion: bool,
     pub(crate) branches: u64,
-    /// The chunk's branch events: chunk-relative op index, static id,
+    /// The block's branch events: op index in the block, static id,
     /// outcome.
     pub(crate) events: Vec<(u32, StaticId, bool)>,
 }
 
 /// The shared plan pass over one trace: register model, ready-ring
-/// tags, and the current chunk's plan arrays — operand and destination
+/// tags, and the current block's plan arrays — operand and destination
 /// slots once, spill flags and access events per register-file size,
 /// branch events per if-conversion mode.
 #[derive(Debug, Clone)]
@@ -124,9 +110,8 @@ pub(crate) struct Plan {
     /// Whether each slot's resident value came straight from a load
     /// (spill reloads of such values rematerialize: no store).
     ready_from_load: Vec<bool>,
-    cur: Cursors,
     pub(crate) instructions: u64,
-    /// Per op of the chunk: operand slots, destination slot.
+    /// Per op of the block: operand slots, destination slot.
     pub(crate) src: Vec<[u32; 3]>,
     pub(crate) dst: Vec<u32>,
     /// Aligned with `regs.sizes()`.
@@ -152,7 +137,6 @@ impl Plan {
             regs,
             ready_tag: vec![u64::MAX; READY_RING],
             ready_from_load: vec![false; READY_RING],
-            cur: Cursors::default(),
             instructions: 0,
             src: Vec::new(),
             dst: Vec::new(),
@@ -174,25 +158,22 @@ impl Plan {
             .expect("a planned if-conversion mode")
     }
 
-    /// Plans ops `lo..hi` of `block`: registers, then accesses, then
-    /// branches. A block's chunks must be planned in order from `lo = 0`.
-    pub(crate) fn chunk(&mut self, block: &OpBlock, lo: usize, hi: usize) {
-        self.chunk_memory(block, lo, hi);
-        self.plan_branches(block, lo, hi);
+    /// Plans every op of `block`: registers, then accesses, then
+    /// branches.
+    pub(crate) fn block(&mut self, block: &OpBlock) {
+        self.block_memory(block);
+        for mode in &mut self.modes {
+            mode.plan(block);
+        }
     }
 
-    /// The register and access halves of [`chunk`](Self::chunk), for
+    /// The register and access halves of [`block`](Self::block), for
     /// consumers that never look at branch outcomes.
-    pub(crate) fn chunk_memory(&mut self, block: &OpBlock, lo: usize, hi: usize) {
-        if lo == 0 {
-            self.cur = Cursors::default();
-        }
-        self.instructions += (hi - lo) as u64;
-        self.plan_regs(block, lo, hi);
-        let start = self.cur.mem;
+    pub(crate) fn block_memory(&mut self, block: &OpBlock) {
+        self.instructions += block.len() as u64;
+        self.plan_regs(block);
         for size in &mut self.sizes {
-            self.cur.mem = start;
-            size.plan_accesses(block, lo, hi, &mut self.cur.mem);
+            size.plan_accesses(block);
         }
     }
 
@@ -202,8 +183,8 @@ impl Plan {
     /// Walks the block's register-event column — one entry per *present*
     /// source or destination, in program order — so the loop never tests
     /// an `Option` slot or touches a registerless op.
-    fn plan_regs(&mut self, block: &OpBlock, lo: usize, hi: usize) {
-        let n = hi - lo;
+    fn plan_regs(&mut self, block: &OpBlock) {
+        let n = block.len();
         self.src.clear();
         self.src.resize(n, [ZERO_SLOT; 3]);
         self.dst.clear();
@@ -215,19 +196,8 @@ impl Plan {
             size.spill_addr.clear();
         }
         let every_size = u32::MAX >> (32 - self.sizes.len());
-        let metas = block.reg_event_meta();
-        let vregs = block.reg_event_vreg();
-        // Flag bits live below the index field, so one shifted compare
-        // bounds the chunk.
-        let end = (hi as u32) << REG_EVENT_IDX_SHIFT;
-        while self.cur.ev < metas.len() {
-            let meta = metas[self.cur.ev];
-            if meta >= end {
-                break;
-            }
-            let v = vregs[self.cur.ev];
-            self.cur.ev += 1;
-            let ci = (meta >> REG_EVENT_IDX_SHIFT) as usize - lo;
+        for (&meta, &v) in block.reg_event_meta().iter().zip(block.reg_event_vreg()) {
+            let ci = (meta >> REG_EVENT_IDX_SHIFT) as usize;
             let slot = (v as usize) & (READY_RING - 1);
             if meta & REG_EVENT_DST != 0 {
                 self.ready_tag[slot] = v;
@@ -271,39 +241,24 @@ impl Plan {
             }
         }
     }
-
-    /// The pre-filtered outcome stream, per if-conversion mode. Without
-    /// if-conversion, selects resolve through the same predictor, so the
-    /// two columns merge back into program order.
-    fn plan_branches(&mut self, block: &OpBlock, lo: usize, hi: usize) {
-        let start = self.cur;
-        for mode in &mut self.modes {
-            self.cur = start;
-            mode.plan(block, lo, hi, &mut self.cur);
-        }
-    }
 }
 
 impl SizePlan {
-    /// The pre-filtered demand column merged with this size's planned
-    /// spill traffic, from demand cursor `mem` on. Spill slots live in
-    /// the same hierarchy as demand accesses, and an op resolves operands
-    /// (reloads) before it executes (its own access), so ties break
-    /// toward the spill stream.
-    fn plan_accesses(&mut self, block: &OpBlock, lo: usize, hi: usize, mem: &mut usize) {
+    /// The block's pre-filtered demand column merged with this size's
+    /// planned spill traffic. Spill slots live in the same hierarchy as
+    /// demand accesses, and an op resolves operands (reloads) before it
+    /// executes (its own access), so ties break toward the spill stream.
+    fn plan_accesses(&mut self, block: &OpBlock) {
         self.acc_tag.clear();
         self.acc_addr.clear();
         self.acc_load.clear();
-        let codes = &block.kind_codes()[lo..hi];
+        let codes = block.kind_codes();
         let mem_idx = block.mem_idx();
         let mem_addrs = block.mem_addrs();
         let mem_loads = block.mem_loads();
-        let end = hi as u32;
-        let mut sp = 0;
+        let (mut m, mut sp) = (0, 0);
         loop {
-            let m = *mem;
-            let mem_ci =
-                if m < mem_idx.len() && mem_idx[m] < end { mem_idx[m] - lo as u32 } else { u32::MAX };
+            let mem_ci = mem_idx.get(m).copied().unwrap_or(u32::MAX);
             let sp_ci = self.spill_ev.get(sp).map_or(u32::MAX, |&e| e >> 1);
             if sp_ci <= mem_ci {
                 if sp_ci == u32::MAX {
@@ -322,20 +277,21 @@ impl SizePlan {
                 sp += 1;
                 continue;
             }
-            *mem += 1;
+            let (addr, load) = (mem_addrs[m], mem_loads[m]);
+            m += 1;
             let code = codes[mem_ci as usize];
             if code > OpKind::FpStore.code() {
                 // An address-carrying non-memory kind is not an access.
                 continue;
             }
-            let tag = if !mem_loads[m] {
+            let tag = if !load {
                 ACC_STORE
             } else if code == OpKind::FpLoad.code() {
                 ACC_FP_LOAD
             } else {
                 ACC_LOAD
             };
-            self.push_access(mem_ci << ACC_TAG_BITS | tag, mem_addrs[m], mem_loads[m]);
+            self.push_access(mem_ci << ACC_TAG_BITS | tag, addr, load);
         }
     }
 
@@ -347,36 +303,33 @@ impl SizePlan {
 }
 
 impl BranchPlan {
-    /// This mode's branch events for ops `lo..hi`, from the branch and
-    /// select cursors in `cur` on.
-    fn plan(&mut self, block: &OpBlock, lo: usize, hi: usize, cur: &mut Cursors) {
+    /// This mode's pre-filtered outcome stream for the block. Without
+    /// if-conversion, selects resolve through the same predictor, so the
+    /// two columns merge back into program order.
+    fn plan(&mut self, block: &OpBlock) {
         self.events.clear();
-        let end = hi as u32;
         let branch_idx = block.branch_idx();
         let branch_sids = block.branch_sids();
         let branch_taken = block.branch_taken();
         let select_idx = block.select_idx();
         let select_sids = block.select_sids();
         let select_taken = block.select_taken();
+        let (mut br, mut sel) = (0, 0);
         loop {
-            let b = branch_idx.get(cur.br).copied().unwrap_or(u32::MAX);
-            let s = select_idx.get(cur.sel).copied().unwrap_or(u32::MAX);
-            let idx = b.min(s);
-            if idx >= end {
-                break;
-            }
+            let b = branch_idx.get(br).copied().unwrap_or(u32::MAX);
+            let s = select_idx.get(sel).copied().unwrap_or(u32::MAX);
             if b < s {
-                let e = cur.br;
-                cur.br += 1;
-                self.events.push((idx - lo as u32, branch_sids[e], branch_taken[e]));
-            } else {
+                self.events.push((b, branch_sids[br], branch_taken[br]));
+                br += 1;
+            } else if s != u32::MAX {
                 // With if-conversion a select stays an ALU op: only the
                 // cursor moves.
-                let e = cur.sel;
-                cur.sel += 1;
                 if !self.if_conversion {
-                    self.events.push((idx - lo as u32, select_sids[e], select_taken[e]));
+                    self.events.push((s, select_sids[sel], select_taken[sel]));
                 }
+                sel += 1;
+            } else {
+                break;
             }
         }
         self.branches += self.events.len() as u64;

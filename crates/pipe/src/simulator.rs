@@ -1,6 +1,6 @@
 //! The trace-driven replay engine.
 //!
-//! [`PlatformBank`] is the one replay engine. Per chunk it makes one
+//! [`PlatformBank`] is the one replay engine. Per block it makes one
 //! plan pass (the `plan` module), one predictor walk per (if-conversion,
 //! predictor kind) family, one flag column per (walk, register-file
 //! size) pair and one latency fill per *fill group*; each member then
@@ -23,7 +23,7 @@ use bioperf_metrics::MetricSet;
 use bioperf_trace::{inject, OpBlock, TraceConsumer};
 
 use crate::config::PlatformConfig;
-use crate::plan::{Plan, PHASE_CHUNK};
+use crate::plan::Plan;
 use crate::timing::{LatencyFill, PredictorWalk, TimingCore};
 pub use crate::timing::OpTiming;
 
@@ -96,7 +96,7 @@ impl Source {
     }
 }
 
-/// One latency fill per chunk, read by every member of the group.
+/// One latency fill per block, read by every member of the group.
 #[derive(Debug, Clone)]
 struct FillGroup {
     source: Source,
@@ -130,7 +130,7 @@ impl FillGroup {
             && (Arc::ptr_eq(stream, other_stream) || stream == other_stream)
     }
 
-    /// Fills the chunk's latencies (`codes` are its kind codes) from
+    /// Fills the block's latencies (`codes` are its kind codes) from
     /// this group's source.
     fn load(&mut self, codes: &[u8], plan: &Plan) {
         let (size, branches) = (&plan.sizes[self.size], &plan.modes[self.mode]);
@@ -150,7 +150,7 @@ impl FillGroup {
     }
 }
 
-/// One flag column per chunk — a register-file size's spill flags plus
+/// One flag column per block — a register-file size's spill flags plus
 /// a predictor walk's redirect bits — read by every member with both.
 #[derive(Debug, Clone)]
 struct FlagColumn {
@@ -188,7 +188,7 @@ fn index_or_push<T>(v: &mut Vec<T>, item: T, same: impl Fn(&T, &T) -> bool) -> u
 /// Trace-driven cycle-level models of several platforms off one decode
 /// and one plan walk.
 ///
-/// Per chunk the bank makes one register walk through a multi-size
+/// Per block the bank makes one register walk through a multi-size
 /// register file (the plan's spill flags and access events per distinct
 /// register-file size), one predictor walk per (if-conversion, predictor
 /// kind) family, one flag column per (walk, size) pair and one latency
@@ -356,28 +356,22 @@ impl TraceConsumer for PlatformBank {
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
         let Self { plan, walks, columns, groups, members, .. } = self;
-        let n = block.len();
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + PHASE_CHUNK).min(n);
-            plan.chunk(block, lo, hi);
-            for walk in walks.iter_mut() {
-                walk.walk(plan);
-            }
-            for c in columns.iter_mut() {
-                walks[c.walk].flags(&plan.sizes[c.size].flags, &mut c.flags);
-            }
-            // Hierarchies, predictors and timing cores are independent,
-            // so all of the chunk's fills and then all of its cores keep
-            // each structure's exact update order.
-            for g in groups.iter_mut() {
-                g.load(&block.kind_codes()[lo..hi], plan);
-            }
-            for m in members.iter_mut() {
-                let flags = &columns[m.column].flags;
-                m.core.run_chunk(plan, flags, &groups[m.group].fill, &block.ops()[lo..hi]);
-            }
-            lo = hi;
+        plan.block(block);
+        for walk in walks.iter_mut() {
+            walk.walk(plan);
+        }
+        for c in columns.iter_mut() {
+            walks[c.walk].flags(&plan.sizes[c.size].flags, &mut c.flags);
+        }
+        // Hierarchies, predictors and timing cores are independent, so
+        // all of the block's fills and then all of its cores keep each
+        // structure's exact update order.
+        for g in groups.iter_mut() {
+            g.load(block.kind_codes(), plan);
+        }
+        for m in members.iter_mut() {
+            let flags = &columns[m.column].flags;
+            m.core.run_block(plan, flags, &groups[m.group].fill, block.ops());
         }
     }
 }
@@ -516,7 +510,7 @@ impl TimingBank {
         self.bank.len()
     }
 
-    /// Distinct latency fills per chunk: lanes sharing an annotation
+    /// Distinct latency fills per block: lanes sharing an annotation
     /// stream and a latency table share one.
     pub fn fill_groups(&self) -> usize {
         self.bank.groups.len()

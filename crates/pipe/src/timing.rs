@@ -1,9 +1,9 @@
 //! The timing core: the serial dispatch / issue / ROB recurrence.
 //!
 //! [`TimingCore`] is the only part of a replay that depends on simulated
-//! time. It consumes one chunk of the [`Plan`] (operand and destination
+//! time. It consumes one block of the [`Plan`] (operand and destination
 //! slots) plus two columns its caller's memory/predictor stage fills in:
-//! the chunk's flag column (a register-file size's spill flags plus a
+//! the block's flag column (a register-file size's spill flags plus a
 //! [`PredictorWalk`]'s redirect bits) and its latencies
 //! ([`LatencyFill`]). A `PlatformBank` builds each flag column once per
 //! (walk, size) pair and each fill once per fill group — from a live
@@ -29,9 +29,8 @@ const ISSUE_RING: usize = 1 << 12;
 
 /// Each issue-ring slot packs `(cycle << 8) | issued-count` into one
 /// `u64` (issue widths are ≤ [`MAX_WIDTH`], cycles nowhere near 2⁵⁶),
-/// so a claim is one load plus one store on a 32 KB ring.
+/// so a claim is one load, one compare and one store on a 32 KB ring.
 const ISSUE_COUNT_BITS: u32 = 8;
-const ISSUE_COUNT_MASK: u64 = (1 << ISSUE_COUNT_BITS) - 1;
 
 /// The widest fetch and issue the core can run: a full slot's count must
 /// fit the issue ring's count field.
@@ -70,7 +69,7 @@ pub struct OpTiming {
     pub mispredicted: bool,
 }
 
-/// One predictor walk over each chunk's branch events, shared by every
+/// One predictor walk over each block's branch events, shared by every
 /// consumer with the same if-conversion mode and predictor kind.
 #[derive(Debug, Clone)]
 pub(crate) struct PredictorWalk {
@@ -79,7 +78,7 @@ pub(crate) struct PredictorWalk {
     pub(crate) mode: usize,
     predictor: DynPredictor,
     pub(crate) mispredicts: u64,
-    /// The current chunk's mispredicted branches (chunk-relative ops).
+    /// The current block's mispredicted branches (block-relative ops).
     redirects: Vec<u32>,
 }
 
@@ -89,7 +88,7 @@ impl PredictorWalk {
         Self { kind, mode, predictor: DynPredictor::new(kind), mispredicts: 0, redirects: Vec::new() }
     }
 
-    /// Walks the chunk's branch events of this walk's mode in order.
+    /// Walks the block's branch events of this walk's mode in order.
     pub(crate) fn walk(&mut self, plan: &Plan) {
         self.redirects.clear();
         for &(ci, sid, taken) in &plan.modes[self.mode].events {
@@ -100,7 +99,7 @@ impl PredictorWalk {
         self.mispredicts += self.redirects.len() as u64;
     }
 
-    /// Writes the chunk's flag column: a size's spill flags plus a
+    /// Writes the block's flag column: a size's spill flags plus a
     /// redirect bit on every branch this walk mispredicted.
     pub(crate) fn flags(&self, spill: &[u8], flags: &mut Vec<u8>) {
         flags.clear();
@@ -111,15 +110,15 @@ impl PredictorWalk {
     }
 }
 
-/// One latency table's per-chunk fill: every op's completion latency
+/// One latency table's per-block fill: every op's completion latency
 /// and the in-order stream of spill-reload latencies. Depends only on
-/// the chunk's plan, the table, and the access latencies fed to
+/// the block's plan, the table, and the access latencies fed to
 /// [`load`](Self::load) — not on pipe shape or predictor — so lanes
 /// sharing an annotation stream and a table share one fill.
 #[derive(Debug, Clone)]
 pub(crate) struct LatencyFill {
     /// Execution latency by `OpKind::code()` for kinds whose latency is
-    /// a platform constant; loads are overwritten per chunk, stores and
+    /// a platform constant; loads are overwritten per block, stores and
     /// resolving branches take 1.
     lat_lut: [u32; 12],
     fp_load_extra: u64,
@@ -165,7 +164,7 @@ impl LatencyFill {
             && self.spill_forward_extra == other.spill_forward_extra
     }
 
-    /// Fills the chunk's latencies: the kind-code LUT, then one
+    /// Fills the block's latencies: the kind-code LUT, then one
     /// `access(addr, kind)` per access event of `size` in order — the
     /// caller's memory stage, returning the access's total latency —
     /// then latency 1 for every branch that resolves in `branches`' mode.
@@ -205,7 +204,6 @@ pub(crate) struct TimingCore {
     in_order: bool,
     fetch_width: u32,
     issue_width: u64,
-    rob_size: usize,
     mispredict_penalty: u64,
     // Scheduling state.
     fetch_cycle: u64,
@@ -214,12 +212,12 @@ pub(crate) struct TimingCore {
     /// Completion cycles keyed like the plan's ready-ring tags, plus the
     /// two out-of-band `SINK_SLOT`/`ZERO_SLOT` entries.
     ready_cycle: Vec<u64>,
-    /// Completion cycles of in-flight ops, oldest first: a fixed ring
-    /// over `rob_size` slots (`rob_head` indexes the oldest, `rob_len`
-    /// counts residents — never more than `rob_size`).
+    /// Completion cycles of the last `rob_size` ops: a ring that starts
+    /// full of cycle-0 completions, so the slot at `rob_pos` always
+    /// holds the completion of the op `rob_size` places before the next
+    /// one — the entry that op must wait on to enter the ROB.
     rob: Vec<u64>,
-    rob_head: usize,
-    rob_len: usize,
+    rob_pos: usize,
     last_issue: u64,
     max_completion: u64,
     // Instrumentation, read only by the observed loop.
@@ -253,7 +251,6 @@ impl TimingCore {
             in_order: cfg.in_order,
             fetch_width: cfg.fetch_width,
             issue_width: cfg.issue_width as u64,
-            rob_size: cfg.rob_size,
             mispredict_penalty: cfg.mispredict_penalty,
             fetch_cycle: 0,
             fetched_this_cycle: 0,
@@ -261,8 +258,7 @@ impl TimingCore {
             // Two extra slots: the write sink and the constant-zero read.
             ready_cycle: vec![0; READY_RING + 2],
             rob: vec![0; cfg.rob_size],
-            rob_head: 0,
-            rob_len: 0,
+            rob_pos: 0,
             last_issue: 0,
             max_completion: 0,
             metrics_on: false,
@@ -298,11 +294,11 @@ impl TimingCore {
         out
     }
 
-    /// Runs one planned chunk through the scheduling recurrence, with
-    /// the chunk's flag column (from [`PredictorWalk::flags`]) and latencies.
-    /// `ops` is the chunk's decoded ops, read only when a timeline is
+    /// Runs one planned block through the scheduling recurrence, with
+    /// the block's flag column (from [`PredictorWalk::flags`]) and latencies.
+    /// `ops` is the block's decoded ops, read only when a timeline is
     /// recorded.
-    pub(crate) fn run_chunk(
+    pub(crate) fn run_block(
         &mut self,
         plan: &Plan,
         flags: &[u8],
@@ -310,7 +306,7 @@ impl TimingCore {
         ops: &[MicroOp],
     ) {
         let (lat, spill_lat) = (&fill.lat[..], &fill.spill_lat[..]);
-        // One switch per chunk picks a monomorphized loop, so the
+        // One switch per block picks a monomorphized loop, so the
         // uninstrumented loop carries no instrumentation branch.
         match (self.in_order, self.metrics_on || self.timeline.is_some()) {
             (false, false) => self.run::<false, false>(plan, flags, lat, spill_lat, ops),
@@ -320,6 +316,11 @@ impl TimingCore {
         }
     }
 
+    /// The recurrence over one block. Its scalar state and its three
+    /// rings live in locals for the whole block — the rings are taken
+    /// out of `self`, a pointer swap — so no ring store can alias a
+    /// scalar and the compiler keeps the scalars in registers; all of it
+    /// is written back once at the end.
     fn run<const IN_ORDER: bool, const OBSERVE: bool>(
         &mut self,
         plan: &Plan,
@@ -328,21 +329,47 @@ impl TimingCore {
         spill_lat: &[u32],
         ops: &[MicroOp],
     ) {
+        let mut issue_ring = std::mem::take(&mut self.issue_ring);
+        let mut ready_cycle = std::mem::take(&mut self.ready_cycle);
+        let mut rob = std::mem::take(&mut self.rob);
+        let ring: &mut [u64; ISSUE_RING] =
+            issue_ring.as_mut_slice().try_into().expect("an ISSUE_RING-slot issue ring");
+        let (fetch_width, issue_width, penalty) =
+            (self.fetch_width, self.issue_width, self.mispredict_penalty);
+        let rob_size = rob.len();
+        let mut fetch_cycle = self.fetch_cycle;
+        let mut fetched = self.fetched_this_cycle;
+        let mut rob_pos = self.rob_pos;
+        let mut last_issue = self.last_issue;
+        let mut max_completion = self.max_completion;
         let mut spill_idx = 0usize;
-        for (i, (&slots, &dst)) in plan.src.iter().zip(&plan.dst).enumerate() {
-            let dispatch = self.dispatch();
-            let flags = flags[i];
+        let per_op = plan.src.iter().zip(&plan.dst).zip(flags.iter().zip(lat));
+        for (i, ((&slots, &dst), (&flags, &lat))) in per_op.enumerate() {
+            // Dispatch: one front-end slot, after the ROB entry of the op
+            // `rob_size` places back has retired (a pre-filled cycle-0
+            // entry never stalls: the front end is never before cycle 0).
+            if fetched >= fetch_width {
+                fetch_cycle += 1;
+                fetched = 0;
+            }
+            let head = rob[rob_pos];
+            if head > fetch_cycle {
+                fetch_cycle = head;
+                fetched = 0;
+            }
+            fetched += 1;
+            let dispatch = fetch_cycle;
             let operands = if flags & SPILL_MASK == 0 {
                 // Common case: three unconditional ring reads (absent
                 // sources resolve to ZERO_SLOT's constant 0).
-                let a = self.ready_cycle[slots[0] as usize];
-                let b = self.ready_cycle[slots[1] as usize];
-                let c = self.ready_cycle[slots[2] as usize];
+                let a = ready_cycle[slots[0] as usize];
+                let b = ready_cycle[slots[1] as usize];
+                let c = ready_cycle[slots[2] as usize];
                 a.max(b).max(c)
             } else {
                 let mut operands = 0u64;
                 for (j, &slot) in slots.iter().enumerate() {
-                    let base = self.ready_cycle[slot as usize];
+                    let base = ready_cycle[slot as usize];
                     let code = (flags >> (2 * j)) & 0b11;
                     if code == 0 {
                         operands = operands.max(base);
@@ -352,14 +379,14 @@ impl TimingCore {
                     // front-end slot (it folds into its consumer as a
                     // memory operand) and issue bandwidth; a computed
                     // value's spill store claims an issue slot too.
-                    self.fetched_this_cycle += 1;
+                    fetched += 1;
                     if code == SRC_RELOAD_COMPUTED {
-                        self.issue_at(dispatch);
+                        issue_at(ring, dispatch, issue_width);
                     }
-                    let start = self.issue_at(dispatch.max(base));
+                    let start = issue_at(ring, dispatch.max(base), issue_width);
                     let ready = start + spill_lat[spill_idx] as u64;
                     spill_idx += 1;
-                    self.ready_cycle[slot as usize] = ready;
+                    ready_cycle[slot as usize] = ready;
                     operands = operands.max(ready);
                 }
                 operands
@@ -368,40 +395,43 @@ impl TimingCore {
             if IN_ORDER {
                 // Issue in program order: an op cannot issue before its
                 // elder.
-                earliest = earliest.max(self.last_issue);
+                earliest = earliest.max(last_issue);
             }
-            let start = self.issue_at(earliest);
+            let start = issue_at(ring, earliest, issue_width);
             if IN_ORDER {
-                self.last_issue = start;
+                last_issue = start;
             }
-            let completion = start + lat[i] as u64;
+            let completion = start + lat as u64;
             let mispredicted = flags & FLAG_REDIRECT != 0;
             if mispredicted && !inject::active(inject::DROPPED_FLUSH) {
                 // The front end restarts after the branch resolves:
                 // resolution delay (e.g. waiting on a load) adds directly
                 // to the misprediction cost.
-                let redirect = completion + self.mispredict_penalty;
-                if redirect > self.fetch_cycle {
-                    self.fetch_cycle = redirect;
-                    self.fetched_this_cycle = 0;
+                let redirect = completion + penalty;
+                if redirect > fetch_cycle {
+                    fetch_cycle = redirect;
+                    fetched = 0;
                 }
             }
-            self.ready_cycle[dst as usize] = completion;
-            // `dispatch` freed a slot whenever the ring was full, so this
-            // push can never overflow `rob_size`.
-            let mut pos = self.rob_head + self.rob_len;
-            if pos >= self.rob_size {
-                pos -= self.rob_size;
+            ready_cycle[dst as usize] = completion;
+            rob[rob_pos] = completion;
+            rob_pos += 1;
+            if rob_pos == rob_size {
+                rob_pos = 0;
             }
-            self.rob[pos] = completion;
-            self.rob_len += 1;
-            if completion > self.max_completion {
-                self.max_completion = completion;
-            }
+            max_completion = max_completion.max(completion);
             if OBSERVE {
                 self.observe(&ops[i], dispatch, start, completion, mispredicted);
             }
         }
+        self.fetch_cycle = fetch_cycle;
+        self.fetched_this_cycle = fetched;
+        self.rob_pos = rob_pos;
+        self.last_issue = last_issue;
+        self.max_completion = max_completion;
+        self.issue_ring = issue_ring;
+        self.ready_cycle = ready_cycle;
+        self.rob = rob;
     }
 
     /// Records one op's event metrics and timeline entry.
@@ -417,48 +447,22 @@ impl TimingCore {
             }
         }
     }
+}
 
-    /// Advances the front end by one dispatch slot and returns the
-    /// dispatch cycle for the next op.
-    fn dispatch(&mut self) -> u64 {
-        if self.fetched_this_cycle >= self.fetch_width {
-            self.fetch_cycle += 1;
-            self.fetched_this_cycle = 0;
+/// Claims an issue slot at the first cycle ≥ `earliest` with fewer than
+/// `issue_width` issues and returns that cycle. A full slot is one
+/// compare; any slot whose cycle tag differs belongs to a lapped (or
+/// never-claimed) cycle and is reset, not counted.
+#[inline(always)]
+fn issue_at(ring: &mut [u64; ISSUE_RING], earliest: u64, issue_width: u64) -> u64 {
+    let mut c = earliest;
+    loop {
+        let slot = &mut ring[(c as usize) & (ISSUE_RING - 1)];
+        let packed = *slot;
+        if packed != (c << ISSUE_COUNT_BITS) | issue_width {
+            *slot = if packed >> ISSUE_COUNT_BITS == c { packed + 1 } else { (c << ISSUE_COUNT_BITS) | 1 };
+            return c;
         }
-        // ROB full: the front end stalls until the oldest op retires.
-        if self.rob_len == self.rob_size {
-            let head = self.rob[self.rob_head];
-            self.rob_head += 1;
-            if self.rob_head == self.rob_size {
-                self.rob_head = 0;
-            }
-            self.rob_len -= 1;
-            if head > self.fetch_cycle {
-                self.fetch_cycle = head;
-                self.fetched_this_cycle = 0;
-            }
-        }
-        self.fetched_this_cycle += 1;
-        self.fetch_cycle
-    }
-
-    /// Claims an issue slot at the first cycle ≥ `earliest` with
-    /// bandwidth available.
-    fn issue_at(&mut self, earliest: u64) -> u64 {
-        let mut c = earliest;
-        loop {
-            let slot = &mut self.issue_ring[(c as usize) & (ISSUE_RING - 1)];
-            let packed = *slot;
-            if packed >> ISSUE_COUNT_BITS != c {
-                // Stale slot from a lapped cycle: reset and claim.
-                *slot = (c << ISSUE_COUNT_BITS) | 1;
-                return c;
-            }
-            if packed & ISSUE_COUNT_MASK < self.issue_width {
-                *slot = packed + 1;
-                return c;
-            }
-            c += 1;
-        }
+        c += 1;
     }
 }

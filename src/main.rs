@@ -374,11 +374,26 @@ struct SweepArgs<'a> {
 }
 
 /// Strict sweep-flag parser: every flag takes exactly one value, appears
-/// at most once, and must parse; anything else is a usage error naming
-/// the offender.
+/// at most once, and must parse, and no list flag repeats a value;
+/// anything else is a usage error naming the offender.
 fn parse_sweep_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SweepArgs<'a>, String> {
-    fn split_list(value: &str) -> impl Iterator<Item = &str> {
-        value.split(',').filter(|s| !s.is_empty())
+    /// The items of list flag `flag`, parsed. A repeated value would
+    /// only duplicate work (cells, or a program's traces and frontier),
+    /// so it is an error naming the flag and the value.
+    fn list<'v, T: PartialEq>(
+        flag: &str,
+        value: &'v str,
+        parse: impl Fn(&'v str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut out: Vec<T> = Vec::new();
+        for item in value.split(',').filter(|s| !s.is_empty()) {
+            let v = parse(item)?;
+            if out.contains(&v) {
+                return Err(format!("{flag} repeats the value '{item}'"));
+            }
+            out.push(v);
+        }
+        Ok(out)
     }
     fn pair(item: &str, sep: char) -> Result<(&str, &str), String> {
         item.split_once(sep).ok_or_else(|| format!("malformed value '{item}' (expected A{sep}B)"))
@@ -426,11 +441,9 @@ fn parse_sweep_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SweepAr
             "--checkpoint" => args.cfg.checkpoint = Some(PathBuf::from(value)),
             "--out" => args.out = Some(value),
             "--programs" => {
-                for name in split_list(value) {
-                    let p = ProgramId::from_name(name)
-                        .ok_or_else(|| format!("unknown program '{name}'"))?;
-                    args.cfg.programs.push(p);
-                }
+                args.cfg.programs = list(flag, value, |name| {
+                    ProgramId::from_name(name).ok_or_else(|| format!("unknown program '{name}'"))
+                })?;
             }
             "--l1" | "--l2" | "--line" | "--lat" | "--pipe" | "--pred" | "--prefetch" => {
                 overrides.push((flag, value));
@@ -447,58 +460,36 @@ fn parse_sweep_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SweepAr
     }
     // Axis overrides replace the preset's axis wholesale, in flag order.
     for (flag, value) in overrides {
+        let geometry = |item| {
+            let (kb, ways) = pair(item, 'x')?;
+            Ok((num(kb)?, num(ways)?))
+        };
         match flag {
-            "--l1" | "--l2" => {
-                let mut axis = Vec::new();
-                for item in split_list(value) {
-                    let (kb, ways) = pair(item, 'x')?;
-                    axis.push((num(kb)?, num(ways)?));
-                }
-                if flag == "--l1" {
-                    grid.l1 = axis;
-                } else {
-                    grid.l2 = axis;
-                }
-            }
-            "--line" => {
-                grid.line = split_list(value).map(num).collect::<Result<_, _>>()?;
-            }
+            "--l1" => grid.l1 = list(flag, value, geometry)?,
+            "--l2" => grid.l2 = list(flag, value, geometry)?,
+            "--line" => grid.line = list(flag, value, num)?,
             "--lat" => {
-                let mut axis = Vec::new();
-                for item in split_list(value) {
+                grid.lat = list(flag, value, |item| {
                     let (l1, rest) = pair(item, ':')?;
                     let (l2, mem) = pair(rest, ':')?;
-                    axis.push((num(l1)?, num(l2)?, num(mem)?));
-                }
-                grid.lat = axis;
+                    Ok((num(l1)?, num(l2)?, num(mem)?))
+                })?;
             }
             "--pipe" => {
-                let mut axis = Vec::new();
-                for item in split_list(value) {
+                grid.pipe = list(flag, value, |item| {
                     let (width, rob) = pair(item, 'x')?;
-                    axis.push((num(width)?, num(rob)?));
-                }
-                grid.pipe = axis;
+                    Ok((num(width)?, num(rob)?))
+                })?;
             }
             "--pred" => {
-                let mut axis = Vec::new();
-                for name in split_list(value) {
-                    axis.push(
-                        PredictorKind::from_name(name)
-                            .ok_or_else(|| format!("unknown predictor '{name}'"))?,
-                    );
-                }
-                grid.pred = axis;
+                grid.pred = list(flag, value, |name| {
+                    PredictorKind::from_name(name).ok_or_else(|| format!("unknown predictor '{name}'"))
+                })?;
             }
             "--prefetch" => {
-                let mut axis = Vec::new();
-                for name in split_list(value) {
-                    axis.push(
-                        parse_prefetcher(name)
-                            .ok_or_else(|| format!("unknown prefetcher '{name}'"))?,
-                    );
-                }
-                grid.prefetch = axis;
+                grid.prefetch = list(flag, value, |name| {
+                    parse_prefetcher(name).ok_or_else(|| format!("unknown prefetcher '{name}'"))
+                })?;
             }
             _ => unreachable!("only axis flags are deferred"),
         }

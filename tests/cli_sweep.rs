@@ -43,6 +43,8 @@ fn malformed_sweep_command_lines_exit_2_with_usage() {
         (vec!["sweep", "--pred", "oracle"], "unknown predictor"),
         (vec!["sweep", "--prefetch", "psychic"], "unknown prefetcher"),
         (vec!["sweep", "--programs", "nosuch"], "unknown program"),
+        (vec!["sweep", "--programs", "predator,predator"], "repeated program"),
+        (vec!["sweep", "--l1", "64x2,64x2"], "repeated axis value"),
     ] {
         let out = run(&bad);
         assert_eq!(out.status.code(), Some(2), "{why}: {bad:?} must exit 2");
@@ -50,6 +52,9 @@ fn malformed_sweep_command_lines_exit_2_with_usage() {
         assert!(err.contains("error:"), "{why}: diagnostic missing: {err}");
         assert!(err.contains("usage:"), "{why}: usage missing: {err}");
     }
+    // A repeat is named by flag and value, whatever the spelling.
+    let err = stderr(&run(&["sweep", "--l1", "64x2,064x2"]));
+    assert!(err.contains("--l1 repeats the value '064x2'"), "repeat not named: {err}");
 }
 
 #[test]
