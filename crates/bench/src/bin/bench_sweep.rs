@@ -19,25 +19,23 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use bioperf_bench::{banner, usage as usage_line, REPRO_SEED, USAGE_EXIT};
+use bioperf_bench::{banner, REPRO_SEED};
+use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::sweep::{run_sweep, SweepConfig, SweepGrid, SweepResult, SWEEP_SCHEMA};
 use bioperf_kernels::Scale;
 use bioperf_metrics::{json, Json};
 
 const ARTIFACT: &str = "bench_sweep";
 
-fn usage() -> String {
-    format!(
-        "{} [--jobs <n>] [--out <path>] [--grid smoke|standard] [--min-speedup <x>] [--check]",
-        usage_line(ARTIFACT, true).trim_end_matches(" [--json <path>]")
-    )
-}
+const USAGE: &str = "usage: bench_sweep [test|small|medium|large] [--jobs <n>] [--out <path>] \
+                     [--grid smoke|standard] [--min-speedup <x>] [--check]";
 
-fn bail(msg: &str) -> ! {
-    eprintln!("{ARTIFACT}: {msg}");
-    eprintln!("{}", usage());
-    std::process::exit(USAGE_EXIT);
-}
+const SPEC: Spec = Spec {
+    values: &["--jobs", "--out", "--grid", "--min-speedup"],
+    switches: &["--check"],
+    positionals: &["scale"],
+    required: 0,
+};
 
 struct Args {
     scale: Scale,
@@ -48,56 +46,18 @@ struct Args {
     check: bool,
 }
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        scale: Scale::Test,
-        jobs: 0,
-        out: PathBuf::from("BENCH_sweep.json"),
-        grid: SweepGrid::smoke(),
-        min_speedup: None,
-        check: false,
-    };
-    let mut scale_seen = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        std::process::exit(0);
-    }
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => parsed.jobs = n,
-                None => bail("--jobs needs a number"),
-            },
-            "--out" => match it.next() {
-                Some(path) if !path.is_empty() => parsed.out = PathBuf::from(path),
-                _ => bail("--out needs a file path"),
-            },
-            "--grid" => match it.next().map(String::as_str) {
-                Some("smoke") => parsed.grid = SweepGrid::smoke(),
-                Some("standard") => parsed.grid = SweepGrid::standard(),
-                _ => bail("--grid needs smoke or standard"),
-            },
-            "--min-speedup" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(x) if x > 0.0 => parsed.min_speedup = Some(x),
-                _ => bail("--min-speedup needs a positive number"),
-            },
-            "--check" => parsed.check = true,
-            s if s.starts_with('-') => bail(&format!("unknown option '{s}'")),
-            s => {
-                if scale_seen {
-                    bail(&format!("unexpected extra argument '{s}'"));
-                }
-                match Scale::from_name(s) {
-                    Some(scale) => parsed.scale = scale,
-                    None => bail(&format!("unknown scale '{s}' (use test|small|medium|large)")),
-                }
-                scale_seen = true;
-            }
-        }
-    }
-    parsed
+fn read_args(argv: &[String]) -> Result<Args, CliError> {
+    let a = cli::read(argv, &SPEC)?;
+    Ok(Args {
+        scale: a.parse_with("scale", cli::scale)?.unwrap_or(Scale::Test),
+        jobs: a.jobs()?,
+        out: PathBuf::from(a.value("--out").unwrap_or("BENCH_sweep.json")),
+        grid: a
+            .parse_with("--grid", SweepGrid::preset)?
+            .unwrap_or_else(SweepGrid::smoke),
+        min_speedup: a.parse_with("--min-speedup", cli::positive)?,
+        check: a.switch("--check"),
+    })
 }
 
 /// The schema invariants `--check` pins (and the `cli_sweep` test
@@ -143,16 +103,15 @@ fn check_document(doc: &Json) -> Result<(), String> {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv = cli::or_exit(cli::argv(), ARTIFACT, USAGE);
+    let args = cli::or_exit(read_args(&argv), ARTIFACT, USAGE);
 
     if args.check {
-        let text = std::fs::read_to_string(&args.out)
-            .unwrap_or_else(|e| bail(&format!("reading {}: {e}", args.out.display())));
-        let doc = json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("{ARTIFACT}: {} does not parse: {e}", args.out.display());
-            std::process::exit(1);
-        });
-        if let Err(msg) = check_document(&doc) {
+        let checked = std::fs::read_to_string(&args.out)
+            .map_err(|e| format!("cannot be read: {e}"))
+            .and_then(|text| json::parse(&text).map_err(|e| format!("does not parse: {e}")))
+            .and_then(|doc| check_document(&doc));
+        if let Err(msg) = checked {
             eprintln!("{ARTIFACT}: {}: {msg}", args.out.display());
             std::process::exit(1);
         }

@@ -27,9 +27,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bioperf_bench::{banner, peak_rss_bytes, usage as usage_line, JsonReport, REPRO_SEED, USAGE_EXIT};
+use bioperf_bench::{banner, peak_rss_bytes, BenchArgs, JsonReport, REPRO_SEED};
 use bioperf_branch::PredictorKind;
 use bioperf_cache::{Hierarchy, Prefetcher};
+use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
 use bioperf_core::SweepGrid;
 use bioperf_isa::{MicroOp, Program};
@@ -43,125 +44,43 @@ use bioperf_trace::{
 
 const ARTIFACT: &str = "replay_throughput";
 
-fn usage() -> String {
-    format!(
-        "{} [--min-mops <x>] [--spill-dir <dir>] [--segment-ops <n>] [--block-ops <n>]",
-        usage_line(ARTIFACT, true).trim_end()
-    )
-}
+const USAGE: &str = "usage: replay_throughput [test|small|medium|large] [--json <path>] \
+                     [--min-mops <x>] [--spill-dir <dir>] [--segment-ops <n>] [--block-ops <n>]";
 
-fn bail(msg: &str) -> ! {
-    eprintln!("{ARTIFACT}: {msg}");
-    eprintln!("{}", usage());
-    std::process::exit(USAGE_EXIT);
-}
+const SPEC: Spec = Spec {
+    values: &["--json", "--min-mops", "--spill-dir", "--segment-ops", "--block-ops"],
+    switches: &[],
+    positionals: &["scale"],
+    required: 0,
+};
 
 struct Args {
-    scale: Scale,
-    json: Option<PathBuf>,
+    /// Scale and `--json` path.
+    bench: BenchArgs,
     /// Fail (exit 1) if the bank aggregate falls below this many Mops/s.
     min_mops: Option<f64>,
     /// Streamed-only mode: record straight to segments under this dir.
     spill_dir: Option<PathBuf>,
-    /// Ops per segment file (0 = `DEFAULT_SEGMENT_OPS`).
+    /// Ops per segment file.
     segment_ops: usize,
-    /// Ops per decode block in the bank passes (0 = `BLOCK_OPS`).
+    /// Ops per decode block in the bank passes.
     block_ops: usize,
 }
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        scale: Scale::Small,
-        json: None,
-        min_mops: None,
-        spill_dir: None,
-        segment_ops: 0,
-        block_ops: 0,
-    };
-    let mut scale_seen = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        std::process::exit(0);
-    }
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                if parsed.json.is_some() {
-                    bail("duplicate --json");
-                }
-                match it.next() {
-                    Some(path) if !path.is_empty() => parsed.json = Some(PathBuf::from(path)),
-                    _ => bail("--json needs a file path"),
-                }
-            }
-            "--min-mops" => {
-                if parsed.min_mops.is_some() {
-                    bail("duplicate --min-mops");
-                }
-                match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(x) if x.is_finite() && x > 0.0 => parsed.min_mops = Some(x),
-                    _ => bail("--min-mops needs a positive number"),
-                }
-            }
-            "--spill-dir" => {
-                if parsed.spill_dir.is_some() {
-                    bail("duplicate --spill-dir");
-                }
-                match it.next() {
-                    Some(path) if !path.is_empty() => parsed.spill_dir = Some(PathBuf::from(path)),
-                    _ => bail("--spill-dir needs a directory path"),
-                }
-            }
-            "--segment-ops" => {
-                if parsed.segment_ops != 0 {
-                    bail("duplicate --segment-ops");
-                }
-                match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => parsed.segment_ops = n,
-                    _ => bail("--segment-ops needs a positive op count"),
-                }
-            }
-            "--block-ops" => {
-                if parsed.block_ops != 0 {
-                    bail("duplicate --block-ops");
-                }
-                match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => parsed.block_ops = n,
-                    _ => bail("--block-ops needs a positive op count"),
-                }
-            }
-            s if s.starts_with('-') => bail(&format!("unknown option '{s}'")),
-            s => {
-                if scale_seen {
-                    bail(&format!("unexpected extra argument '{s}'"));
-                }
-                match Scale::from_name(s) {
-                    Some(scale) => parsed.scale = scale,
-                    None => bail(&format!("unknown scale '{s}' (use test|small|medium|large)")),
-                }
-                scale_seen = true;
-            }
-        }
-    }
-    parsed
-}
-
-fn effective_segment_ops(args: &Args) -> usize {
-    if args.segment_ops == 0 {
-        bioperf_trace::DEFAULT_SEGMENT_OPS
-    } else {
-        args.segment_ops
-    }
-}
-
-fn effective_block_ops(args: &Args) -> usize {
-    if args.block_ops == 0 {
-        bioperf_trace::BLOCK_OPS
-    } else {
-        args.block_ops
-    }
+fn read_args(argv: &[String]) -> Result<Args, CliError> {
+    let a = cli::read(argv, &SPEC)?;
+    Ok(Args {
+        bench: BenchArgs {
+            scale: a.parse_with("scale", cli::scale)?.unwrap_or(Scale::Small),
+            json: a.value("--json").map(PathBuf::from),
+        },
+        min_mops: a.parse_with("--min-mops", cli::positive)?,
+        spill_dir: a.value("--spill-dir").map(PathBuf::from),
+        segment_ops: a
+            .parse_with("--segment-ops", cli::positive)?
+            .unwrap_or(bioperf_trace::DEFAULT_SEGMENT_OPS),
+        block_ops: a.parse_with("--block-ops", cli::positive)?.unwrap_or(bioperf_trace::BLOCK_OPS),
+    })
 }
 
 /// Streamed bank replay of a segmented recording; returns per-platform
@@ -260,10 +179,10 @@ fn enforce_floor(label: &str, mops: f64, floor: Option<f64>) {
 /// streamed bank. The whole trace is never resident, so `ulimit -v` caps
 /// meaningfully bound this mode.
 fn run_spill_only(args: &Args, spill_dir: &PathBuf) {
-    let scale = args.scale;
+    let scale = args.bench.scale;
     banner("Replay throughput: streamed segment decode + cycle simulation", scale);
     let program = ProgramId::Hmmsearch;
-    let segment_ops = effective_segment_ops(args);
+    let segment_ops = args.segment_ops;
     let recorder = match SpillRecorder::to_dir(spill_dir, segment_ops, bioperf_trace::replay::DEFAULT_CAPACITY) {
         Ok(r) => r,
         Err(e) => {
@@ -314,17 +233,18 @@ fn run_spill_only(args: &Args, spill_dir: &PathBuf) {
     json.value("mops_per_sec/streamed_bank", Json::F64(mops));
     json.note("hmmsearch recorded straight to disk segments; four platform models off one streamed bank decode");
     report_peak_rss(&mut json);
-    json.write_if_requested(&args_to_bench(args));
+    json.write_if_requested(&args.bench);
     enforce_floor("streamed bank", mops, args.min_mops);
 }
 
 fn main() {
-    let args = parse_args();
+    let argv = cli::or_exit(cli::argv(), ARTIFACT, USAGE);
+    let args = cli::or_exit(read_args(&argv), ARTIFACT, USAGE);
     if let Some(spill_dir) = args.spill_dir.clone() {
         run_spill_only(&args, &spill_dir);
         return;
     }
-    let scale = args.scale;
+    let scale = args.bench.scale;
     banner("Replay throughput: packed-trace decode + cycle simulation", scale);
 
     let program = ProgramId::Hmmsearch;
@@ -382,7 +302,7 @@ fn main() {
     // one `PlatformBank` consumes a whole block at a time — one plan walk
     // and one predictor walk per family for all four platforms, the
     // suite's production replay path.
-    let block_ops = effective_block_ops(&args);
+    let block_ops = args.block_ops;
     let mut bank = PlatformBank::new(&platforms);
     let start = Instant::now();
     recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
@@ -405,7 +325,7 @@ fn main() {
     // replayed through the bank with background prefetch — the spill
     // mode's production path, verified bit-identical to the in-memory
     // bank before its row is trusted.
-    let segment_ops = effective_segment_ops(&args);
+    let segment_ops = args.segment_ops;
     let seg_dir = std::env::temp_dir().join(format!("bioperf-replay-seg-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&seg_dir);
     let segmented = match segment_recording(&recording, &seg_dir, segment_ops) {
@@ -465,13 +385,6 @@ fn main() {
     json.value("sweep_timing_lane_to_decode_ratio", Json::F64(lane_ratio));
     json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode; then a 24-lane sweep-timing TimingBank over one cache pass's stream, as lane-op Mops/s and lane ns/op over decode-only ns/op");
     report_peak_rss(&mut json);
-    json.write_if_requested(&args_to_bench(&args));
+    json.write_if_requested(&args.bench);
     enforce_floor("bank", bank_mops, args.min_mops);
-}
-
-/// Adapter so [`JsonReport::write_if_requested`] (which takes the shared
-/// [`bioperf_bench::BenchArgs`]) works with this binary's extended
-/// command line.
-fn args_to_bench(args: &Args) -> bioperf_bench::BenchArgs {
-    bioperf_bench::BenchArgs { scale: args.scale, json: args.json.clone() }
 }

@@ -26,12 +26,15 @@
 //! Every binary takes an optional workload scale (`test`, `small`,
 //! `medium`, `large`) plus `--json <path>` to additionally write the
 //! printed tables as a machine-readable JSON twin ([`JsonReport`]).
-//! Unknown or malformed arguments are rejected with a usage message and
-//! exit status 2 — they are never silently ignored, so a typo'd scale
-//! cannot masquerade as a finished default-scale run.
+//! Arguments are read by [`bioperf_core::cli`]: unknown, repeated or
+//! value-less flags, extra positionals and malformed values are rejected
+//! with a usage message and exit status 2 — they are never silently
+//! ignored, so a typo'd scale cannot masquerade as a finished
+//! default-scale run — and `--help` prints usage and exits 0.
 
 use std::path::PathBuf;
 
+use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
 use bioperf_kernels::Scale;
 use bioperf_metrics::Json;
@@ -42,9 +45,8 @@ pub const REPRO_SEED: u64 = 42;
 /// Schema tag of the table binaries' `--json` documents.
 pub const TABLE_SCHEMA: &str = "bioperf-table/v1";
 
-/// Exit status for rejected command lines (mirrors `EX_USAGE`-style
-/// conventions: distinct from both success and runtime panics).
-pub const USAGE_EXIT: i32 = 2;
+/// Exit status for rejected command lines ([`cli::USAGE_EXIT`]).
+pub const USAGE_EXIT: i32 = cli::USAGE_EXIT as i32;
 
 /// Parsed command line of a table/figure binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,52 +57,20 @@ pub struct BenchArgs {
     pub json: Option<PathBuf>,
 }
 
-/// The usage string printed on rejected command lines and `--help`.
-pub fn usage(artifact: &str, takes_scale: bool) -> String {
-    if takes_scale {
-        format!("usage: {artifact} [test|small|medium|large] [--json <path>]")
-    } else {
-        format!("usage: {artifact} [--json <path>]")
+impl BenchArgs {
+    /// Reads `argv` (without the program name): an optional scale
+    /// (`default` when absent; rejected unless `takes_scale`) and
+    /// `--json <path>`.
+    pub fn from_argv(argv: &[String], default: Scale, takes_scale: bool) -> Result<Self, CliError> {
+        const SCALED: Spec =
+            Spec { values: &["--json"], switches: &[], positionals: &["scale"], required: 0 };
+        const FIXED: Spec = Spec { values: &["--json"], switches: &[], positionals: &[], required: 0 };
+        let a = cli::read(argv, if takes_scale { &SCALED } else { &FIXED })?;
+        Ok(Self {
+            scale: a.parse_with("scale", cli::scale)?.unwrap_or(default),
+            json: a.value("--json").map(PathBuf::from),
+        })
     }
-}
-
-/// Pure argument parser behind [`bench_args`]; `argv` excludes the
-/// program name. Kept separate so tests can exercise every rejection
-/// path without spawning processes.
-pub fn parse_bench_args(
-    argv: &[String],
-    default: Scale,
-    takes_scale: bool,
-) -> Result<BenchArgs, String> {
-    let mut parsed = BenchArgs { scale: default, json: None };
-    let mut scale_seen = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                if parsed.json.is_some() {
-                    return Err("duplicate --json".into());
-                }
-                match it.next() {
-                    Some(path) if !path.is_empty() => parsed.json = Some(PathBuf::from(path)),
-                    _ => return Err("--json needs a file path".into()),
-                }
-            }
-            s if s.starts_with('-') => return Err(format!("unknown option '{s}'")),
-            s => {
-                if !takes_scale {
-                    return Err(format!("unexpected argument '{s}'"));
-                }
-                if scale_seen {
-                    return Err(format!("unexpected extra argument '{s}'"));
-                }
-                parsed.scale = Scale::from_name(s)
-                    .ok_or_else(|| format!("unknown scale '{s}' (use test|small|medium|large)"))?;
-                scale_seen = true;
-            }
-        }
-    }
-    Ok(parsed)
 }
 
 /// Parses the process command line for a scale-taking binary; prints
@@ -117,19 +87,13 @@ pub fn bench_args_no_scale(artifact: &str) -> BenchArgs {
 }
 
 fn bench_args_with(artifact: &str, default: Scale, takes_scale: bool) -> BenchArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage(artifact, takes_scale));
-        std::process::exit(0);
-    }
-    match parse_bench_args(&argv, default, takes_scale) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("{artifact}: {msg}");
-            eprintln!("{}", usage(artifact, takes_scale));
-            std::process::exit(USAGE_EXIT);
-        }
-    }
+    let usage = if takes_scale {
+        format!("usage: {artifact} [test|small|medium|large] [--json <path>]")
+    } else {
+        format!("usage: {artifact} [--json <path>]")
+    };
+    let argv = cli::or_exit(cli::argv(), artifact, &usage);
+    cli::or_exit(BenchArgs::from_argv(&argv, default, takes_scale), artifact, &usage)
 }
 
 /// The machine-readable twin of a binary's printed tables.
@@ -233,17 +197,17 @@ mod tests {
 
     #[test]
     fn empty_command_line_keeps_the_default() {
-        let a = parse_bench_args(&[], Scale::Medium, true).unwrap();
+        let a = BenchArgs::from_argv(&[], Scale::Medium, true).unwrap();
         assert_eq!(a, BenchArgs { scale: Scale::Medium, json: None });
     }
 
     #[test]
     fn scale_and_json_parse_in_either_order() {
-        let a = parse_bench_args(&argv(&["small", "--json", "out.json"]), Scale::Medium, true)
+        let a = BenchArgs::from_argv(&argv(&["small", "--json", "out.json"]), Scale::Medium, true)
             .unwrap();
         assert_eq!(a.scale, Scale::Small);
         assert_eq!(a.json.as_deref(), Some(std::path::Path::new("out.json")));
-        let b = parse_bench_args(&argv(&["--json", "out.json", "small"]), Scale::Medium, true)
+        let b = BenchArgs::from_argv(&argv(&["--json", "out.json", "small"]), Scale::Medium, true)
             .unwrap();
         assert_eq!(a, b);
     }
@@ -258,7 +222,7 @@ mod tests {
             vec!["--json", "a", "--json", "b"], // duplicate
         ] {
             assert!(
-                parse_bench_args(&argv(&bad), Scale::Medium, true).is_err(),
+                BenchArgs::from_argv(&argv(&bad), Scale::Medium, true).is_err(),
                 "{bad:?} must be rejected"
             );
         }
@@ -266,8 +230,8 @@ mod tests {
 
     #[test]
     fn fixed_workload_binaries_reject_positional_args() {
-        assert!(parse_bench_args(&argv(&["test"]), Scale::Test, false).is_err());
-        let a = parse_bench_args(&argv(&["--json", "x.json"]), Scale::Test, false).unwrap();
+        assert!(BenchArgs::from_argv(&argv(&["test"]), Scale::Test, false).is_err());
+        let a = BenchArgs::from_argv(&argv(&["--json", "x.json"]), Scale::Test, false).unwrap();
         assert!(a.json.is_some());
     }
 

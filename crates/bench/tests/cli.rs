@@ -40,6 +40,12 @@ fn extra_arguments_are_rejected_not_ignored() {
     let out = run(env!("CARGO_BIN_EXE_table2_cache_perf"), &["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+
+    // A repeated flag is rejected by name before anything runs.
+    let out = run(env!("CARGO_BIN_EXE_bench_sweep"), &["--grid", "smoke", "--grid", "standard"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("duplicate flag --grid") && err.contains("usage:"), "stderr: {err}");
 }
 
 #[test]
@@ -81,7 +87,7 @@ fn json_twin_is_written_and_parses() {
 fn bench_suite_rejects_bad_args_and_bad_documents() {
     let out = run(env!("CARGO_BIN_EXE_bench_suite"), &["--jobs", "many"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs needs a number"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs expects a number, not 'many'"));
 
     // --check on a non-suite document must fail with status 1.
     let path = tmp_path("bogus-suite.json");

@@ -31,6 +31,8 @@
 //!   [`pareto`]-front reports.
 //! * [`report`] — plain-text table formatting used by the `bioperf-bench`
 //!   binaries that regenerate every table and figure.
+//! * [`cli`] — the one strict command-line reader behind the
+//!   `bioperf-loadchar` subcommands and every `bioperf-bench` binary.
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@
 
 pub mod candidates;
 pub mod characterize;
+pub mod cli;
 pub mod coverage;
 pub mod evaluate;
 pub mod loadchar;
@@ -65,6 +68,6 @@ pub use orchestrate::{
 };
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use sweep::{
-    run_sweep, sweep_self_check, CellError, CellMeasure, CellSpec, CheckpointError, SweepConfig,
-    SweepError, SweepGrid, SweepResult, SWEEP_SCHEMA,
+    run_sweep, sweep_self_check, AxisError, CellError, CellMeasure, CellSpec, CheckpointError,
+    SweepConfig, SweepError, SweepGrid, SweepResult, SWEEP_SCHEMA,
 };

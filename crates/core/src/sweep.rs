@@ -392,12 +392,56 @@ fn prefetcher_name(p: Prefetcher) -> &'static str {
     }
 }
 
-/// Parses a prefetcher policy name (`none`, `nextline`, `stride`), for
-/// the CLI axis flags.
-pub fn parse_prefetcher(name: &str) -> Option<Prefetcher> {
-    [Prefetcher::None, Prefetcher::NextLine, Prefetcher::Stride]
-        .into_iter()
-        .find(|&p| prefetcher_name(p) == name)
+/// Why a grid axis (or another comma-separated list in the grid
+/// grammar) does not parse. Each message reads after the flag or axis
+/// it belongs to ("--l1 repeats the value '064x2'") and names the
+/// offending item.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AxisError {
+    /// An item without its axis's separators, and the expected shape
+    /// (`KBxWAYS`, `L1:L2:MEM`, `WIDTHxROB`).
+    Malformed { item: String, expected: &'static str },
+    /// A field that is not a number of the axis's type.
+    Number(String),
+    /// A name that is not one of its kind (`predictor`, `prefetcher`,
+    /// `program`, `grid` or `axis`).
+    Unknown { what: &'static str, item: String },
+    /// An item equal, after parsing, to an earlier one in the same list.
+    Repeat(String),
+}
+
+impl fmt::Display for AxisError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AxisError::Malformed { item, expected } => {
+                write!(f, "has a malformed value '{item}' (expected {expected})")
+            }
+            AxisError::Number(s) => write!(f, "has a malformed number '{s}'"),
+            AxisError::Unknown { what, item } => write!(f, "names an unknown {what} '{item}'"),
+            AxisError::Repeat(item) => write!(f, "repeats the value '{item}'"),
+        }
+    }
+}
+
+impl std::error::Error for AxisError {}
+
+/// Parses a comma-separated list in the grid grammar. Empty items are
+/// skipped (so [`SweepGrid::canonical`]'s trailing commas read back),
+/// and an item equal to an earlier one after parsing is an
+/// [`AxisError::Repeat`]: it would only duplicate work.
+pub fn parse_list<'v, T: PartialEq>(
+    value: &'v str,
+    parse: impl Fn(&'v str) -> Result<T, AxisError>,
+) -> Result<Vec<T>, AxisError> {
+    let mut out: Vec<T> = Vec::new();
+    for item in value.split(',').filter(|s| !s.is_empty()) {
+        let v = parse(item)?;
+        if out.contains(&v) {
+            return Err(AxisError::Repeat(item.into()));
+        }
+        out.push(v);
+    }
+    Ok(out)
 }
 
 impl CellSpec {
@@ -474,6 +518,10 @@ impl CellSpec {
 }
 
 impl SweepGrid {
+    /// Axis names in [`canonical`](Self::canonical) order; the CLI flag
+    /// of axis `a` is `--a`.
+    pub const AXES: [&'static str; 7] = ["l1", "l2", "line", "lat", "pipe", "pred", "prefetch"];
+
     /// The ~64-cell CI smoke grid (2·2·2·1·2·2·2 = 64 cells).
     pub fn smoke() -> Self {
         Self {
@@ -570,6 +618,73 @@ impl SweepGrid {
             let _ = write!(s, "{},", prefetcher_name(*p));
         }
         s
+    }
+
+    /// The preset named `smoke` or `standard`.
+    pub fn preset(name: &str) -> Result<Self, AxisError> {
+        match name {
+            "smoke" => Ok(Self::smoke()),
+            "standard" => Ok(Self::standard()),
+            _ => Err(AxisError::Unknown { what: "grid", item: name.into() }),
+        }
+    }
+
+    /// Replaces axis `axis` (one of [`AXES`](Self::AXES)) with the list
+    /// `value`, in the grammar [`canonical`](Self::canonical) writes:
+    /// `KBxWAYS` for `l1` and `l2`, bytes for `line`, `L1:L2:MEM` for
+    /// `lat`, `WIDTHxROB` for `pipe`, and names for `pred` and
+    /// `prefetch`, comma-separated per [`parse_list`]. A value that
+    /// parses but describes a cell the simulators cannot run (zero ways,
+    /// an oversized level or ROB, an unholdable latency) is accepted here;
+    /// [`CellSpec::resolve`] turns it into a skipped-cell diagnostic.
+    pub fn set_axis(&mut self, axis: &str, value: &str) -> Result<(), AxisError> {
+        fn num<T: std::str::FromStr>(s: &str) -> Result<T, AxisError> {
+            s.parse().map_err(|_| AxisError::Number(s.into()))
+        }
+        fn split<'v, const N: usize>(
+            item: &'v str,
+            sep: char,
+            expected: &'static str,
+        ) -> Result<[&'v str; N], AxisError> {
+            let fields: Vec<&str> = item.split(sep).collect();
+            fields.try_into().map_err(|_| AxisError::Malformed { item: item.into(), expected })
+        }
+        fn named<T>(what: &'static str, item: &str, found: Option<T>) -> Result<T, AxisError> {
+            found.ok_or_else(|| AxisError::Unknown { what, item: item.into() })
+        }
+        let geometry = |item: &str| -> Result<(u64, u32), AxisError> {
+            let [kb, ways] = split(item, 'x', "KBxWAYS")?;
+            Ok((num(kb)?, num(ways)?))
+        };
+        match axis {
+            "l1" => self.l1 = parse_list(value, geometry)?,
+            "l2" => self.l2 = parse_list(value, geometry)?,
+            "line" => self.line = parse_list(value, num)?,
+            "lat" => {
+                self.lat = parse_list(value, |item| {
+                    let [l1, l2, mem] = split(item, ':', "L1:L2:MEM")?;
+                    Ok((num(l1)?, num(l2)?, num(mem)?))
+                })?;
+            }
+            "pipe" => {
+                self.pipe = parse_list(value, |item| {
+                    let [width, rob] = split(item, 'x', "WIDTHxROB")?;
+                    Ok((num(width)?, num(rob)?))
+                })?;
+            }
+            "pred" => {
+                self.pred =
+                    parse_list(value, |item| named("predictor", item, PredictorKind::from_name(item)))?;
+            }
+            "prefetch" => {
+                let all = [Prefetcher::None, Prefetcher::NextLine, Prefetcher::Stride];
+                self.prefetch = parse_list(value, |item| {
+                    named("prefetcher", item, all.into_iter().find(|&p| prefetcher_name(p) == item))
+                })?;
+            }
+            _ => return Err(AxisError::Unknown { what: "axis", item: axis.into() }),
+        }
+        Ok(())
     }
 }
 

@@ -1,90 +1,195 @@
-//! `bioperf-loadchar` — command-line front end to the reproduction.
-//!
-//! ```text
-//! bioperf-loadchar list
-//! bioperf-loadchar characterize <program> [scale]
-//! bioperf-loadchar candidates   <program> [scale]
-//! bioperf-loadchar coverage     <program> [scale]
-//! bioperf-loadchar evaluate     <program> [scale]
-//! bioperf-loadchar suite [--scale <scale>] [--jobs <n>] [--seed <u64>] [--metrics <out.json>]
-//!                        [--trace-cap <ops>] [--spill-dir <dir>] [--segment-ops <ops>]
-//! bioperf-loadchar conform [--cases <n>] [--seed <u64>] [--jobs <n>] [--metrics <out.json>]
-//!                          [--inject <fault>] [--out <dir>] [--fuzz-only]
-//! bioperf-loadchar sweep [--grid smoke|standard] [--scale <scale>] [--seed <u64>]
-//!                        [--jobs <n>] [--programs <a,b>] [--l1 <KBxW,..>] [--l2 <KBxW,..>]
-//!                        [--line <B,..>] [--lat <L1:L2:MEM,..>] [--pipe <WxROB,..>]
-//!                        [--pred <name,..>] [--prefetch <name,..>] [--checkpoint <file>]
-//!                        [--max-cells <n>] [--out <report.json>]
-//! ```
+//! `bioperf-loadchar` — command-line front end to the reproduction:
+//! `list`, the per-program `characterize`/`candidates`/`coverage`/
+//! `evaluate`, and the `suite`, `conform` and `sweep` runners. Every
+//! subcommand reads its arguments with [`bioperf_core::cli`];
+//! `bioperf-loadchar --help` prints the usage text below.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bioperf_core::candidates::{find_candidates, CandidateCriteria};
 use bioperf_core::characterize::characterize_program;
+use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::evaluate::{evaluate_program, EvalMatrix};
 use bioperf_core::orchestrate::{
     run_conform, run_suite, ConformConfig, FaultId, SpillConfig, SuiteConfig,
 };
 use bioperf_core::report::{pct, pct2, TextTable};
-use bioperf_core::sweep::{parse_prefetcher, run_sweep, SweepConfig, SweepGrid};
-use bioperf_branch::PredictorKind;
+use bioperf_core::sweep::{parse_list, run_sweep, AxisError, SweepConfig, SweepGrid};
 use bioperf_isa::OpClass;
 use bioperf_kernels::{ProgramId, Scale};
 use bioperf_pipe::PlatformConfig;
 
 const SEED: u64 = 42;
 
-fn usage() -> ExitCode {
-    eprintln!("bioperf-loadchar — IISWC 2006 BioPerf load-characterization reproduction");
-    eprintln!();
-    eprintln!("usage:");
-    eprintln!("  bioperf-loadchar list");
-    eprintln!("  bioperf-loadchar characterize <program> [test|small|medium|large]");
-    eprintln!("  bioperf-loadchar candidates   <program> [scale]");
-    eprintln!("  bioperf-loadchar coverage     <program> [scale]");
-    eprintln!("  bioperf-loadchar evaluate     <program> [scale]");
-    eprintln!("  bioperf-loadchar suite [--scale <scale>] [--jobs <n>] [--seed <u64>]");
-    eprintln!("                         [--metrics <out.json>] [--trace-cap <ops>]");
-    eprintln!("                         [--spill-dir <dir>] [--segment-ops <ops>]");
-    eprintln!("  bioperf-loadchar conform [--cases <n>] [--seed <u64>] [--jobs <n>]");
-    eprintln!("                           [--metrics <out.json>] [--inject <fault>]");
-    eprintln!("                           [--out <dir>] [--fuzz-only]");
-    eprintln!("  bioperf-loadchar sweep [--grid smoke|standard] [axis and run flags;");
-    eprintln!("                         see 'sweep --help' via any bad flag for details]");
-    eprintln!();
-    eprintln!("suite runs the whole study — nine characterizations plus the 6-program ×");
-    eprintln!("4-platform runtime evaluation — on a worker pool (--jobs 0 = all cores).");
-    eprintln!("Output is identical for every worker count. --metrics additionally writes");
-    eprintln!("every paper metric, raw simulator event, and phase timing as JSON; its");
-    eprintln!("\"deterministic\" section is byte-identical for every --jobs value.");
-    eprintln!("--trace-cap bounds the replay recorder (0 = default capacity).");
-    eprintln!("--spill-dir records traces as fixed-size segment files under <dir> and");
-    eprintln!("streams the replay wave from disk (peak memory stays O(segment size);");
-    eprintln!("output is byte-identical to in-memory runs). --segment-ops sets the ops");
-    eprintln!("per segment file (0 = default) and requires --spill-dir. --trace-cap");
-    eprintln!("still bounds each trace's *total* ops across all its segments.");
-    eprintln!();
-    eprintln!("conform differentially fuzzes every simulator against its naive reference");
-    eprintln!("model (seeded, deterministic; shrunk counterexamples land in --out) and");
-    eprintln!("cross-checks the nine real program traces end-to-end (--fuzz-only skips");
-    eprintln!("that). --inject <fault> arms one catalogued mutation and exits 0 only if");
-    eprintln!("the fuzzer detects it within the fault's case budget.");
-    eprintln!();
-    eprintln!("programs: blast clustalw dnapenny fasta hmmcalibrate hmmpfam hmmsearch");
-    eprintln!("          predator promlk   (evaluate: the six transformed programs only)");
-    ExitCode::FAILURE
+const USAGE: &str = "\
+bioperf-loadchar — IISWC 2006 BioPerf load-characterization reproduction
+
+usage:
+  bioperf-loadchar list
+  bioperf-loadchar characterize <program> [test|small|medium|large]
+  bioperf-loadchar candidates   <program> [scale]
+  bioperf-loadchar coverage     <program> [scale]
+  bioperf-loadchar evaluate     <program> [scale]
+  bioperf-loadchar suite [--scale <scale>] [--jobs <n>] [--seed <u64>]
+                         [--metrics <out.json>] [--trace-cap <ops>]
+                         [--spill-dir <dir>] [--segment-ops <ops>]
+  bioperf-loadchar conform [--cases <n>] [--seed <u64>] [--jobs <n>]
+                           [--metrics <out.json>] [--inject <fault>]
+                           [--out <dir>] [--fuzz-only]
+  bioperf-loadchar sweep [--grid smoke|standard] [axis and run flags;
+                         see 'sweep --help' for details]
+
+suite runs the whole study — nine characterizations plus the 6-program ×
+4-platform runtime evaluation — on a worker pool (--jobs 0 = all cores,
+at most 256). Output is identical for every worker count. --metrics
+additionally writes every paper metric, raw simulator event, and phase
+timing as JSON; its \"deterministic\" section is byte-identical for every
+--jobs value. --trace-cap bounds the replay recorder (0 = default
+capacity). --spill-dir records traces as fixed-size segment files under
+<dir> and streams the replay wave from disk (peak memory stays O(segment
+size); output is byte-identical to in-memory runs). --segment-ops sets
+the ops per segment file (0 = default) and requires --spill-dir.
+--trace-cap still bounds each trace's *total* ops across all its segments.
+
+conform differentially fuzzes every simulator against its naive reference
+model (seeded, deterministic; shrunk counterexamples land in --out) and
+cross-checks the nine real program traces end-to-end (--fuzz-only skips
+that). --inject <fault> arms one catalogued mutation and exits 0 only if
+the fuzzer detects it within the fault's case budget.
+
+Unknown, repeated and value-less flags and malformed values exit 2 with
+the offender named; --help prints this text.
+
+programs: blast clustalw dnapenny fasta hmmcalibrate hmmpfam hmmsearch
+          predator promlk   (evaluate: the six transformed programs only)";
+
+const SWEEP_USAGE: &str = "\
+usage: bioperf-loadchar sweep [--grid smoke|standard] [--scale <scale>]
+           [--seed <u64>] [--jobs <n>] [--programs <a,b>]
+           [--l1 <KBxWAYS,..>] [--l2 <KBxWAYS,..>] [--line <BYTES,..>]
+           [--lat <L1:L2:MEM,..>] [--pipe <WIDTHxROB,..>]
+           [--pred <hybrid|aliased|bimodal,..>]
+           [--prefetch <none|nextline|stride,..>]
+           [--checkpoint <file>] [--max-cells <n>] [--out <report.json>]
+           [--no-factor]
+
+Sweeps the configuration grid (axis flags override the preset's axes),
+replaying both variants of each program through every cell, and prints
+each program's Pareto frontier over (AMAT, speedup, hardware cost).
+Output is byte-identical for every --jobs value. --checkpoint appends
+completed cells to a resumable bioperf-sweep/v1 file; --max-cells bounds
+new measurements per invocation (exit 3 while cells remain). --out writes
+the deterministic JSON report. --no-factor disables the factored
+cache-pass/timing-pass evaluation (slower; bit-identical output).";
+
+/// Exit code of a sweep that ran cleanly but left cells unmeasured
+/// because `--max-cells` capped the invocation.
+const SWEEP_PARTIAL_EXIT: u8 = 3;
+
+const NO_ARGS: Spec = Spec { values: &[], switches: &[], positionals: &[], required: 0 };
+
+const PROGRAM_ARGS: Spec =
+    Spec { values: &[], switches: &[], positionals: &["program", "scale"], required: 1 };
+
+const SUITE_ARGS: Spec = Spec {
+    values: &["--scale", "--jobs", "--seed", "--metrics", "--trace-cap", "--spill-dir", "--segment-ops"],
+    switches: &[],
+    positionals: &[],
+    required: 0,
+};
+
+const CONFORM_ARGS: Spec = Spec {
+    values: &["--cases", "--seed", "--jobs", "--metrics", "--inject", "--out"],
+    switches: &["--fuzz-only"],
+    positionals: &[],
+    required: 0,
+};
+
+/// The axis flags are `--` plus each of [`SweepGrid::AXES`].
+const SWEEP_ARGS: Spec = Spec {
+    values: &[
+        "--grid", "--scale", "--seed", "--jobs", "--programs", "--checkpoint", "--max-cells", "--out",
+        "--l1", "--l2", "--line", "--lat", "--pipe", "--pred", "--prefetch",
+    ],
+    switches: &["--no-factor"],
+    positionals: &[],
+    required: 0,
+};
+
+fn program(name: &str) -> Result<ProgramId, AxisError> {
+    ProgramId::from_name(name).ok_or_else(|| AxisError::Unknown { what: "program", item: name.into() })
 }
 
-fn parse_scale(arg: Option<&str>) -> Option<Scale> {
-    match arg {
-        None => Some(Scale::Small),
-        Some("test") => Some(Scale::Test),
-        Some("small") => Some(Scale::Small),
-        Some("medium") => Some(Scale::Medium),
-        Some("large") => Some(Scale::Large),
-        Some(_) => None,
+/// The program and scale (default small) of `characterize`,
+/// `candidates`, `coverage` and `evaluate`.
+fn program_args(argv: &[String]) -> Result<(ProgramId, Scale), CliError> {
+    let a = cli::read(argv, &PROGRAM_ARGS)?;
+    let program = a.parse_with("program", program)?.expect("the program is a required positional");
+    Ok((program, a.parse_with("scale", cli::scale)?.unwrap_or(Scale::Small)))
+}
+
+/// The suite configuration and the `--metrics` path.
+fn suite_args(argv: &[String]) -> Result<(SuiteConfig, Option<&str>), CliError> {
+    let a = cli::read(argv, &SUITE_ARGS)?;
+    let segment_ops = a.number("--segment-ops")?.unwrap_or(0);
+    // Segment sizing only means something when spilling is on.
+    if segment_ops != 0 && a.value("--spill-dir").is_none() {
+        let reason = "requires --spill-dir".into();
+        return Err(CliError::BadValue { flag: "--segment-ops".into(), reason });
     }
+    let metrics = a.value("--metrics");
+    let config = SuiteConfig {
+        scale: a.parse_with("--scale", cli::scale)?.unwrap_or(Scale::Test),
+        seed: a.number("--seed")?.unwrap_or(SEED),
+        jobs: a.jobs()?,
+        // Raw event collection (the only part with a hot-loop cost) is
+        // only switched on when the caller asked for the JSON snapshot.
+        metrics: metrics.is_some(),
+        trace_cap: a.number("--trace-cap")?.unwrap_or(0),
+        spill: a.value("--spill-dir").map(|dir| SpillConfig { dir: PathBuf::from(dir), segment_ops }),
+    };
+    Ok((config, metrics))
+}
+
+/// The conform configuration (fault not yet resolved), the `--inject`
+/// fault name and the `--metrics` path.
+fn conform_args(
+    argv: &[String],
+) -> Result<(ConformConfig, Option<&str>, Option<&str>), CliError> {
+    let a = cli::read(argv, &CONFORM_ARGS)?;
+    let config = ConformConfig {
+        cases: a.number("--cases")?.unwrap_or(256),
+        seed: a.number("--seed")?.unwrap_or(SEED),
+        jobs: a.jobs()?,
+        inject: None,
+        check_programs: !a.switch("--fuzz-only"),
+        out_dir: Some(PathBuf::from(a.value("--out").unwrap_or("results/conform"))),
+    };
+    Ok((config, a.value("--inject"), a.value("--metrics")))
+}
+
+/// The sweep configuration and the `--out` report path.
+fn sweep_args(argv: &[String]) -> Result<(SweepConfig, Option<&str>), CliError> {
+    let a = cli::read(argv, &SWEEP_ARGS)?;
+    let mut grid = a
+        .parse_with("--grid", SweepGrid::preset)?
+        .unwrap_or_else(SweepGrid::smoke);
+    // Axis flags replace the preset's axes wholesale.
+    for axis in SweepGrid::AXES {
+        a.parse_with(&format!("--{axis}"), |value| grid.set_axis(axis, value))?;
+    }
+    let config = SweepConfig {
+        scale: a.parse_with("--scale", cli::scale)?.unwrap_or(Scale::Test),
+        seed: a.number("--seed")?.unwrap_or(SEED),
+        jobs: a.jobs()?,
+        programs: a.parse_with("--programs", |v| parse_list(v, program))?.unwrap_or_default(),
+        grid,
+        checkpoint: a.value("--checkpoint").map(PathBuf::from),
+        max_cells: a.number("--max-cells")?.unwrap_or(0),
+        factor: !a.switch("--no-factor"),
+    };
+    Ok((config, a.value("--out")))
 }
 
 fn cmd_list() -> ExitCode {
@@ -182,17 +287,9 @@ fn cmd_evaluate(program: ProgramId, scale: Scale) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_suite(
-    scale: Scale,
-    jobs: usize,
-    seed: u64,
-    metrics: Option<&str>,
-    trace_cap: usize,
-    spill: Option<SpillConfig>,
-) -> ExitCode {
-    // Raw event collection (the only part with a hot-loop cost) is only
-    // switched on when the caller asked for the JSON snapshot.
-    let suite = match run_suite(SuiteConfig { scale, seed, jobs, metrics: metrics.is_some(), trace_cap, spill }) {
+fn cmd_suite(config: SuiteConfig, metrics: Option<&str>) -> ExitCode {
+    let (scale, seed) = (config.scale, config.seed);
+    let suite = match run_suite(config) {
         Ok(suite) => suite,
         Err(e) => {
             eprintln!("suite: {e}");
@@ -252,254 +349,8 @@ fn cmd_suite(
     ExitCode::SUCCESS
 }
 
-struct SuiteArgs<'a> {
-    scale: Scale,
-    jobs: usize,
-    seed: u64,
-    metrics: Option<&'a str>,
-    trace_cap: usize,
-    spill_dir: Option<&'a str>,
-    segment_ops: usize,
-}
-
-impl SuiteArgs<'_> {
-    /// The resolved spill configuration, if `--spill-dir` was given.
-    fn spill(&self) -> Option<SpillConfig> {
-        self.spill_dir
-            .map(|dir| SpillConfig { dir: PathBuf::from(dir), segment_ops: self.segment_ops })
-    }
-}
-
-fn parse_suite_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Option<SuiteArgs<'a>> {
-    let mut parsed = SuiteArgs {
-        scale: Scale::Test,
-        jobs: 0,
-        seed: SEED,
-        metrics: None,
-        trace_cap: 0,
-        spill_dir: None,
-        segment_ops: 0,
-    };
-    while let Some(flag) = it.next() {
-        let value = it.next()?;
-        match flag {
-            "--scale" => parsed.scale = parse_scale(Some(value))?,
-            "--jobs" => parsed.jobs = value.parse().ok()?,
-            "--seed" => parsed.seed = value.parse().ok()?,
-            "--metrics" => parsed.metrics = Some(value),
-            "--trace-cap" => parsed.trace_cap = value.parse().ok()?,
-            "--spill-dir" => parsed.spill_dir = Some(value),
-            "--segment-ops" => parsed.segment_ops = value.parse().ok()?,
-            _ => return None,
-        }
-    }
-    // Segment sizing only means something when spilling is on.
-    if parsed.segment_ops != 0 && parsed.spill_dir.is_none() {
-        return None;
-    }
-    Some(parsed)
-}
-
-struct ConformArgs<'a> {
-    cases: u64,
-    seed: u64,
-    jobs: usize,
-    metrics: Option<&'a str>,
-    inject: Option<&'a str>,
-    out: &'a str,
-    fuzz_only: bool,
-}
-
-fn parse_conform_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Option<ConformArgs<'a>> {
-    let mut parsed = ConformArgs {
-        cases: 256,
-        seed: SEED,
-        jobs: 0,
-        metrics: None,
-        inject: None,
-        out: "results/conform",
-        fuzz_only: false,
-    };
-    while let Some(flag) = it.next() {
-        if flag == "--fuzz-only" {
-            parsed.fuzz_only = true;
-            continue;
-        }
-        let value = it.next()?;
-        match flag {
-            "--cases" => parsed.cases = value.parse().ok()?,
-            "--seed" => parsed.seed = value.parse().ok()?,
-            "--jobs" => parsed.jobs = value.parse().ok()?,
-            "--metrics" => parsed.metrics = Some(value),
-            "--inject" => parsed.inject = Some(value),
-            "--out" => parsed.out = value,
-            _ => return None,
-        }
-    }
-    Some(parsed)
-}
-
-/// Exit code for sweep usage errors, per the bench-CLI convention
-/// (strict parsing: unknown, malformed, and duplicate flags all land
-/// here rather than silently winning or losing).
-const SWEEP_USAGE_EXIT: u8 = 2;
-
-/// Exit code of a sweep that ran cleanly but left cells unmeasured
-/// because `--max-cells` capped the invocation.
-const SWEEP_PARTIAL_EXIT: u8 = 3;
-
-fn sweep_usage() {
-    eprintln!("usage: bioperf-loadchar sweep [--grid smoke|standard] [--scale <scale>]");
-    eprintln!("           [--seed <u64>] [--jobs <n>] [--programs <a,b>]");
-    eprintln!("           [--l1 <KBxWAYS,..>] [--l2 <KBxWAYS,..>] [--line <BYTES,..>]");
-    eprintln!("           [--lat <L1:L2:MEM,..>] [--pipe <WIDTHxROB,..>]");
-    eprintln!("           [--pred <hybrid|aliased|bimodal,..>]");
-    eprintln!("           [--prefetch <none|nextline|stride,..>]");
-    eprintln!("           [--checkpoint <file>] [--max-cells <n>] [--out <report.json>]");
-    eprintln!("           [--no-factor]");
-    eprintln!();
-    eprintln!("Sweeps the configuration grid (axis flags override the preset's axes),");
-    eprintln!("replaying both variants of each program through every cell, and prints");
-    eprintln!("each program's Pareto frontier over (AMAT, speedup, hardware cost).");
-    eprintln!("Output is byte-identical for every --jobs value. --checkpoint appends");
-    eprintln!("completed cells to a resumable bioperf-sweep/v1 file; --max-cells bounds");
-    eprintln!("new measurements per invocation (exit {SWEEP_PARTIAL_EXIT} while cells remain). --out writes");
-    eprintln!("the deterministic JSON report. --no-factor disables the factored");
-    eprintln!("cache-pass/timing-pass evaluation (slower; bit-identical output).");
-}
-
-struct SweepArgs<'a> {
-    cfg: SweepConfig,
-    out: Option<&'a str>,
-}
-
-/// Strict sweep-flag parser: every flag takes exactly one value, appears
-/// at most once, and must parse, and no list flag repeats a value;
-/// anything else is a usage error naming the offender.
-fn parse_sweep_args<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<SweepArgs<'a>, String> {
-    /// The items of list flag `flag`, parsed. A repeated value would
-    /// only duplicate work (cells, or a program's traces and frontier),
-    /// so it is an error naming the flag and the value.
-    fn list<'v, T: PartialEq>(
-        flag: &str,
-        value: &'v str,
-        parse: impl Fn(&'v str) -> Result<T, String>,
-    ) -> Result<Vec<T>, String> {
-        let mut out: Vec<T> = Vec::new();
-        for item in value.split(',').filter(|s| !s.is_empty()) {
-            let v = parse(item)?;
-            if out.contains(&v) {
-                return Err(format!("{flag} repeats the value '{item}'"));
-            }
-            out.push(v);
-        }
-        Ok(out)
-    }
-    fn pair(item: &str, sep: char) -> Result<(&str, &str), String> {
-        item.split_once(sep).ok_or_else(|| format!("malformed value '{item}' (expected A{sep}B)"))
-    }
-    fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-        s.parse().map_err(|_| format!("malformed number '{s}'"))
-    }
-
-    let mut grid = SweepGrid::smoke();
-    let mut grid_flag: Option<&str> = None;
-    let mut overrides: Vec<(&str, &str)> = Vec::new();
-    let mut args = SweepArgs {
-        cfg: SweepConfig {
-            scale: Scale::Test,
-            seed: SEED,
-            jobs: 0,
-            programs: Vec::new(),
-            grid: SweepGrid::smoke(),
-            checkpoint: None,
-            max_cells: 0,
-            factor: true,
-        },
-        out: None,
-    };
-    let mut seen: Vec<&str> = Vec::new();
-    while let Some(flag) = it.next() {
-        if seen.contains(&flag) {
-            return Err(format!("duplicate flag {flag}"));
-        }
-        seen.push(flag);
-        if flag == "--no-factor" {
-            args.cfg.factor = false;
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag {
-            "--grid" => grid_flag = Some(value),
-            "--scale" => {
-                args.cfg.scale =
-                    parse_scale(Some(value)).ok_or_else(|| format!("unknown scale '{value}'"))?;
-            }
-            "--seed" => args.cfg.seed = num(value)?,
-            "--jobs" => args.cfg.jobs = num(value)?,
-            "--max-cells" => args.cfg.max_cells = num(value)?,
-            "--checkpoint" => args.cfg.checkpoint = Some(PathBuf::from(value)),
-            "--out" => args.out = Some(value),
-            "--programs" => {
-                args.cfg.programs = list(flag, value, |name| {
-                    ProgramId::from_name(name).ok_or_else(|| format!("unknown program '{name}'"))
-                })?;
-            }
-            "--l1" | "--l2" | "--line" | "--lat" | "--pipe" | "--pred" | "--prefetch" => {
-                overrides.push((flag, value));
-            }
-            _ => return Err(format!("unknown flag {flag}")),
-        }
-    }
-    if let Some(name) = grid_flag {
-        grid = match name {
-            "smoke" => SweepGrid::smoke(),
-            "standard" => SweepGrid::standard(),
-            _ => return Err(format!("unknown grid '{name}' (smoke or standard)")),
-        };
-    }
-    // Axis overrides replace the preset's axis wholesale, in flag order.
-    for (flag, value) in overrides {
-        let geometry = |item| {
-            let (kb, ways) = pair(item, 'x')?;
-            Ok((num(kb)?, num(ways)?))
-        };
-        match flag {
-            "--l1" => grid.l1 = list(flag, value, geometry)?,
-            "--l2" => grid.l2 = list(flag, value, geometry)?,
-            "--line" => grid.line = list(flag, value, num)?,
-            "--lat" => {
-                grid.lat = list(flag, value, |item| {
-                    let (l1, rest) = pair(item, ':')?;
-                    let (l2, mem) = pair(rest, ':')?;
-                    Ok((num(l1)?, num(l2)?, num(mem)?))
-                })?;
-            }
-            "--pipe" => {
-                grid.pipe = list(flag, value, |item| {
-                    let (width, rob) = pair(item, 'x')?;
-                    Ok((num(width)?, num(rob)?))
-                })?;
-            }
-            "--pred" => {
-                grid.pred = list(flag, value, |name| {
-                    PredictorKind::from_name(name).ok_or_else(|| format!("unknown predictor '{name}'"))
-                })?;
-            }
-            "--prefetch" => {
-                grid.prefetch = list(flag, value, |name| {
-                    parse_prefetcher(name).ok_or_else(|| format!("unknown prefetcher '{name}'"))
-                })?;
-            }
-            _ => unreachable!("only axis flags are deferred"),
-        }
-    }
-    args.cfg.grid = grid;
-    Ok(args)
-}
-
-fn cmd_sweep(args: &SweepArgs) -> ExitCode {
-    let result = match run_sweep(&args.cfg) {
+fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
+    let result = match run_sweep(config) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("sweep: {e}");
@@ -525,11 +376,11 @@ fn cmd_sweep(args: &SweepArgs) -> ExitCode {
     if !result.complete {
         println!(
             "sweep incomplete: --max-cells {} left cells unmeasured (rerun to continue)",
-            args.cfg.max_cells
+            config.max_cells
         );
     }
 
-    if let Some(path) = args.out {
+    if let Some(path) = out {
         if let Err(e) = std::fs::write(path, result.to_json().render_pretty()) {
             eprintln!("error: writing {path}: {e}");
             return ExitCode::FAILURE;
@@ -542,8 +393,8 @@ fn cmd_sweep(args: &SweepArgs) -> ExitCode {
     }
 }
 
-fn cmd_conform(args: &ConformArgs) -> ExitCode {
-    let injected = match args.inject {
+fn cmd_conform(mut config: ConformConfig, inject: Option<&str>, metrics: Option<&str>) -> ExitCode {
+    let injected = match inject {
         None => None,
         Some(name) => match FaultId::parse(name) {
             Some(f) => Some(f),
@@ -552,22 +403,16 @@ fn cmd_conform(args: &ConformArgs) -> ExitCode {
                 for f in FaultId::ALL {
                     eprintln!("  {:<22} {}", f.name(), f.describe());
                 }
-                return ExitCode::FAILURE;
+                return ExitCode::from(cli::USAGE_EXIT);
             }
         },
     };
 
     // Mutation mode runs exactly the fault's case budget: exit status is
     // the harness's answer to "would the fuzzer catch this bug in time".
-    let cases = injected.map_or(args.cases, FaultId::budget);
-    let result = match run_conform(&ConformConfig {
-        cases,
-        seed: args.seed,
-        jobs: args.jobs,
-        inject: injected,
-        check_programs: !args.fuzz_only,
-        out_dir: Some(PathBuf::from(args.out)),
-    }) {
+    config.cases = injected.map_or(config.cases, FaultId::budget);
+    config.inject = injected;
+    let result = match run_conform(&config) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("conform: {e}");
@@ -633,7 +478,7 @@ fn cmd_conform(args: &ConformArgs) -> ExitCode {
         if result.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE }
     };
 
-    if let Some(path) = args.metrics {
+    if let Some(path) = metrics {
         if let Err(e) = std::fs::write(path, result.to_json().render_pretty()) {
             eprintln!("error: writing {path}: {e}");
             return ExitCode::FAILURE;
@@ -643,49 +488,33 @@ fn cmd_conform(args: &ConformArgs) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("list") => cmd_list(),
+    let argv = cli::or_exit(cli::argv(), "error", USAGE);
+    let rest = argv.get(1..).unwrap_or_default();
+    let top = |e| cli::or_exit::<ExitCode>(Err(e), "error", USAGE);
+    match argv.first().map(String::as_str) {
+        None => top(CliError::Missing("command")),
+        Some("--help" | "-h") => top(CliError::Help),
+        Some("list") => {
+            cli::or_exit(cli::read(rest, &NO_ARGS), "error: bad list arguments", USAGE);
+            cmd_list()
+        }
         Some("suite") => {
-            let Some(suite_args) = parse_suite_args(it) else {
-                eprintln!("error: bad suite arguments");
-                return usage();
-            };
-            let spill = suite_args.spill();
-            cmd_suite(
-                suite_args.scale,
-                suite_args.jobs,
-                suite_args.seed,
-                suite_args.metrics,
-                suite_args.trace_cap,
-                spill,
-            )
+            let (config, metrics) =
+                cli::or_exit(suite_args(rest), "error: bad suite arguments", USAGE);
+            cmd_suite(config, metrics)
         }
         Some("conform") => {
-            let Some(conform_args) = parse_conform_args(it) else {
-                eprintln!("error: bad conform arguments");
-                return usage();
-            };
-            cmd_conform(&conform_args)
+            let (config, inject, metrics) =
+                cli::or_exit(conform_args(rest), "error: bad conform arguments", USAGE);
+            cmd_conform(config, inject, metrics)
         }
-        Some("sweep") => match parse_sweep_args(it) {
-            Ok(sweep_args) => cmd_sweep(&sweep_args),
-            Err(e) => {
-                eprintln!("error: {e}");
-                sweep_usage();
-                ExitCode::from(SWEEP_USAGE_EXIT)
-            }
-        },
+        Some("sweep") => {
+            let (config, out) = cli::or_exit(sweep_args(rest), "error", SWEEP_USAGE);
+            cmd_sweep(&config, out)
+        }
         Some(cmd @ ("characterize" | "candidates" | "coverage" | "evaluate")) => {
-            let Some(program) = it.next().and_then(ProgramId::from_name) else {
-                eprintln!("error: expected a program name");
-                return usage();
-            };
-            let Some(scale) = parse_scale(it.next()) else {
-                eprintln!("error: unknown scale");
-                return usage();
-            };
+            let (program, scale) =
+                cli::or_exit(program_args(rest), &format!("error: bad {cmd} arguments"), USAGE);
             match cmd {
                 "characterize" => cmd_characterize(program, scale),
                 "candidates" => cmd_candidates(program, scale),
@@ -694,6 +523,6 @@ fn main() -> ExitCode {
                 _ => unreachable!("matched above"),
             }
         }
-        _ => usage(),
+        Some(other) => top(CliError::Unexpected(other.into())),
     }
 }

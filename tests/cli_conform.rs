@@ -49,7 +49,7 @@ fn conform_rejects_an_unwritable_metrics_path() {
 #[test]
 fn conform_rejects_an_unknown_fault_and_lists_the_catalogue() {
     let out = run(&["conform", "--inject", "no-such-fault"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2), "an unknown fault is a usage error");
     let err = stderr(&out);
     assert!(err.contains("unknown fault 'no-such-fault'"), "stderr: {err}");
     // The listing names every catalogued fault with its description.
@@ -62,10 +62,26 @@ fn conform_rejects_an_unknown_fault_and_lists_the_catalogue() {
 #[test]
 fn conform_rejects_malformed_flags() {
     let out = run(&["conform", "--cases"]);
-    assert!(!out.status.success(), "--cases without a value must exit 1");
+    assert_eq!(out.status.code(), Some(2), "--cases without a value is a usage error");
     assert!(stderr(&out).contains("bad conform arguments"));
     let out = run(&["conform", "--frobnicate", "1"]);
     assert!(!out.status.success());
+    // Repeated flags and an unbounded worker count are usage errors that
+    // name the flag, rejected before anything runs.
+    for (bad, prefix, flag) in [
+        (vec!["conform", "--seed", "1", "--seed", "2"], "bad conform arguments", "--seed"),
+        (vec!["conform", "--jobs", "100000"], "bad conform arguments", "--jobs"),
+        (vec!["suite", "--jobs", "1", "--jobs", "2"], "bad suite arguments", "--jobs"),
+    ] {
+        let out = run(&bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
+        let err = stderr(&out);
+        assert!(err.contains(prefix) && err.contains(flag), "{bad:?}: {err}");
+        assert!(err.contains("usage:"), "{bad:?}: usage missing: {err}");
+    }
+    let out = run(&["suite", "--help"]);
+    assert_eq!(out.status.code(), Some(0), "suite --help prints usage");
+    assert!(stdout(&out).contains("usage:"), "stdout: {}", stdout(&out));
 }
 
 #[test]

@@ -45,6 +45,9 @@ fn malformed_sweep_command_lines_exit_2_with_usage() {
         (vec!["sweep", "--programs", "nosuch"], "unknown program"),
         (vec!["sweep", "--programs", "predator,predator"], "repeated program"),
         (vec!["sweep", "--l1", "64x2,64x2"], "repeated axis value"),
+        (vec!["sweep", "--no-factor", "--no-factor"], "repeated switch"),
+        (vec!["sweep", "--jobs", "100000"], "worker count above the bound"),
+        (vec!["sweep", "--pipe", "4x80", "extra"], "unexpected positional"),
     ] {
         let out = run(&bad);
         assert_eq!(out.status.code(), Some(2), "{why}: {bad:?} must exit 2");
@@ -55,6 +58,20 @@ fn malformed_sweep_command_lines_exit_2_with_usage() {
     // A repeat is named by flag and value, whatever the spelling.
     let err = stderr(&run(&["sweep", "--l1", "64x2,064x2"]));
     assert!(err.contains("--l1 repeats the value '064x2'"), "repeat not named: {err}");
+    let err = stderr(&run(&["sweep", "--jobs", "1", "--jobs", "2"]));
+    assert!(err.contains("duplicate flag --jobs"), "duplicate not named: {err}");
+    let out = run(&["sweep", "--help"]);
+    assert_eq!(out.status.code(), Some(0), "sweep --help prints usage");
+    assert!(stdout(&out).contains("usage:"), "stdout: {}", stdout(&out));
+    // An argument that is not UTF-8 is a usage error too, not a panic.
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStrExt;
+        let bad = std::ffi::OsStr::from_bytes(b"r\xffport.json");
+        let out = bin().args(["sweep", "--out"]).arg(bad).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+        assert!(stderr(&out).contains("is not valid UTF-8"), "stderr: {}", stderr(&out));
+    }
 }
 
 #[test]
