@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use bioperf_bench::{banner, REPRO_SEED};
+use bioperf_bench::{banner, write_or_exit, REPRO_SEED};
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::orchestrate::{run_suite, SuiteConfig, SUITE_SCHEMA};
 use bioperf_kernels::Scale;
@@ -104,8 +104,7 @@ fn main() {
     });
     let doc = suite.to_json();
     check_document(&doc).expect("freshly generated suite document must satisfy its own schema");
-    std::fs::write(&args.out, doc.render_pretty())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out.display()));
+    write_or_exit(ARTIFACT, &args.out, &doc.render_pretty());
     println!(
         "wrote {} ({} programs, {} eval cells, {} metric series)",
         args.out.display(),

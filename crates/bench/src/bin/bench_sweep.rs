@@ -4,13 +4,15 @@
 //! regenerates and schema-checks it on every push).
 //!
 //! The sweep runs **twice** — once through the factored two-pass
-//! pipeline and once through the unfactored oracle — and prints a
-//! wall-clock / cells-per-second comparison of the two, after asserting
-//! their measurements are bit-identical. `--min-speedup <x>` turns the
-//! comparison into a regression gate: exit status 1 if the factored
-//! path is less than `x`× faster. `--grid standard` swaps in the
-//! 576-cell exploration grid (the configuration the speedup target is
-//! specified against).
+//! pipeline and once through the unfactored oracle (one live
+//! `PlatformBank` member per cell) — and exits 1 unless every cell's
+//! measurements are bit-identical between the two; this is the oracle
+//! check. It then prints a wall-clock / cells-per-second comparison of
+//! the two. `--min-speedup <x>` turns the comparison into a regression
+//! gate: exit status 1 if the factored path is less than `x`× faster.
+//! `--grid standard` swaps in the 576-cell exploration grid (the
+//! configuration the speedup target is specified against), and `--grid
+//! timing` the 24-cell timing grid.
 //!
 //! `--check` mode does not run anything: it parses an existing document
 //! and verifies its `bioperf-sweep/v1` shape, failing with exit status 1
@@ -19,7 +21,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use bioperf_bench::{banner, REPRO_SEED};
+use bioperf_bench::{banner, write_or_exit, REPRO_SEED};
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::sweep::{run_sweep, SweepConfig, SweepGrid, SweepResult, SWEEP_SCHEMA};
 use bioperf_kernels::Scale;
@@ -28,7 +30,7 @@ use bioperf_metrics::{json, Json};
 const ARTIFACT: &str = "bench_sweep";
 
 const USAGE: &str = "usage: bench_sweep [test|small|medium|large] [--jobs <n>] [--out <path>] \
-                     [--grid smoke|standard] [--min-speedup <x>] [--check]";
+                     [--grid smoke|standard|timing] [--min-speedup <x>] [--check]";
 
 const SPEC: Spec = Spec {
     values: &["--jobs", "--out", "--grid", "--min-speedup"],
@@ -168,8 +170,7 @@ fn main() {
     print!("{}", result.render_table());
     let doc = result.to_json();
     check_document(&doc).expect("freshly generated sweep document must satisfy its own schema");
-    std::fs::write(&args.out, doc.render_pretty())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", args.out.display()));
+    write_or_exit(ARTIFACT, &args.out, &doc.render_pretty());
     println!(
         "wrote {} ({} cells x {} programs, {} skipped)",
         args.out.display(),

@@ -12,8 +12,9 @@
 //! posts the table to the job summary.
 //!
 //! A last row times the factored sweep's production lane shape: one
-//! cache pass at the `sweep-timing` benchmark workload's geometry, then
-//! one 24-lane `TimingBank` over its miss-level stream, reported as
+//! cache pass at the geometry of the `timing` sweep preset (the
+//! `sweep-timing` benchmark workload's grid), then one 24-lane
+//! `TimingBank` over its miss-level stream, reported as
 //! lane-op Mops/s and as the ratio of lane ns/op to the ns/op of a
 //! decode-only pass in the same process (no floor: informational).
 //!
@@ -28,8 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bioperf_bench::{banner, peak_rss_bytes, BenchArgs, JsonReport, REPRO_SEED};
-use bioperf_branch::PredictorKind;
-use bioperf_cache::{Hierarchy, Prefetcher};
+use bioperf_cache::Hierarchy;
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
 use bioperf_core::SweepGrid;
@@ -96,21 +96,6 @@ fn streamed_bank(segmented: &SegmentedRecording, platforms: &[PlatformConfig]) -
     (bank.results(), secs)
 }
 
-/// The `sweep-timing` benchmark workload's grid: one cache geometry and
-/// 24 timing configurations (3 latency triples × 4 pipe shapes × 2
-/// predictor families).
-fn sweep_timing_grid() -> SweepGrid {
-    SweepGrid {
-        l1: vec![(64, 2)],
-        l2: vec![(4096, 1)],
-        line: vec![64],
-        lat: vec![(1, 3, 40), (3, 5, 72), (4, 8, 100)],
-        pipe: vec![(2, 32), (4, 80), (6, 128), (8, 192)],
-        pred: vec![PredictorKind::Hybrid, PredictorKind::Bimodal],
-        prefetch: vec![Prefetcher::None],
-    }
-}
-
 /// A consumer that does nothing with its blocks, so a replay into it
 /// times the packed decode alone.
 struct DecodeOnly;
@@ -124,11 +109,11 @@ impl TraceConsumer for DecodeOnly {
 }
 
 /// The sweep's production lane shape over `recording`: one cache pass
-/// at the `sweep-timing` geometry, then one `TimingBank` with a lane per
-/// grid cell over its stream. Returns the lane count, the bank's
+/// at the [`SweepGrid::timing`] geometry, then one `TimingBank` with a
+/// lane per grid cell over its stream. Returns the lane count, the bank's
 /// seconds and a decode-only pass's seconds.
 fn sweep_timing_lanes(recording: &Recording, block_ops: usize) -> (usize, f64, f64) {
-    let grid = sweep_timing_grid();
+    let grid = SweepGrid::timing();
     let cells: Vec<_> = (0..grid.cells())
         .map(|c| grid.spec(c).resolve().expect("the sweep-timing grid's cells are valid"))
         .collect();

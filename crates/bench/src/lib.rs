@@ -32,7 +32,7 @@
 //! ignored, so a typo'd scale cannot masquerade as a finished
 //! default-scale run — and `--help` prints usage and exits 0.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
@@ -152,18 +152,23 @@ impl JsonReport {
         ])
     }
 
-    /// Writes the document to the `--json` path, if one was requested.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written (the binaries have no
-    /// recovery path; a missing artifact must fail loudly).
+    /// Writes the document to the `--json` path, if one was requested
+    /// (exits 1 if it cannot, per [`write_or_exit`]).
     pub fn write_if_requested(&self, args: &BenchArgs) {
         if let Some(path) = &args.json {
-            std::fs::write(path, self.to_json().render_pretty())
-                .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+            write_or_exit(&self.artifact, path, &self.to_json().render_pretty());
             println!("wrote {}", path.display());
         }
+    }
+}
+
+/// Writes `contents` to `path`, or prints `{artifact}: writing <path>:
+/// <error>` on stderr and exits with status 1: a binary has no recovery
+/// path, and a missing artifact must fail loudly but without a panic.
+pub fn write_or_exit(artifact: &str, path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("{artifact}: writing {}: {e}", path.display());
+        std::process::exit(1);
     }
 }
 

@@ -84,6 +84,17 @@ fn json_twin_is_written_and_parses() {
 }
 
 #[test]
+fn unwritable_json_path_exits_1_naming_it() {
+    let path = tmp_path("missing-dir").join("t7.json");
+    let out = run(env!("CARGO_BIN_EXE_table7_platforms"), &["--json", path.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    let want = format!("table7_platforms: writing {}: ", path.display());
+    assert!(err.contains(&want), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
+}
+
+#[test]
 fn bench_suite_rejects_bad_args_and_bad_documents() {
     let out = run(env!("CARGO_BIN_EXE_bench_suite"), &["--jobs", "many"]);
     assert_eq!(out.status.code(), Some(2));

@@ -53,7 +53,7 @@ pub enum FaultId {
     /// The hybrid predictor's chooser stops training, freezing component
     /// selection at its cold state.
     BranchChooserStale,
-    /// The design-space sweep's cell merge rotates each bank job's
+    /// The design-space sweep's cell merge rotates each program's
     /// per-cell results by one, crediting every measurement to a
     /// neighboring grid cell.
     SweepMergeOrder,
@@ -122,7 +122,7 @@ impl FaultId {
             FaultId::RegfileEvictMru => "register file evicts MRU instead of LRU",
             FaultId::RegfileTouchStale => "register touches stop updating LRU order",
             FaultId::BranchChooserStale => "hybrid chooser stops training",
-            FaultId::SweepMergeOrder => "sweep cell merge rotates each bank's results by one",
+            FaultId::SweepMergeOrder => "sweep cell merge rotates each program's results by one",
             FaultId::FactoredAnnotationSkew => {
                 "factored sweep's annotation cursor starts off by one"
             }

@@ -8,19 +8,19 @@
 //! validates every cell's cache geometry (degenerate points become
 //! skipped-cell diagnostics, not panics), and fans the surviving cells
 //! out over the [`run_jobs`] worker pool: each program's two variant
-//! traces are recorded once, `Arc`-shared, and every job decodes its
-//! recording once while driving a bank of per-cell simulators. The job
-//! enumeration — program (input order) × cell chunk (grid order) — is
-//! fixed and the merge walks the same enumeration, so output is
-//! byte-identical at any `--jobs`.
+//! traces are recorded once, `Arc`-shared, and each is then one pool job
+//! over the program's missing cells in grid order, which decodes its
+//! recording once per bank it drives. Jobs start largest first, but
+//! results go back by (program, variant), and the merge walks programs
+//! in input order and each program's cells in grid order, so output is
+//! byte-identical at any `--jobs` and for either engine.
 //!
 //! By default the evaluation is **factored** along the grid's two
 //! independent axis groups. The hierarchy-access sequence a cell's
 //! simulator generates depends only on the trace and the register-file
 //! geometry — which every cell shares — never on latencies, pipeline
-//! shape, or predictor. So each (program, variant) is one pool job that
-//! runs two passes back to back. A *cache pass*
-//! ([`bioperf_pipe::CachePassSim`]) replays the recording once per
+//! shape, or predictor. So a job runs two passes back to back. A *cache
+//! pass* ([`bioperf_pipe::CachePassSim`]) replays the recording once per
 //! `CACHE_PASS_KEYS` (32) distinct cache-axis configurations (L1 × L2 ×
 //! line × prefetcher) and emits a 2-bit-per-access miss-level annotation
 //! stream plus final hierarchy stats per configuration. A *timing pass*
@@ -29,10 +29,11 @@
 //! of simulating a hierarchy. The streams are dropped when the job's
 //! timing pass is done with them; none leaves the job. On the standard
 //! grid this collapses 1152 hierarchy simulations to 64 while producing
-//! bit-identical measurements; the unfactored path survives behind
-//! `--no-factor`; the conformance harness's sweep self-check diffs the
-//! factored path against direct per-cell replays instead
-//! ([`sweep_self_check`]).
+//! bit-identical measurements. The unfactored oracle
+//! ([`SweepConfig::factor`] `false`) runs the same jobs with every cell
+//! a live [`PlatformBank`] member that simulates its own hierarchy; the
+//! conformance harness's sweep self-check diffs the factored path
+//! against direct per-cell replays ([`sweep_self_check`]).
 //!
 //! Completed `(program, cell)` measurements append to a
 //! **`bioperf-sweep/v1` checkpoint** (binary, FNV-1a-checksummed records,
@@ -63,7 +64,8 @@ use bioperf_cache::{
 use bioperf_kernels::{ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
 use bioperf_pipe::{
-    CachePassSim, CycleSim, OpLatencies, PlatformConfig, TimingBank, MAX_LATENCY, MAX_WIDTH,
+    CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank, MAX_LATENCY,
+    MAX_WIDTH,
 };
 use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, Recording};
 
@@ -87,16 +89,12 @@ pub const CHECKPOINT_HEADER_LEN: usize = 32;
 /// Size of one checkpoint record in bytes.
 pub const CHECKPOINT_RECORD_LEN: usize = 40;
 
-/// Cells per wave-2 chunk (the unit of the merge), and per `--no-factor`
-/// bank job: each such job decodes its recording once and drives this
-/// many live per-cell simulators off the shared stream, amortizing the
-/// decode without making one job dominate the pool.
-const BANK_CELLS: usize = 8;
-
-/// Timing lanes per factored timing bank. A lane is a timing core
-/// (about 0.55 MiB of ready and issue rings), so the cap bounds a job's
-/// memory, while every lane past the first shares the bank's decode,
-/// plan and predictor walks, and its group's latency fill.
+/// Members per timing bank of either engine: annotated lanes in the
+/// factored timing pass, live per-cell members in the unfactored oracle.
+/// A member is a timing core (about 0.55 MiB of ready and issue rings;
+/// a live member adds its hierarchy), so the cap bounds a job's memory,
+/// while every member past the first shares the bank's decode, plan and
+/// predictor walks, and (annotated) its group's latency fill.
 const TIMING_BANK_LANES: usize = 32;
 
 /// Cache-axis configurations per cache pass of a factored job: one
@@ -549,6 +547,22 @@ impl SweepGrid {
         }
     }
 
+    /// The timing grid (1·1·1·3·4·2·1 = 24 cells): one cache geometry
+    /// under three latency triples, four pipe shapes and two predictor
+    /// families, so each program's timing lanes dominate its one cache
+    /// pass.
+    pub fn timing() -> Self {
+        Self {
+            l1: vec![(64, 2)],
+            l2: vec![(4096, 1)],
+            line: vec![64],
+            lat: vec![(1, 3, 40), (3, 5, 72), (4, 8, 100)],
+            pipe: vec![(2, 32), (4, 80), (6, 128), (8, 192)],
+            pred: vec![PredictorKind::Hybrid, PredictorKind::Bimodal],
+            prefetch: vec![Prefetcher::None],
+        }
+    }
+
     /// Total enumerated cells (the cross product of every axis).
     pub fn cells(&self) -> usize {
         self.l1.len()
@@ -620,11 +634,12 @@ impl SweepGrid {
         s
     }
 
-    /// The preset named `smoke` or `standard`.
+    /// The preset named `smoke`, `standard` or `timing`.
     pub fn preset(name: &str) -> Result<Self, AxisError> {
         match name {
             "smoke" => Ok(Self::smoke()),
             "standard" => Ok(Self::standard()),
+            "timing" => Ok(Self::timing()),
             _ => Err(AxisError::Unknown { what: "grid", item: name.into() }),
         }
     }
@@ -711,8 +726,11 @@ pub struct SweepConfig {
     pub max_cells: usize,
     /// Evaluate via the factored two-pass pipeline (cache pass +
     /// annotated timing replay). `false` selects the unfactored oracle:
-    /// one live hierarchy per cell. Both produce bit-identical
-    /// measurements; the factored path is the production default.
+    /// the same per-(program, variant) jobs, with every cell a live
+    /// [`PlatformBank`] member with its own hierarchy. Both produce
+    /// bit-identical measurements and checkpoint bytes; the command line
+    /// always runs the factored path, and `bench_sweep` times and
+    /// diffs the two.
     pub factor: bool,
 }
 
@@ -1057,8 +1075,8 @@ fn append_checkpoint(
 
 /// Runs the design-space sweep: enumerate, validate, resume from the
 /// checkpoint, fan the missing `(program, cell)` measurements out as
-/// bank-replay jobs, merge in enumeration order, and append the new
-/// measurements to the checkpoint.
+/// per-(program, variant) jobs, merge in enumeration order, and append
+/// the new measurements to the checkpoint.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
     let threads = if cfg.jobs == 0 { default_jobs() } else { cfg.jobs };
     let programs: Vec<ProgramId> = if cfg.programs.is_empty() {
@@ -1104,7 +1122,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
     }
 
     // The missing work, program-major in enumeration order, truncated to
-    // the cell budget.
+    // the cell budget, and each program's share of it as one job.
     let mut missing: Vec<(usize, usize)> = Vec::new();
     for (p, per_cell) in measures.iter().enumerate() {
         for c in 0..cells {
@@ -1118,18 +1136,17 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         missing.truncate(cfg.max_cells);
     }
     let computed = missing.len();
+    let mut jobs: Vec<SweepJob> = (0..programs.len()).map(|_| SweepJob::default()).collect();
+    for &(p, c) in &missing {
+        jobs[p].add(c, &cfg.grid.spec(c), resolved[c].expect("scheduled cells are valid"));
+    }
 
     // Wave 1: record both variants of every program that still has work,
     // one job per (program, variant); recordings are Arc-shared with
-    // every bank job of that program. Fully-checkpointed programs never
+    // the program's wave-2 jobs. Fully-checkpointed programs never
     // reach `active`, so a resumed sweep with no remaining cells records
     // nothing (`SweepResult::recorded` pins this).
-    let mut active: Vec<usize> = Vec::new();
-    for p in 0..programs.len() {
-        if missing.iter().any(|&(mp, _)| mp == p) {
-            active.push(p);
-        }
-    }
+    let active: Vec<usize> = (0..programs.len()).filter(|&p| !jobs[p].cells.is_empty()).collect();
     let recorded = active.len() * 2;
     let record_jobs: Vec<_> = active
         .iter()
@@ -1149,73 +1166,30 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         recordings[p] = Some((original, transformed));
     }
 
-    // Wave 2: evaluate the missing cells, chunked program (input order) ×
-    // ≤BANK_CELLS cells (grid order). The chunking — and therefore the
-    // merge below — is shared by both evaluation strategies, so factored
-    // and unfactored runs produce identical checkpoint bytes.
-    let chunks: Vec<(usize, Vec<usize>)> = {
-        let mut out: Vec<(usize, Vec<usize>)> = Vec::new();
-        for &(p, c) in &missing {
-            match out.last_mut() {
-                Some((lp, cs)) if *lp == p && cs.len() < BANK_CELLS => cs.push(c),
-                _ => out.push((p, vec![c])),
-            }
-        }
-        out
-    };
-    let outputs: Vec<Vec<CellMeasure>> = if cfg.factor {
-        factored_outputs(threads, &cfg.grid, &resolved, &chunks, &recordings)
-    } else {
-        // Unfactored oracle: each job decodes the recordings once and
-        // drives one live simulator (with its own hierarchy) per cell.
-        let bank_jobs: Vec<_> = chunks
-            .iter()
-            .map(|(p, cell_ids)| {
-                let (original, transformed) =
-                    recordings[*p].as_ref().expect("active programs have recordings");
-                let original = Arc::clone(original);
-                let transformed = Arc::clone(transformed);
-                let cells: Vec<ResolvedCell> = cell_ids
-                    .iter()
-                    .map(|&c| resolved[c].expect("scheduled cells are valid"))
-                    .collect();
-                move || -> Vec<CellMeasure> {
-                    let build = |rc: &ResolvedCell| {
-                        CycleSim::new(rc.platform)
-                            .with_predictor(rc.pred)
-                            .with_prefetcher(rc.prefetch)
-                    };
-                    let mut orig_bank: Vec<CycleSim> = cells.iter().map(build).collect();
-                    original.replay_bank(&mut orig_bank);
-                    let mut trans_bank: Vec<CycleSim> = cells.iter().map(build).collect();
-                    transformed.replay_bank(&mut trans_bank);
-                    cells
-                        .iter()
-                        .zip(orig_bank.into_iter().zip(trans_bank))
-                        .map(|(rc, (o, t))| {
-                            let o = o.into_result();
-                            CellMeasure::new(rc, &o.cache, (o.cycles, t.into_result().cycles))
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-        run_jobs(bank_jobs, threads)
-    };
+    // Wave 2: one job per (program, variant) over the program's missing
+    // cells in grid order, through the engine `cfg.factor` selects.
+    let outputs = run_variant_jobs(threads, cfg.factor, &jobs, &recordings);
 
-    // Merge in the fixed (program, chunk, cell) enumeration — identical
-    // for every worker count — and collect the checkpoint append batch
-    // in the same order.
+    // Merge program by program, each program's cells in grid order — the
+    // order of `missing`, identical for every worker count and either
+    // engine — and collect the checkpoint append batch in the same order.
+    // AMATs come from the original variant's hierarchy stats.
     let mut new_records: Vec<(u32, u32, CellMeasure)> = Vec::with_capacity(missing.len());
-    for ((p, cell_ids), mut out) in chunks.into_iter().zip(outputs) {
+    for (p, (job, [original, transformed])) in jobs.iter().zip(outputs).enumerate() {
+        let mut out: Vec<CellMeasure> = job
+            .cells
+            .iter()
+            .zip(original.iter().zip(&transformed))
+            .map(|(cell, (o, t))| CellMeasure::new(&cell.rc, &o.0, (o.1, t.1)))
+            .collect();
         if bioperf_trace::inject::active(bioperf_trace::inject::SWEEP_MERGE) && out.len() > 1 {
             // Seeded fault: credit each cell with its neighbor's
             // measurements (see `FaultId::SweepMergeOrder`).
             out.rotate_left(1);
         }
-        for (&c, m) in cell_ids.iter().zip(out) {
-            measures[p][c] = Some(m);
-            new_records.push((p as u32, c as u32, m));
+        for (cell, m) in job.cells.iter().zip(out) {
+            measures[p][cell.id] = Some(m);
+            new_records.push((p as u32, cell.id as u32, m));
         }
     }
     if let Some(path) = &cfg.checkpoint {
@@ -1262,22 +1236,61 @@ impl CacheAxisKey {
 /// and predictor family.
 type TimingAxis = ((u64, u64, u64), (u32, usize), PredictorKind);
 
-/// One program's share of the factored wave 2: one representative cell
-/// per distinct cache-axis key (first-seen order), and each scheduled
-/// cell (chunk order) with its key index and timing axis. Both variants
-/// of the program run the same job over their own recordings.
-#[derive(Default)]
-struct FactoredJob {
-    keys: Vec<CacheAxisKey>,
-    reps: Vec<ResolvedCell>,
-    cells: Vec<(usize, TimingAxis, ResolvedCell)>,
+/// One scheduled cell of a [`SweepJob`].
+struct JobCell {
+    /// Grid index.
+    id: usize,
+    /// Index into the job's cache-axis keys.
+    key: usize,
+    axis: TimingAxis,
+    rc: ResolvedCell,
 }
 
-impl FactoredJob {
-    /// Runs the job on one variant's recording: cache passes of at most
-    /// [`CACHE_PASS_KEYS`] hierarchies, each followed by the timing
-    /// lanes its streams feed, after which the streams are dropped.
-    /// Returns, per cell, its key's hierarchy stats and its cycles.
+/// One program's share of wave 2: its scheduled cells in grid order,
+/// and one representative cell per distinct cache-axis key (first-seen
+/// order). Both variants of the program run the same job over their own
+/// recordings, through either engine.
+#[derive(Default)]
+struct SweepJob {
+    keys: Vec<CacheAxisKey>,
+    reps: Vec<ResolvedCell>,
+    cells: Vec<JobCell>,
+}
+
+impl SweepJob {
+    /// Schedules grid cell `id`.
+    fn add(&mut self, id: usize, spec: &CellSpec, rc: ResolvedCell) {
+        let key = CacheAxisKey::of(spec);
+        let key = self.keys.iter().position(|&x| x == key).unwrap_or_else(|| {
+            self.keys.push(key);
+            self.reps.push(rc);
+            self.keys.len() - 1
+        });
+        self.cells.push(JobCell { id, key, axis: (spec.lat, spec.pipe, spec.pred), rc });
+    }
+
+    /// The unfactored oracle on one variant's recording: every cell is a
+    /// live [`PlatformBank`] member with its own hierarchy, predictor and
+    /// prefetcher, in banks of at most [`TIMING_BANK_LANES`] members that
+    /// share one decode, plan walk and predictor walk per family. Returns,
+    /// per cell, its hierarchy stats and its cycles.
+    fn run_live(&self, rec: &Recording) -> Vec<(HierarchyStats, u64)> {
+        let mut out = Vec::with_capacity(self.cells.len());
+        for cells in self.cells.chunks(TIMING_BANK_LANES) {
+            let mut bank = PlatformBank::with_predictors(
+                cells.iter().map(|cell| (cell.rc.platform, cell.rc.pred, cell.rc.prefetch)),
+            );
+            rec.replay_bank(std::slice::from_mut(&mut bank));
+            out.extend(bank.results().into_iter().map(|r| (r.cache, r.cycles)));
+        }
+        out
+    }
+
+    /// The factored engine on one variant's recording: cache passes of
+    /// at most [`CACHE_PASS_KEYS`] hierarchies, each followed by the
+    /// timing lanes its streams feed, after which the streams are
+    /// dropped. Returns, per cell, its key's hierarchy stats and its
+    /// cycles — the same values [`Self::run_live`] returns.
     ///
     /// A cell's cycles depend only on its timing axis and the *contents*
     /// of its annotation stream — never on which cache geometry produced
@@ -1291,7 +1304,7 @@ impl FactoredJob {
     /// within a [`TimingBank`] the register/spill plan runs once, each
     /// predictor family once, each (stream, latency table) fill once,
     /// and only the serial timing core per lane.
-    fn run(&self, rec: &Recording) -> Vec<(HierarchyStats, u64)> {
+    fn run_factored(&self, rec: &Recording) -> Vec<(HierarchyStats, u64)> {
         let base = self.reps[0].platform;
         let mut stats: Vec<HierarchyStats> = Vec::with_capacity(self.reps.len());
         // The memo: lane `i` is keyed by `lane_keys[i]` and timed at
@@ -1319,15 +1332,15 @@ impl FactoredJob {
             // This pass's cells join the memo; a key not seen before
             // becomes a new lane on its stream.
             let mut lanes: Vec<(ResolvedCell, Arc<AnnotationStream>)> = Vec::new();
-            for ((k, axis, rc), lane) in self.cells.iter().zip(&mut cell_lane) {
-                if !(first..stats.len()).contains(k) {
+            for (cell, lane) in self.cells.iter().zip(&mut cell_lane) {
+                if !(first..stats.len()).contains(&cell.key) {
                     continue;
                 }
-                let stream = &streams[k - first];
-                let key = (*axis, stream.content_key());
+                let stream = &streams[cell.key - first];
+                let key = (cell.axis, stream.content_key());
                 *lane = lane_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
                     lane_keys.push(key);
-                    lanes.push((*rc, Arc::clone(stream)));
+                    lanes.push((cell.rc, Arc::clone(stream)));
                     lane_keys.len() - 1
                 });
             }
@@ -1342,39 +1355,20 @@ impl FactoredJob {
                 cycles.extend(bank.into_results().into_iter().map(|r| r.cycles));
             }
         }
-        self.cells.iter().zip(cell_lane).map(|((k, _, _), lane)| (stats[*k], cycles[lane])).collect()
+        self.cells.iter().zip(cell_lane).map(|(cell, lane)| (stats[cell.key], cycles[lane])).collect()
     }
 }
 
-/// The factored wave 2: one job per (program, variant) runs that
-/// recording's cache passes and annotated timing lanes (no live
-/// hierarchies). Chunk outputs are returned in `chunks` order, exactly
-/// like the unfactored bank jobs, and each cell pairs its two variants'
-/// cycles with the original variant's hierarchy stats.
-fn factored_outputs(
+/// Runs every job with cells on both of its program's recordings, one
+/// pool job per (program, variant), through the factored engine or the
+/// live oracle. Returns each program's `[original, transformed]`
+/// per-cell results (empty for a program with no cells).
+fn run_variant_jobs(
     threads: usize,
-    grid: &SweepGrid,
-    resolved: &[Option<ResolvedCell>],
-    chunks: &[(usize, Vec<usize>)],
+    factor: bool,
+    jobs: &[SweepJob],
     recordings: &[Option<(Arc<Recording>, Arc<Recording>)>],
-) -> Vec<Vec<CellMeasure>> {
-    let mut programs: Vec<FactoredJob> =
-        (0..recordings.len()).map(|_| FactoredJob::default()).collect();
-    for (p, cell_ids) in chunks {
-        let job = &mut programs[*p];
-        for &c in cell_ids {
-            let spec = grid.spec(c);
-            let rc = resolved[c].expect("scheduled cells are valid");
-            let key = CacheAxisKey::of(&spec);
-            let k = job.keys.iter().position(|&x| x == key).unwrap_or_else(|| {
-                job.keys.push(key);
-                job.reps.push(rc);
-                job.keys.len() - 1
-            });
-            job.cells.push((k, (spec.lat, spec.pipe, spec.pred), rc));
-        }
-    }
-
+) -> Vec<[Vec<(HierarchyStats, u64)>; 2]> {
     // Jobs go to the pool largest first (recording length × cells),
     // since it claims them in order and a long job started last would
     // run alone. Results go back by (program, variant) index, so the job
@@ -1384,50 +1378,31 @@ fn factored_outputs(
             recordings[p].as_ref().expect("active programs have recordings");
         if variant == 0 { original } else { transformed }
     };
-    let mut descr: Vec<(usize, usize)> = (0..programs.len())
-        .filter(|&p| !programs[p].cells.is_empty())
+    let mut descr: Vec<(usize, usize)> = (0..jobs.len())
+        .filter(|&p| !jobs[p].cells.is_empty())
         .flat_map(|p| [(p, 0), (p, 1)])
         .collect();
-    descr.sort_by_key(|&(p, variant)| {
-        Reverse(variant_rec(p, variant).len() * programs[p].cells.len())
-    });
-    let jobs: Vec<_> = descr
+    descr.sort_by_key(|&(p, variant)| Reverse(variant_rec(p, variant).len() * jobs[p].cells.len()));
+    let pool: Vec<_> = descr
         .iter()
         .map(|&(p, variant)| {
-            let (job, rec) = (&programs[p], variant_rec(p, variant));
-            move || job.run(rec)
+            let (job, rec) = (&jobs[p], variant_rec(p, variant));
+            move || if factor { job.run_factored(rec) } else { job.run_live(rec) }
         })
         .collect();
     let mut results: Vec<[Vec<(HierarchyStats, u64)>; 2]> =
-        (0..programs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
-    for (&(p, variant), out) in descr.iter().zip(run_jobs(jobs, threads)) {
+        (0..jobs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
+    for (&(p, variant), out) in descr.iter().zip(run_jobs(pool, threads)) {
         results[p][variant] = out;
     }
-
-    // AMATs stay per cell: they come from the cache pass's
-    // original-variant stats, the same counts a live hierarchy ends
-    // with, so the measurement is bit-identical.
-    let mut next = vec![0usize; programs.len()];
-    let mut outputs = Vec::with_capacity(chunks.len());
-    for (p, cell_ids) in chunks {
-        let [original, transformed] = &results[*p];
-        let mut out = Vec::with_capacity(cell_ids.len());
-        for &c in cell_ids {
-            let i = next[*p];
-            next[*p] += 1;
-            let rc = resolved[c].expect("scheduled cells are valid");
-            out.push(CellMeasure::new(&rc, &original[i].0, (original[i].1, transformed[i].1)));
-        }
-        outputs.push(out);
-    }
-    outputs
+    results
 }
 
 /// Differential self-check of the factored sweep end to end, run by
 /// the conformance harness. A tiny 16-cell sweep (two L1 sizes × two
 /// latency triples × two predictor families × two prefetchers, predator
 /// at Test scale) goes through the production path — cache pass,
-/// annotated timing banks, chunked merge — and every cell is then
+/// annotated timing banks, per-program merge — and every cell is then
 /// re-measured by direct live [`CycleSim`] replays, one simulator at a
 /// time (no bank, no annotations, no merge), and compared bitwise. A
 /// stack-distance cross-check then validates the cache pass
@@ -1550,6 +1525,10 @@ mod tests {
             seen.push(s);
         }
         assert_eq!(SweepGrid::standard().cells(), 576);
+        assert_eq!(SweepGrid::timing().cells(), 24);
+        for name in ["smoke", "standard", "timing"] {
+            assert!(SweepGrid::preset(name).is_ok(), "{name}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Mutation tests for the sweep-level faults: `sweep-merge-order`
-//! rotates each bank job's per-cell results before the merge,
+//! rotates each program's per-cell results before the merge,
 //! `factored-annotation-skew` starts the factored sweep's miss-level
 //! annotation cursor off by one, and `timing-fill-overshare` shares one
 //! latency fill across lanes with different latency tables. The merge

@@ -8,11 +8,16 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use bioperf_branch::PredictorKind;
 use bioperf_cache::Prefetcher;
-use bioperf_core::sweep::{run_sweep, CheckpointError, SweepConfig, SweepError, SweepGrid};
+use bioperf_core::sweep::{
+    run_sweep, CheckpointError, SweepConfig, SweepError, SweepGrid, CHECKPOINT_HEADER_LEN,
+    CHECKPOINT_RECORD_LEN,
+};
 use bioperf_kernels::{ProgramId, Scale};
+use proptest::prelude::*;
 
 /// A fresh scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -98,14 +103,16 @@ fn interrupted_and_resumed_sweep_matches_uninterrupted_byte_for_byte() {
 }
 
 /// The factored pipeline and the unfactored oracle must leave
-/// byte-identical checkpoints and reports behind — the `--no-factor`
-/// contract the CI byte-identity gate also checks at the CLI level.
+/// byte-identical checkpoints and reports behind — the same contract
+/// `bench_sweep` checks cell by cell.
 ///
 /// The second grid has 36 distinct cache-axis keys (six L1s × three L2s
 /// × two lines), more than one cache pass holds, so each factored job
 /// runs two passes. At Test scale the L2 axis stops mattering, so the
 /// second pass's streams equal streams of the first, and their cells
-/// reuse the first pass's timing lanes.
+/// reuse the first pass's timing lanes. The third grid has 36 cells with
+/// every prefetcher, more than one bank holds, so each oracle job splits
+/// its cells over two live banks whose members mix prefetchers.
 #[test]
 fn factored_and_unfactored_checkpoints_are_byte_identical() {
     let dir = scratch("factor");
@@ -115,7 +122,14 @@ fn factored_and_unfactored_checkpoints_are_byte_identical() {
         line: vec![32, 64],
         ..tiny_grid()
     };
-    for (tag, grid) in [("tiny", tiny_grid()), ("two-pass", two_pass)] {
+    let two_banks = SweepGrid {
+        l1: vec![(8, 1), (32, 2), (64, 2)],
+        line: vec![32, 64],
+        prefetch: vec![Prefetcher::None, Prefetcher::NextLine, Prefetcher::Stride],
+        ..tiny_grid()
+    };
+    assert_eq!(two_banks.cells(), 36);
+    for (tag, grid) in [("tiny", tiny_grid()), ("two-pass", two_pass), ("two-banks", two_banks)] {
         let factored_ck = dir.join(format!("{tag}-factored.ck"));
         let oracle_ck = dir.join(format!("{tag}-oracle.ck"));
         let mut factored_cfg = cfg(Some(factored_ck.clone()), 0);
@@ -237,4 +251,57 @@ fn damaged_checkpoints_fail_with_typed_errors_naming_the_path() {
     assert_eq!(fine.cached, 4);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A complete checkpoint of [`tiny_grid`] (header plus four records) and
+/// the report its sweep renders, made once per test process.
+fn valid_checkpoint() -> &'static (Vec<u8>, String) {
+    static VALID: OnceLock<(Vec<u8>, String)> = OnceLock::new();
+    VALID.get_or_init(|| {
+        let dir = scratch("prop-seed");
+        let path = dir.join("valid.ck");
+        let report = run_sweep(&cfg(Some(path.clone()), 0)).expect("seed checkpoint");
+        let bytes = fs::read(&path).expect("checkpoint bytes");
+        let _ = fs::remove_dir_all(&dir);
+        (bytes, report.to_json().render_pretty())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A valid checkpoint cut to any length and hit by up to three byte
+    /// flips either still loads — then it is a whole-record prefix of the
+    /// valid file, and the resumed sweep renders the same report — or
+    /// fails with a typed checkpoint error naming the path. It never
+    /// panics.
+    #[test]
+    fn damaged_checkpoints_load_or_fail_typed(
+        cut in 0usize..4 * CHECKPOINT_RECORD_LEN + CHECKPOINT_HEADER_LEN + 1,
+        flips in prop::collection::vec((0usize..1 << 16, any::<u8>()), 0..4),
+    ) {
+        let (valid, report) = valid_checkpoint();
+        let mut bytes = valid[..cut.min(valid.len())].to_vec();
+        for &(at, mask) in &flips {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] ^= mask;
+            }
+        }
+        let dir = scratch("prop");
+        let path = dir.join("damaged.ck");
+        fs::write(&path, &bytes).expect("write");
+        match run_sweep(&cfg(Some(path.clone()), 0)) {
+            Ok(r) => {
+                prop_assert!(bytes[..] == valid[..bytes.len()], "damaged bytes loaded");
+                let records = bytes.len().saturating_sub(CHECKPOINT_HEADER_LEN);
+                prop_assert!(records.is_multiple_of(CHECKPOINT_RECORD_LEN), "partial record loaded");
+                prop_assert_eq!(r.cached, records / CHECKPOINT_RECORD_LEN);
+                prop_assert_eq!(&r.to_json().render_pretty(), report);
+            }
+            Err(SweepError::Checkpoint(e)) => assert_names(&e, &path),
+            Err(e) => panic!("expected a checkpoint error, got {e}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

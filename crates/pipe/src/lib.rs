@@ -26,7 +26,8 @@
 //! one register/spill plan and one predictor walk per family across its
 //! members, and each member runs only its own timing core. A member's
 //! access latencies come from a live hierarchy ([`CycleSim`] is a
-//! one-member live bank) or from the miss-level stream a
+//! one-member live bank; the sweep's unfactored oracle banks one live
+//! member per cell) or from the miss-level stream a
 //! [`CachePassSim`] recorded ([`TimingBank`], the factored sweep's timing
 //! pass).
 //!

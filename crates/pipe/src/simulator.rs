@@ -8,7 +8,9 @@
 //! latencies come either from a live cache hierarchy — every live member
 //! has a group of its own — or from a cache pass's miss-level
 //! annotations, shared by every member with the same stream and latency
-//! table. [`CycleSim`] is a one-member live bank; [`TimingBank`], the
+//! table. [`CycleSim`] is a one-member live bank, the sweep's
+//! unfactored oracle replays its cells as live members (each with its
+//! own hierarchy, predictor and prefetcher), and [`TimingBank`], the
 //! factored sweep's timing pass, is a bank of annotated members over one
 //! register file and if-conversion mode. Per-op
 //! [`TraceConsumer::consume`] runs the same engine on one-op blocks, so
@@ -208,12 +210,13 @@ pub struct PlatformBank {
 
 impl PlatformBank {
     /// One member per platform, each with the paper's hybrid predictor
-    /// (panics like [`Self::with_predictors`]).
+    /// and no prefetcher (panics like [`Self::with_predictors`]).
     pub fn new(platforms: &[PlatformConfig]) -> Self {
-        Self::with_predictors(platforms.iter().map(|&p| (p, PredictorKind::Hybrid)))
+        Self::with_predictors(platforms.iter().map(|&p| (p, PredictorKind::Hybrid, Prefetcher::None)))
     }
 
-    /// One live member per (platform, predictor family) pair, in order.
+    /// One live member per (platform, predictor family, prefetcher)
+    /// triple, in order; each member's hierarchy is its own.
     ///
     /// # Panics
     ///
@@ -222,14 +225,15 @@ impl PlatformBank {
     /// fill's bounds ([`MAX_WIDTH`](crate::MAX_WIDTH),
     /// [`MAX_LATENCY`](crate::MAX_LATENCY)).
     pub fn with_predictors(
-        members: impl IntoIterator<Item = (PlatformConfig, PredictorKind)>,
+        members: impl IntoIterator<Item = (PlatformConfig, PredictorKind, Prefetcher)>,
     ) -> Self {
-        let members: Vec<(PlatformConfig, PredictorKind)> = members.into_iter().collect();
-        let regs: Vec<u32> = members.iter().map(|(cfg, _)| cfg.logical_regs).collect();
-        let modes: Vec<bool> = members.iter().map(|(cfg, _)| cfg.if_conversion).collect();
+        let members: Vec<(PlatformConfig, PredictorKind, Prefetcher)> = members.into_iter().collect();
+        let regs: Vec<u32> = members.iter().map(|(cfg, ..)| cfg.logical_regs).collect();
+        let modes: Vec<bool> = members.iter().map(|(cfg, ..)| cfg.if_conversion).collect();
         let mut bank = Self::planned(&regs, &modes);
-        for (cfg, kind) in members {
-            bank.push(cfg, kind, None);
+        for (cfg, kind, prefetcher) in members {
+            let hierarchy = cfg.hierarchy().with_prefetcher(prefetcher);
+            bank.push(cfg, kind, Source::Live(Box::new(hierarchy)));
         }
         bank
     }
@@ -247,17 +251,14 @@ impl PlatformBank {
         }
     }
 
-    /// Adds a member timing `cfg` with a `kind` predictor. It reads a
-    /// live hierarchy of its own when `stream` is `None`, and otherwise
-    /// joins the first fill group over an equal stream and latency
-    /// table, or starts one. Walks and flag columns are shared by key.
-    fn push(&mut self, cfg: PlatformConfig, kind: PredictorKind, stream: Option<Arc<AnnotationStream>>) {
+    /// Adds a member timing `cfg` with a `kind` predictor, its latencies
+    /// from `source`. A live source is a fill group of its own; an
+    /// annotated one joins the first fill group over an equal stream and
+    /// latency table, or starts one. Walks and flag columns are shared
+    /// by key.
+    fn push(&mut self, cfg: PlatformConfig, kind: PredictorKind, source: Source) {
         let fill = LatencyFill::new(&cfg);
         let core = TimingCore::new(&cfg);
-        let source = match stream {
-            None => Source::Live(Box::new(cfg.hierarchy())),
-            Some(stream) => Source::annotated(&cfg, stream),
-        };
         let (size, mode) =
             (self.plan.size_index(cfg.logical_regs), self.plan.mode_index(cfg.if_conversion));
         let walk = index_or_push(&mut self.walks, PredictorWalk::new(kind, mode), |a, b| {
@@ -502,7 +503,7 @@ impl TimingBank {
     ) {
         assert_eq!(cfg.logical_regs, self.logical_regs, "lanes must share the register file");
         assert_eq!(cfg.if_conversion, self.if_conversion, "lanes must share if-conversion");
-        self.bank.push(*cfg, pred, Some(stream));
+        self.bank.push(*cfg, pred, Source::annotated(cfg, stream));
     }
 
     /// Lanes pushed so far.
@@ -777,39 +778,53 @@ pub(crate) mod tests {
     /// changes a member:
     /// every member of a bank — the four presets; duplicate platforms;
     /// mixed predictor kinds and if-conversion modes over every register
-    /// size — equals its own `CycleSim` replay, results and event series,
-    /// at every block size and through per-op `consume`, with metrics
-    /// off (the uninstrumented core loop) and on.
+    /// size; each preset under each prefetcher — equals its own
+    /// `CycleSim` replay, results and event series, at every block size
+    /// and through per-op `consume`, with metrics off (the
+    /// uninstrumented core loop) and on.
     #[test]
     fn platform_bank_members_match_independent_cyclesims() {
         let recording = spill_heavy_recording();
         let program = recording.program().clone();
         let presets = PlatformConfig::all();
         let kinds = [PredictorKind::Hybrid, PredictorKind::Bimodal, PredictorKind::Aliased];
-        let hybrid = |p: &PlatformConfig| (*p, PredictorKind::Hybrid);
-        let mut mixed: Vec<(PlatformConfig, PredictorKind)> = Vec::new();
+        let hybrid = |p: &PlatformConfig| (*p, PredictorKind::Hybrid, Prefetcher::None);
+        let mut mixed: Vec<(PlatformConfig, PredictorKind, Prefetcher)> = Vec::new();
+        let mut prefetching = Vec::new();
         for (i, p) in presets.iter().enumerate() {
             let mut flipped = *p;
             flipped.if_conversion = !p.if_conversion;
-            mixed.push((*p, kinds[i % 3]));
-            mixed.push((flipped, kinds[(i + 1) % 3]));
+            mixed.push((*p, kinds[i % 3], Prefetcher::None));
+            mixed.push((flipped, kinds[(i + 1) % 3], Prefetcher::None));
+            for prefetcher in [Prefetcher::None, Prefetcher::NextLine, Prefetcher::Stride] {
+                prefetching.push((*p, PredictorKind::Hybrid, prefetcher));
+            }
         }
         let banks = [
             ("presets", presets.iter().map(hybrid).collect(), [3, 2, 4]),
             ("duplicates", [0, 2, 0, 2, 2].iter().map(|&i| hybrid(&presets[i])).collect(), [2, 2, 2]),
             ("mixed", mixed, [3, 4, 7]),
+            ("prefetchers", prefetching, [3, 2, 4]),
         ];
         for (name, members, shared) in banks {
             for metrics in [false, true] {
                 let solo: Vec<(SimResult, MetricSet)> = members
                     .iter()
-                    .map(|&(cfg, kind)| {
-                        let sim = CycleSim::new(cfg).with_predictor(kind);
+                    .map(|&(cfg, kind, prefetcher)| {
+                        let sim = CycleSim::new(cfg).with_predictor(kind).with_prefetcher(prefetcher);
                         let mut sim = if metrics { sim.with_metrics() } else { sim };
                         recording.replay_bank(std::slice::from_mut(&mut sim));
                         (sim.result(), sim.take_metrics())
                     })
                     .collect();
+                if name == "prefetchers" {
+                    // Each prefetcher changes what the hierarchy sees, so
+                    // a bank that dropped one could not pass.
+                    for trio in solo.chunks(3) {
+                        let [none, next, stride] = [0, 1, 2].map(|i| trio[i].0.cache);
+                        assert!(none != next && none != stride && next != stride, "{name}");
+                    }
+                }
                 let new_bank = || {
                     let bank = PlatformBank::with_predictors(members.iter().copied());
                     if metrics { bank.with_metrics() } else { bank }

@@ -28,8 +28,8 @@ pub const SEG_COUNTER: u8 = 3;
 /// decoder, corrupting every implicit destination after the first
 /// non-initial block boundary.
 pub const BLOCK_CARRY: u8 = 4;
-/// Rotate each sweep bank job's per-cell results by one before the
-/// cell merge, crediting every measurement to a neighboring grid cell.
+/// Rotate each sweep program's per-cell results by one before the cell
+/// merge, crediting every measurement to a neighboring grid cell.
 /// Site: the sweep merge in `bioperf-core`.
 pub const SWEEP_MERGE: u8 = 5;
 /// Start the factored sweep's miss-level annotation cursor at 1 instead

@@ -37,7 +37,7 @@ usage:
   bioperf-loadchar conform [--cases <n>] [--seed <u64>] [--jobs <n>]
                            [--metrics <out.json>] [--inject <fault>]
                            [--out <dir>] [--fuzz-only]
-  bioperf-loadchar sweep [--grid smoke|standard] [axis and run flags;
+  bioperf-loadchar sweep [--grid smoke|standard|timing] [axis and run flags;
                          see 'sweep --help' for details]
 
 suite runs the whole study — nine characterizations plus the 6-program ×
@@ -65,23 +65,23 @@ programs: blast clustalw dnapenny fasta hmmcalibrate hmmpfam hmmsearch
           predator promlk   (evaluate: the six transformed programs only)";
 
 const SWEEP_USAGE: &str = "\
-usage: bioperf-loadchar sweep [--grid smoke|standard] [--scale <scale>]
+usage: bioperf-loadchar sweep [--grid smoke|standard|timing] [--scale <scale>]
            [--seed <u64>] [--jobs <n>] [--programs <a,b>]
            [--l1 <KBxWAYS,..>] [--l2 <KBxWAYS,..>] [--line <BYTES,..>]
            [--lat <L1:L2:MEM,..>] [--pipe <WIDTHxROB,..>]
            [--pred <hybrid|aliased|bimodal,..>]
            [--prefetch <none|nextline|stride,..>]
            [--checkpoint <file>] [--max-cells <n>] [--out <report.json>]
-           [--no-factor]
 
 Sweeps the configuration grid (axis flags override the preset's axes),
 replaying both variants of each program through every cell, and prints
 each program's Pareto frontier over (AMAT, speedup, hardware cost).
-Output is byte-identical for every --jobs value. --checkpoint appends
-completed cells to a resumable bioperf-sweep/v1 file; --max-cells bounds
-new measurements per invocation (exit 3 while cells remain). --out writes
-the deterministic JSON report. --no-factor disables the factored
-cache-pass/timing-pass evaluation (slower; bit-identical output).";
+The presets: smoke (64 cells, the default), standard (576 cells) and
+timing (one cache geometry, 24 timing cells). Output is byte-identical
+for every --jobs value. --checkpoint appends completed cells to a
+resumable bioperf-sweep/v1 file; --max-cells bounds new measurements per
+invocation (exit 3 while cells remain). --out writes the deterministic
+JSON report.";
 
 /// Exit code of a sweep that ran cleanly but left cells unmeasured
 /// because `--max-cells` capped the invocation.
@@ -112,7 +112,7 @@ const SWEEP_ARGS: Spec = Spec {
         "--grid", "--scale", "--seed", "--jobs", "--programs", "--checkpoint", "--max-cells", "--out",
         "--l1", "--l2", "--line", "--lat", "--pipe", "--pred", "--prefetch",
     ],
-    switches: &["--no-factor"],
+    switches: &[],
     positionals: &[],
     required: 0,
 };
@@ -187,7 +187,7 @@ fn sweep_args(argv: &[String]) -> Result<(SweepConfig, Option<&str>), CliError> 
         grid,
         checkpoint: a.value("--checkpoint").map(PathBuf::from),
         max_cells: a.number("--max-cells")?.unwrap_or(0),
-        factor: !a.switch("--no-factor"),
+        factor: true,
     };
     Ok((config, a.value("--out")))
 }

@@ -1,8 +1,7 @@
 //! CLI contract tests for the `sweep` subcommand: strict argument
 //! parsing (unknown, malformed, duplicate, and value-less flags exit 2
-//! with usage — the bench-CLI convention), worker-count and
-//! `--no-factor` independence of stdout and the JSON report across a
-//! ≥500-cell grid, the partial-exit
+//! with usage — the bench-CLI convention), worker-count independence of
+//! stdout and the JSON report across a ≥500-cell grid, the partial-exit
 //! contract of `--max-cells`, skipped-cell diagnostics for degenerate
 //! geometries, and the schema pin of the committed `BENCH_sweep.json`
 //! artifact.
@@ -45,7 +44,7 @@ fn malformed_sweep_command_lines_exit_2_with_usage() {
         (vec!["sweep", "--programs", "nosuch"], "unknown program"),
         (vec!["sweep", "--programs", "predator,predator"], "repeated program"),
         (vec!["sweep", "--l1", "64x2,64x2"], "repeated axis value"),
-        (vec!["sweep", "--no-factor", "--no-factor"], "repeated switch"),
+        (vec!["sweep", "--no-factor"], "removed switch"),
         (vec!["sweep", "--jobs", "100000"], "worker count above the bound"),
         (vec!["sweep", "--pipe", "4x80", "extra"], "unexpected positional"),
     ] {
@@ -60,6 +59,8 @@ fn malformed_sweep_command_lines_exit_2_with_usage() {
     assert!(err.contains("--l1 repeats the value '064x2'"), "repeat not named: {err}");
     let err = stderr(&run(&["sweep", "--jobs", "1", "--jobs", "2"]));
     assert!(err.contains("duplicate flag --jobs"), "duplicate not named: {err}");
+    let err = stderr(&run(&["sweep", "--no-factor"]));
+    assert!(err.contains("unknown option '--no-factor'"), "removed switch not named: {err}");
     let out = run(&["sweep", "--help"]);
     assert_eq!(out.status.code(), Some(0), "sweep --help prints usage");
     assert!(stdout(&out).contains("usage:"), "stdout: {}", stdout(&out));
@@ -81,7 +82,6 @@ fn standard_grid_sweep_is_byte_identical_across_worker_counts() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let a = dir.join("jobs1.json");
     let b = dir.join("jobs4.json");
-    let c = dir.join("oracle.json");
     let mk = |extra: &[&str], path: &std::path::Path| {
         let mut args = vec!["sweep", "--grid", "standard", "--programs", "predator"];
         args.extend_from_slice(extra);
@@ -90,21 +90,12 @@ fn standard_grid_sweep_is_byte_identical_across_worker_counts() {
     };
     let seq = mk(&["--jobs", "1"], &a);
     let par = mk(&["--jobs", "4"], &b);
-    let oracle = mk(&["--jobs", "4", "--no-factor"], &c);
     assert!(seq.status.success(), "{}", stderr(&seq));
     assert!(par.status.success(), "{}", stderr(&par));
-    assert!(oracle.status.success(), "{}", stderr(&oracle));
     assert_eq!(stdout(&seq), stdout(&par), "sweep stdout must not depend on --jobs");
-    assert_eq!(
-        stdout(&par),
-        stdout(&oracle),
-        "sweep stdout must not depend on --no-factor"
-    );
     let a = std::fs::read_to_string(&a).expect("jobs1 report");
     let b = std::fs::read_to_string(&b).expect("jobs4 report");
-    let c = std::fs::read_to_string(&c).expect("oracle report");
     assert_eq!(a, b, "sweep JSON report must be byte-identical across --jobs");
-    assert_eq!(b, c, "the factored sweep must match the --no-factor oracle byte for byte");
     let doc = json::parse(&a).expect("report parses");
     assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SWEEP_SCHEMA));
     let config = doc.get("deterministic").and_then(|d| d.get("config")).expect("config");
