@@ -1,6 +1,6 @@
 //! Shared plumbing for the table/figure regeneration binaries.
 //!
-//! Every binary regenerates one artifact of the paper:
+//! Every table/figure binary regenerates one artifact of the paper:
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -19,7 +19,13 @@
 //! | `ablation_mechanisms` | (extension) which modeled mechanism carries the speedup |
 //! | `ablation_predictor` | (extension) no-aliasing vs realistic predictors |
 //! | `ablation_prefetch` | (extension) prefetching vs the source transformation |
-//! | `bench_suite` | the full-suite metric snapshot (`BENCH_suite.json`) |
+//!
+//! Two binaries check rather than regenerate: `bench_sweep` runs a sweep
+//! through the factored engine and the unfactored oracle and fails on
+//! any per-cell divergence or below a speedup floor, and
+//! `replay_throughput` times the replay hot loop. The committed
+//! `BENCH_suite.json` and `BENCH_sweep.json` are written by
+//! `bioperf-loadchar suite --metrics` and `bioperf-loadchar sweep --out`.
 //!
 //! # Command line
 //!
@@ -32,7 +38,7 @@
 //! ignored, so a typo'd scale cannot masquerade as a finished
 //! default-scale run — and `--help` prints usage and exits 0.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
@@ -152,23 +158,18 @@ impl JsonReport {
         ])
     }
 
-    /// Writes the document to the `--json` path, if one was requested
-    /// (exits 1 if it cannot, per [`write_or_exit`]).
+    /// Writes the document to the `--json` path, if one was requested.
+    /// If it cannot, prints `{artifact}: writing <path>: <error>` on
+    /// stderr and exits with status 1: a binary has no recovery path, and
+    /// a missing artifact must fail loudly but without a panic.
     pub fn write_if_requested(&self, args: &BenchArgs) {
         if let Some(path) = &args.json {
-            write_or_exit(&self.artifact, path, &self.to_json().render_pretty());
+            if let Err(e) = std::fs::write(path, self.to_json().render_pretty()) {
+                eprintln!("{}: writing {}: {e}", self.artifact, path.display());
+                std::process::exit(1);
+            }
             println!("wrote {}", path.display());
         }
-    }
-}
-
-/// Writes `contents` to `path`, or prints `{artifact}: writing <path>:
-/// <error>` on stderr and exits with status 1: a binary has no recovery
-/// path, and a missing artifact must fail loudly but without a panic.
-pub fn write_or_exit(artifact: &str, path: &Path, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("{artifact}: writing {}: {e}", path.display());
-        std::process::exit(1);
     }
 }
 

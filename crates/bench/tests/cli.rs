@@ -1,6 +1,7 @@
 //! End-to-end command-line contract of the table/figure binaries: bad
 //! arguments are rejected loudly (exit status 2 plus a usage message),
-//! never silently ignored, and `--json` writes a parseable document.
+//! never silently ignored, `--json` writes a parseable document, and a
+//! closed stdout ends a binary by `SIGPIPE` rather than a panic.
 //!
 //! Only the instant binaries (table6/table7, which run no kernels) are
 //! spawned with *valid* arguments, so the test stays fast; the rejection
@@ -95,17 +96,29 @@ fn unwritable_json_path_exits_1_naming_it() {
 }
 
 #[test]
-fn bench_suite_rejects_bad_args_and_bad_documents() {
-    let out = run(env!("CARGO_BIN_EXE_bench_suite"), &["--jobs", "many"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs expects a number, not 'many'"));
+fn bench_sweep_takes_no_output_flags() {
+    // The sweep oracle writes no file: `bioperf-loadchar sweep --out` is
+    // the committed artifact's only producer.
+    for flag in ["--out", "--check"] {
+        let out = run(env!("CARGO_BIN_EXE_bench_sweep"), &[flag, "x.json"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option '{flag}'")), "stderr: {err}");
+    }
+}
 
-    // --check on a non-suite document must fail with status 1.
-    let path = tmp_path("bogus-suite.json");
-    std::fs::write(&path, "{\"schema\":\"something-else/v9\"}").unwrap();
-    let out =
-        run(env!("CARGO_BIN_EXE_bench_suite"), &["--check", "--out", path.to_str().unwrap()]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("schema tag"));
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_the_binary_by_sigpipe_without_a_panic() {
+    use std::os::unix::process::ExitStatusExt;
+
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_table7_platforms"))
+        .stdout(writer)
+        .output()
+        .expect("binary spawns");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.signal(), Some(13), "status {:?}, stderr: {err}", out.status);
+    assert!(!err.contains("panicked"), "stderr: {err}");
 }

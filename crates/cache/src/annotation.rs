@@ -129,29 +129,14 @@ impl MissLevelBank {
         }
     }
 
-    /// Number of member configurations.
-    pub fn members(&self) -> usize {
-        self.members.len()
-    }
-
     /// Accesses presented so far.
     pub fn accesses(&self) -> usize {
         self.accesses
     }
 
-    /// Applies one demand access to every member.
-    #[inline]
-    pub fn access(&mut self, addr: u64, kind: AccessKind) {
-        for (hierarchy, stream) in &mut self.members {
-            let (level, _) = hierarchy.access_detailed(addr, kind);
-            stream.push(level);
-        }
-        self.accesses += 1;
-    }
-
     /// Applies a run of demand accesses given as parallel address /
-    /// is-load columns. Semantically a loop over [`access`](Self::access)
-    /// but iterated member-major so each hierarchy's state stays hot.
+    /// is-load columns to every member, iterated member-major so each
+    /// hierarchy's state stays hot.
     pub fn access_run(&mut self, addrs: &[u64], loads: &[bool]) {
         debug_assert_eq!(addrs.len(), loads.len());
         for (hierarchy, stream) in &mut self.members {
@@ -210,41 +195,37 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_direct_hierarchy_replay() {
+    fn access_runs_match_direct_hierarchy_replays() {
+        // Two geometries, fed in uneven runs: each member's stream and
+        // stats equal its own hierarchy replayed access by access.
+        let wide = || {
+            Hierarchy::new(
+                CacheConfig::new(4096, 4, 64),
+                CacheConfig::new(16 * 1024, 1, 64),
+                LatencyConfig::alpha21264(),
+            )
+        };
         let addrs: Vec<u64> = (0..600u64).map(|i| (i * 37) % 191 * 64).collect();
-        let mut direct = tiny_hierarchy();
-        let mut bank = MissLevelBank::new(vec![tiny_hierarchy()]);
-        let mut expected = Vec::new();
-        for (i, &a) in addrs.iter().enumerate() {
-            let kind = if i % 3 == 0 { AccessKind::Store } else { AccessKind::Load };
-            expected.push(direct.access_detailed(a, kind).0);
-            bank.access(a, kind);
+        let loads: Vec<bool> = (0..600).map(|i| i % 3 != 0).collect();
+        let mut bank = MissLevelBank::new(vec![tiny_hierarchy(), wide()]);
+        let mut at = 0;
+        for run in [1, 7, 64, 128].into_iter().cycle() {
+            let end = (at + run).min(addrs.len());
+            bank.access_run(&addrs[at..end], &loads[at..end]);
+            at = end;
+            if at == addrs.len() {
+                break;
+            }
         }
-        let mut out = bank.finish();
-        let (stats, stream) = out.pop().expect("one member");
-        assert_eq!(&stats, direct.stats());
-        assert_eq!(stream.len(), addrs.len());
-        for (i, &lvl) in expected.iter().enumerate() {
-            assert_eq!(stream.level(i), Some(lvl), "access {i}");
-        }
-    }
-
-    #[test]
-    fn access_run_matches_per_access_loop() {
-        let addrs: Vec<u64> = (0..512u64).map(|i| (i * 13) % 257 * 64).collect();
-        let loads: Vec<bool> = (0..512).map(|i| i % 4 != 1).collect();
-        let mut a = MissLevelBank::new(vec![tiny_hierarchy(), tiny_hierarchy()]);
-        let mut b = MissLevelBank::new(vec![tiny_hierarchy(), tiny_hierarchy()]);
-        for (&addr, &is_load) in addrs.iter().zip(&loads) {
-            a.access(addr, if is_load { AccessKind::Load } else { AccessKind::Store });
-        }
-        b.access_run(&addrs, &loads);
-        let fa = a.finish();
-        let fb = b.finish();
-        assert_eq!(fa.len(), fb.len());
-        for ((sa, ta), (sb, tb)) in fa.iter().zip(&fb) {
-            assert_eq!(sa, sb);
-            assert_eq!(ta, tb);
+        assert_eq!(bank.accesses(), addrs.len());
+        let direct = [tiny_hierarchy(), wide()];
+        for ((stats, stream), mut direct) in bank.finish().into_iter().zip(direct) {
+            assert_eq!(stream.len(), addrs.len());
+            for (i, (&a, &is_load)) in addrs.iter().zip(&loads).enumerate() {
+                let kind = if is_load { AccessKind::Load } else { AccessKind::Store };
+                assert_eq!(stream.level(i), Some(direct.access_detailed(a, kind).0), "access {i}");
+            }
+            assert_eq!(&stats, direct.stats());
         }
     }
 }

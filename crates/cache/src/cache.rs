@@ -201,12 +201,6 @@ impl Cache {
         let ways = self.config.ways as usize;
         self.lines[set * ways..(set + 1) * ways].iter().any(|l| l.valid && l.tag == tag)
     }
-
-    /// Invalidates everything (keeps geometry).
-    pub fn clear(&mut self) {
-        self.lines.fill(Line::default());
-        self.clock = 0;
-    }
 }
 
 /// The shared access body: tag match, LRU touch, victim choice, fill.
@@ -343,14 +337,6 @@ mod tests {
         c.access(0x100, false); // same set (4 sets of 64B: set = block % 4)
         assert!(!c.probe(0x000));
         assert!(c.probe(0x100));
-    }
-
-    #[test]
-    fn clear_invalidates() {
-        let mut c = tiny();
-        c.access(0x000, false);
-        c.clear();
-        assert!(!c.probe(0x000));
     }
 
     #[test]

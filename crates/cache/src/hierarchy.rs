@@ -163,11 +163,6 @@ impl Hierarchy {
         self
     }
 
-    /// Prefetch statistics (issued / useless).
-    pub fn prefetch_stats(&self) -> &PrefetchEngine {
-        &self.prefetch
-    }
-
     /// The configured latencies.
     pub fn latencies(&self) -> LatencyConfig {
         self.latencies
@@ -269,13 +264,6 @@ impl Hierarchy {
         let m1 = self.stats.l1.load_miss_ratio();
         let m2 = self.stats.l2.load_miss_ratio();
         self.latencies.amat(m1, m2)
-    }
-
-    /// Invalidates all cached state and clears statistics.
-    pub fn reset(&mut self) {
-        self.l1d.clear();
-        self.l2.clear();
-        self.stats = HierarchyStats::default();
     }
 }
 
@@ -419,16 +407,6 @@ mod tests {
             h.access(i * 512, AccessKind::Load); // evict set 0
         }
         assert!(h.stats().l1.writebacks >= 1);
-    }
-
-    #[test]
-    fn reset_clears_state_and_stats() {
-        let mut h = small_hierarchy();
-        h.access(0x40, AccessKind::Load);
-        h.reset();
-        assert_eq!(h.stats().l1.load_accesses, 0);
-        let (lvl, _) = h.access_detailed(0x40, AccessKind::Load);
-        assert_eq!(lvl, ServicedBy::Memory);
     }
 
     #[test]

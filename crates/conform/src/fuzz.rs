@@ -17,8 +17,9 @@
 //!
 //! [`check_trace`] replays one trace through every optimized
 //! implementation and its reference twin on a set of platforms, diffing
-//! per-op events and final statistics. It is the one implementation of
-//! each differential check: fuzz streams run it on one platform
+//! per-op events and final statistics, and holds every platform bank
+//! result to the model's physical bounds. It is the one implementation
+//! of each differential check: fuzz streams run it on one platform
 //! ([`check_stream`]), and the conformance harness runs it on every
 //! real program trace. [`run_case`] adds deterministic per-case seeding,
 //! platform rotation, and removal-based counterexample shrinking.
@@ -51,8 +52,8 @@ const SHRINK_BUDGET: usize = 2000;
 /// reference model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// Which differential check failed: `codec`, `block`, `segment`,
-    /// `cache`, `regfile`, `predictor`, or `pipeline`.
+    /// Which check failed: `codec`, `block`, `segment`, `cache`,
+    /// `regfile`, `predictor`, `bounds`, or `pipeline`.
     pub component: &'static str,
     /// Human-readable mismatch description.
     pub detail: String,
@@ -283,8 +284,9 @@ pub fn check_stream(ops: &[MicroOp], platform: &PlatformConfig) -> Option<Diverg
 /// predictor) run once; the cache check runs once per platform; the
 /// register-file check drives one multi-size file over every platform's
 /// size; the pipeline check replays one platform bank over all
-/// platforms. Check order is cheapest-first so shrinking re-evaluations
-/// stay fast.
+/// platforms and holds each of its results to the model's bounds
+/// before diffing it. Check order is cheapest-first so shrinking
+/// re-evaluations stay fast.
 ///
 /// Block, segment and pipeline sizes scale with the trace: with
 /// `unit = max(1, len / 4096)`, blocks are `3·unit` and `8·unit` ops,
@@ -616,6 +618,10 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 /// must not share the fill) and one with the same latencies but another
 /// width, ROB and predictor (it must, and leads the checked lane's
 /// group).
+///
+/// Before it is compared, every bank result must satisfy the model's
+/// bounds ([`bound_violation`]), so a fault that breaks one is reported
+/// as a `bounds` divergence.
 fn pipeline_check(
     ops: &[MicroOp],
     stream: &PackedStream,
@@ -638,6 +644,10 @@ fn pipeline_check(
         replay_blocks(stream, std::slice::from_mut(&mut bank), block_ops);
         for (i, (platform, slow)) in platforms.iter().zip(&slow).enumerate() {
             let fast = bank.result(i);
+            if let Some(violation) = bound_violation(&fast, platform) {
+                let detail = format!("{block_ops}-op blocks: {violation}");
+                return Some(Divergence::new("bounds", detail).on(platform));
+            }
             if fast != *slow {
                 let detail =
                     format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}");
@@ -670,6 +680,23 @@ fn pipeline_check(
         }
     }
     None
+}
+
+/// The first model-level bound `r` violates on `platform`, whatever the
+/// engine: no platform issues more than `issue_width` trace
+/// instructions per cycle, so a run takes at least
+/// ⌈instructions / issue_width⌉ cycles; and no more branches
+/// mispredict than execute.
+fn bound_violation(r: &SimResult, platform: &PlatformConfig) -> Option<String> {
+    let min_cycles = r.instructions.div_ceil(u64::from(platform.issue_width));
+    if r.cycles < min_cycles {
+        return Some(format!(
+            "{} cycles for {} instructions at issue width {}, below the {min_cycles}-cycle bound",
+            r.cycles, r.instructions, platform.issue_width
+        ));
+    }
+    (r.mispredicts > r.branches)
+        .then(|| format!("{} mispredicts exceed {} branches", r.mispredicts, r.branches))
 }
 
 /// Runs one fuzz case: derive the seed, generate, check, and — on

@@ -13,7 +13,9 @@
 //!   auditable by inspection. They trade all speed for obviousness.
 //! * **One set of differential checks** ([`fuzz::check_trace`]) — runs
 //!   a trace through the optimized and reference implementations on a
-//!   set of platforms and diffs per-op events and final results.
+//!   set of platforms and diffs per-op events and final results; every
+//!   platform bank result must also satisfy the model's lower bounds
+//!   (cycles ≥ ⌈instructions / issue width⌉, mispredicts ≤ branches).
 //! * **A seeded fuzzer** ([`fuzz`]) — generates adversarial op streams
 //!   biased toward the hard cases (SSA-counter resync around `lit()`
 //!   gaps, set-conflict address patterns, register eviction storms,

@@ -12,14 +12,14 @@ use crate::loadchar::{HotLoad, LoadBranchAnalysis, SequenceSummary};
 /// Streaming consumer combining all of the paper's characterization
 /// passes: instruction mix, load coverage, cache behaviour, and the
 /// load↔branch sequence/profile analysis.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Characterizer {
     /// Instruction-mix counters (Figure 1 / Table 1).
     pub mix: InstrMix,
     /// Load-coverage accumulator (Figure 2).
     pub coverage: LoadCoverage,
     /// Cache simulation on the reference hierarchy (Table 2).
-    cache: Option<CacheSim>,
+    cache: CacheSim,
     /// Sequence and per-load analysis (Tables 4 and 5).
     pub analysis: LoadBranchAnalysis,
 }
@@ -30,7 +30,7 @@ impl Characterizer {
         Self {
             mix: InstrMix::default(),
             coverage: LoadCoverage::new(),
-            cache: Some(CacheSim::new(alpha21264_hierarchy())),
+            cache: CacheSim::new(alpha21264_hierarchy()),
             analysis: LoadBranchAnalysis::new(),
         }
     }
@@ -40,13 +40,13 @@ impl Characterizer {
     /// [`CharacterizationReport::events`].
     pub fn with_metrics() -> Self {
         let mut c = Self::new();
-        c.cache = c.cache.map(CacheSim::with_metrics);
+        c.cache = c.cache.with_metrics();
         c
     }
 
     /// Finalizes into a report.
     pub fn into_report(self, program: Program, hot_load_rows: usize) -> CharacterizationReport {
-        let mut cache = self.cache.expect("cache sim present").into_hierarchy();
+        let mut cache = self.cache.into_hierarchy();
         let events = cache.take_metrics();
         let amat = cache.amat();
         let hot_loads = self.analysis.hot_loads(hot_load_rows, &program);
@@ -66,13 +66,17 @@ impl Characterizer {
     }
 }
 
+impl Default for Characterizer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TraceConsumer for Characterizer {
     fn consume(&mut self, op: &MicroOp, program: &Program) {
         self.mix.consume(op, program);
         self.coverage.consume(op, program);
-        if let Some(cache) = self.cache.as_mut() {
-            cache.consume(op, program);
-        }
+        self.cache.consume(op, program);
         self.analysis.consume(op, program);
     }
 }

@@ -175,7 +175,28 @@ pub fn positive<T: FromStr + PartialOrd + Default>(value: &str) -> Result<T, Str
 }
 
 /// The process arguments after the program name.
+///
+/// Every binary calls this first, so it also restores the default
+/// `SIGPIPE` disposition on unix. The Rust runtime ignores `SIGPIPE`,
+/// which turns a write to a closed pipe into a panic inside `println!`;
+/// with the default back, `bioperf-loadchar list | head -1` ends the
+/// writer silently, as it ends `yes`.
 pub fn argv() -> Result<Vec<String>, CliError> {
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: `signal` is the C library's, with `sighandler_t` passed
+        // as the pointer-sized integer it is; SIGPIPE is 13 and SIG_DFL is
+        // 0 on every unix. Restoring a default disposition touches no Rust
+        // state, and nothing in the process installs a SIGPIPE handler.
+        unsafe {
+            signal(SIGPIPE, SIG_DFL);
+        }
+    }
     std::env::args_os()
         .skip(1)
         .map(|arg| arg.into_string().map_err(|arg| CliError::NotUtf8(arg.to_string_lossy().into())))

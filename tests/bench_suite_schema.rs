@@ -1,9 +1,10 @@
 //! Schema pin for the committed `BENCH_suite.json` artifact.
 //!
-//! The file is regenerated by `cargo run --release --bin bench_suite`
-//! (CI re-checks it on every push); this test fails if the committed
-//! document drifts from the `bioperf-suite/v1` shape the tooling —
-//! and any external dashboard reading the artifact — depends on.
+//! The file is regenerated by `cargo run --release -- suite --metrics
+//! BENCH_suite.json` (`artifact_sync.rs` checks it is what that command
+//! writes); this test fails if the committed document drifts from the
+//! `bioperf-suite/v1` shape the tooling — and any external dashboard
+//! reading the artifact — depends on.
 
 use bioperf_core::orchestrate::SUITE_SCHEMA;
 use bioperf_metrics::{json, Json};
@@ -11,7 +12,7 @@ use bioperf_metrics::{json, Json};
 fn load() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_suite.json");
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{path} must be committed (regenerate with `cargo run --release --bin bench_suite`): {e}"));
+        .unwrap_or_else(|e| panic!("{path} must be committed (regenerate with `cargo run --release -- suite --metrics BENCH_suite.json`): {e}"));
     json::parse(&text).expect("BENCH_suite.json parses with the in-workspace parser")
 }
 

@@ -186,7 +186,7 @@ fn degenerate_cells_are_skipped_with_diagnostics_not_panics() {
 fn load_committed_artifact() -> Json {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_sweep.json");
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        panic!("{path} must be committed (regenerate with `cargo run --release --bin bench_sweep`): {e}")
+        panic!("{path} must be committed (regenerate with `cargo run --release -- sweep --out BENCH_sweep.json`): {e}")
     });
     json::parse(&text).expect("BENCH_sweep.json parses with the in-workspace parser")
 }

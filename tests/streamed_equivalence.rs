@@ -56,7 +56,7 @@ fn streamed_suite_matches_in_memory_suite_for_every_program() {
         assert_eq!(a.transformed, b.transformed, "{} {} transformed", a.program, a.platform);
     }
 
-    // The deterministic JSON — what `bench_suite` commits as
+    // The deterministic JSON — what `suite --metrics` commits as
     // `BENCH_suite.json` — is byte-identical.
     assert_eq!(
         memory.deterministic_json().render_pretty(),
