@@ -38,7 +38,7 @@
 //! Completed `(program, cell)` measurements append to a
 //! **`bioperf-sweep/v1` checkpoint** (binary, FNV-1a-checksummed records,
 //! content-addressed by a hash of seed/scale/programs/grid — the same
-//! header discipline as the `bioperf-seg/v1` trace segments). The append
+//! header discipline as the `bioperf-seg` trace segments). The append
 //! happens once, after every scheduled cell is measured, so a killed run
 //! keeps nothing; resumption works per invocation: a run stopped by its
 //! `--max-cells` budget checkpoints what it measured, and the next

@@ -36,6 +36,26 @@
 //! deterministic line-aligned stagger so that regions do not all collide
 //! on cache set 0 the way a uniform power-of-two placement would.
 //!
+//! # The recent-region table
+//!
+//! Every traced load and store asks for its region, and the kernels'
+//! inner loops sweep a handful of arrays in alternation, so a small table
+//! of recently used regions answers almost every touch without walking
+//! the `BTreeMap`. Each entry holds `(raw base, limit, virt base)` with
+//! `limit = min(base + len, next region's base)`, and a touch hits only
+//! when `base <= addr && addr + size <= limit`: such a touch lies inside
+//! exactly one region and extends nothing, so the map would answer it
+//! with `virt base + (addr - base)` as well. Only a registration can
+//! make an entry wrong, since it drops the regions it supersedes, so it
+//! clears the table. Other region changes leave every entry exact or
+//! conservative: a forward extension only grows `len`; a backward
+//! extension re-keys a region at a lower base with a matching lower
+//! virtual base, which maps every address it held as before; and neither
+//! a backward extension nor a new fallback region starts inside any
+//! region's `[base, limit)`, or the touch would have landed in that
+//! region instead. The map stays the one source of truth, and
+//! [`NormalizerStats::table_misses`] counts the touches that reached it.
+//!
 //! The one caveat is *cross-allocation* coalescing: two separate
 //! unregistered allocations would be joined if the allocator placed them
 //! with zero gap and the trace touched them edge-to-edge. Heap allocators
@@ -70,6 +90,28 @@ pub struct NormalizerStats {
     pub registered_regions: u64,
     /// Regions created by first touch of an unregistered address.
     pub fallback_regions: u64,
+    /// Touches the recent-region table could not answer, which walked
+    /// the region map instead. A deterministic work counter: it depends
+    /// only on the touch sequence.
+    pub table_misses: u64,
+}
+
+/// Entries in the recent-region table. At Small scale, eight miss on
+/// about half of the HMM kernels' touches (their inner loops cycle
+/// through more arrays); sixteen miss on 1.1–1.9% of those and of
+/// dnapenny's touches, and on at most 0.12% of every other kernel's.
+const TABLE_ENTRIES: usize = 16;
+
+/// One recent-region table entry; `span == 0` marks an empty slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Recent {
+    /// Raw base address of the region.
+    base: u64,
+    /// `limit - base`: the raw extent known to belong to this region
+    /// alone.
+    span: u64,
+    /// Virtual address of `base`.
+    virt_base: u64,
 }
 
 /// Maps raw (allocator-dependent) addresses to stable virtual addresses.
@@ -77,6 +119,10 @@ pub struct NormalizerStats {
 pub struct AddressNormalizer {
     /// Live regions keyed by current raw base address.
     regions: BTreeMap<u64, Region>,
+    /// Recent-region table in front of `regions` (see the module docs).
+    recent: [Recent; TABLE_ENTRIES],
+    /// Slot the next table fill replaces (round robin).
+    next_fill: usize,
     /// Next region slot to hand out (creation-order identity).
     next_slot: u64,
     stats: NormalizerStats,
@@ -146,12 +192,49 @@ impl AddressNormalizer {
         let region = self.new_region(len);
         self.stats.registered_regions += 1;
         self.regions.insert(base, region);
+        // Superseded regions may sit in the table.
+        self.recent = [Recent::default(); TABLE_ENTRIES];
     }
 
     /// Maps one touched object `[addr, addr + size)` to its virtual
     /// address, opening or extending a region as needed.
+    #[inline]
     pub fn normalize(&mut self, addr: u64, size: u64) -> u64 {
         let size = size.max(1);
+        for e in &self.recent {
+            let offset = addr.wrapping_sub(e.base);
+            if offset < e.span && e.span - offset >= size {
+                return e.virt_base + offset;
+            }
+        }
+        self.normalize_slow(addr, size)
+    }
+
+    /// Enters the region keyed `base` into the recent-region table,
+    /// refreshing its entry if it already has one.
+    fn fill_recent(&mut self, base: u64, region: Region) {
+        let mut limit = base + region.len;
+        if let Some((&next, _)) = self.regions.range(base + 1..).next() {
+            limit = limit.min(next);
+        }
+        let entry = Recent { base, span: limit - base, virt_base: region.virt_base };
+        let slot = match self.recent.iter().position(|e| e.span > 0 && e.base == base) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.next_fill;
+                self.next_fill = (slot + 1) % TABLE_ENTRIES;
+                slot
+            }
+        };
+        self.recent[slot] = entry;
+    }
+
+    /// The region-map walk behind [`normalize`](Self::normalize), for
+    /// touches the recent-region table cannot answer.
+    #[cold]
+    #[inline(never)]
+    fn normalize_slow(&mut self, addr: u64, size: u64) -> u64 {
+        self.stats.table_misses += 1;
 
         // Inside or exactly at the growing edge of a preceding region?
         if let Some((&base, region)) = self.regions.range_mut(..=addr).next_back() {
@@ -160,6 +243,8 @@ impl AddressNormalizer {
                 if end > region.len {
                     region.len = end;
                 }
+                let region = *region;
+                self.fill_recent(base, region);
                 return region.virt_base + (addr - base);
             }
         }
@@ -179,6 +264,7 @@ impl AddressNormalizer {
                 virt_base: region.virt_base - growth,
             };
             self.regions.insert(addr, grown);
+            self.fill_recent(addr, grown);
             return grown.virt_base;
         }
 
@@ -186,6 +272,7 @@ impl AddressNormalizer {
         let region = self.new_region(size);
         self.stats.fallback_regions += 1;
         self.regions.insert(addr, region);
+        self.fill_recent(addr, region);
         region.virt_base
     }
 }

@@ -141,25 +141,32 @@ impl PackedStream {
     /// little-endian) followed by the address, far-destination, and
     /// far-source `u64` columns.
     pub fn write_payload(&self, out: &mut Vec<u8>) {
-        out.reserve(Self::payload_wire_len(self.column_lens()).expect("in-memory columns fit"));
-        for op in &self.ops {
-            out.extend_from_slice(&op.sid.to_le_bytes());
-            out.extend_from_slice(&op.flags.to_le_bytes());
-            for d in op.deltas {
-                out.extend_from_slice(&d.to_le_bytes());
-            }
+        let start = out.len();
+        let len = Self::payload_wire_len(self.column_lens()).expect("in-memory columns fit");
+        out.resize(start + len, 0);
+        let (records, mut words) = out[start..].split_at_mut(self.ops.len() * 12);
+        for (rec, op) in records.chunks_exact_mut(12).zip(&self.ops) {
+            rec[0..4].copy_from_slice(&op.sid.to_le_bytes());
+            rec[4..6].copy_from_slice(&op.flags.to_le_bytes());
+            rec[6..8].copy_from_slice(&op.deltas[0].to_le_bytes());
+            rec[8..10].copy_from_slice(&op.deltas[1].to_le_bytes());
+            rec[10..12].copy_from_slice(&op.deltas[2].to_le_bytes());
         }
         for column in [&self.addrs, &self.far_dsts, &self.far_srcs] {
-            for v in column.iter() {
-                out.extend_from_slice(&v.to_le_bytes());
+            let (head, rest) = words.split_at_mut(column.len() * 8);
+            for (word, v) in head.chunks_exact_mut(8).zip(column) {
+                word.copy_from_slice(&v.to_le_bytes());
             }
+            words = rest;
         }
     }
 
     /// Parses a payload produced by [`write_payload`](Self::write_payload)
     /// back into a decodable stream whose SSA counter starts at
     /// `base_counter`. Returns `None` if `bytes` is not exactly the wire
-    /// size implied by `columns`.
+    /// size implied by `columns`, or if any flag word could make decode
+    /// panic: an unassigned kind code, or more address / far flags than
+    /// the side columns hold entries.
     ///
     /// The parsed stream is for *decoding*: its encoder counter is left
     /// at `base_counter`, so pushing further ops onto it would re-encode
@@ -168,57 +175,48 @@ impl PackedStream {
         if Some(bytes.len()) != Self::payload_wire_len(columns) {
             return None;
         }
-        let (mut stream, [n_ops, n_addrs, n_far_dsts, n_far_srcs]) =
-            (Self::with_base_counter(base_counter), columns);
-        let mut at = 0usize;
-        let mut take = |n: usize| {
-            let slice = &bytes[at..at + n];
-            at += n;
-            slice
-        };
-        stream.ops.reserve_exact(n_ops);
-        for _ in 0..n_ops {
-            let rec = take(12);
-            stream.ops.push(PackedOp {
-                sid: u32::from_le_bytes(rec[0..4].try_into().expect("4-byte slice")),
-                flags: u16::from_le_bytes(rec[4..6].try_into().expect("2-byte slice")),
-                deltas: [
-                    u16::from_le_bytes(rec[6..8].try_into().expect("2-byte slice")),
-                    u16::from_le_bytes(rec[8..10].try_into().expect("2-byte slice")),
-                    u16::from_le_bytes(rec[10..12].try_into().expect("2-byte slice")),
-                ],
-            });
+        let [n_ops, n_addrs, n_far_dsts, n_far_srcs] = columns;
+        let mut stream = Self::with_base_counter(base_counter);
+        let (records, mut words) = bytes.split_at(n_ops * 12);
+        let u16_at = |rec: &[u8], at: usize| u16::from_le_bytes([rec[at], rec[at + 1]]);
+        // Each record's flags are validated as it is parsed, and the
+        // address / far entries they claim are tallied against the
+        // header's column counts.
+        let mut valid = true;
+        let (mut addrs, mut far_dsts, mut far_srcs) = (0usize, 0usize, 0usize);
+        stream.ops = records
+            .chunks_exact(12)
+            .map(|rec| {
+                let flags = u16_at(rec, 4);
+                valid &= OpKind::from_code((flags & KIND_MASK) as u8).is_some();
+                for shift in SRC_SHIFT {
+                    far_srcs += usize::from((flags >> shift) & FIELD_MASK == MODE_FAR);
+                }
+                far_dsts += usize::from((flags >> DST_SHIFT) & FIELD_MASK == MODE_FAR);
+                addrs += usize::from(flags & ADDR_BIT != 0);
+                PackedOp {
+                    sid: u32::from_le_bytes(rec[0..4].try_into().expect("4-byte slice")),
+                    flags,
+                    deltas: [u16_at(rec, 6), u16_at(rec, 8), u16_at(rec, 10)],
+                }
+            })
+            .collect();
+        if !valid || (addrs, far_dsts, far_srcs) != (n_addrs, n_far_dsts, n_far_srcs) {
+            return None;
         }
         for (column, n) in [
             (&mut stream.addrs, n_addrs),
             (&mut stream.far_dsts, n_far_dsts),
             (&mut stream.far_srcs, n_far_srcs),
         ] {
-            column.reserve_exact(n);
-            for _ in 0..n {
-                column.push(u64::from_le_bytes(take(8).try_into().expect("8-byte slice")));
-            }
+            let (head, rest) = words.split_at(n * 8);
+            *column = head
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+                .collect();
+            words = rest;
         }
-        // Cross-validate the flag words against the column lengths so a
-        // parsed stream can never panic during decode: every kind code
-        // must be valid and every far/addr flag must have its side-table
-        // entry.
-        let (mut addrs, mut far_dsts, mut far_srcs) = (0usize, 0usize, 0usize);
-        for op in &stream.ops {
-            OpKind::from_code((op.flags & KIND_MASK) as u8)?;
-            for shift in SRC_SHIFT {
-                if (op.flags >> shift) & FIELD_MASK == MODE_FAR {
-                    far_srcs += 1;
-                }
-            }
-            if (op.flags >> DST_SHIFT) & FIELD_MASK == MODE_FAR {
-                far_dsts += 1;
-            }
-            if op.flags & ADDR_BIT != 0 {
-                addrs += 1;
-            }
-        }
-        ((addrs, far_dsts, far_srcs) == (n_addrs, n_far_dsts, n_far_srcs)).then_some(stream)
+        Some(stream)
     }
 
     /// Number of encoded ops.
@@ -232,6 +230,7 @@ impl PackedStream {
     }
 
     /// Appends one op. Ops must arrive in trace order.
+    #[inline]
     pub fn push(&mut self, op: &MicroOp) {
         let base = self.counter;
         let mut flags = u16::from(op.kind.code()) & KIND_MASK;

@@ -92,6 +92,7 @@ impl Recorder {
 }
 
 impl TraceConsumer for Recorder {
+    #[inline]
     fn consume(&mut self, op: &MicroOp, _program: &Program) {
         if self.stream.len() < self.capacity {
             self.stream.push(op);

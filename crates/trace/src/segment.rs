@@ -20,7 +20,7 @@
 //!   bit-identical to an unsegmented [`Recording`](crate::Recording)
 //!   replay.
 //!
-//! # Segment file format (`bioperf-seg/v1`)
+//! # Segment file format (`bioperf-seg/v2`)
 //!
 //! A segment is a 64-byte little-endian header followed by the packed
 //! payload ([`PackedStream::write_payload`]):
@@ -28,15 +28,21 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic  "BPFSEG1\0"
-//!      8     4  format version (1)
+//!      8     4  format version (2)
 //!     12     4  segment index within the recording (0-based)
 //!     16     8  op count
 //!     24     8  address-column count
 //!     32     8  far-destination count
 //!     40     8  far-source count
 //!     48     8  SSA counter at segment start (standalone-decode state)
-//!     56     8  FNV-1a 64 checksum of the payload bytes
+//!     56     8  checksum of the payload: FNV-1a 64 over its
+//!                 little-endian u64 words, the last len % 8 bytes
+//!                 folded in byte-wise
 //! ```
+//!
+//! Version 1 differed only in hashing the payload byte by byte, one
+//! serial multiply per byte on every write and every streamed read; it
+//! is refused as [`SegmentError::BadVersion`].
 //!
 //! The header's start counter is the *only* cross-segment decode state:
 //! side tables are per-segment, and near-source deltas are pure counter
@@ -54,14 +60,14 @@ use std::sync::mpsc;
 use bioperf_isa::{MicroOp, Program};
 
 use crate::packed::{OpBlock, PackedStream, BLOCK_OPS};
-use crate::fnv1a;
+use crate::fnv1a_words;
 use crate::tracer::TraceConsumer;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"BPFSEG1\0";
 
 /// Current segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
+pub const SEGMENT_VERSION: u32 = 2;
 
 /// Fixed header size in bytes.
 pub const SEGMENT_HEADER_LEN: usize = 64;
@@ -217,7 +223,7 @@ fn encode_segment(stream: &PackedStream, index: u32, start_counter: u64) -> Vec<
     let checksum_at = bytes.len();
     bytes.extend_from_slice(&[0u8; 8]); // checksum placeholder
     stream.write_payload(&mut bytes);
-    let checksum = fnv1a(&bytes[SEGMENT_HEADER_LEN..]);
+    let checksum = fnv1a_words(&bytes[SEGMENT_HEADER_LEN..]);
     bytes[checksum_at..checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
     bytes
 }
@@ -291,7 +297,7 @@ fn decode_segment(
         return reject(SegmentError::Corrupt { path: path.to_path_buf() });
     }
     let payload = &bytes[SEGMENT_HEADER_LEN..];
-    if fnv1a(payload) != checksum {
+    if fnv1a_words(payload) != checksum {
         return reject(SegmentError::Corrupt { path: path.to_path_buf() });
     }
     PackedStream::from_payload(columns, start_counter, payload)
@@ -413,6 +419,8 @@ impl SpillRecorder {
     }
 
     /// Closes the open chunk as a segment.
+    #[cold]
+    #[inline(never)]
     fn flush(&mut self) {
         let index = self.slots.len() as u32;
         let ops = self.current.len();
@@ -457,6 +465,7 @@ impl SpillRecorder {
 }
 
 impl TraceConsumer for SpillRecorder {
+    #[inline]
     fn consume(&mut self, op: &MicroOp, _program: &Program) {
         if self.error.is_some() {
             return;

@@ -100,17 +100,20 @@ impl<C: TraceConsumer> Tape<C> {
         (self.program, self.consumer)
     }
 
+    #[inline]
     fn fresh(&mut self) -> VReg {
         let v = VReg(self.next_vreg);
         self.next_vreg += 1;
         v
     }
 
+    #[inline]
     fn emit(&mut self, op: MicroOp) {
         self.ops_emitted += 1;
         self.consumer.consume(&op, &self.program);
     }
 
+    #[inline]
     fn srcs_array(srcs: &[Val]) -> [Option<VReg>; MAX_SRCS] {
         assert!(
             srcs.len() <= MAX_SRCS,
@@ -123,6 +126,7 @@ impl<C: TraceConsumer> Tape<C> {
         out
     }
 
+    #[inline]
     fn effective_addr<T>(&mut self, addr: &T) -> u64 {
         let raw = addr as *const T as u64;
         match &mut self.normalizer {
@@ -131,6 +135,7 @@ impl<C: TraceConsumer> Tape<C> {
         }
     }
 
+    #[inline]
     fn record_load<T>(&mut self, loc: SrcLoc, kind: OpKind, addr: &T, base: Option<Val>) -> Val {
         let sid = self.program.intern(kind, loc);
         let dst = self.fresh();
@@ -140,6 +145,7 @@ impl<C: TraceConsumer> Tape<C> {
         Val(dst)
     }
 
+    #[inline]
     fn record_store<T>(&mut self, loc: SrcLoc, kind: OpKind, addr: &T, value: Val) {
         let sid = self.program.intern(kind, loc);
         let ea = self.effective_addr(addr);
@@ -151,6 +157,7 @@ impl<C: TraceConsumer> Tape<C> {
 impl<C: TraceConsumer> Tracer for Tape<C> {
     type Val = Val;
 
+    #[inline]
     fn lit(&mut self) -> Val {
         // Literals occupy a vreg but emit no op: they are "already ready"
         // values (immediates / pre-loop live-ins). Consumers treat vregs
@@ -158,26 +165,32 @@ impl<C: TraceConsumer> Tracer for Tape<C> {
         Val(self.fresh())
     }
 
+    #[inline]
     fn int_load<T>(&mut self, loc: SrcLoc, addr: &T) -> Val {
         self.record_load(loc, OpKind::IntLoad, addr, None)
     }
 
+    #[inline]
     fn int_load_via<T>(&mut self, loc: SrcLoc, addr: &T, base: Val) -> Val {
         self.record_load(loc, OpKind::IntLoad, addr, Some(base))
     }
 
+    #[inline]
     fn fp_load<T>(&mut self, loc: SrcLoc, addr: &T) -> Val {
         self.record_load(loc, OpKind::FpLoad, addr, None)
     }
 
+    #[inline]
     fn int_store<T>(&mut self, loc: SrcLoc, addr: &T, value: Val) {
         self.record_store(loc, OpKind::IntStore, addr, value);
     }
 
+    #[inline]
     fn fp_store<T>(&mut self, loc: SrcLoc, addr: &T, value: Val) {
         self.record_store(loc, OpKind::FpStore, addr, value);
     }
 
+    #[inline]
     fn op(&mut self, loc: SrcLoc, kind: OpKind, srcs: &[Val]) -> Val {
         debug_assert!(!kind.is_mem() && !kind.is_cond_branch(), "use the dedicated methods");
         let sid = self.program.intern(kind, loc);
@@ -187,6 +200,7 @@ impl<C: TraceConsumer> Tracer for Tape<C> {
         Val(dst)
     }
 
+    #[inline]
     fn branch(&mut self, loc: SrcLoc, srcs: &[Val], taken: bool) -> bool {
         let sid = self.program.intern(OpKind::CondBranch, loc);
         let op = MicroOp::branch(sid, Self::srcs_array(srcs), taken);
@@ -194,6 +208,7 @@ impl<C: TraceConsumer> Tracer for Tape<C> {
         taken
     }
 
+    #[inline]
     fn select(&mut self, loc: SrcLoc, srcs: &[Val], cond: bool) -> Val {
         let sid = self.program.intern(OpKind::CondMove, loc);
         let dst = self.fresh();
@@ -203,6 +218,7 @@ impl<C: TraceConsumer> Tracer for Tape<C> {
         Val(dst)
     }
 
+    #[inline]
     fn jump(&mut self, loc: SrcLoc) {
         let sid = self.program.intern(OpKind::Jump, loc);
         let op = MicroOp {
@@ -216,12 +232,14 @@ impl<C: TraceConsumer> Tracer for Tape<C> {
         self.emit(op);
     }
 
+    #[inline]
     fn region<T>(&mut self, _loc: SrcLoc, data: &[T]) {
         if let Some(n) = &mut self.normalizer {
             n.register(data.as_ptr() as u64, std::mem::size_of_val(data) as u64);
         }
     }
 
+    #[inline]
     fn region_raw<T>(&mut self, _loc: SrcLoc, base: *const T, elems: usize) {
         if let Some(n) = &mut self.normalizer {
             n.register(base as u64, (elems * std::mem::size_of::<T>()) as u64);
