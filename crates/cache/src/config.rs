@@ -1,6 +1,7 @@
 //! Cache and latency configuration.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// Largest supported cache line. Lines beyond 4 KB exceed anything the
 /// modeled machines (or the design-space sweep) can mean: a "cache" with
@@ -249,6 +250,14 @@ impl LatencyConfig {
     /// ratios `m1` (L1) and `m2` (L2).
     pub fn amat(&self, m1: f64, m2: f64) -> f64 {
         self.l1 as f64 + m1 * (self.l2 as f64 + m2 * self.memory as f64)
+    }
+
+    /// The range every [`amat`](Self::amat) of miss ratios in `[0, 1]`
+    /// lies in: from the L1 hit latency to the full L1 + L2 + memory
+    /// latency. An AMAT outside it (or NaN) comes from a miss count
+    /// above its access count.
+    pub fn amat_range(&self) -> RangeInclusive<f64> {
+        self.total(false, false) as f64..=self.total(true, true) as f64
     }
 }
 

@@ -685,8 +685,13 @@ fn pipeline_check(
 /// The first model-level bound `r` violates on `platform`, whatever the
 /// engine: no platform issues more than `issue_width` trace
 /// instructions per cycle, so a run takes at least
-/// ⌈instructions / issue_width⌉ cycles; and no more branches
-/// mispredict than execute.
+/// ⌈instructions / issue_width⌉ cycles; no more branches mispredict than
+/// execute; every L1 demand miss is exactly one L2 demand access, for
+/// loads and for stores alike (prefetches and writebacks reach L2 but
+/// are not demand traffic); and the paper-formula AMAT lies in the
+/// platform's [`LatencyConfig::amat_range`].
+///
+/// [`LatencyConfig::amat_range`]: bioperf_cache::LatencyConfig::amat_range
 fn bound_violation(r: &SimResult, platform: &PlatformConfig) -> Option<String> {
     let min_cycles = r.instructions.div_ceil(u64::from(platform.issue_width));
     if r.cycles < min_cycles {
@@ -695,8 +700,23 @@ fn bound_violation(r: &SimResult, platform: &PlatformConfig) -> Option<String> {
             r.cycles, r.instructions, platform.issue_width
         ));
     }
-    (r.mispredicts > r.branches)
-        .then(|| format!("{} mispredicts exceed {} branches", r.mispredicts, r.branches))
+    if r.mispredicts > r.branches {
+        return Some(format!("{} mispredicts exceed {} branches", r.mispredicts, r.branches));
+    }
+    let (l1, l2) = (&r.cache.l1, &r.cache.l2);
+    if (l2.load_accesses, l2.store_accesses) != (l1.load_misses, l1.store_misses) {
+        return Some(format!(
+            "L2 demand accesses ({} loads, {} stores) differ from L1 demand misses \
+             ({} loads, {} stores)",
+            l2.load_accesses, l2.store_accesses, l1.load_misses, l1.store_misses
+        ));
+    }
+    let lat = platform.latencies();
+    let amat = lat.amat(l1.load_miss_ratio(), l2.load_miss_ratio());
+    let range = lat.amat_range();
+    (!range.contains(&amat)).then(|| {
+        format!("AMAT {amat} outside [{}, {}]", range.start(), range.end())
+    })
 }
 
 /// Runs one fuzz case: derive the seed, generate, check, and — on
@@ -767,6 +787,45 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), s.len());
+    }
+
+    #[test]
+    fn bound_violation_holds_hierarchy_traffic_and_amat() {
+        use bioperf_cache::{HierarchyStats, LevelStats};
+        let platform = PlatformConfig::alpha21264();
+        let level = |load_accesses, load_misses, store_accesses, store_misses| LevelStats {
+            load_accesses,
+            load_misses,
+            store_accesses,
+            store_misses,
+            writebacks: 0,
+        };
+        let sound = SimResult {
+            cycles: 100,
+            instructions: 100,
+            branches: 10,
+            mispredicts: 1,
+            spill_stores: 0,
+            spill_reloads: 0,
+            cache: HierarchyStats { l1: level(40, 4, 20, 2), l2: level(4, 1, 2, 0) },
+        };
+        assert_eq!(bound_violation(&sound, &platform), None);
+        // A prefetch or writeback counted as demand traffic at L2.
+        let mut extra = sound;
+        extra.cache.l2.store_accesses += 1;
+        let found = bound_violation(&extra, &platform).expect("store traffic is not conserved");
+        assert!(found.contains("L2 demand accesses"), "{found}");
+        let mut lost = sound;
+        lost.cache.l2.load_accesses -= 1;
+        assert!(bound_violation(&lost, &platform).is_some(), "load traffic is not conserved");
+        // More L1 load misses than loads, passed on to L2 consistently:
+        // traffic is conserved, but the AMAT leaves its range.
+        let mut over = sound;
+        over.cache.l1.load_misses = 41;
+        over.cache.l2.load_accesses = 41;
+        over.cache.l2.load_misses = 41;
+        let found = bound_violation(&over, &platform).expect("AMAT above its range");
+        assert!(found.contains("AMAT"), "{found}");
     }
 
     #[test]

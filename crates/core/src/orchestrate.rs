@@ -1,22 +1,27 @@
 //! Parallel single-trace experiment orchestration.
 //!
-//! The paper's experiments decompose into independent jobs, scheduled in
-//! two waves on a [`std::thread::scope`] worker pool ([`run_jobs`]):
+//! The paper's experiments decompose into independent jobs, scheduled on
+//! a [`std::thread::scope`] worker pool ([`run_jobs`]), one job per
+//! (program, variant) execution. Each job records, evaluates and drops
+//! its trace before its worker claims the next job, so no recording is
+//! shared between jobs and at most one trace per worker is alive at once
+//! (the `live_traces_peak` gauge counts them):
 //!
-//! * **Prepare** (one job per program): the instrumented kernel runs
-//!   *once* with a tuple fan-out `(Characterizer, Recorder)`, so a single
-//!   execution feeds the instruction-mix/coverage/cache/sequence passes
-//!   **and** captures the packed trace; transformable programs also
-//!   record their load-transformed variant.
-//! * **Replay** (one job per program × variant): each [`Arc`]-shared
-//!   recording is decoded exactly once and the single decoded op stream
-//!   drives a *bank* of platform simulators
-//!   (`Recording::replay_bank`), so the 23-cell evaluation pays one
-//!   packed-decode per recording instead of one per platform pass.
+//! * a transformable program's **original** job runs the instrumented
+//!   kernel *once* with a tuple fan-out `(Characterizer, Recorder)`, so a
+//!   single execution feeds the instruction-mix/coverage/cache/sequence
+//!   passes **and** captures the packed trace, then decodes that trace
+//!   exactly once for a *bank* of platform simulators
+//!   (`Recording::replay_bank`): the 23-cell evaluation pays one packed
+//!   decode per recording instead of one per platform pass;
+//! * its **load-transformed** job records that variant and replays it
+//!   through the same bank;
+//! * the three untransformed programs' jobs only characterize.
 //!
-//! Result vectors are indexed by job, not by completion order, and the
-//! bank→cell merge walks a fixed enumeration, so the orchestrated
-//! output is identical for any worker count. Combined with address
+//! Jobs start longest first (`run_jobs_ranked`), but result vectors
+//! are indexed by job, not by start or completion order, and the
+//! bank→cell merge walks a fixed enumeration, so the orchestrated output
+//! is identical for any worker count. Combined with address
 //! normalization (see `bioperf_trace::normalize`) this makes the whole
 //! suite deterministic: `--jobs 1` and `--jobs N` produce byte-identical
 //! reports.
@@ -38,7 +43,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bioperf_conform::fuzz::{self, CaseOutcome};
@@ -147,6 +152,86 @@ where
         .collect()
 }
 
+/// [`run_jobs`] over `(rank, job)` pairs: the pool claims jobs in
+/// ascending rank (ties keep input order), and results still come back
+/// in input order, so the rank shapes load balance and never output.
+pub(crate) fn run_jobs_ranked<K, T, F>(jobs: Vec<(K, F)>, threads: usize) -> Vec<T>
+where
+    K: Ord,
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let mut ranked: Vec<(usize, (K, F))> = jobs.into_iter().enumerate().collect();
+    ranked.sort_by(|(_, (a, _)), (_, (b, _))| a.cmp(b));
+    let (order, pool): (Vec<usize>, Vec<F>) =
+        ranked.into_iter().map(|(i, (_, job))| (i, job)).unzip();
+    let mut out: Vec<Option<T>> = order.iter().map(|_| None).collect();
+    for (i, result) in order.into_iter().zip(run_jobs(pool, threads)) {
+        out[i] = Some(result);
+    }
+    out.into_iter().map(|r| r.expect("every job ran once")).collect()
+}
+
+/// Programs by trace length at Small scale, longest first: the four
+/// large kernels, then the rest. Jobs start in this order
+/// ([`run_jobs_ranked`]), since the pool claims jobs in order and a long
+/// job started last would run alone; no trace length is known before a
+/// job has recorded it.
+const LONGEST_FIRST: [ProgramId; 9] = [
+    ProgramId::Clustalw,
+    ProgramId::Hmmpfam,
+    ProgramId::Hmmcalibrate,
+    ProgramId::Hmmsearch,
+    ProgramId::Blast,
+    ProgramId::Promlk,
+    ProgramId::Fasta,
+    ProgramId::Predator,
+    ProgramId::Dnapenny,
+];
+
+/// Start rank of one (program, variant) job: programs in
+/// [`LONGEST_FIRST`] order, each program's two variants next to each
+/// other, original first.
+pub(crate) fn job_rank(program: ProgramId, variant: Variant) -> (usize, bool) {
+    let at = LONGEST_FIRST.iter().position(|&p| p == program).expect("every program is ranked");
+    (at, variant == Variant::LoadTransformed)
+}
+
+/// High-water mark of traces alive at once during one pool run. A job
+/// holds a [`LiveTrace`] from before it records its trace until after it
+/// drops it, so the peak is at most the worker count.
+#[derive(Debug, Default)]
+pub(crate) struct LiveTraces {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl LiveTraces {
+    /// Counts one more live trace until the returned guard drops.
+    pub(crate) fn enter(&self) -> LiveTrace<'_> {
+        // Each increment returns its exact place in the counter's
+        // modification order, so the maximum over them is exact even
+        // with relaxed ordering.
+        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+        LiveTrace(self)
+    }
+
+    /// Most traces that were alive at once.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak.load(Ordering::Relaxed)
+    }
+}
+
+/// One live trace of a [`LiveTraces`] gauge.
+pub(crate) struct LiveTrace<'a>(&'a LiveTraces);
+
+impl Drop for LiveTrace<'_> {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 /// Worker count to use when the caller passes `0` ("auto").
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -154,7 +239,7 @@ pub fn default_jobs() -> usize {
 
 /// Spill-to-disk configuration: record each (program, variant) trace as
 /// fixed-size segment files under a per-trace subdirectory of `dir` and
-/// stream the replay wave from disk, bounding peak memory by O(segment
+/// stream its bank replay from disk, bounding peak memory by O(segment
 /// size) instead of O(trace size).
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
@@ -203,9 +288,9 @@ pub struct SuiteConfig {
     /// segments, exactly as it bounds the one in-memory recording
     /// otherwise.
     pub trace_cap: usize,
-    /// Spill captured traces to disk segments and stream the replay
-    /// wave ([`None`] keeps recordings in memory). The replay output is
-    /// byte-identical either way.
+    /// Spill captured traces to disk segments and stream each bank
+    /// replay from them ([`None`] keeps recordings in memory). The replay
+    /// output is byte-identical either way.
     pub spill: Option<SpillConfig>,
 }
 
@@ -221,27 +306,30 @@ impl SuiteConfig {
     }
 }
 
-/// Wall-clock replay throughput, aggregated over the suite's replay
-/// wave. Non-deterministic by nature: reported in the JSON `run`
-/// section (`run/ops_per_sec/total`), never in the deterministic
-/// section. There is no per-platform rate: one bank decode drives every
-/// platform, so the wave never times a platform on its own.
+/// Wall-clock replay throughput, aggregated over the suite's pool.
+/// Non-deterministic by nature: reported in the JSON `run` section
+/// (`run/ops_per_sec/total`), never in the deterministic section. There
+/// is no per-platform rate: one bank decode drives every platform, so
+/// the pool never times a platform on its own.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayThroughput {
     /// Ops decoded and simulated across all platform passes (each
     /// platform consumes its recording's ops once, even though one bank
     /// decode feeds every platform in the bank).
     pub replayed_ops: u64,
-    /// Elapsed wall-clock of the whole replay wave, pool start to pool
-    /// join. The `total` gauge divides by *this* — not by summed per-job
-    /// CPU-seconds, which overlap on the pool and would under-report
-    /// true aggregate throughput whenever jobs run in parallel.
+    /// Elapsed wall-clock of the whole job pool, pool start to pool
+    /// join. Each job records its trace as well as replaying it, so this
+    /// covers recording and characterization too: the gauge is the
+    /// suite's end-to-end replay rate, not the bank loop's. It divides by
+    /// *this*, not by summed per-job seconds, which overlap on the pool
+    /// and would under-report aggregate throughput whenever jobs run in
+    /// parallel.
     pub seconds: f64,
 }
 
 impl ReplayThroughput {
     /// Aggregate replay throughput in ops per second, measured against
-    /// the wave's elapsed wall-clock (0 if nothing ran).
+    /// the pool's elapsed wall-clock (0 if nothing ran).
     pub fn ops_per_sec(&self) -> f64 {
         if self.seconds > 0.0 {
             self.replayed_ops as f64 / self.seconds
@@ -267,9 +355,15 @@ pub struct SuiteResult {
     pub seed: u64,
     /// Worker threads actually used.
     pub workers: usize,
-    /// Jobs scheduled on the pool across both waves: one prepare job per
-    /// program plus one replay bank job per (program, variant).
+    /// Work items the pool ran: one characterization per program plus
+    /// one bank replay per recorded (program, variant) trace, so
+    /// `jobs − reports.len()` is the number of traces replayed. A
+    /// transformable program's original variant does both in one pool
+    /// job.
     pub jobs: usize,
+    /// Most traces alive at once: at most [`Self::workers`], and exactly
+    /// 1 on one worker.
+    pub live_traces_peak: usize,
     /// One characterization report per program, in `ProgramId::ALL` order.
     pub reports: Vec<(ProgramId, CharacterizationReport)>,
     /// The runtime-evaluation matrix (Tables 7–8, Figure 9).
@@ -307,14 +401,15 @@ impl SuiteResult {
     }
 
     /// The full suite document: `schema`, a non-deterministic `run`
-    /// section (worker count, pool utilization, replay throughput,
-    /// wall-clock timings), and the
+    /// section (worker count, pool utilization, live-trace high-water
+    /// mark, replay throughput, wall-clock timings), and the
     /// [`deterministic`](Self::deterministic_json) section.
     pub fn to_json(&self) -> Json {
         let run = Json::object(vec![
             ("jobs", Json::U64(self.jobs as u64)),
             ("workers", Json::U64(self.workers as u64)),
             ("jobs_per_worker", Json::F64(jobs_per_worker(self.jobs, self.workers))),
+            ("live_traces_peak", Json::U64(self.live_traces_peak as u64)),
             ("replayed_ops", Json::U64(self.replay.replayed_ops)),
             ("ops_per_sec", self.replay.to_json()),
             ("timings", self.timings.to_json()),
@@ -344,11 +439,11 @@ fn jobs_per_worker(jobs: usize, workers: usize) -> f64 {
 
 /// One captured trace, either resident in memory or spilled to disk
 /// segments. Replay banks treat both identically; only the streaming
-/// mechanics (and peak memory) differ.
-#[derive(Clone)]
+/// mechanics (and peak memory) differ. A trace belongs to the job that
+/// recorded it and is dropped by that job.
 enum TraceStore {
-    Memory(Arc<Recording>),
-    Segmented(Arc<SegmentedRecording>),
+    Memory(Recording),
+    Segmented(SegmentedRecording),
 }
 
 impl TraceStore {
@@ -372,27 +467,7 @@ impl TraceStore {
     }
 }
 
-/// Both captured traces of one transformable program, shared with the
-/// replay bank jobs.
-struct ProgramRecordings {
-    original: TraceStore,
-    transformed: TraceStore,
-}
-
-/// Output of one per-program prepare job.
-struct PreparedProgram {
-    report: CharacterizationReport,
-    /// Characterization events, already namespaced `events/<name>/cache/…`
-    /// (empty unless event collection was requested).
-    events: MetricSet,
-    /// This job's wall-clock phase spans.
-    timings: Timings,
-    /// Captured traces; `None` for the three programs the paper
-    /// characterized but did not transform.
-    recordings: Option<ProgramRecordings>,
-}
-
-/// Output of one replay bank job: every applicable platform's pass over
+/// Output of one bank replay: every applicable platform's pass over
 /// one recording, produced by a single decode of the packed stream.
 struct BankOutput {
     /// `(platform result, raw events)` aligned with the job's platform
@@ -451,105 +526,139 @@ fn record_variant_spilled(
     rec.into_segmented(static_program).map_err(seg_err)
 }
 
-/// One prepare job: characterize `program` from a single instrumented
-/// execution and, if it has a load-transformed variant, capture both
-/// variants' traces for the replay wave. Every phase runs under a
-/// wall-clock span (`<program>/trace`, `/characterize`); with `events`
-/// set the characterizer also collects raw cache events, namespaced
-/// `events/<program>/cache/…`.
-fn prepare_program(
+/// One (program, variant) execution: one pool job of [`run_suite`] or
+/// [`evaluate_all`].
+#[derive(Debug, Clone, Copy)]
+struct TraceJob {
     program: ProgramId,
-    scale: Scale,
-    seed: u64,
-    events: bool,
-    capacity: usize,
-    spill: Option<SpillConfig>,
-) -> Result<PreparedProgram, SuiteError> {
-    let name = program.name();
-    let mut timings = Timings::new();
-    let mut metrics = MetricSet::new();
-    let characterizer = if events { Characterizer::with_metrics() } else { Characterizer::new() };
+    variant: Variant,
+}
 
-    if !program.is_transformable() {
-        let mut tape = Tape::new(characterizer);
-        timings.time(&format!("{name}/trace"), || {
-            registry::run(&mut tape, program, Variant::Original, scale, seed);
-        });
-        let (static_program, characterizer) = tape.finish();
-        let report = timings
-            .time(&format!("{name}/characterize"), || characterizer.into_report(static_program, 10));
-        metrics.merge_prefixed(&format!("events/{name}/cache/"), &report.events);
-        return Ok(PreparedProgram { report, events: metrics, timings, recordings: None });
+/// Every (program, variant) execution over `programs`, in the fixed
+/// enumeration the merges walk: programs in input order, each original
+/// variant just before its load-transformed one (untransformed programs
+/// have only the original).
+fn enumerate_jobs(programs: &[ProgramId]) -> Vec<TraceJob> {
+    let mut jobs = Vec::new();
+    for &program in programs {
+        jobs.push(TraceJob { program, variant: Variant::Original });
+        if program.is_transformable() {
+            jobs.push(TraceJob { program, variant: Variant::LoadTransformed });
+        }
+    }
+    jobs
+}
+
+/// What one suite job produces.
+#[derive(Default)]
+struct JobOutput {
+    /// The characterization report and its raw cache events, namespaced
+    /// `events/<name>/cache/…` (original variants only; the events are
+    /// empty unless requested).
+    report: Option<(CharacterizationReport, MetricSet)>,
+    /// The bank replay of the job's trace (transformable programs only).
+    bank: Option<BankOutput>,
+    /// This job's wall-clock phase spans.
+    timings: Timings,
+}
+
+/// What the record half of a suite job hands its replay half.
+struct Recorded {
+    /// The job's output so far (no bank yet).
+    out: JobOutput,
+    /// The captured trace (transformable programs only).
+    trace: Option<TraceStore>,
+}
+
+/// The record half of one suite job: runs the variant's kernel once,
+/// characterizing an original variant and capturing the trace of a
+/// transformable program's variant, in memory or spilled per the
+/// config. Each phase runs under a wall-clock span (`<program>/trace`,
+/// `/characterize`); with [`SuiteConfig::metrics`] set the
+/// characterizer also collects raw cache events.
+fn record_job(job: TraceJob, cfg: &SuiteConfig) -> Result<Recorded, SuiteError> {
+    let TraceJob { program, variant } = job;
+    let (scale, seed, capacity) = (cfg.scale, cfg.seed, cfg.capacity());
+    let name = program.name();
+    let trace_span = format!("{name}/trace");
+    let mut timings = Timings::new();
+    if variant == Variant::LoadTransformed {
+        let trace = timings.time(&trace_span, || match &cfg.spill {
+            None => record_variant(program, variant, scale, seed, capacity).map(TraceStore::Memory),
+            Some(spill) => record_variant_spilled(program, variant, scale, seed, capacity, spill)
+                .map(TraceStore::Segmented),
+        })?;
+        let out = JobOutput { timings, ..JobOutput::default() };
+        return Ok(Recorded { out, trace: Some(trace) });
     }
 
-    // Single original-variant execution: the tuple consumer fans the op
-    // stream out to the characterizer and the replay recorder — in-memory
-    // or spilling, per the config — at once.
-    let (original, report) = match &spill {
-        None => {
-            let mut tape = Tape::new((characterizer, Recorder::with_capacity(capacity)));
-            timings.time(&format!("{name}/trace"), || {
-                registry::run(&mut tape, program, Variant::Original, scale, seed);
-            });
-            let (static_program, (characterizer, rec)) = tape.finish();
-            if rec.overflowed() {
-                return Err(SuiteError::TraceOverflow {
-                    program,
-                    variant: Variant::Original,
-                    captured: rec.len(),
-                });
-            }
-            let original = TraceStore::Memory(Arc::new(rec.into_recording(static_program.clone())));
-            let report = timings.time(&format!("{name}/characterize"), || {
-                characterizer.into_report(static_program, 10)
-            });
-            (original, report)
+    let characterizer =
+        if cfg.metrics { Characterizer::with_metrics() } else { Characterizer::new() };
+    let overflow = |captured| SuiteError::TraceOverflow { program, variant, captured };
+    let seg_err = |error| SuiteError::Segment { program, variant, error };
+    // A single original-variant execution: for a transformable program
+    // the tuple consumer fans the op stream out to the characterizer and
+    // the replay recorder at once.
+    let (static_program, characterizer, trace) = if !program.is_transformable() {
+        let mut tape = Tape::new(characterizer);
+        timings.time(&trace_span, || registry::run(&mut tape, program, variant, scale, seed));
+        let (static_program, characterizer) = tape.finish();
+        (static_program, characterizer, None)
+    } else if let Some(spill) = &cfg.spill {
+        let recorder =
+            SpillRecorder::to_dir(spill.trace_dir(program, variant), spill.segment_ops(), capacity)
+                .map_err(seg_err)?;
+        let mut tape = Tape::new((characterizer, recorder));
+        timings.time(&trace_span, || registry::run(&mut tape, program, variant, scale, seed));
+        let (static_program, (characterizer, rec)) = tape.finish();
+        if rec.overflowed() {
+            return Err(overflow(rec.len()));
         }
-        Some(spill) => {
-            let seg_err =
-                |error| SuiteError::Segment { program, variant: Variant::Original, error };
-            let recorder = SpillRecorder::to_dir(
-                spill.trace_dir(program, Variant::Original),
-                spill.segment_ops(),
-                capacity,
-            )
-            .map_err(seg_err)?;
-            let mut tape = Tape::new((characterizer, recorder));
-            timings.time(&format!("{name}/trace"), || {
-                registry::run(&mut tape, program, Variant::Original, scale, seed);
-            });
-            let (static_program, (characterizer, rec)) = tape.finish();
-            if rec.overflowed() {
-                return Err(SuiteError::TraceOverflow {
-                    program,
-                    variant: Variant::Original,
-                    captured: rec.len(),
-                });
-            }
-            let segmented = rec.into_segmented(static_program.clone()).map_err(seg_err)?;
-            let original = TraceStore::Segmented(Arc::new(segmented));
-            let report = timings.time(&format!("{name}/characterize"), || {
-                characterizer.into_report(static_program, 10)
-            });
-            (original, report)
+        let segmented = rec.into_segmented(static_program.clone()).map_err(seg_err)?;
+        (static_program, characterizer, Some(TraceStore::Segmented(segmented)))
+    } else {
+        let mut tape = Tape::new((characterizer, Recorder::with_capacity(capacity)));
+        timings.time(&trace_span, || registry::run(&mut tape, program, variant, scale, seed));
+        let (static_program, (characterizer, rec)) = tape.finish();
+        if rec.overflowed() {
+            return Err(overflow(rec.len()));
         }
+        let recording = rec.into_recording(static_program.clone());
+        (static_program, characterizer, Some(TraceStore::Memory(recording)))
     };
-    metrics.merge_prefixed(&format!("events/{name}/cache/"), &report.events);
+    let report = timings
+        .time(&format!("{name}/characterize"), || characterizer.into_report(static_program, 10));
+    let mut events = MetricSet::new();
+    events.merge_prefixed(&format!("events/{name}/cache/"), &report.events);
+    let out = JobOutput { report: Some((report, events)), bank: None, timings };
+    Ok(Recorded { out, trace })
+}
 
-    let transformed = timings.time(&format!("{name}/trace"), || match &spill {
-        None => record_variant(program, Variant::LoadTransformed, scale, seed, capacity)
-            .map(|rec| TraceStore::Memory(Arc::new(rec))),
-        Some(spill) => {
-            record_variant_spilled(program, Variant::LoadTransformed, scale, seed, capacity, spill)
-                .map(|seg| TraceStore::Segmented(Arc::new(seg)))
-        }
-    })?;
-    Ok(PreparedProgram {
-        report,
-        events: metrics,
-        timings,
-        recordings: Some(ProgramRecordings { original, transformed }),
-    })
+/// The replay half of one suite job: decodes the recorded trace once
+/// for a bank of every platform model the program is evaluated on
+/// (under a `<program>/replay` span), then drops it. A failed streamed
+/// replay is a [`SuiteError::Segment`] naming the trace and segment.
+fn replay_job(job: TraceJob, recorded: Recorded, events: bool) -> Result<JobOutput, SuiteError> {
+    let Recorded { mut out, trace } = recorded;
+    if let Some(trace) = trace {
+        let TraceJob { program, variant } = job;
+        let bank = replay_bank_job(&trace, &applicable_platforms(program), events)
+            .map_err(|error| SuiteError::Segment { program, variant, error })?;
+        out.timings.record(&format!("{}/replay", program.name()), bank.elapsed);
+        out.bank = Some(bank);
+    }
+    Ok(out)
+}
+
+/// One whole suite job: record, evaluate, drop. The trace counts in
+/// `live` from before its recording starts until after it is dropped.
+fn run_suite_job(
+    job: TraceJob,
+    cfg: &SuiteConfig,
+    live: &LiveTraces,
+) -> Result<JobOutput, SuiteError> {
+    let _live = job.program.is_transformable().then(|| live.enter());
+    replay_job(job, record_job(job, cfg)?, cfg.metrics)
 }
 
 /// Replays one trace store through a bank of platform models with a
@@ -569,142 +678,85 @@ fn replay_bank_job(
     Ok(BankOutput { results, ops: store.len() as u64, elapsed })
 }
 
-/// One program's shard-merged replay output.
-#[derive(Default)]
-struct ProgramReplay {
-    /// Table 8 cells, platform-major in [`PlatformConfig::all`] order.
-    cells: Vec<EvalCell>,
-    /// Simulator events, namespaced
-    /// `events/<name>/<platform>/{original|transformed}/…`.
-    events: MetricSet,
+/// One program's Table 8 cells, platform-major in
+/// [`PlatformConfig::all`] order, from its two variants' banks.
+fn eval_cells(
+    program: ProgramId,
+    original: &BankOutput,
+    transformed: &BankOutput,
+) -> Vec<EvalCell> {
+    applicable_platforms(program)
+        .iter()
+        .enumerate()
+        .map(|(i, platform)| EvalCell {
+            program,
+            platform: platform.name,
+            original: original.results[i].0,
+            transformed: transformed.results[i].0,
+        })
+        .collect()
 }
 
-/// Bank-merged output of the replay wave.
-struct BankedReplay {
-    /// Aligned with the `recorded` input (one entry per program).
-    per_program: Vec<ProgramReplay>,
-    /// `<name>/replay` spans, one per bank job.
-    timings: Timings,
-    throughput: ReplayThroughput,
-    /// Bank jobs scheduled.
-    jobs: usize,
-}
+/// Runs the nine-program characterization suite and the six-program ×
+/// four-platform runtime evaluation on one job pool. Each job records
+/// one (program, variant) trace — characterizing original variants on
+/// the way — decodes it once for every platform model, and drops it
+/// before its worker claims the next job, so at most one trace per
+/// worker is alive at once.
+pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
+    let threads = if cfg.jobs == 0 { default_jobs() } else { cfg.jobs };
+    let enumeration = enumerate_jobs(&ProgramId::ALL);
+    let live = LiveTraces::default();
+    let work: Vec<_> = enumeration
+        .iter()
+        .map(|&job| {
+            let (cfg, live) = (&cfg, &live);
+            (job_rank(job.program, job.variant), move || run_suite_job(job, cfg, live))
+        })
+        .collect();
+    let pool = Instant::now();
+    let outputs = run_jobs_ranked(work, threads);
+    let seconds = pool.elapsed().as_secs_f64();
 
-/// The replay wave: one bank job per (program, variant), scheduled
-/// together on the pool so recordings of different programs
-/// load-balance. Each job decodes its recording exactly once and drives
-/// every applicable platform model off the shared stream. The job
-/// enumeration — program (input order) × variant (original first) — is
-/// fixed, and outputs are merged by walking the same enumeration, so
-/// results are identical for any worker count.
-fn replay_banked(
-    recorded: &[(ProgramId, ProgramRecordings)],
-    threads: usize,
-    events: bool,
-) -> Result<BankedReplay, SuiteError> {
-    let mut jobs = Vec::new();
-    for (program, recs) in recorded {
-        let platforms: Arc<Vec<PlatformConfig>> = Arc::new(applicable_platforms(*program));
-        for store in [&recs.original, &recs.transformed] {
-            let store = store.clone();
-            let platforms = Arc::clone(&platforms);
-            jobs.push(move || replay_bank_job(&store, &platforms, events));
-        }
-    }
-    let bank_jobs = jobs.len();
-    let wave = Instant::now();
-    let outputs = run_jobs(jobs, threads);
-    let wall = wave.elapsed();
-
-    let mut per_program = Vec::with_capacity(recorded.len());
+    // Merge in the fixed enumeration order, so the merged metric set is
+    // the same whatever order the workers ran in: every
+    // characterization first, then each transformable program's banks.
+    let mut reports = Vec::with_capacity(ProgramId::ALL.len());
+    let mut metrics = MetricSet::new();
     let mut timings = Timings::new();
-    let mut throughput = ReplayThroughput::default();
-    let mut out = outputs.into_iter();
-    for (program, _) in recorded {
-        let name = program.name();
-        let mut merged = ProgramReplay::default();
-        let platforms = applicable_platforms(*program);
-        // The fixed enumeration pairs job outputs back to (program,
-        // variant), so a streamed-replay failure names its trace.
-        let seg_err = |variant, error| SuiteError::Segment { program: *program, variant, error };
-        let original = out
-            .next()
-            .expect("one bank per enumeration slot")
-            .map_err(|e| seg_err(Variant::Original, e))?;
-        let transformed = out
-            .next()
-            .expect("one bank per enumeration slot")
-            .map_err(|e| seg_err(Variant::LoadTransformed, e))?;
-        for bank in [&original, &transformed] {
-            timings.record(&format!("{name}/replay"), bank.elapsed);
+    let mut banks = Vec::new();
+    for (job, output) in enumeration.iter().zip(outputs) {
+        let output = output?;
+        timings.merge(&output.timings);
+        if let Some((report, events)) = output.report {
+            metrics.merge(&events);
+            reports.push((job.program, report));
         }
-        for (i, platform) in platforms.iter().enumerate() {
+        banks.extend(output.bank.map(|bank| (job.program, bank)));
+    }
+    let replays = banks.len();
+    let mut replay = ReplayThroughput { replayed_ops: 0, seconds };
+    let mut per_program = Vec::new();
+    let mut banks = banks.into_iter();
+    while let (Some((program, original)), Some((_, transformed))) = (banks.next(), banks.next()) {
+        let name = program.name();
+        for (i, platform) in applicable_platforms(program).iter().enumerate() {
             for (bank, variant) in [(&original, "original"), (&transformed, "transformed")] {
-                throughput.replayed_ops += bank.ops;
-                merged.events.merge_prefixed(
+                replay.replayed_ops += bank.ops;
+                metrics.merge_prefixed(
                     &format!("events/{name}/{}/{variant}/", platform.name),
                     &bank.results[i].1,
                 );
             }
-            merged.cells.push(EvalCell {
-                program: *program,
-                platform: platform.name,
-                original: original.results[i].0,
-                transformed: transformed.results[i].0,
-            });
         }
-        per_program.push(merged);
-    }
-    throughput.seconds = wall.as_secs_f64();
-    Ok(BankedReplay { per_program, timings, throughput, jobs: bank_jobs })
-}
-
-/// Runs the nine-program characterization suite and the six-program ×
-/// four-platform runtime evaluation as two parallel job waves: per-
-/// program prepare jobs, then per-(program, variant) replay bank jobs —
-/// each decoding its shared recording once for all platform models.
-pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
-    let threads = if cfg.jobs == 0 { default_jobs() } else { cfg.jobs };
-
-    // Wave 1: trace + characterize + record, one job per program.
-    let capacity = cfg.capacity();
-    let jobs: Vec<_> = ProgramId::ALL
-        .into_iter()
-        .map(|program| {
-            let spill = cfg.spill.clone();
-            move || prepare_program(program, cfg.scale, cfg.seed, cfg.metrics, capacity, spill)
-        })
-        .collect();
-    let results = run_jobs(jobs, threads);
-
-    // Merge per-job outputs in job order, so the merged metric set is the
-    // same whatever order the workers finished in.
-    let mut reports = Vec::with_capacity(ProgramId::ALL.len());
-    let mut recorded: Vec<(ProgramId, ProgramRecordings)> = Vec::new();
-    let mut metrics = MetricSet::new();
-    let mut timings = Timings::new();
-    for (program, result) in ProgramId::ALL.into_iter().zip(results) {
-        let prepared = result?;
-        metrics.merge(&prepared.events);
-        timings.merge(&prepared.timings);
-        reports.push((program, prepared.report));
-        if let Some(recordings) = prepared.recordings {
-            recorded.push((program, recordings));
-        }
-    }
-
-    // Wave 2: replay banks across all programs at once.
-    let replay = replay_banked(&recorded, threads, cfg.metrics)?;
-    timings.merge(&replay.timings);
-    for merged in &replay.per_program {
-        metrics.merge(&merged.events);
+        per_program.push((program, eval_cells(program, &original, &transformed)));
     }
     // Emit Table 8 cells program-major in the paper's (TRANSFORMED)
     // order, independent of ALL's ordering.
     let mut cells = Vec::new();
     for program in ProgramId::TRANSFORMED {
-        if let Some(i) = recorded.iter().position(|(p, _)| *p == program) {
-            cells.extend(replay.per_program[i].cells.iter().copied());
+        if let Some((_, program_cells)) = per_program.iter().find(|(p, _)| *p == program) {
+            cells.extend(program_cells.iter().copied());
         }
     }
     let eval = EvalMatrix { cells };
@@ -717,12 +769,13 @@ pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
         scale: cfg.scale,
         seed: cfg.seed,
         workers: threads,
-        jobs: reports.len() + replay.jobs,
+        jobs: reports.len() + replays,
+        live_traces_peak: live.peak(),
         reports,
         eval,
         metrics,
         timings,
-        replay: replay.throughput,
+        replay,
     })
 }
 
@@ -742,41 +795,31 @@ pub fn characterize_all(
     ProgramId::ALL.into_iter().zip(run_jobs(work, threads)).collect()
 }
 
-/// Runs the Table 8 evaluation in parallel: per program, each variant is
-/// executed once (wave 1), then each recording is decoded once by a
-/// replay bank job that drives every platform model (wave 2). Cell
-/// order matches [`EvalMatrix::run`].
+/// Runs the Table 8 evaluation in parallel with [`run_suite`]'s job
+/// shape: one pool job per (program, variant) records the variant,
+/// decodes it once for a bank of every platform model, and drops it.
+/// Cell order matches [`EvalMatrix::run`].
 pub fn evaluate_all(scale: Scale, seed: u64, jobs: usize) -> Result<EvalMatrix, SuiteError> {
     let threads = if jobs == 0 { default_jobs() } else { jobs };
-    let work: Vec<_> = ProgramId::TRANSFORMED
+    let work: Vec<_> = enumerate_jobs(&ProgramId::TRANSFORMED)
         .into_iter()
-        .map(|program| {
-            move || -> Result<ProgramRecordings, SuiteError> {
-                Ok(ProgramRecordings {
-                    original: TraceStore::Memory(Arc::new(record_variant(
-                        program,
-                        Variant::Original,
-                        scale,
-                        seed,
-                        DEFAULT_CAPACITY,
-                    )?)),
-                    transformed: TraceStore::Memory(Arc::new(record_variant(
-                        program,
-                        Variant::LoadTransformed,
-                        scale,
-                        seed,
-                        DEFAULT_CAPACITY,
-                    )?)),
-                })
-            }
+        .map(|TraceJob { program, variant }| {
+            let job = move || -> Result<BankOutput, SuiteError> {
+                let trace = record_variant(program, variant, scale, seed, DEFAULT_CAPACITY)?;
+                replay_bank_job(&TraceStore::Memory(trace), &applicable_platforms(program), false)
+                    .map_err(|error| SuiteError::Segment { program, variant, error })
+            };
+            (job_rank(program, variant), job)
         })
         .collect();
-    let mut recorded = Vec::with_capacity(ProgramId::TRANSFORMED.len());
-    for (program, result) in ProgramId::TRANSFORMED.into_iter().zip(run_jobs(work, threads)) {
-        recorded.push((program, result?));
+    let mut banks = run_jobs_ranked(work, threads).into_iter();
+    let mut cells = Vec::new();
+    for program in ProgramId::TRANSFORMED {
+        let original = banks.next().expect("two banks per program")?;
+        let transformed = banks.next().expect("two banks per program")?;
+        cells.extend(eval_cells(program, &original, &transformed));
     }
-    let replay = replay_banked(&recorded, threads, false)?;
-    Ok(EvalMatrix { cells: replay.per_program.into_iter().flat_map(|p| p.cells).collect() })
+    Ok(EvalMatrix { cells })
 }
 
 /// Schema tag of the conformance report (`conform --metrics`); bump on
@@ -1084,22 +1127,36 @@ mod tests {
         assert!(run_jobs(none, 4).is_empty());
     }
 
+    /// A suite configuration at Test scale with default capacity.
+    fn test_config(seed: u64, jobs: usize, spill: Option<SpillConfig>) -> SuiteConfig {
+        SuiteConfig { scale: Scale::Test, seed, jobs, metrics: false, trace_cap: 0, spill }
+    }
+
     #[test]
     fn single_trace_job_matches_direct_characterization() {
-        // The tuple fan-out execution inside a prepare job must produce
-        // the same characterization as a dedicated characterization run,
-        // and capture both variants' traces for the replay wave.
+        // The tuple fan-out execution inside an original-variant job
+        // must produce the same characterization as a dedicated
+        // characterization run, and capture the trace for its replay;
+        // the transformed job only records.
         let direct =
             crate::characterize::characterize_program(ProgramId::Hmmsearch, Scale::Test, 7);
-        let job =
-            prepare_program(ProgramId::Hmmsearch, Scale::Test, 7, false, DEFAULT_CAPACITY, None)
-                .expect("prepare");
-        assert_eq!(direct.mix, job.report.mix);
-        assert_eq!(direct.cache, job.report.cache);
-        assert_eq!(direct.sequences.loads_to_branch, job.report.sequences.loads_to_branch);
-        let recordings = job.recordings.expect("hmmsearch is transformable");
-        assert!(recordings.original.len() > 0);
-        assert!(recordings.transformed.len() > 0);
+        let cfg = test_config(7, 1, None);
+        let original = TraceJob { program: ProgramId::Hmmsearch, variant: Variant::Original };
+        let job = record_job(original, &cfg).expect("record");
+        let (report, _) = job.out.report.expect("original jobs characterize");
+        assert_eq!(direct.mix, report.mix);
+        assert_eq!(direct.cache, report.cache);
+        assert_eq!(direct.sequences.loads_to_branch, report.sequences.loads_to_branch);
+        assert!(job.trace.expect("hmmsearch is transformable").len() > 0);
+        let transformed = TraceJob { variant: Variant::LoadTransformed, ..original };
+        let job = record_job(transformed, &cfg).expect("record");
+        assert!(job.out.report.is_none());
+        assert!(job.trace.expect("transformed jobs record").len() > 0);
+        // An untransformed program's job characterizes and records nothing.
+        let blast = TraceJob { program: ProgramId::Blast, variant: Variant::Original };
+        let job = record_job(blast, &cfg).expect("record");
+        assert!(job.out.report.is_some());
+        assert!(job.trace.is_none());
     }
 
     #[test]
@@ -1115,7 +1172,7 @@ mod tests {
         let recording =
             record_variant(ProgramId::Predator, Variant::Original, Scale::Test, 5, DEFAULT_CAPACITY)
                 .expect("record");
-        let store = TraceStore::Memory(Arc::new(recording));
+        let store = TraceStore::Memory(recording);
         let platforms = applicable_platforms(ProgramId::Predator);
         let bank = replay_bank_job(&store, &platforms, false).expect("bank");
         assert_eq!(bank.results.len(), platforms.len());
@@ -1126,6 +1183,41 @@ mod tests {
         assert_eq!(bank.results[alpha].0.cycles, direct.original.cycles);
         assert_eq!(bank.results[alpha].0.instructions, direct.original.instructions);
         assert_eq!(bank.ops, store.len() as u64);
+    }
+
+    #[test]
+    fn ranked_jobs_return_in_input_order() {
+        // Ranks reorder the pool, never the results.
+        let jobs: Vec<_> = (0..16).map(|i| (15 - i, move || i * 10)).collect();
+        assert_eq!(run_jobs_ranked(jobs, 3), (0..16).map(|i| i * 10).collect::<Vec<_>>());
+        let order = std::sync::Mutex::new(Vec::new());
+        let jobs: Vec<_> = [2, 0, 1, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, rank)| {
+                let order = &order;
+                (rank, move || order.lock().unwrap().push(i))
+            })
+            .collect();
+        run_jobs_ranked(jobs, 1);
+        assert_eq!(*order.lock().unwrap(), vec![1, 3, 2, 0], "rank order, ties in input order");
+        // Every program is ranked, and a program's variants are adjacent.
+        for program in ProgramId::ALL {
+            let (at, transformed) = job_rank(program, Variant::LoadTransformed);
+            assert!(transformed);
+            assert_eq!(job_rank(program, Variant::Original), (at, false));
+        }
+    }
+
+    #[test]
+    fn live_trace_gauge_tracks_the_high_water_mark() {
+        let live = LiveTraces::default();
+        {
+            let _a = live.enter();
+            let _b = live.enter();
+        }
+        let _c = live.enter();
+        assert_eq!(live.peak(), 2, "two guards overlapped, the third came after");
     }
 
     #[test]
@@ -1144,9 +1236,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_throughput_total_uses_wave_wall_clock() {
-        // The aggregate divides by the wave's elapsed wall-clock, set
-        // once — summed shard seconds would under-report parallel
+    fn replay_throughput_total_uses_pool_wall_clock() {
+        // The aggregate divides by the job pool's elapsed wall-clock,
+        // set once — summed per-job seconds would under-report parallel
         // throughput.
         let t = ReplayThroughput { replayed_ops: 2_000, seconds: 2.0 };
         assert_eq!(t.ops_per_sec(), 1_000.0, "2k ops in 2s of wall-clock");
@@ -1202,8 +1294,8 @@ mod tests {
         // counts. Timings and throughput live in the `run` section and
         // are excluded.
         assert_eq!(seq.deterministic_json().render(), par.deterministic_json().render());
-        // Both runs scheduled the same job set: 9 prepare jobs + 12
-        // replay banks (6 transformable programs × 2 variants).
+        // Both runs did the same work: 9 characterizations + 12 bank
+        // replays (6 transformable programs × 2 variants).
         assert_eq!(seq.jobs, par.jobs);
         assert_eq!(seq.jobs, 9 + 12);
         assert_eq!(seq.replay.replayed_ops, par.replay.replayed_ops);
@@ -1220,7 +1312,15 @@ mod tests {
         let run = doc.get("run").expect("run section");
         assert_eq!(
             run.keys(),
-            vec!["jobs", "workers", "jobs_per_worker", "replayed_ops", "ops_per_sec", "timings"]
+            vec![
+                "jobs",
+                "workers",
+                "jobs_per_worker",
+                "live_traces_peak",
+                "replayed_ops",
+                "ops_per_sec",
+                "timings"
+            ]
         );
         let rates = run.get("ops_per_sec").expect("throughput gauges");
         assert!(rates.get("total").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
@@ -1329,13 +1429,13 @@ mod tests {
 
     #[test]
     fn missing_middle_segment_is_a_typed_suite_error() {
+        // A segment deleted between a job's record and replay halves
+        // fails the replay with a typed error naming the file.
         let dir = scratch("spill-missing");
         let spill = SpillConfig { dir: dir.clone(), segment_ops: 1 << 10 };
-        let prepared =
-            prepare_program(ProgramId::Predator, Scale::Test, 5, false, DEFAULT_CAPACITY, Some(spill))
-                .expect("prepare");
-        let recordings = prepared.recordings.expect("predator is transformable");
-        let TraceStore::Segmented(segmented) = &recordings.original else {
+        let job = TraceJob { program: ProgramId::Predator, variant: Variant::Original };
+        let recorded = record_job(job, &test_config(5, 1, Some(spill))).expect("record");
+        let Some(TraceStore::Segmented(segmented)) = &recorded.trace else {
             panic!("spill mode must produce segmented stores");
         };
         let paths = segmented.segment_paths();
@@ -1343,8 +1443,7 @@ mod tests {
         let victim = paths[paths.len() / 2].to_path_buf();
         std::fs::remove_file(&victim).expect("delete middle segment");
 
-        let recorded = vec![(ProgramId::Predator, recordings)];
-        let err = match replay_banked(&recorded, 2, false) {
+        let err = match replay_job(job, recorded, false) {
             Ok(_) => panic!("replay with a missing segment must fail"),
             Err(e) => e,
         };

@@ -7,12 +7,15 @@
 //! configuration grid. [`run_sweep`] enumerates the grid ([`SweepGrid`]),
 //! validates every cell's cache geometry (degenerate points become
 //! skipped-cell diagnostics, not panics), and fans the surviving cells
-//! out over the [`run_jobs`] worker pool: each program's two variant
-//! traces are recorded once, `Arc`-shared, and each is then one pool job
-//! over the program's missing cells in grid order, which decodes its
-//! recording once per bank it drives. Jobs start largest first, but
-//! results go back by (program, variant), and the merge walks programs
-//! in input order and each program's cells in grid order, so output is
+//! out over the [`run_jobs`](crate::orchestrate::run_jobs) worker pool,
+//! one job per (program, variant). A job records its variant's trace,
+//! runs the program's missing cells over it in grid order (decoding it
+//! once per bank it drives), and drops it before its worker claims the
+//! next job, so no recording is shared between jobs and at most one per
+//! worker is alive at once ([`SweepResult::live_traces_peak`]). Jobs with
+//! more cells start first, then by program trace length, but results go
+//! back by (program, variant), and the merge walks programs in input
+//! order and each program's cells in grid order, so output is
 //! byte-identical at any `--jobs` and for either engine.
 //!
 //! By default the evaluation is **factored** along the grid's two
@@ -69,7 +72,9 @@ use bioperf_pipe::{
 };
 use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, Recording};
 
-use crate::orchestrate::{default_jobs, record_variant, run_jobs, SuiteError};
+use crate::orchestrate::{
+    default_jobs, job_rank, record_variant, run_jobs_ranked, LiveTraces, SuiteError,
+};
 use crate::pareto::{pareto_frontier, ParetoPoint};
 use crate::report::TextTable;
 
@@ -797,6 +802,9 @@ pub struct SweepResult {
     /// scheduled cell came out of the checkpoint (a resumed sweep with
     /// no remaining work does no recording at all).
     pub recorded: usize,
+    /// Most recordings alive at once: at most [`Self::workers`], exactly
+    /// 1 on one worker, and 0 when nothing was recorded.
+    pub live_traces_peak: usize,
     /// Whether every valid `(program, cell)` pair is measured.
     pub complete: bool,
 }
@@ -1141,34 +1149,15 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         jobs[p].add(c, &cfg.grid.spec(c), resolved[c].expect("scheduled cells are valid"));
     }
 
-    // Wave 1: record both variants of every program that still has work,
-    // one job per (program, variant); recordings are Arc-shared with
-    // the program's wave-2 jobs. Fully-checkpointed programs never
-    // reach `active`, so a resumed sweep with no remaining cells records
-    // nothing (`SweepResult::recorded` pins this).
-    let active: Vec<usize> = (0..programs.len()).filter(|&p| !jobs[p].cells.is_empty()).collect();
-    let recorded = active.len() * 2;
-    let record_jobs: Vec<_> = active
-        .iter()
-        .flat_map(|&p| {
-            let program = programs[p];
-            [Variant::Original, Variant::LoadTransformed].into_iter().map(move |variant| {
-                move || record_variant(program, variant, cfg.scale, cfg.seed, DEFAULT_CAPACITY)
-            })
-        })
-        .collect();
-    let mut recordings: Vec<Option<(Arc<Recording>, Arc<Recording>)>> =
-        (0..programs.len()).map(|_| None).collect();
-    let mut rec_out = run_jobs(record_jobs, threads).into_iter();
-    for &p in &active {
-        let original = Arc::new(rec_out.next().expect("two recordings per active program")?);
-        let transformed = Arc::new(rec_out.next().expect("two recordings per active program")?);
-        recordings[p] = Some((original, transformed));
-    }
-
-    // Wave 2: one job per (program, variant) over the program's missing
-    // cells in grid order, through the engine `cfg.factor` selects.
-    let outputs = run_variant_jobs(threads, cfg.factor, &jobs, &recordings);
+    // One pool job per (program, variant) with work: it records the
+    // variant, runs the program's missing cells in grid order through
+    // the engine `cfg.factor` selects, and drops the recording. A
+    // fully-checkpointed program schedules no job, so a resumed sweep
+    // with no remaining cells records nothing (`SweepResult::recorded`
+    // pins this).
+    let live = LiveTraces::default();
+    let outputs = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
+    let recorded = 2 * jobs.iter().filter(|job| !job.cells.is_empty()).count();
 
     // Merge program by program, each program's cells in grid order — the
     // order of `missing`, identical for every worker count and either
@@ -1211,6 +1200,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         computed,
         cached,
         recorded,
+        live_traces_peak: live.peak(),
         complete,
     })
 }
@@ -1236,6 +1226,10 @@ impl CacheAxisKey {
 /// and predictor family.
 type TimingAxis = ((u64, u64, u64), (u32, usize), PredictorKind);
 
+/// Per scheduled cell of a [`SweepJob`], in its order: the hierarchy
+/// stats and cycles one variant's recording produced.
+type CellResults = Vec<(HierarchyStats, u64)>;
+
 /// One scheduled cell of a [`SweepJob`].
 struct JobCell {
     /// Grid index.
@@ -1246,7 +1240,7 @@ struct JobCell {
     rc: ResolvedCell,
 }
 
-/// One program's share of wave 2: its scheduled cells in grid order,
+/// One program's share of the sweep: its scheduled cells in grid order,
 /// and one representative cell per distinct cache-axis key (first-seen
 /// order). Both variants of the program run the same job over their own
 /// recordings, through either engine.
@@ -1274,7 +1268,7 @@ impl SweepJob {
     /// prefetcher, in banks of at most [`TIMING_BANK_LANES`] members that
     /// share one decode, plan walk and predictor walk per family. Returns,
     /// per cell, its hierarchy stats and its cycles.
-    fn run_live(&self, rec: &Recording) -> Vec<(HierarchyStats, u64)> {
+    fn run_live(&self, rec: &Recording) -> CellResults {
         let mut out = Vec::with_capacity(self.cells.len());
         for cells in self.cells.chunks(TIMING_BANK_LANES) {
             let mut bank = PlatformBank::with_predictors(
@@ -1304,7 +1298,7 @@ impl SweepJob {
     /// within a [`TimingBank`] the register/spill plan runs once, each
     /// predictor family once, each (stream, latency table) fill once,
     /// and only the serial timing core per lane.
-    fn run_factored(&self, rec: &Recording) -> Vec<(HierarchyStats, u64)> {
+    fn run_factored(&self, rec: &Recording) -> CellResults {
         let base = self.reps[0].platform;
         let mut stats: Vec<HierarchyStats> = Vec::with_capacity(self.reps.len());
         // The memo: lane `i` is keyed by `lane_keys[i]` and timed at
@@ -1359,43 +1353,47 @@ impl SweepJob {
     }
 }
 
-/// Runs every job with cells on both of its program's recordings, one
-/// pool job per (program, variant), through the factored engine or the
-/// live oracle. Returns each program's `[original, transformed]`
-/// per-cell results (empty for a program with no cells).
+/// Runs every job with cells on both variants of its program, one pool
+/// job per (program, variant): the job records its variant, runs it
+/// through the factored engine or the live oracle, and drops the
+/// recording before its worker claims the next job, holding a
+/// [`LiveTraces`] guard meanwhile. Returns each program's `[original,
+/// transformed]` per-cell results (empty for a program with no cells),
+/// or the first recording failure in (program, variant) order.
 fn run_variant_jobs(
-    threads: usize,
-    factor: bool,
+    cfg: &SweepConfig,
+    programs: &[ProgramId],
     jobs: &[SweepJob],
-    recordings: &[Option<(Arc<Recording>, Arc<Recording>)>],
-) -> Vec<[Vec<(HierarchyStats, u64)>; 2]> {
-    // Jobs go to the pool largest first (recording length × cells),
-    // since it claims them in order and a long job started last would
-    // run alone. Results go back by (program, variant) index, so the job
-    // order never reaches the output.
-    let variant_rec = |p: usize, variant: usize| -> &Recording {
-        let (original, transformed) =
-            recordings[p].as_ref().expect("active programs have recordings");
-        if variant == 0 { original } else { transformed }
-    };
-    let mut descr: Vec<(usize, usize)> = (0..jobs.len())
+    threads: usize,
+    live: &LiveTraces,
+) -> Result<Vec<[CellResults; 2]>, SuiteError> {
+    // Jobs with more cells start first, then by the program's trace
+    // length rank, so a long job does not start last and run alone.
+    // Results go back by (program, variant) index, so the start order
+    // never reaches the output.
+    let descr: Vec<(usize, Variant)> = (0..jobs.len())
         .filter(|&p| !jobs[p].cells.is_empty())
-        .flat_map(|p| [(p, 0), (p, 1)])
+        .flat_map(|p| [(p, Variant::Original), (p, Variant::LoadTransformed)])
         .collect();
-    descr.sort_by_key(|&(p, variant)| Reverse(variant_rec(p, variant).len() * jobs[p].cells.len()));
     let pool: Vec<_> = descr
         .iter()
         .map(|&(p, variant)| {
-            let (job, rec) = (&jobs[p], variant_rec(p, variant));
-            move || if factor { job.run_factored(rec) } else { job.run_live(rec) }
+            let (job, program) = (&jobs[p], programs[p]);
+            let rank = (Reverse(job.cells.len()), job_rank(program, variant));
+            let run = move || -> Result<_, SuiteError> {
+                let _live = live.enter();
+                let rec = record_variant(program, variant, cfg.scale, cfg.seed, DEFAULT_CAPACITY)?;
+                Ok(if cfg.factor { job.run_factored(&rec) } else { job.run_live(&rec) })
+            };
+            (rank, run)
         })
         .collect();
-    let mut results: Vec<[Vec<(HierarchyStats, u64)>; 2]> =
+    let mut results: Vec<[CellResults; 2]> =
         (0..jobs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
-    for (&(p, variant), out) in descr.iter().zip(run_jobs(pool, threads)) {
-        results[p][variant] = out;
+    for (&(p, variant), out) in descr.iter().zip(run_jobs_ranked(pool, threads)) {
+        results[p][usize::from(variant == Variant::LoadTransformed)] = out?;
     }
-    results
+    Ok(results)
 }
 
 /// Differential self-check of the factored sweep end to end, run by
@@ -1404,8 +1402,10 @@ fn run_variant_jobs(
 /// at Test scale) goes through the production path — cache pass,
 /// annotated timing banks, per-program merge — and every cell is then
 /// re-measured by direct live [`CycleSim`] replays, one simulator at a
-/// time (no bank, no annotations, no merge), and compared bitwise. A
-/// stack-distance cross-check then validates the cache pass
+/// time (no bank, no annotations, no merge), and compared bitwise;
+/// each cell's AMAT must also lie in its latencies'
+/// [`LatencyConfig::amat_range`]. A stack-distance cross-check then
+/// validates the cache pass
 /// analytically: for the prefetcher-free cells, L1 miss counts derived
 /// from one LRU stack-distance profile of the shared access stream must
 /// equal the banked hierarchies' counts. Returns the first divergence;
@@ -1458,6 +1458,16 @@ pub fn sweep_self_check(seed: u64) -> Option<String> {
             Some(m) => m,
             None => return Some(format!("sweep cell {cell}: no measurement produced")),
         };
+        let range = rc.lat.amat_range();
+        if !range.contains(&got.amat) {
+            return Some(format!(
+                "sweep cell {cell} ({}): AMAT {} outside [{}, {}]",
+                grid.spec(cell).describe(),
+                got.amat,
+                range.start(),
+                range.end()
+            ));
+        }
         if got != want {
             return Some(format!(
                 "sweep cell {cell} ({}): factored {got:?}, direct replay {want:?}",

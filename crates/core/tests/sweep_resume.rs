@@ -90,13 +90,13 @@ fn interrupted_and_resumed_sweep_matches_uninterrupted_byte_for_byte() {
 
     // A repeat invocation is a full cache hit: nothing is replayed and
     // the report is still byte-identical. Crucially it also records no
-    // traces at all — a fully-checkpointed program never reaches the
-    // recording wave.
+    // traces at all — a fully-checkpointed program schedules no job.
     assert_eq!(baseline.recorded, 2, "fresh sweep records both variants");
     let cached = run_sweep(&cfg(Some(baseline_ck), 0)).expect("cached sweep");
     assert_eq!(cached.computed, 0);
     assert_eq!(cached.cached, 4);
     assert_eq!(cached.recorded, 0, "a full cache hit must skip trace recording entirely");
+    assert_eq!(cached.live_traces_peak, 0, "no recording was ever alive");
     assert_eq!(cached.to_json().render_pretty(), baseline_json);
 
     let _ = fs::remove_dir_all(&dir);

@@ -9,7 +9,7 @@
 //! fed to a [`MissLevelBank`]. That sequence depends only on the trace
 //! and the platform's logical register count: every sweep cell shares
 //! the register file geometry, so one pass serves every timing
-//! configuration (see `core::sweep`'s factored wave 2). Each access is
+//! configuration (see `core::sweep`'s factored engine). Each access is
 //! applied to every member [`Hierarchy`], and the servicing level lands
 //! in that member's [`AnnotationStream`]; the timing pass later converts
 //! levels back to latencies through each cell's own latency axis.

@@ -182,13 +182,14 @@ impl PlatformConfig {
         [Self::alpha21264(), Self::ppc_g5(), Self::pentium4(), Self::itanium2()]
     }
 
+    /// This platform's cache level latencies (the integer load hit at L1).
+    pub fn latencies(&self) -> LatencyConfig {
+        LatencyConfig { l1: self.int_load_latency, l2: self.l2_latency, memory: self.memory_latency }
+    }
+
     /// Builds this platform's cache hierarchy.
     pub fn hierarchy(&self) -> Hierarchy {
-        Hierarchy::new(
-            self.l1,
-            self.l2,
-            LatencyConfig { l1: self.int_load_latency, l2: self.l2_latency, memory: self.memory_latency },
-        )
+        Hierarchy::new(self.l1, self.l2, self.latencies())
     }
 
     /// Execution latency of a non-load op kind.

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use bioperf_branch::PredictorKind;
-use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, LatencyConfig, Prefetcher};
+use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, Prefetcher};
 use bioperf_isa::{MicroOp, Program};
 use bioperf_metrics::MetricSet;
 use bioperf_trace::{inject, OpBlock, TraceConsumer};
@@ -88,7 +88,7 @@ enum Source {
 impl Source {
     /// `stream` read through `cfg`'s level latencies.
     fn annotated(cfg: &PlatformConfig, stream: Arc<AnnotationStream>) -> Self {
-        let lat = LatencyConfig { l1: cfg.int_load_latency, l2: cfg.l2_latency, memory: cfg.memory_latency };
+        let lat = cfg.latencies();
         // An armed `factored-annotation-skew` fault starts the cursor one
         // annotation in — the off-by-one the conformance fuzzer and the
         // sweep self-check must catch.

@@ -45,12 +45,14 @@ suite runs the whole study — nine characterizations plus the 6-program ×
 at most 256). Output is identical for every worker count. --metrics
 additionally writes every paper metric, raw simulator event, and phase
 timing as JSON; its \"deterministic\" section is byte-identical for every
---jobs value. --trace-cap bounds the replay recorder (0 = default
-capacity). --spill-dir records traces as fixed-size segment files under
-<dir> and streams the replay wave from disk (peak memory stays O(segment
-size); output is byte-identical to in-memory runs). --segment-ops sets
-the ops per segment file (0 = default) and requires --spill-dir.
---trace-cap still bounds each trace's *total* ops across all its segments.
+--jobs value. Each job records one trace, replays it and drops it, so
+in-memory peak memory is O(workers x largest trace). --trace-cap bounds
+the replay recorder (0 = default capacity). --spill-dir records traces
+as fixed-size segment files under <dir> and streams each replay from
+disk (peak memory stays O(workers x segment size); output is
+byte-identical to in-memory runs). --segment-ops sets the ops per
+segment file (0 = default) and requires --spill-dir. --trace-cap still
+bounds each trace's *total* ops across all its segments.
 
 conform differentially fuzzes every simulator against its naive reference
 model (seeded, deterministic; shrunk counterexamples land in --out) and
@@ -363,13 +365,14 @@ fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
     // --max-cells/resume split of the same sweep.
     eprintln!(
         "sweep: {} cells x {} programs on {} workers \
-         ({} replayed, {} from checkpoint, {} traces recorded)",
+         ({} replayed, {} from checkpoint, {} traces recorded, at most {} alive at once)",
         result.grid.cells(),
         result.programs.len(),
         result.workers,
         result.computed,
         result.cached,
         result.recorded,
+        result.live_traces_peak,
     );
 
     print!("{}", result.render_table());

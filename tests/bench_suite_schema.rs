@@ -25,11 +25,23 @@ fn committed_suite_artifact_matches_schema_v1() {
     let run = doc.get("run").expect("run section");
     assert_eq!(
         run.keys(),
-        vec!["jobs", "workers", "jobs_per_worker", "replayed_ops", "ops_per_sec", "timings"]
+        vec![
+            "jobs",
+            "workers",
+            "jobs_per_worker",
+            "live_traces_peak",
+            "replayed_ops",
+            "ops_per_sec",
+            "timings"
+        ]
     );
-    // 9 prepare jobs + 12 replay banks (6 transformable programs × 2
-    // variants; each bank decodes once for every applicable platform).
+    // 9 characterizations + 12 bank replays (6 transformable programs ×
+    // 2 variants; each bank decodes once for every applicable platform).
     assert_eq!(run.get("jobs").and_then(Json::as_u64), Some(21));
+    // Each job drops its trace before its worker claims the next one.
+    let workers = run.get("workers").and_then(Json::as_u64).expect("worker count");
+    let live = run.get("live_traces_peak").and_then(Json::as_u64).expect("live-trace peak");
+    assert!((1..=workers).contains(&live), "{live} traces alive on {workers} workers");
     assert!(run.get("replayed_ops").and_then(Json::as_u64).unwrap_or(0) > 0);
     let rates = run.get("ops_per_sec").expect("replay throughput gauges");
     assert!(rates.get("total").is_some());

@@ -42,6 +42,13 @@ fn suite_results_and_metrics_json_are_worker_count_independent() {
     assert_eq!(seq_bytes, par_bytes, "deterministic JSON must be byte-identical");
     assert_eq!(seq.deterministic_json().render(), par.deterministic_json().render());
 
+    // Every job drops its trace before its worker claims the next one,
+    // so one worker holds one trace at a time and four hold at most four.
+    assert_eq!(seq.live_traces_peak, 1);
+    assert!((1..=4).contains(&par.live_traces_peak), "{} live traces", par.live_traces_peak);
+    // Still 12 traces replayed: 9 characterizations + 12 bank replays.
+    assert_eq!((seq.jobs, par.jobs), (9 + 12, 9 + 12));
+
     // Worker counts differ between the runs and may legitimately differ
     // in the full document — but only inside the `run` section.
     assert_eq!(seq.workers, 1);
