@@ -65,11 +65,15 @@ pub enum FaultId {
     /// the annotation stream alone, ignoring the latency table, so a lane
     /// reads the latencies of the first lane on its stream.
     TimingFillOvershare,
+    /// The live block feed skips its final partial-block flush, so a
+    /// fed platform bank never sees a trace's last `len % BLOCK_OPS`
+    /// ops.
+    LiveFeedTail,
 }
 
 impl FaultId {
     /// Every catalogued fault, in reporting order.
-    pub const ALL: [FaultId; 13] = [
+    pub const ALL: [FaultId; 14] = [
         FaultId::CacheLruTouch,
         FaultId::CacheDirtyWriteback,
         FaultId::PackedSrcDelta,
@@ -83,6 +87,7 @@ impl FaultId {
         FaultId::SweepMergeOrder,
         FaultId::FactoredAnnotationSkew,
         FaultId::TimingFillOvershare,
+        FaultId::LiveFeedTail,
     ];
 
     /// Stable CLI / report name.
@@ -101,6 +106,7 @@ impl FaultId {
             FaultId::SweepMergeOrder => "sweep-merge-order",
             FaultId::FactoredAnnotationSkew => "factored-annotation-skew",
             FaultId::TimingFillOvershare => "timing-fill-overshare",
+            FaultId::LiveFeedTail => "live-feed-tail",
         }
     }
 
@@ -129,6 +135,7 @@ impl FaultId {
             FaultId::TimingFillOvershare => {
                 "timing bank shares a latency fill across latency tables"
             }
+            FaultId::LiveFeedTail => "live block feed drops its final partial block",
         }
     }
 
@@ -149,6 +156,7 @@ impl FaultId {
             FaultId::SweepMergeOrder => inject::SWEEP_MERGE,
             FaultId::FactoredAnnotationSkew => inject::ANN_SKEW,
             FaultId::TimingFillOvershare => inject::FILL_OVERSHARE,
+            FaultId::LiveFeedTail => inject::FEED_TAIL,
         }
     }
 
@@ -199,6 +207,11 @@ impl FaultId {
             // it. The sweep self-check's two latency triples on shared
             // streams also fire on its single run.
             FaultId::TimingFillOvershare => 16,
+            // The pipeline check's live-feed leg feeds the whole stream
+            // op by op; a fuzz stream is shorter than one block, so all
+            // of it is the dropped tail and any nonempty stream exposes
+            // it.
+            FaultId::LiveFeedTail => 16,
         }
     }
 }

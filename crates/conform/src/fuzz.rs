@@ -31,7 +31,7 @@ use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
 use bioperf_pipe::{CachePassSim, PlatformBank, PlatformConfig, RegFile, SimResult, TimingBank};
 use bioperf_trace::packed::PackedStream;
-use bioperf_trace::{OpBlock, SpillRecorder, TraceConsumer};
+use bioperf_trace::{BlockFeed, OpBlock, SpillRecorder, TraceConsumer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -607,10 +607,13 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 
 /// Full cycle simulation, the production engines vs. [`RefPipeline`]:
 /// one [`PlatformBank`] over every platform, replayed from packed
-/// blocks of each size in `sizes` (the suite's engine: one decode, one
-/// register walk and one predictor walk per family drive every member,
-/// with block edges at every offset at the fuzzer's sizes 1, 3 and 8);
-/// then, per platform, a [`CachePassSim`]
+/// blocks of each size in `sizes` (the spilled suite's engine: one
+/// decode, one register walk and one predictor walk per family drive
+/// every member, with block edges at every offset at the fuzzer's sizes
+/// 1, 3 and 8); the same bank fed op by op through a [`BlockFeed`] (the
+/// in-memory suite's engine, [`BLOCK_OPS`](bioperf_trace::BLOCK_OPS)
+/// blocks built live, the tail flushed at the end); then, per platform,
+/// a [`CachePassSim`]
 /// feeding a [`TimingBank`] (the sweep's factored engine), taking cycles
 /// and counters from the bank and hierarchy stats from the cache pass.
 /// The checked lane is a latency-fill follower: two decoy lanes on the
@@ -639,21 +642,33 @@ fn pipeline_check(
             reference.result()
         })
         .collect();
+    let check_bank = |bank: &PlatformBank, engine: &str| {
+        platforms.iter().zip(&slow).enumerate().find_map(|(i, (platform, slow))| {
+            let fast = bank.result(i);
+            if let Some(violation) = bound_violation(&fast, platform) {
+                let detail = format!("{engine}: {violation}");
+                return Some(Divergence::new("bounds", detail).on(platform));
+            }
+            (fast != *slow).then(|| {
+                let detail = format!("{engine}: optimized {fast:?}, reference {slow:?}");
+                Divergence::new("pipeline", detail).on(platform)
+            })
+        })
+    };
     for block_ops in sizes {
         let mut bank = PlatformBank::new(platforms);
         replay_blocks(stream, std::slice::from_mut(&mut bank), block_ops);
-        for (i, (platform, slow)) in platforms.iter().zip(&slow).enumerate() {
-            let fast = bank.result(i);
-            if let Some(violation) = bound_violation(&fast, platform) {
-                let detail = format!("{block_ops}-op blocks: {violation}");
-                return Some(Divergence::new("bounds", detail).on(platform));
-            }
-            if fast != *slow {
-                let detail =
-                    format!("{block_ops}-op blocks: optimized {fast:?}, reference {slow:?}");
-                return Some(Divergence::new("pipeline", detail).on(platform));
-            }
+        if let Some(divergence) = check_bank(&bank, &format!("{block_ops}-op blocks")) {
+            return Some(divergence);
         }
+    }
+    let mut feed = BlockFeed::new(PlatformBank::new(platforms), ops.len());
+    for op in ops {
+        feed.consume(op, &program);
+    }
+    feed.finish(&program);
+    if let Some(divergence) = check_bank(&feed.into_inner(), "live feed") {
+        return Some(divergence);
     }
     let block_ops = sizes[2];
     for (platform, slow) in platforms.iter().zip(&slow) {

@@ -50,9 +50,10 @@ impl EvalMatrix {
     /// the paper-shaped run (class-C-like inputs); smaller scales give
     /// the same shape faster.
     ///
-    /// Each (program, variant) is executed once and its trace recorded;
-    /// the four platform models then replay the recording — four
-    /// simulations per kernel execution instead of four re-executions.
+    /// Each (program, variant) is executed once, its trace feeding one
+    /// bank of the four platform models as it is produced — four
+    /// simulations per kernel execution instead of four re-executions,
+    /// and no recording.
     ///
     /// This is the sequential entry point; it delegates to
     /// [`crate::orchestrate::evaluate_all`] with one worker, which the

@@ -21,10 +21,10 @@
 //!   (Tables 7/8, Figure 9).
 //! * [`orchestrate`] — the parallel experiment runner: executes each
 //!   instrumented kernel *once* (a tuple fan-out feeds the characterizer
-//!   and a replay recorder simultaneously), replays each recording once
-//!   through a bank of platform simulators, and schedules the
-//!   per-program jobs on a scoped worker pool with results in job order
-//!   — `--jobs 1` and `--jobs N` produce identical output.
+//!   and, block by block as the trace is produced, a bank of platform
+//!   simulators; no trace is recorded), and schedules the per-(program,
+//!   variant) jobs on a scoped worker pool with results in job order —
+//!   `--jobs 1` and `--jobs N` produce identical output.
 //! * [`sweep`] — design-space exploration: grid sweeps over cache
 //!   geometry, pipeline shape, predictor family, and prefetcher policy,
 //!   with resumable FNV-checksummed checkpoints and per-program

@@ -2,21 +2,23 @@
 //!
 //! The paper's experiments decompose into independent jobs, scheduled on
 //! a [`std::thread::scope`] worker pool ([`run_jobs`]), one job per
-//! (program, variant) execution. Each job records, evaluates and drops
-//! its trace before its worker claims the next job, so no recording is
-//! shared between jobs and at most one trace per worker is alive at once
-//! (the `live_traces_peak` gauge counts them):
+//! (program, variant) execution. Like the paper's ATOM analysis
+//! routines, the in-memory suite never saves a trace: each job runs its
+//! kernel once and the analyses consume the op stream as it is produced,
+//! one block per worker in flight (the `live_traces_peak` gauge counts
+//! the traces):
 //!
 //! * a transformable program's **original** job runs the instrumented
-//!   kernel *once* with a tuple fan-out `(Characterizer, Recorder)`, so a
-//!   single execution feeds the instruction-mix/coverage/cache/sequence
-//!   passes **and** captures the packed trace, then decodes that trace
-//!   exactly once for a *bank* of platform simulators
-//!   (`Recording::replay_bank`): the 23-cell evaluation pays one packed
-//!   decode per recording instead of one per platform pass;
-//! * its **load-transformed** job records that variant and replays it
-//!   through the same bank;
+//!   kernel into `(Characterizer, BlockFeed<PlatformBank>)`: one
+//!   execution feeds the instruction-mix/coverage/cache/sequence passes
+//!   **and** a *bank* of platform simulators, in blocks built live — no
+//!   packed encode or decode;
+//! * its **load-transformed** job runs into `BlockFeed<PlatformBank>`;
 //! * the three untransformed programs' jobs only characterize.
+//!
+//! With [`SuiteConfig::spill`] set, a job records its trace to disk
+//! segments instead and streams them back through the bank; results
+//! are byte-identical either way.
 //!
 //! Jobs start longest first (`run_jobs_ranked`), but result vectors
 //! are indexed by job, not by start or completion order, and the
@@ -27,7 +29,10 @@
 //! reports.
 //!
 //! Trace-capacity overflow surfaces as a typed [`SuiteError`] (the
-//! `suite` CLI reports it and exits 1) rather than a panic.
+//! `suite` CLI reports it and exits 1) rather than a panic. The first
+//! failed job in enumeration order stops the pool: later jobs do not
+//! start, and that failure is the one reported, whatever the worker
+//! count.
 //!
 //! The same pool also drives the conformance harness ([`run_conform`]):
 //! seeded differential fuzz cases (optimized implementations vs. the
@@ -48,12 +53,13 @@ use std::time::{Duration, Instant};
 
 use bioperf_conform::fuzz::{self, CaseOutcome};
 use bioperf_conform::RefTape;
+use bioperf_isa::Program;
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::{Json, MetricSet, Timings};
 use bioperf_pipe::{PlatformBank, PlatformConfig, SimResult};
 use bioperf_trace::{
-    replay::DEFAULT_CAPACITY, Recorder, Recording, SegmentError, SegmentedRecording,
-    SpillRecorder, Tape, TraceConsumer,
+    replay::DEFAULT_CAPACITY, BlockFeed, Recorder, Recording, SegmentError, SegmentedRecording,
+    SpillRecorder, Tape,
 };
 
 pub use bioperf_conform::{fault, FaultId};
@@ -68,15 +74,15 @@ pub const SUITE_SCHEMA: &str = "bioperf-suite/v1";
 /// A typed orchestration failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SuiteError {
-    /// A kernel emitted more ops than the recorder could hold, so the
-    /// captured trace is a prefix and every replay-derived number would
-    /// be wrong.
+    /// A kernel emitted more ops than the trace capacity, so the
+    /// recorded or fed trace is a prefix and every simulated number
+    /// would be wrong.
     TraceOverflow {
         /// Program whose trace overflowed.
         program: ProgramId,
-        /// Variant being recorded.
+        /// Variant being traced.
         variant: Variant,
-        /// Ops captured before the recorder hit its capacity.
+        /// Ops captured before the trace hit its capacity.
         captured: usize,
     },
     /// Spilling or streaming a segmented trace failed; the inner error
@@ -96,7 +102,7 @@ impl fmt::Display for SuiteError {
         match self {
             SuiteError::TraceOverflow { program, variant, captured } => write!(
                 f,
-                "{program} ({}): trace exceeded the recorder capacity after {captured} ops; \
+                "{program} ({}): trace exceeded its capacity after {captured} ops; \
                  rerun at a smaller scale",
                 variant.label()
             ),
@@ -152,31 +158,55 @@ where
         .collect()
 }
 
-/// [`run_jobs`] over `(rank, job)` pairs: the pool claims jobs in
-/// ascending rank (ties keep input order), and results still come back
-/// in input order, so the rank shapes load balance and never output.
-pub(crate) fn run_jobs_ranked<K, T, F>(jobs: Vec<(K, F)>, threads: usize) -> Vec<T>
+/// [`run_jobs`] over fallible `(rank, job)` pairs: the pool claims jobs
+/// in ascending rank (ties keep input order) and returns the results in
+/// input order, so the rank shapes load balance and never output.
+///
+/// The first failure stops the pool: once job `i` has failed, no job
+/// after `i` in input order starts (jobs already running finish). Every
+/// job before the first failed one still runs, so the error returned is
+/// always that of the first failing job in input order, whatever the
+/// worker count and claim order.
+pub(crate) fn run_jobs_ranked<K, T, E, F>(jobs: Vec<(K, F)>, threads: usize) -> Result<Vec<T>, E>
 where
     K: Ord,
     T: Send,
-    F: FnOnce() -> T + Send,
+    E: Send,
+    F: FnOnce() -> Result<T, E> + Send,
 {
+    // Lowest input index that has failed so far. It publishes no data
+    // (results travel through `run_jobs`), so relaxed ordering suffices:
+    // a stale read only lets a doomed job start.
+    let first_failed = AtomicUsize::new(usize::MAX);
     let mut ranked: Vec<(usize, (K, F))> = jobs.into_iter().enumerate().collect();
     ranked.sort_by(|(_, (a, _)), (_, (b, _))| a.cmp(b));
-    let (order, pool): (Vec<usize>, Vec<F>) =
-        ranked.into_iter().map(|(i, (_, job))| (i, job)).unzip();
-    let mut out: Vec<Option<T>> = order.iter().map(|_| None).collect();
+    let first_failed = &first_failed;
+    let (order, pool): (Vec<usize>, Vec<_>) = ranked
+        .into_iter()
+        .map(|(i, (_, job))| {
+            (i, move || {
+                let out = (first_failed.load(Ordering::Relaxed) > i).then(job)?;
+                if out.is_err() {
+                    first_failed.fetch_min(i, Ordering::Relaxed);
+                }
+                Some(out)
+            })
+        })
+        .unzip();
+    let mut out: Vec<Option<Result<T, E>>> = order.iter().map(|_| None).collect();
     for (i, result) in order.into_iter().zip(run_jobs(pool, threads)) {
-        out[i] = Some(result);
+        out[i] = result;
     }
-    out.into_iter().map(|r| r.expect("every job ran once")).collect()
+    // A job is skipped only after an earlier one failed, so the collect
+    // stops at that error before reaching a skipped slot.
+    out.into_iter().map(|r| r.expect("only jobs after a failure are skipped")).collect()
 }
 
 /// Programs by trace length at Small scale, longest first: the four
 /// large kernels, then the rest. Jobs start in this order
 /// ([`run_jobs_ranked`]), since the pool claims jobs in order and a long
 /// job started last would run alone; no trace length is known before a
-/// job has recorded it.
+/// job has run its kernel.
 const LONGEST_FIRST: [ProgramId; 9] = [
     ProgramId::Clustalw,
     ProgramId::Hmmpfam,
@@ -197,9 +227,10 @@ pub(crate) fn job_rank(program: ProgramId, variant: Variant) -> (usize, bool) {
     (at, variant == Variant::LoadTransformed)
 }
 
-/// High-water mark of traces alive at once during one pool run. A job
-/// holds a [`LiveTrace`] from before it records its trace until after it
-/// drops it, so the peak is at most the worker count.
+/// High-water mark of traces in flight at once during one pool run,
+/// whether fed live, recorded or spilled. A job holds a [`LiveTrace`]
+/// from before its kernel starts until after its trace (or block buffer)
+/// is dropped, so the peak is at most the worker count.
 #[derive(Debug, Default)]
 pub(crate) struct LiveTraces {
     live: AtomicUsize,
@@ -240,7 +271,7 @@ pub fn default_jobs() -> usize {
 /// Spill-to-disk configuration: record each (program, variant) trace as
 /// fixed-size segment files under a per-trace subdirectory of `dir` and
 /// stream its bank replay from disk, bounding peak memory by O(segment
-/// size) instead of O(trace size).
+/// size). (The in-memory suite records nothing: its banks are fed live.)
 #[derive(Debug, Clone)]
 pub struct SpillConfig {
     /// Root directory for segment files (one `<program>-<variant>/`
@@ -281,21 +312,21 @@ pub struct SuiteConfig {
     /// collected; this switch only controls the per-access event sinks,
     /// which are the part with a (small) hot-loop cost.
     pub metrics: bool,
-    /// Recorder capacity (in ops) for every captured trace; `0` means
+    /// Capacity (in ops) of every trace, fed or spilled; `0` means
     /// [`DEFAULT_CAPACITY`]. Small caps force the
     /// [`SuiteError::TraceOverflow`] path deterministically. In spill
     /// mode the cap bounds the *total* ops of a trace across all its
-    /// segments, exactly as it bounds the one in-memory recording
-    /// otherwise.
+    /// segments, exactly as it bounds the ops a live feed passes to its
+    /// bank otherwise.
     pub trace_cap: usize,
-    /// Spill captured traces to disk segments and stream each bank
-    /// replay from them ([`None`] keeps recordings in memory). The replay
+    /// Spill each trace to disk segments and stream its bank replay from
+    /// them ([`None`] feeds each bank live, recording nothing). The
     /// output is byte-identical either way.
     pub spill: Option<SpillConfig>,
 }
 
 impl SuiteConfig {
-    /// The effective recorder capacity ([`DEFAULT_CAPACITY`] when
+    /// The effective trace capacity ([`DEFAULT_CAPACITY`] when
     /// [`Self::trace_cap`] is `0`).
     pub fn capacity(&self) -> usize {
         if self.trace_cap == 0 {
@@ -309,17 +340,17 @@ impl SuiteConfig {
 /// Wall-clock replay throughput, aggregated over the suite's pool.
 /// Non-deterministic by nature: reported in the JSON `run` section
 /// (`run/ops_per_sec/total`), never in the deterministic section. There
-/// is no per-platform rate: one bank decode drives every platform, so
-/// the pool never times a platform on its own.
+/// is no per-platform rate: one bank drives every platform, so the pool
+/// never times a platform on its own.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayThroughput {
-    /// Ops decoded and simulated across all platform passes (each
-    /// platform consumes its recording's ops once, even though one bank
-    /// decode feeds every platform in the bank).
+    /// Ops simulated across all platform passes (each platform consumes
+    /// its trace's ops once, even though one bank block feeds every
+    /// platform in the bank).
     pub replayed_ops: u64,
     /// Elapsed wall-clock of the whole job pool, pool start to pool
-    /// join. Each job records its trace as well as replaying it, so this
-    /// covers recording and characterization too: the gauge is the
+    /// join. Each job runs its kernel as well as its bank, so this
+    /// covers tracing and characterization too: the gauge is the
     /// suite's end-to-end replay rate, not the bank loop's. It divides by
     /// *this*, not by summed per-job seconds, which overlap on the pool
     /// and would under-report aggregate throughput whenever jobs run in
@@ -356,13 +387,13 @@ pub struct SuiteResult {
     /// Worker threads actually used.
     pub workers: usize,
     /// Work items the pool ran: one characterization per program plus
-    /// one bank replay per recorded (program, variant) trace, so
-    /// `jobs − reports.len()` is the number of traces replayed. A
-    /// transformable program's original variant does both in one pool
-    /// job.
+    /// one platform bank per (program, variant) trace, so
+    /// `jobs − reports.len()` is the number of traces the banks
+    /// consumed. A transformable program's original variant does both
+    /// in one pool job.
     pub jobs: usize,
-    /// Most traces alive at once: at most [`Self::workers`], and exactly
-    /// 1 on one worker.
+    /// Most traces in flight at once: at most [`Self::workers`], and
+    /// exactly 1 on one worker.
     pub live_traces_peak: usize,
     /// One characterization report per program, in `ProgramId::ALL` order.
     pub reports: Vec<(ProgramId, CharacterizationReport)>,
@@ -437,46 +468,23 @@ fn jobs_per_worker(jobs: usize, workers: usize) -> f64 {
     (ratio * 100.0).round() / 100.0
 }
 
-/// One captured trace, either resident in memory or spilled to disk
-/// segments. Replay banks treat both identically; only the streaming
-/// mechanics (and peak memory) differ. A trace belongs to the job that
-/// recorded it and is dropped by that job.
-enum TraceStore {
-    Memory(Recording),
-    Segmented(SegmentedRecording),
-}
-
-impl TraceStore {
-    fn len(&self) -> usize {
-        match self {
-            TraceStore::Memory(r) => r.len(),
-            TraceStore::Segmented(s) => s.len(),
-        }
-    }
-
-    /// Single-decode fan-out over a bank of consumers (segmented stores
-    /// stream with the next segment prefetched in the background).
-    fn replay_bank<C: TraceConsumer>(&self, bank: &mut [C]) -> Result<(), SegmentError> {
-        match self {
-            TraceStore::Memory(r) => {
-                r.replay_bank(bank);
-                Ok(())
-            }
-            TraceStore::Segmented(s) => s.replay_bank(bank),
-        }
-    }
-}
-
-/// Output of one bank replay: every applicable platform's pass over
-/// one recording, produced by a single decode of the packed stream.
+/// Output of one platform bank: every applicable platform's pass over
+/// one (program, variant) trace.
 struct BankOutput {
     /// `(platform result, raw events)` aligned with the job's platform
     /// list (events are un-namespaced and empty unless requested).
     results: Vec<(SimResult, MetricSet)>,
-    /// Ops in the recording (what *each* platform consumed).
+    /// Ops in the trace (what *each* platform consumed).
     ops: u64,
-    /// Wall-clock of the whole bank pass (shared decode included).
-    elapsed: Duration,
+}
+
+impl BankOutput {
+    /// Every member's result and events, from a bank that has consumed
+    /// an `ops`-op trace.
+    fn drain(mut bank: PlatformBank, ops: usize) -> Self {
+        let results = (0..bank.len()).map(|i| (bank.result(i), bank.take_metrics(i))).collect();
+        BankOutput { results, ops: ops as u64 }
+    }
 }
 
 /// The platform models applicable to `program`, in
@@ -486,6 +494,17 @@ fn applicable_platforms(program: ProgramId) -> Vec<PlatformConfig> {
         .into_iter()
         .filter(|p| EvalMatrix::cell_applicable(program, p.name))
         .collect()
+}
+
+/// One bank of every platform model `program` is evaluated on,
+/// collecting raw events if `events` is set.
+fn platform_bank(program: ProgramId, events: bool) -> PlatformBank {
+    let bank = PlatformBank::new(&applicable_platforms(program));
+    if events {
+        bank.with_metrics()
+    } else {
+        bank
+    }
 }
 
 /// Executes one variant once and captures its trace.
@@ -503,27 +522,6 @@ pub(crate) fn record_variant(
         return Err(SuiteError::TraceOverflow { program, variant, captured: rec.len() });
     }
     Ok(rec.into_recording(static_program))
-}
-
-/// Executes one variant once, spilling its trace to disk segments.
-fn record_variant_spilled(
-    program: ProgramId,
-    variant: Variant,
-    scale: Scale,
-    seed: u64,
-    capacity: usize,
-    spill: &SpillConfig,
-) -> Result<SegmentedRecording, SuiteError> {
-    let seg_err = |error| SuiteError::Segment { program, variant, error };
-    let recorder = SpillRecorder::to_dir(spill.trace_dir(program, variant), spill.segment_ops(), capacity)
-        .map_err(seg_err)?;
-    let mut tape = Tape::new(recorder);
-    registry::run(&mut tape, program, variant, scale, seed);
-    let (static_program, rec) = tape.finish();
-    if rec.overflowed() {
-        return Err(SuiteError::TraceOverflow { program, variant, captured: rec.len() });
-    }
-    rec.into_segmented(static_program).map_err(seg_err)
 }
 
 /// One (program, variant) execution: one pool job of [`run_suite`] or
@@ -549,133 +547,136 @@ fn enumerate_jobs(programs: &[ProgramId]) -> Vec<TraceJob> {
     jobs
 }
 
+/// Executes one variant once into `characterizer` (if any) and, through
+/// a [`BlockFeed`], a bank of every platform model its program is
+/// evaluated on: the in-memory suite's and [`evaluate_all`]'s job. The
+/// bank consumes each block as the kernel fills it, so no trace is
+/// recorded, encoded or decoded, and at most `capacity` ops are fed.
+fn feed_variant(
+    job: TraceJob,
+    scale: Scale,
+    seed: u64,
+    capacity: usize,
+    characterizer: Option<Characterizer>,
+    events: bool,
+) -> Result<(Program, Option<Characterizer>, BankOutput), SuiteError> {
+    let TraceJob { program, variant } = job;
+    let feed = BlockFeed::new(platform_bank(program, events), capacity);
+    let mut tape = Tape::new((characterizer, feed));
+    registry::run(&mut tape, program, variant, scale, seed);
+    let (static_program, (characterizer, feed)) = tape.finish();
+    if feed.overflowed() {
+        return Err(SuiteError::TraceOverflow { program, variant, captured: feed.len() });
+    }
+    let ops = feed.len();
+    Ok((static_program, characterizer, BankOutput::drain(feed.into_inner(), ops)))
+}
+
+/// Executes one variant once into `characterizer` (if any) and a spill
+/// recorder writing the trace's segments under the config's directory.
+fn record_spilled(
+    job: TraceJob,
+    cfg: &SuiteConfig,
+    spill: &SpillConfig,
+    characterizer: Option<Characterizer>,
+) -> Result<(Program, Option<Characterizer>, SegmentedRecording), SuiteError> {
+    let TraceJob { program, variant } = job;
+    let seg_err = |error| SuiteError::Segment { program, variant, error };
+    let recorder =
+        SpillRecorder::to_dir(spill.trace_dir(program, variant), spill.segment_ops(), cfg.capacity())
+            .map_err(seg_err)?;
+    let mut tape = Tape::new((characterizer, recorder));
+    registry::run(&mut tape, program, variant, cfg.scale, cfg.seed);
+    let (static_program, (characterizer, rec)) = tape.finish();
+    if rec.overflowed() {
+        return Err(SuiteError::TraceOverflow { program, variant, captured: rec.len() });
+    }
+    let segmented = rec.into_segmented(static_program.clone()).map_err(seg_err)?;
+    Ok((static_program, characterizer, segmented))
+}
+
+/// Streams a spilled trace back from disk (next segment prefetched in
+/// the background) through one bank of every platform model its program
+/// is evaluated on. A failed read is a [`SuiteError::Segment`] naming
+/// the trace and segment.
+fn replay_spilled(
+    job: TraceJob,
+    segmented: &SegmentedRecording,
+    events: bool,
+) -> Result<BankOutput, SuiteError> {
+    let TraceJob { program, variant } = job;
+    let mut bank = platform_bank(program, events);
+    segmented
+        .replay_bank(std::slice::from_mut(&mut bank))
+        .map_err(|error| SuiteError::Segment { program, variant, error })?;
+    Ok(BankOutput::drain(bank, segmented.len()))
+}
+
 /// What one suite job produces.
-#[derive(Default)]
 struct JobOutput {
     /// The characterization report and its raw cache events, namespaced
     /// `events/<name>/cache/…` (original variants only; the events are
     /// empty unless requested).
     report: Option<(CharacterizationReport, MetricSet)>,
-    /// The bank replay of the job's trace (transformable programs only).
+    /// The platform bank's output (transformable programs only).
     bank: Option<BankOutput>,
     /// This job's wall-clock phase spans.
     timings: Timings,
 }
 
-/// What the record half of a suite job hands its replay half.
-struct Recorded {
-    /// The job's output so far (no bank yet).
-    out: JobOutput,
-    /// The captured trace (transformable programs only).
-    trace: Option<TraceStore>,
-}
-
-/// The record half of one suite job: runs the variant's kernel once,
-/// characterizing an original variant and capturing the trace of a
-/// transformable program's variant, in memory or spilled per the
-/// config. Each phase runs under a wall-clock span (`<program>/trace`,
-/// `/characterize`); with [`SuiteConfig::metrics`] set the
-/// characterizer also collects raw cache events.
-fn record_job(job: TraceJob, cfg: &SuiteConfig) -> Result<Recorded, SuiteError> {
-    let TraceJob { program, variant } = job;
-    let (scale, seed, capacity) = (cfg.scale, cfg.seed, cfg.capacity());
-    let name = program.name();
-    let trace_span = format!("{name}/trace");
-    let mut timings = Timings::new();
-    if variant == Variant::LoadTransformed {
-        let trace = timings.time(&trace_span, || match &cfg.spill {
-            None => record_variant(program, variant, scale, seed, capacity).map(TraceStore::Memory),
-            Some(spill) => record_variant_spilled(program, variant, scale, seed, capacity, spill)
-                .map(TraceStore::Segmented),
-        })?;
-        let out = JobOutput { timings, ..JobOutput::default() };
-        return Ok(Recorded { out, trace: Some(trace) });
-    }
-
-    let characterizer =
-        if cfg.metrics { Characterizer::with_metrics() } else { Characterizer::new() };
-    let overflow = |captured| SuiteError::TraceOverflow { program, variant, captured };
-    let seg_err = |error| SuiteError::Segment { program, variant, error };
-    // A single original-variant execution: for a transformable program
-    // the tuple consumer fans the op stream out to the characterizer and
-    // the replay recorder at once.
-    let (static_program, characterizer, trace) = if !program.is_transformable() {
-        let mut tape = Tape::new(characterizer);
-        timings.time(&trace_span, || registry::run(&mut tape, program, variant, scale, seed));
-        let (static_program, characterizer) = tape.finish();
-        (static_program, characterizer, None)
-    } else if let Some(spill) = &cfg.spill {
-        let recorder =
-            SpillRecorder::to_dir(spill.trace_dir(program, variant), spill.segment_ops(), capacity)
-                .map_err(seg_err)?;
-        let mut tape = Tape::new((characterizer, recorder));
-        timings.time(&trace_span, || registry::run(&mut tape, program, variant, scale, seed));
-        let (static_program, (characterizer, rec)) = tape.finish();
-        if rec.overflowed() {
-            return Err(overflow(rec.len()));
-        }
-        let segmented = rec.into_segmented(static_program.clone()).map_err(seg_err)?;
-        (static_program, characterizer, Some(TraceStore::Segmented(segmented)))
-    } else {
-        let mut tape = Tape::new((characterizer, Recorder::with_capacity(capacity)));
-        timings.time(&trace_span, || registry::run(&mut tape, program, variant, scale, seed));
-        let (static_program, (characterizer, rec)) = tape.finish();
-        if rec.overflowed() {
-            return Err(overflow(rec.len()));
-        }
-        let recording = rec.into_recording(static_program.clone());
-        (static_program, characterizer, Some(TraceStore::Memory(recording)))
-    };
-    let report = timings
-        .time(&format!("{name}/characterize"), || characterizer.into_report(static_program, 10));
-    let mut events = MetricSet::new();
-    events.merge_prefixed(&format!("events/{name}/cache/"), &report.events);
-    let out = JobOutput { report: Some((report, events)), bank: None, timings };
-    Ok(Recorded { out, trace })
-}
-
-/// The replay half of one suite job: decodes the recorded trace once
-/// for a bank of every platform model the program is evaluated on
-/// (under a `<program>/replay` span), then drops it. A failed streamed
-/// replay is a [`SuiteError::Segment`] naming the trace and segment.
-fn replay_job(job: TraceJob, recorded: Recorded, events: bool) -> Result<JobOutput, SuiteError> {
-    let Recorded { mut out, trace } = recorded;
-    if let Some(trace) = trace {
-        let TraceJob { program, variant } = job;
-        let bank = replay_bank_job(&trace, &applicable_platforms(program), events)
-            .map_err(|error| SuiteError::Segment { program, variant, error })?;
-        out.timings.record(&format!("{}/replay", program.name()), bank.elapsed);
-        out.bank = Some(bank);
-    }
-    Ok(out)
-}
-
-/// One whole suite job: record, evaluate, drop. The trace counts in
-/// `live` from before its recording starts until after it is dropped.
+/// One suite job: executes one (program, variant) kernel once, under a
+/// `<program>/trace` span. An original variant feeds a characterizer
+/// (report built under `<program>/characterize`, with raw cache events
+/// if [`SuiteConfig::metrics`] is set). A transformable program's
+/// variant also drives a bank of its platform models: live through
+/// [`feed_variant`], or from the segments a spilling run wrote, streamed
+/// back under `<program>/replay`. The trace counts in `live` meanwhile.
 fn run_suite_job(
     job: TraceJob,
     cfg: &SuiteConfig,
     live: &LiveTraces,
 ) -> Result<JobOutput, SuiteError> {
-    let _live = job.program.is_transformable().then(|| live.enter());
-    replay_job(job, record_job(job, cfg)?, cfg.metrics)
-}
-
-/// Replays one trace store through a bank of platform models with a
-/// single decode pass, timing the whole pass. Segmented stores stream
-/// from disk and can fail with a typed segment error.
-fn replay_bank_job(
-    store: &TraceStore,
-    platforms: &[PlatformConfig],
-    events: bool,
-) -> Result<BankOutput, SegmentError> {
-    let bank = PlatformBank::new(platforms);
-    let mut bank = if events { bank.with_metrics() } else { bank };
-    let start = Instant::now();
-    store.replay_bank(std::slice::from_mut(&mut bank))?;
-    let elapsed = start.elapsed();
-    let results = (0..bank.len()).map(|i| (bank.result(i), bank.take_metrics(i))).collect();
-    Ok(BankOutput { results, ops: store.len() as u64, elapsed })
+    let TraceJob { program, variant } = job;
+    let name = program.name();
+    let trace_span = format!("{name}/trace");
+    let mut timings = Timings::new();
+    let characterizer = (variant == Variant::Original)
+        .then(|| if cfg.metrics { Characterizer::with_metrics() } else { Characterizer::new() });
+    // Built before a spilled trace's replay, so the two never overlap.
+    let report = |static_program, characterizer: Option<Characterizer>, timings: &mut Timings| {
+        characterizer.map(|characterizer| {
+            let report = timings
+                .time(&format!("{name}/characterize"), || characterizer.into_report(static_program, 10));
+            let mut events = MetricSet::new();
+            events.merge_prefixed(&format!("events/{name}/cache/"), &report.events);
+            (report, events)
+        })
+    };
+    let (report, bank) = if !program.is_transformable() {
+        let mut tape = Tape::new(characterizer);
+        timings.time(&trace_span, || registry::run(&mut tape, program, variant, cfg.scale, cfg.seed));
+        let (static_program, characterizer) = tape.finish();
+        (report(static_program, characterizer, &mut timings), None)
+    } else {
+        let _live = live.enter();
+        match &cfg.spill {
+            None => {
+                let (static_program, characterizer, bank) = timings.time(&trace_span, || {
+                    feed_variant(job, cfg.scale, cfg.seed, cfg.capacity(), characterizer, cfg.metrics)
+                })?;
+                (report(static_program, characterizer, &mut timings), Some(bank))
+            }
+            Some(spill) => {
+                let (static_program, characterizer, segmented) =
+                    timings.time(&trace_span, || record_spilled(job, cfg, spill, characterizer))?;
+                let report = report(static_program, characterizer, &mut timings);
+                let bank = timings
+                    .time(&format!("{name}/replay"), || replay_spilled(job, &segmented, cfg.metrics))?;
+                (report, Some(bank))
+            }
+        }
+    };
+    Ok(JobOutput { report, bank, timings })
 }
 
 /// One program's Table 8 cells, platform-major in
@@ -698,11 +699,13 @@ fn eval_cells(
 }
 
 /// Runs the nine-program characterization suite and the six-program ×
-/// four-platform runtime evaluation on one job pool. Each job records
-/// one (program, variant) trace — characterizing original variants on
-/// the way — decodes it once for every platform model, and drops it
-/// before its worker claims the next job, so at most one trace per
-/// worker is alive at once.
+/// four-platform runtime evaluation on one job pool. Each job executes
+/// one (program, variant) kernel once: original variants feed the
+/// characterizer, and a transformable program's variants feed a bank of
+/// every platform model as the kernel runs (or, spilling, record
+/// segments and stream them back), so at most one trace per worker is
+/// in flight. The first failed job in enumeration order stops the pool
+/// and is the error returned.
 pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
     let threads = if cfg.jobs == 0 { default_jobs() } else { cfg.jobs };
     let enumeration = enumerate_jobs(&ProgramId::ALL);
@@ -715,7 +718,7 @@ pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
         })
         .collect();
     let pool = Instant::now();
-    let outputs = run_jobs_ranked(work, threads);
+    let outputs = run_jobs_ranked(work, threads)?;
     let seconds = pool.elapsed().as_secs_f64();
 
     // Merge in the fixed enumeration order, so the merged metric set is
@@ -726,7 +729,6 @@ pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
     let mut timings = Timings::new();
     let mut banks = Vec::new();
     for (job, output) in enumeration.iter().zip(outputs) {
-        let output = output?;
         timings.merge(&output.timings);
         if let Some((report, events)) = output.report {
             metrics.merge(&events);
@@ -796,27 +798,25 @@ pub fn characterize_all(
 }
 
 /// Runs the Table 8 evaluation in parallel with [`run_suite`]'s job
-/// shape: one pool job per (program, variant) records the variant,
-/// decodes it once for a bank of every platform model, and drops it.
-/// Cell order matches [`EvalMatrix::run`].
+/// shape, characterization left out: one pool job per (program,
+/// variant) executes the variant once, feeding a bank of every platform
+/// model as the kernel runs. Cell order matches [`EvalMatrix::run`].
 pub fn evaluate_all(scale: Scale, seed: u64, jobs: usize) -> Result<EvalMatrix, SuiteError> {
     let threads = if jobs == 0 { default_jobs() } else { jobs };
     let work: Vec<_> = enumerate_jobs(&ProgramId::TRANSFORMED)
         .into_iter()
-        .map(|TraceJob { program, variant }| {
-            let job = move || -> Result<BankOutput, SuiteError> {
-                let trace = record_variant(program, variant, scale, seed, DEFAULT_CAPACITY)?;
-                replay_bank_job(&TraceStore::Memory(trace), &applicable_platforms(program), false)
-                    .map_err(|error| SuiteError::Segment { program, variant, error })
+        .map(|job| {
+            let run = move || {
+                feed_variant(job, scale, seed, DEFAULT_CAPACITY, None, false).map(|(.., bank)| bank)
             };
-            (job_rank(program, variant), job)
+            (job_rank(job.program, job.variant), run)
         })
         .collect();
-    let mut banks = run_jobs_ranked(work, threads).into_iter();
+    let mut banks = run_jobs_ranked(work, threads)?.into_iter();
     let mut cells = Vec::new();
     for program in ProgramId::TRANSFORMED {
-        let original = banks.next().expect("two banks per program")?;
-        let transformed = banks.next().expect("two banks per program")?;
+        let original = banks.next().expect("two banks per program");
+        let transformed = banks.next().expect("two banks per program");
         cells.extend(eval_cells(program, &original, &transformed));
     }
     Ok(EvalMatrix { cells })
@@ -1136,70 +1136,94 @@ mod tests {
     fn single_trace_job_matches_direct_characterization() {
         // The tuple fan-out execution inside an original-variant job
         // must produce the same characterization as a dedicated
-        // characterization run, and capture the trace for its replay;
-        // the transformed job only records.
+        // characterization run, and feed its bank; the transformed job
+        // only feeds its bank.
         let direct =
             crate::characterize::characterize_program(ProgramId::Hmmsearch, Scale::Test, 7);
-        let cfg = test_config(7, 1, None);
+        let (cfg, live) = (test_config(7, 1, None), LiveTraces::default());
         let original = TraceJob { program: ProgramId::Hmmsearch, variant: Variant::Original };
-        let job = record_job(original, &cfg).expect("record");
-        let (report, _) = job.out.report.expect("original jobs characterize");
+        let job = run_suite_job(original, &cfg, &live).expect("job");
+        let (report, _) = job.report.expect("original jobs characterize");
         assert_eq!(direct.mix, report.mix);
         assert_eq!(direct.cache, report.cache);
         assert_eq!(direct.sequences.loads_to_branch, report.sequences.loads_to_branch);
-        assert!(job.trace.expect("hmmsearch is transformable").len() > 0);
+        assert_eq!(job.bank.expect("hmmsearch is transformable").ops, direct.mix.total());
         let transformed = TraceJob { variant: Variant::LoadTransformed, ..original };
-        let job = record_job(transformed, &cfg).expect("record");
-        assert!(job.out.report.is_none());
-        assert!(job.trace.expect("transformed jobs record").len() > 0);
-        // An untransformed program's job characterizes and records nothing.
+        let job = run_suite_job(transformed, &cfg, &live).expect("job");
+        assert!(job.report.is_none());
+        assert!(job.bank.expect("transformed jobs feed a bank").ops > 0);
+        // An untransformed program's job characterizes and feeds nothing.
         let blast = TraceJob { program: ProgramId::Blast, variant: Variant::Original };
-        let job = record_job(blast, &cfg).expect("record");
-        assert!(job.out.report.is_some());
-        assert!(job.trace.is_none());
+        let job = run_suite_job(blast, &cfg, &live).expect("job");
+        assert!(job.report.is_some());
+        assert!(job.bank.is_none());
+        assert_eq!(live.peak(), 1, "one job at a time, and blast's job holds no trace");
+        assert_eq!(job.timings.to_json().keys(), vec!["blast/characterize", "blast/trace"]);
     }
 
     #[test]
-    fn replayed_platform_sims_match_direct_execution() {
-        // Record-once + bank replay must equal running the kernel
-        // directly into each platform model.
-        let direct = crate::evaluate::evaluate_program(
-            ProgramId::Predator,
-            PlatformConfig::alpha21264(),
-            Scale::Test,
-            5,
-        );
-        let recording =
-            record_variant(ProgramId::Predator, Variant::Original, Scale::Test, 5, DEFAULT_CAPACITY)
-                .expect("record");
-        let store = TraceStore::Memory(recording);
+    fn fed_platform_sims_match_direct_execution() {
+        // A fed bank must equal running the kernel directly into each
+        // platform model, one CycleSim at a time.
         let platforms = applicable_platforms(ProgramId::Predator);
-        let bank = replay_bank_job(&store, &platforms, false).expect("bank");
+        let job = TraceJob { program: ProgramId::Predator, variant: Variant::Original };
+        let (_, _, bank) =
+            feed_variant(job, Scale::Test, 5, DEFAULT_CAPACITY, None, false).expect("feed");
         assert_eq!(bank.results.len(), platforms.len());
-        let alpha = platforms
-            .iter()
-            .position(|p| p.name == PlatformConfig::alpha21264().name)
-            .expect("alpha is applicable");
-        assert_eq!(bank.results[alpha].0.cycles, direct.original.cycles);
-        assert_eq!(bank.results[alpha].0.instructions, direct.original.instructions);
-        assert_eq!(bank.ops, store.len() as u64);
+        for (platform, (fed, _)) in platforms.into_iter().zip(&bank.results) {
+            let direct = crate::evaluate::evaluate_program(job.program, platform, Scale::Test, 5);
+            assert_eq!(*fed, direct.original, "{}", platform.name);
+            assert_eq!(bank.ops, fed.instructions);
+        }
+    }
+
+    #[test]
+    fn fed_banks_equal_recorded_replays_for_every_trace() {
+        // The independent reference for the live feed: record each of
+        // the twelve (program, variant) traces and replay it through a
+        // fresh bank. Every result and every raw event series must
+        // match, and an original variant's characterizer fused into the
+        // fed tape must leave them unchanged.
+        let seed = 9;
+        let mut ragged = 0;
+        for job in enumerate_jobs(&ProgramId::TRANSFORMED) {
+            let TraceJob { program, variant } = job;
+            let characterizer = (variant == Variant::Original).then(Characterizer::with_metrics);
+            let (_, characterizer, fed) =
+                feed_variant(job, Scale::Test, seed, DEFAULT_CAPACITY, characterizer, true)
+                    .expect("feed");
+            assert_eq!(characterizer.is_some(), variant == Variant::Original);
+            let recording =
+                record_variant(program, variant, Scale::Test, seed, DEFAULT_CAPACITY).expect("record");
+            let mut bank = platform_bank(program, true);
+            recording.replay_bank(std::slice::from_mut(&mut bank));
+            let replayed = BankOutput::drain(bank, recording.len());
+            assert_eq!(fed.ops, replayed.ops, "{program} ({})", variant.label());
+            assert_eq!(fed.results, replayed.results, "{program} ({})", variant.label());
+            assert!(fed.results.iter().all(|(_, events)| !events.is_empty()), "events were collected");
+            ragged += usize::from(!recording.len().is_multiple_of(bioperf_trace::BLOCK_OPS));
+        }
+        assert!(ragged > 0, "some trace must end in a partial block");
     }
 
     #[test]
     fn ranked_jobs_return_in_input_order() {
         // Ranks reorder the pool, never the results.
-        let jobs: Vec<_> = (0..16).map(|i| (15 - i, move || i * 10)).collect();
-        assert_eq!(run_jobs_ranked(jobs, 3), (0..16).map(|i| i * 10).collect::<Vec<_>>());
+        let jobs: Vec<_> = (0..16).map(|i| (15 - i, move || Ok::<_, ()>(i * 10))).collect();
+        assert_eq!(run_jobs_ranked(jobs, 3), Ok((0..16).map(|i| i * 10).collect::<Vec<_>>()));
         let order = std::sync::Mutex::new(Vec::new());
         let jobs: Vec<_> = [2, 0, 1, 0]
             .into_iter()
             .enumerate()
             .map(|(i, rank)| {
                 let order = &order;
-                (rank, move || order.lock().unwrap().push(i))
+                (rank, move || {
+                    order.lock().unwrap().push(i);
+                    Ok::<_, ()>(())
+                })
             })
             .collect();
-        run_jobs_ranked(jobs, 1);
+        run_jobs_ranked(jobs, 1).expect("no job fails");
         assert_eq!(*order.lock().unwrap(), vec![1, 3, 2, 0], "rank order, ties in input order");
         // Every program is ranked, and a program's variants are adjacent.
         for program in ProgramId::ALL {
@@ -1207,6 +1231,54 @@ mod tests {
             assert!(transformed);
             assert_eq!(job_rank(program, Variant::Original), (at, false));
         }
+    }
+
+    #[test]
+    fn the_first_failure_stops_the_pool() {
+        // Ten jobs in rank order = input order; job 3 fails. On one
+        // worker nothing after it runs.
+        let ran = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..10)
+            .map(|i| {
+                let ran = &ran;
+                (i, move || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if i == 3 {
+                        Err(i)
+                    } else {
+                        Ok(i)
+                    }
+                })
+            })
+            .collect();
+        assert_eq!(run_jobs_ranked(jobs, 1), Err(3));
+        assert_eq!(ran.load(Ordering::Relaxed), 4, "jobs 0..=3 ran, 4..10 were skipped");
+        // Claimed in reverse, jobs 5 and 2 fail: 9..=5 run until 5
+        // fails, 4 and 3 still run, 2 fails, and 1 and 0 still run. The
+        // error is the first in input order, on any worker count.
+        for threads in [1, 2, 4] {
+            let jobs: Vec<_> = (0..10)
+                .map(|i| (10 - i, move || if i == 2 || i == 5 { Err(i) } else { Ok(i) }))
+                .collect();
+            assert_eq!(run_jobs_ranked(jobs, threads), Err(2), "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn trace_cap_overflow_reports_the_same_first_failure_on_any_worker_count() {
+        // At Small scale a 4M-op cap overflows clustalw (both variants)
+        // and hmmpfam's original: the report names clustalw's original,
+        // the first of them in enumeration order, at every worker count.
+        let messages: Vec<String> = [1, 2, 4]
+            .into_iter()
+            .map(|jobs| {
+                let cfg = SuiteConfig { scale: Scale::Small, trace_cap: 4_000_000, ..test_config(42, jobs, None) };
+                run_suite(cfg).expect_err("a 4M-op cap overflows at Small scale").to_string()
+            })
+            .collect();
+        assert!(messages[0].starts_with("clustalw (original)"), "{}", messages[0]);
+        assert!(messages[0].contains("after 4000000 ops"), "{}", messages[0]);
+        assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
     }
 
     #[test]
@@ -1399,6 +1471,9 @@ mod tests {
         );
         assert_eq!(memory.jobs, spilled.jobs);
         assert_eq!(memory.replay.replayed_ops, spilled.replay.replayed_ops);
+        // Only a spilled trace is replayed, under its own span.
+        assert!(memory.timings.to_json().get("hmmsearch/replay").is_none());
+        assert!(spilled.timings.to_json().get("hmmsearch/replay").is_some());
         // The traces really were spilled: every transformable program
         // left segment files behind.
         let traces = std::fs::read_dir(&dir).expect("spill dir").count();
@@ -1434,16 +1509,14 @@ mod tests {
         let dir = scratch("spill-missing");
         let spill = SpillConfig { dir: dir.clone(), segment_ops: 1 << 10 };
         let job = TraceJob { program: ProgramId::Predator, variant: Variant::Original };
-        let recorded = record_job(job, &test_config(5, 1, Some(spill))).expect("record");
-        let Some(TraceStore::Segmented(segmented)) = &recorded.trace else {
-            panic!("spill mode must produce segmented stores");
-        };
+        let cfg = test_config(5, 1, Some(spill.clone()));
+        let (_, _, segmented) = record_spilled(job, &cfg, &spill, None).expect("record");
         let paths = segmented.segment_paths();
         assert!(paths.len() >= 2, "need a middle segment to delete");
         let victim = paths[paths.len() / 2].to_path_buf();
         std::fs::remove_file(&victim).expect("delete middle segment");
 
-        let err = match replay_job(job, recorded, false) {
+        let err = match replay_spilled(job, &segmented, false) {
             Ok(_) => panic!("replay with a missing segment must fail"),
             Err(e) => e,
         };
@@ -1501,9 +1574,10 @@ mod tests {
     fn evaluate_all_matches_eval_matrix_run() {
         let a = EvalMatrix::run(Scale::Test, 2);
         let b = evaluate_all(Scale::Test, 2, 3).expect("evaluate");
-        // The suite's Table 8 comes from recordings captured with the
-        // characterizer fused into the original variant's tape: that
-        // fusion must leave every simulated result unchanged.
+        // The suite's Table 8 comes from banks fed with the characterizer
+        // fused into the original variant's tape: that fusion must leave
+        // every simulated result unchanged. (All three are fed live; the
+        // recorded reference is `fed_banks_equal_recorded_replays_for_every_trace`.)
         let suite = run_suite(SuiteConfig {
             scale: Scale::Test,
             seed: 2,

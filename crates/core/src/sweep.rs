@@ -1359,7 +1359,8 @@ impl SweepJob {
 /// recording before its worker claims the next job, holding a
 /// [`LiveTraces`] guard meanwhile. Returns each program's `[original,
 /// transformed]` per-cell results (empty for a program with no cells),
-/// or the first recording failure in (program, variant) order.
+/// or the first recording failure in (program, variant) order, which
+/// stops the pool.
 fn run_variant_jobs(
     cfg: &SweepConfig,
     programs: &[ProgramId],
@@ -1390,8 +1391,8 @@ fn run_variant_jobs(
         .collect();
     let mut results: Vec<[CellResults; 2]> =
         (0..jobs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
-    for (&(p, variant), out) in descr.iter().zip(run_jobs_ranked(pool, threads)) {
-        results[p][usize::from(variant == Variant::LoadTransformed)] = out?;
+    for (&(p, variant), out) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
+        results[p][usize::from(variant == Variant::LoadTransformed)] = out;
     }
     Ok(results)
 }

@@ -59,6 +59,10 @@ pub const REGFILE_TOUCH_STALE: u8 = 12;
 /// annotation stream alone, so `TimingBank` lanes with different latency
 /// tables read the first such lane's latencies. Site: `bioperf-pipe`.
 pub const FILL_OVERSHARE: u8 = 13;
+/// Skip the live block feed's final partial-block flush, so the last
+/// `len % BLOCK_OPS` ops of a streamed trace never reach its consumer.
+/// Site: [`BlockFeed`](crate::BlockFeed)'s `finish`.
+pub const FEED_TAIL: u8 = 14;
 
 static ARMED: AtomicU8 = AtomicU8::new(NONE);
 

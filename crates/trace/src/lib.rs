@@ -64,7 +64,7 @@ pub use packed::{
     BlockDecoder, OpBlock, PackedStream, BLOCK_OPS, REG_EVENT_DST, REG_EVENT_DST_LOAD,
     REG_EVENT_IDX_SHIFT, REG_EVENT_POS,
 };
-pub use replay::{Recorder, Recording};
+pub use replay::{BlockFeed, Recorder, Recording};
 pub use segment::{
     segment_recording, SegmentError, SegmentedRecording, SpillRecorder, DEFAULT_SEGMENT_OPS,
 };

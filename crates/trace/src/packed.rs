@@ -563,15 +563,28 @@ impl OpBlock {
     /// runs their block engine on one-op blocks. The filter columns are
     /// derived exactly as the decoder derives them.
     pub fn fill_one(&mut self, op: &MicroOp) {
+        self.reset();
+        self.push(op);
+    }
+
+    /// Appends `op` after the block's last op, deriving its filter
+    /// columns exactly as the decoder does: how a live feed
+    /// ([`BlockFeed`](crate::BlockFeed)) builds a block op by op.
+    #[inline(always)]
+    pub fn push(&mut self, op: &MicroOp) {
+        self.ops.push(*op);
+        self.push_columns(self.ops.len() - 1);
+    }
+
+    /// Empties the block, keeping every column's capacity.
+    pub fn reset(&mut self) {
         self.clear();
         self.ops.clear();
-        self.ops.push(*op);
-        self.push_columns(0);
     }
 
     /// Appends op `i`'s entries to every filter column. The one place
     /// column derivation lives, shared by the decoder and
-    /// [`fill_one`](Self::fill_one).
+    /// [`push`](Self::push).
     #[inline(always)]
     fn push_columns(&mut self, i: usize) {
         let op = &self.ops[i];

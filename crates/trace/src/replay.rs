@@ -102,6 +102,101 @@ impl TraceConsumer for Recorder {
     }
 }
 
+/// A trace consumer that hands the live op stream to an inner consumer
+/// in [`BLOCK_OPS`]-op [`OpBlock`]s, with no recording and no decode:
+/// the block a [`Recording`] replay would decode is built op by op as the
+/// kernel runs ([`OpBlock::push`]), handed to the inner consumer's
+/// [`TraceConsumer::consume_block`] when full, and the last partial
+/// block is flushed in [`finish`](TraceConsumer::finish). For a trace
+/// that is read once this does the work of [`Recorder`] plus
+/// [`Recording::replay_bank`] without the packed encode and decode
+/// between them, and holds one block instead of the whole trace.
+///
+/// Capacity and overflow mirror [`Recorder`]: at most `capacity` ops
+/// reach the inner consumer, the rest are dropped and
+/// [`overflowed`](Self::overflowed) is set, so a capped run fails the
+/// same way whether its trace is recorded or fed.
+///
+/// A flushed block is passed with the static program *so far*, which
+/// interns every op in the block; consumers that need the final table
+/// must record instead.
+///
+/// # Example
+///
+/// ```
+/// use bioperf_isa::here;
+/// use bioperf_trace::{consumers::InstrMix, BlockFeed, Tape, Tracer};
+///
+/// let mut tape = Tape::new(BlockFeed::new(InstrMix::default(), 1 << 20));
+/// let x = 5u64;
+/// let v = tape.int_load(here!("k"), &x);
+/// tape.int_op(here!("k"), &[v]);
+/// let (_, feed) = tape.finish();
+/// assert!(!feed.overflowed());
+/// assert_eq!(feed.into_inner().total(), 2);
+/// ```
+#[derive(Debug, Clone)]
+pub struct BlockFeed<C> {
+    inner: C,
+    block: OpBlock,
+    fed: usize,
+    capacity: usize,
+    overflowed: bool,
+}
+
+impl<C: TraceConsumer> BlockFeed<C> {
+    /// A feed into `inner` that passes on at most `capacity` ops.
+    pub fn new(inner: C, capacity: usize) -> Self {
+        let block = OpBlock::with_capacity(BLOCK_OPS.min(capacity));
+        Self { inner, block, fed: 0, capacity, overflowed: false }
+    }
+
+    /// Whether the trace exceeded the capacity (the inner consumer then
+    /// saw only a prefix of the run).
+    pub fn overflowed(&self) -> bool {
+        self.overflowed
+    }
+
+    /// Ops passed on (or buffered to be) so far.
+    pub fn len(&self) -> usize {
+        self.fed
+    }
+
+    /// Whether no op was passed on.
+    pub fn is_empty(&self) -> bool {
+        self.fed == 0
+    }
+
+    /// The inner consumer.
+    pub fn into_inner(self) -> C {
+        self.inner
+    }
+}
+
+impl<C: TraceConsumer> TraceConsumer for BlockFeed<C> {
+    #[inline]
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        if self.fed == self.capacity {
+            self.overflowed = true;
+            return;
+        }
+        self.fed += 1;
+        self.block.push(op);
+        if self.block.len() == BLOCK_OPS {
+            self.inner.consume_block(&self.block, program);
+            self.block.reset();
+        }
+    }
+
+    fn finish(&mut self, program: &Program) {
+        if !self.block.is_empty() && !crate::inject::active(crate::inject::FEED_TAIL) {
+            self.inner.consume_block(&self.block, program);
+            self.block.reset();
+        }
+        self.inner.finish(program);
+    }
+}
+
 /// A captured trace: the packed dynamic op stream plus the static
 /// program.
 #[derive(Debug, Clone)]
@@ -162,9 +257,13 @@ impl Recording {
     /// feeds every decoded op to each consumer in the bank (then a final
     /// `finish` each, like [`replay`](Self::replay)).
     ///
-    /// This is the suite's platform-bank kernel: one packed decode drives
-    /// all platform simulators, instead of each consumer paying the
-    /// ~10 ns/op decode again. Ops are delivered in [`BLOCK_OPS`]-sized
+    /// This is the replay kernel of every trace that is read more than
+    /// once or from disk (the sweep's cache pass and timing lanes, the
+    /// spilled suite's platform bank): one packed decode drives every
+    /// consumer in the bank, instead of each consumer paying the decode
+    /// again. A trace read once by one bank needs no recording at all;
+    /// [`BlockFeed`] builds the same blocks live. Ops are delivered in
+    /// [`BLOCK_OPS`]-sized
     /// [`OpBlock`] batches — decoded once per block, then handed to each
     /// consumer's [`TraceConsumer::consume_block`] — so a consumer's
     /// state stays hot across the whole block instead of the bank's
@@ -289,6 +388,56 @@ mod tests {
             rec.replay(&mut solo);
             assert_eq!(*b, solo, "bank consumer must equal a sequential replay");
         }
+    }
+
+    /// Every block a consumer receives, by its `Debug` rendering (ops
+    /// and every filter column).
+    #[derive(Default)]
+    struct Blocks(Vec<String>);
+    impl TraceConsumer for Blocks {
+        fn consume(&mut self, _op: &MicroOp, _p: &Program) {
+            unreachable!("feeds and replays deliver blocks");
+        }
+        fn consume_block(&mut self, block: &OpBlock, _p: &Program) {
+            self.0.push(format!("{block:?}"));
+        }
+    }
+
+    /// A trace of two full blocks and a partial tail, recorded and fed
+    /// from one execution.
+    fn fed_and_recorded(capacity: usize) -> (BlockFeed<Blocks>, Recording) {
+        let xs: Vec<u64> = (0..64).collect();
+        let mut tape = Tape::new((BlockFeed::new(Blocks::default(), capacity), Recorder::new()));
+        let mut acc = tape.lit();
+        for i in 0..(2 * BLOCK_OPS + 17) / 3 + 1 {
+            let v = tape.int_load(here!("k"), &xs[i % 64]);
+            acc = tape.int_op(here!("k"), &[acc, v]);
+            tape.branch(here!("k"), &[acc], i % 3 == 0);
+        }
+        let (program, (feed, rec)) = tape.finish();
+        (feed, rec.into_recording(program))
+    }
+
+    #[test]
+    fn block_feed_builds_the_blocks_a_replay_decodes() {
+        let (feed, recording) = fed_and_recorded(DEFAULT_CAPACITY);
+        assert!(!feed.overflowed());
+        assert_eq!(feed.len(), recording.len());
+        assert_ne!(recording.len() % BLOCK_OPS, 0, "the trace ends in a partial block");
+        let mut replayed = Blocks::default();
+        recording.replay(&mut replayed);
+        let fed = feed.into_inner();
+        assert_eq!(fed.0.len(), 3, "two full blocks and the flushed tail");
+        assert_eq!(fed.0, replayed.0);
+    }
+
+    #[test]
+    fn block_feed_capacity_overflow_is_flagged_like_the_recorder() {
+        let (feed, _) = fed_and_recorded(BLOCK_OPS + 10);
+        assert!(feed.overflowed());
+        assert_eq!(feed.len(), BLOCK_OPS + 10);
+        let blocks = feed.into_inner().0;
+        assert_eq!(blocks.len(), 2, "one full block and the capped tail");
     }
 
     #[test]

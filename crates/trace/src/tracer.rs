@@ -63,6 +63,26 @@ impl<C: TraceConsumer + ?Sized> TraceConsumer for Box<C> {
     }
 }
 
+/// An optional consumer: `None` observes nothing, so one tape type can
+/// serve runs with and without an analysis.
+impl<C: TraceConsumer> TraceConsumer for Option<C> {
+    fn consume(&mut self, op: &MicroOp, program: &Program) {
+        if let Some(c) = self {
+            c.consume(op, program);
+        }
+    }
+    fn consume_block(&mut self, block: &OpBlock, program: &Program) {
+        if let Some(c) = self {
+            c.consume_block(block, program);
+        }
+    }
+    fn finish(&mut self, program: &Program) {
+        if let Some(c) = self {
+            c.finish(program);
+        }
+    }
+}
+
 macro_rules! impl_consumer_for_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: TraceConsumer),+> TraceConsumer for ($($name,)+) {

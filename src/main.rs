@@ -45,14 +45,17 @@ suite runs the whole study — nine characterizations plus the 6-program ×
 at most 256). Output is identical for every worker count. --metrics
 additionally writes every paper metric, raw simulator event, and phase
 timing as JSON; its \"deterministic\" section is byte-identical for every
---jobs value. Each job records one trace, replays it and drops it, so
-in-memory peak memory is O(workers x largest trace). --trace-cap bounds
-the replay recorder (0 = default capacity). --spill-dir records traces
-as fixed-size segment files under <dir> and streams each replay from
-disk (peak memory stays O(workers x segment size); output is
-byte-identical to in-memory runs). --segment-ops sets the ops per
-segment file (0 = default) and requires --spill-dir. --trace-cap still
-bounds each trace's *total* ops across all its segments.
+--jobs value. Each job runs one kernel once and its platform models
+consume the trace in blocks as it is produced, so nothing is recorded
+and in-memory peak memory is O(workers x block), not O(trace).
+--trace-cap bounds each trace's ops (0 = default capacity); an overflow
+reports the first overflowing trace in job order, at any --jobs.
+--spill-dir instead records traces as fixed-size segment files under
+<dir> and streams each replay from disk (peak memory stays O(workers x
+segment size); output is byte-identical to in-memory runs).
+--segment-ops sets the ops per segment file (0 = default) and requires
+--spill-dir. --trace-cap still bounds each trace's *total* ops across
+all its segments.
 
 conform differentially fuzzes every simulator against its naive reference
 model (seeded, deterministic; shrunk counterexamples land in --out) and

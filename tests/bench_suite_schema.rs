@@ -82,10 +82,12 @@ fn committed_suite_artifact_carries_the_paper_series() {
     let histograms = det.get("histograms").expect("histograms");
     assert!(histograms.get("events/hmmsearch/cache/access_latency_cycles").is_some());
 
-    // The timings section names every program × phase span.
+    // The timings section names every program × phase span. An
+    // in-memory run feeds each bank inside its kernel's trace span, so
+    // there is no separate replay span (spilled runs add one).
     let timings = doc.get("run").and_then(|r| r.get("timings")).expect("timings");
     assert!(timings.get("hmmsearch/trace").is_some());
     assert!(timings.get("hmmsearch/characterize").is_some());
-    assert!(timings.get("hmmsearch/replay").is_some());
+    assert!(timings.get("hmmsearch/replay").is_none());
     assert!(timings.get("blast/characterize").is_some());
 }
