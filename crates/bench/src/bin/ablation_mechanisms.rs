@@ -11,15 +11,27 @@
 //!   claim: the benefit comes from hiding the multi-cycle hit latency),
 //! * **misprediction penalty** — a hypothetical free redirect.
 
-use bioperf_bench::{banner, bench_args, JsonReport, REPRO_SEED};
-use bioperf_core::evaluate::evaluate_program;
+use bioperf_bench::{banner, bench_args, evaluate_or_exit, JsonReport};
 use bioperf_core::report::TextTable;
 use bioperf_kernels::{ProgramId, Scale};
 use bioperf_pipe::PlatformConfig;
 
-fn speedup(program: ProgramId, platform: PlatformConfig, scale: Scale) -> f64 {
-    evaluate_program(program, platform, scale, REPRO_SEED).speedup()
-}
+/// A model tweak, applied to a copy of a platform.
+type Tweak = fn(&mut PlatformConfig);
+
+/// Each row's label and tweak, applied to every Table 7 platform.
+const TWEAKS: [(&str, Tweak); 7] = [
+    ("baseline model", |_| {}),
+    ("force if-conversion ON", |c| c.if_conversion = true),
+    ("force if-conversion OFF", |c| c.if_conversion = false),
+    ("no register pressure (256 regs)", |c| c.logical_regs = 256),
+    ("single-cycle L1", |c| {
+        c.int_load_latency = 1;
+        c.fp_load_latency = 2;
+    }),
+    ("free mispredicts (penalty 0)", |c| c.mispredict_penalty = 0),
+    ("double mispredict penalty", |c| c.mispredict_penalty *= 2),
+];
 
 fn main() {
     let args = bench_args("ablation_mechanisms", Scale::Small);
@@ -28,30 +40,22 @@ fn main() {
     let program = ProgramId::Hmmsearch;
     println!("program: {program}\n");
 
-    let mut table = TextTable::new(&["variant", "Alpha 21264", "PowerPC G5", "Pentium 4", "Itanium 2"]);
+    // Every tweak of every platform in one bank per variant: two kernel
+    // executions for the whole table. Cells come back in member order.
     let base = PlatformConfig::all();
+    let platforms: Vec<PlatformConfig> = TWEAKS
+        .iter()
+        .flat_map(|(_, tweak)| base.map(|mut cfg| { tweak(&mut cfg); cfg }))
+        .collect();
+    let matrix = evaluate_or_exit("ablation_mechanisms", &[program], &platforms, scale);
+    assert_eq!(matrix.cells.len(), platforms.len(), "{program} runs on every platform");
 
-    let row = |label: &str, tweak: &dyn Fn(&mut PlatformConfig)| {
-        let mut cells = vec![label.to_string()];
-        for p in base {
-            let mut cfg = p;
-            tweak(&mut cfg);
-            cells.push(format!("{:+.1}%", (speedup(program, cfg, scale) - 1.0) * 100.0));
-        }
-        cells
-    };
-
-    let baseline = row("baseline model", &|_| {});
-    table.row_owned(baseline);
-    table.row_owned(row("force if-conversion ON", &|c| c.if_conversion = true));
-    table.row_owned(row("force if-conversion OFF", &|c| c.if_conversion = false));
-    table.row_owned(row("no register pressure (256 regs)", &|c| c.logical_regs = 256));
-    table.row_owned(row("single-cycle L1", &|c| {
-        c.int_load_latency = 1;
-        c.fp_load_latency = 2;
-    }));
-    table.row_owned(row("free mispredicts (penalty 0)", &|c| c.mispredict_penalty = 0));
-    table.row_owned(row("double mispredict penalty", &|c| c.mispredict_penalty *= 2));
+    let mut table = TextTable::new(&["variant", "Alpha 21264", "PowerPC G5", "Pentium 4", "Itanium 2"]);
+    for ((label, _), cells) in TWEAKS.iter().zip(matrix.cells.chunks(base.len())) {
+        let mut row = vec![label.to_string()];
+        row.extend(cells.iter().map(|c| format!("{:+.1}%", (c.speedup() - 1.0) * 100.0)));
+        table.row_owned(row);
+    }
     println!("{}", table.render());
 
     let mut json = JsonReport::new("ablation_mechanisms", Some(scale));

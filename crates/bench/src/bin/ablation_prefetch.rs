@@ -9,9 +9,8 @@
 //! AMAT side by side with the speedup the source transformation achieves
 //! on the Alpha model.
 
-use bioperf_bench::{banner, bench_args, JsonReport, REPRO_SEED};
+use bioperf_bench::{banner, bench_args, evaluate_or_exit, JsonReport, REPRO_SEED};
 use bioperf_cache::{alpha21264_hierarchy, CacheSim, Prefetcher};
-use bioperf_core::evaluate::evaluate_program;
 use bioperf_core::report::{pct2, TextTable};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_pipe::PlatformConfig;
@@ -40,12 +39,12 @@ fn main() {
         "AMAT (stride)",
         "transform speedup",
     ]);
-    for program in ProgramId::TRANSFORMED {
+    let platforms = [PlatformConfig::alpha21264()];
+    let alpha = evaluate_or_exit("ablation_prefetch", &ProgramId::TRANSFORMED, &platforms, scale);
+    for (program, cell) in ProgramId::TRANSFORMED.into_iter().zip(&alpha.cells) {
         let (m_none, a_none) = miss_and_amat(program, scale, Prefetcher::None);
         let (m_next, _) = miss_and_amat(program, scale, Prefetcher::NextLine);
         let (m_stride, a_stride) = miss_and_amat(program, scale, Prefetcher::Stride);
-        let speedup =
-            evaluate_program(program, PlatformConfig::alpha21264(), scale, REPRO_SEED).speedup();
         table.row_owned(vec![
             program.name().to_string(),
             pct2(m_none),
@@ -53,7 +52,7 @@ fn main() {
             pct2(m_stride),
             format!("{a_none:.3}"),
             format!("{a_stride:.3}"),
-            format!("{:+.1}%", (speedup - 1.0) * 100.0),
+            format!("{:+.1}%", (cell.speedup() - 1.0) * 100.0),
         ]);
     }
     println!("{}", table.render());

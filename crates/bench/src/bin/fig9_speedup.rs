@@ -1,9 +1,7 @@
 //! Figure 9: speedup of the load-transformed code over the original, per
 //! program and platform, with harmonic means.
 
-use bioperf_bench::{banner, bench_args, JsonReport, REPRO_SEED};
-use bioperf_core::orchestrate::evaluate_all;
-use bioperf_core::report::TextTable;
+use bioperf_bench::{banner, bench_args, evaluate_or_exit, JsonReport};
 use bioperf_kernels::{ProgramId, Scale};
 use bioperf_pipe::PlatformConfig;
 
@@ -12,27 +10,10 @@ fn main() {
     let scale = args.scale;
     banner("Figure 9: speedup of load-transformed over original code", scale);
 
-    let matrix = evaluate_all(scale, REPRO_SEED, 0).unwrap_or_else(|e| {
-        eprintln!("fig9_speedup: {e}");
-        std::process::exit(1);
-    });
+    let matrix = evaluate_or_exit("fig9_speedup", &ProgramId::TRANSFORMED, &PlatformConfig::all(), scale);
     let platforms: Vec<&str> = PlatformConfig::all().iter().map(|p| p.name).collect();
 
-    let mut header = vec!["program"];
-    header.extend(platforms.iter());
-    let mut table = TextTable::new(&header);
-    for program in ProgramId::TRANSFORMED {
-        let mut row = vec![program.name().to_string()];
-        for platform in &platforms {
-            let cell =
-                matrix.cells.iter().find(|c| c.program == program && c.platform == *platform);
-            row.push(match cell {
-                None => "n.a.".to_string(),
-                Some(c) => format!("{:+.1}%", (c.speedup() - 1.0) * 100.0),
-            });
-        }
-        table.row_owned(row);
-    }
+    let mut table = matrix.speedup_table(&ProgramId::TRANSFORMED, &platforms);
     let mut row = vec!["harmonic mean".to_string()];
     for platform in &platforms {
         let hm = matrix.harmonic_mean_speedup(platform);

@@ -45,10 +45,10 @@ use bioperf_trace::{
 const ARTIFACT: &str = "replay_throughput";
 
 const USAGE: &str = "usage: replay_throughput [test|small|medium|large] [--json <path>] \
-                     [--min-mops <x>] [--spill-dir <dir>] [--segment-ops <n>] [--block-ops <n>]";
+                     [--min-mops <x>] [--spill-dir <dir>] [--segment-ops <n>]";
 
 const SPEC: Spec = Spec {
-    values: &["--json", "--min-mops", "--spill-dir", "--segment-ops", "--block-ops"],
+    values: &["--json", "--min-mops", "--spill-dir", "--segment-ops"],
     switches: &[],
     positionals: &["scale"],
     required: 0,
@@ -63,8 +63,6 @@ struct Args {
     spill_dir: Option<PathBuf>,
     /// Ops per segment file.
     segment_ops: usize,
-    /// Ops per decode block in the bank passes.
-    block_ops: usize,
 }
 
 fn read_args(argv: &[String]) -> Result<Args, CliError> {
@@ -79,7 +77,6 @@ fn read_args(argv: &[String]) -> Result<Args, CliError> {
         segment_ops: a
             .parse_with("--segment-ops", cli::positive)?
             .unwrap_or(bioperf_trace::DEFAULT_SEGMENT_OPS),
-        block_ops: a.parse_with("--block-ops", cli::positive)?.unwrap_or(bioperf_trace::BLOCK_OPS),
     })
 }
 
@@ -112,7 +109,7 @@ impl TraceConsumer for DecodeOnly {
 /// at the [`SweepGrid::timing`] geometry, then one `TimingBank` with a
 /// lane per grid cell over its stream. Returns the lane count, the bank's
 /// seconds and a decode-only pass's seconds.
-fn sweep_timing_lanes(recording: &Recording, block_ops: usize) -> (usize, f64, f64) {
+fn sweep_timing_lanes(recording: &Recording) -> (usize, f64, f64) {
     let grid = SweepGrid::timing();
     let cells: Vec<_> = (0..grid.cells())
         .map(|c| grid.spec(c).resolve().expect("the sweep-timing grid's cells are valid"))
@@ -120,7 +117,7 @@ fn sweep_timing_lanes(recording: &Recording, block_ops: usize) -> (usize, f64, f
     let base = cells[0];
     let hierarchy = Hierarchy::new(base.platform.l1, base.platform.l2, base.lat).with_prefetcher(base.prefetch);
     let mut pass = CachePassSim::new(base.platform.logical_regs, vec![hierarchy]);
-    recording.replay_bank_blocks(std::slice::from_mut(&mut pass), block_ops);
+    recording.replay_bank(std::slice::from_mut(&mut pass));
     let (_, stream) = pass.finish_bank().pop().expect("one cache-pass member");
     let stream = Arc::new(stream);
     let mut bank = TimingBank::new(base.platform.logical_regs, base.platform.if_conversion);
@@ -128,11 +125,11 @@ fn sweep_timing_lanes(recording: &Recording, block_ops: usize) -> (usize, f64, f
         bank.push_lane(&rc.platform, rc.pred, Arc::clone(&stream));
     }
     let start = Instant::now();
-    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+    recording.replay_bank(std::slice::from_mut(&mut bank));
     let lane_secs = start.elapsed().as_secs_f64();
     std::hint::black_box(bank.into_results());
     let start = Instant::now();
-    recording.replay_bank_blocks(std::slice::from_mut(&mut DecodeOnly), block_ops);
+    recording.replay_bank(std::slice::from_mut(&mut DecodeOnly));
     let decode_secs = start.elapsed().as_secs_f64();
     (cells.len(), lane_secs, decode_secs)
 }
@@ -287,10 +284,9 @@ fn main() {
     // one `PlatformBank` consumes a whole block at a time — one plan walk
     // and one predictor walk per family for all four platforms, the
     // suite's production replay path.
-    let block_ops = args.block_ops;
     let mut bank = PlatformBank::new(&platforms);
     let start = Instant::now();
-    recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+    recording.replay_bank(std::slice::from_mut(&mut bank));
     let bank_secs = start.elapsed().as_secs_f64();
     let bank_mops = platform_ops as f64 / bank_secs / 1e6;
     for (platform, (banked, solo)) in platforms.iter().zip(bank.results().iter().zip(&sequential)) {
@@ -300,7 +296,7 @@ fn main() {
         }
     }
     table.row_owned(vec![
-        format!("bank ({block_ops}-op blocks)"),
+        format!("bank ({}-op blocks)", bioperf_trace::BLOCK_OPS),
         format!("{bank_secs:.3}"),
         format!("{bank_mops:.1}"),
         String::new(),
@@ -341,7 +337,7 @@ fn main() {
 
     // The sweep's production lane shape, against a decode-only pass in
     // the same process: the ratio cancels most of the host's speed.
-    let (lanes, lane_secs, decode_secs) = sweep_timing_lanes(&recording, block_ops);
+    let (lanes, lane_secs, decode_secs) = sweep_timing_lanes(&recording);
     let lane_ops = ops * lanes as u64;
     let lane_mops = lane_ops as f64 / lane_secs / 1e6;
     let lane_ns = lane_secs * 1e9 / lane_ops as f64;
@@ -361,7 +357,6 @@ fn main() {
 
     json.value("ops", Json::U64(ops));
     json.value("bytes_per_op", Json::F64(recording.bytes_per_op()));
-    json.value("block_ops", Json::U64(block_ops as u64));
     json.value("mops_per_sec/total", Json::F64(sequential_mops));
     json.value("mops_per_sec/bank_total", Json::F64(bank_mops));
     json.value("mops_per_sec/streamed_bank", Json::F64(streamed_mops));

@@ -1,8 +1,7 @@
 //! Table 8: simulated runtime (cycles) of the original and
 //! load-transformed programs on the four platform models.
 
-use bioperf_bench::{banner, bench_args, JsonReport, REPRO_SEED};
-use bioperf_core::orchestrate::evaluate_all;
+use bioperf_bench::{banner, bench_args, evaluate_or_exit, JsonReport};
 use bioperf_core::report::TextTable;
 use bioperf_kernels::{ProgramId, Scale};
 use bioperf_pipe::PlatformConfig;
@@ -12,10 +11,7 @@ fn main() {
     let scale = args.scale;
     banner("Table 8: simulated cycles, original vs load-transformed", scale);
 
-    let matrix = evaluate_all(scale, REPRO_SEED, 0).unwrap_or_else(|e| {
-        eprintln!("table8_runtime: {e}");
-        std::process::exit(1);
-    });
+    let matrix = evaluate_or_exit("table8_runtime", &ProgramId::TRANSFORMED, &PlatformConfig::all(), scale);
     let platforms: Vec<&str> = PlatformConfig::all().iter().map(|p| p.name).collect();
 
     let mut header = vec!["program", "variant"];
@@ -29,11 +25,7 @@ fn main() {
                 variant_name.to_string(),
             ];
             for platform in &platforms {
-                let cell = matrix
-                    .cells
-                    .iter()
-                    .find(|c| c.program == program && c.platform == *platform);
-                row.push(match cell {
+                row.push(match matrix.cell(program, platform) {
                     None => "n.a.".to_string(),
                     Some(c) => {
                         let r = if variant_idx == 0 { &c.original } else { &c.transformed };

@@ -42,8 +42,10 @@ use std::path::PathBuf;
 
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
-use bioperf_kernels::Scale;
+use bioperf_core::{evaluate_all, EvalMatrix};
+use bioperf_kernels::{ProgramId, Scale};
 use bioperf_metrics::Json;
+use bioperf_pipe::PlatformConfig;
 
 /// Seed used by every reproduction run (fixed for repeatability).
 pub const REPRO_SEED: u64 = 42;
@@ -184,6 +186,20 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib * 1024)
+}
+
+/// [`evaluate_all`] at [`REPRO_SEED`] on every worker; on a failure
+/// prints `{artifact}: <error>` on stderr and exits with status 1.
+pub fn evaluate_or_exit(
+    artifact: &str,
+    programs: &[ProgramId],
+    platforms: &[PlatformConfig],
+    scale: Scale,
+) -> EvalMatrix {
+    evaluate_all(programs, platforms, scale, REPRO_SEED, 0).unwrap_or_else(|e| {
+        eprintln!("{artifact}: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Standard header printed by every binary.

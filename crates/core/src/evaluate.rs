@@ -5,6 +5,8 @@ use bioperf_metrics::MetricSet;
 use bioperf_pipe::{CycleSim, PlatformConfig, SimResult};
 use bioperf_trace::Tape;
 
+use crate::report::TextTable;
+
 /// One (program, platform) cell of Table 8: both variants simulated.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalCell {
@@ -32,7 +34,8 @@ impl EvalCell {
 /// The full Table 8 / Figure 9 result matrix.
 #[derive(Debug, Clone, Default)]
 pub struct EvalMatrix {
-    /// All simulated cells, program-major in the paper's order.
+    /// All simulated cells, program-major in the order evaluated (see
+    /// [`crate::orchestrate::evaluate_all`]).
     pub cells: Vec<EvalCell>,
 }
 
@@ -45,33 +48,33 @@ impl EvalMatrix {
         !(program == ProgramId::Dnapenny && platform.contains("Itanium"))
     }
 
-    /// Runs the full evaluation: every transformed program on every
-    /// platform, both variants. `scale` should be [`Scale::Large`] for
-    /// the paper-shaped run (class-C-like inputs); smaller scales give
-    /// the same shape faster.
-    ///
-    /// Each (program, variant) is executed once, its trace feeding one
-    /// bank of the four platform models as it is produced — four
-    /// simulations per kernel execution instead of four re-executions,
-    /// and no recording.
-    ///
-    /// This is the sequential entry point; it delegates to
-    /// [`crate::orchestrate::evaluate_all`] with one worker, which the
-    /// parallel callers also use, so both paths share one implementation.
-    pub fn run(scale: Scale, seed: u64) -> Self {
-        crate::orchestrate::evaluate_all(scale, seed, 1)
-            .unwrap_or_else(|e| panic!("evaluation failed: {e}"))
+    /// The (program, platform) cell, if evaluated (the first, should a
+    /// platform name repeat).
+    pub fn cell(&self, program: ProgramId, platform: &str) -> Option<&EvalCell> {
+        self.cells.iter().find(|c| c.program == program && c.platform == platform)
     }
 
-    /// Cells for one platform, in program order.
-    pub fn platform_cells(&self, platform: &str) -> Vec<&EvalCell> {
-        self.cells.iter().filter(|c| c.platform == platform).collect()
+    /// Figure 9's table: a row per program, a speedup column per
+    /// platform name, `n.a.` where the matrix has no cell.
+    pub fn speedup_table(&self, programs: &[ProgramId], platforms: &[&str]) -> TextTable {
+        let mut header = vec!["program"];
+        header.extend(platforms);
+        let mut table = TextTable::new(&header);
+        for &program in programs {
+            let mut row = vec![program.name().to_string()];
+            row.extend(platforms.iter().map(|platform| match self.cell(program, platform) {
+                None => "n.a.".to_string(),
+                Some(c) => format!("{:+.1}%", (c.speedup() - 1.0) * 100.0),
+            }));
+            table.row_owned(row);
+        }
+        table
     }
 
     /// Harmonic-mean speedup for one platform (the paper's Figure 9
     /// summary bars).
     pub fn harmonic_mean_speedup(&self, platform: &str) -> f64 {
-        let cells = self.platform_cells(platform);
+        let cells: Vec<&EvalCell> = self.cells.iter().filter(|c| c.platform == platform).collect();
         if cells.is_empty() {
             return 1.0;
         }
@@ -110,7 +113,14 @@ impl EvalMatrix {
     }
 }
 
-/// Simulates one program on one platform in both source shapes.
+/// Simulates one program on one platform in both source shapes, each
+/// variant executed straight into one live [`CycleSim`].
+///
+/// This is the per-cell reference that the tests and the benchmark's
+/// output check compare the fed banks against, and nothing else should
+/// call it: every evaluation goes through
+/// [`crate::orchestrate::evaluate_all`], which executes each variant
+/// once for any number of platforms.
 pub fn evaluate_program(
     program: ProgramId,
     platform: PlatformConfig,
@@ -163,7 +173,14 @@ mod tests {
 
     #[test]
     fn matrix_covers_paper_cells() {
-        let m = EvalMatrix::run(Scale::Test, 2);
+        let m = crate::orchestrate::evaluate_all(
+            &ProgramId::TRANSFORMED,
+            &PlatformConfig::all(),
+            Scale::Test,
+            2,
+            1,
+        )
+        .expect("evaluate");
         // 6 programs x 4 platforms - 1 n.a. cell.
         assert_eq!(m.cells.len(), 23);
         let hm = m.harmonic_mean_speedup("Alpha 21264");

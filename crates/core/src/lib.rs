@@ -16,9 +16,10 @@
 //!   instruction mix, cache behaviour, branch prediction, and the
 //!   sequence analyses; [`characterize_program`] runs a BioPerf kernel
 //!   through it.
-//! * [`evaluate`] — the performance-evaluation harness: runs Original vs
-//!   LoadTransformed kernels through the four platform timing models
-//!   (Tables 7/8, Figure 9).
+//! * [`evaluate`] — the performance-evaluation matrix: Original vs
+//!   LoadTransformed cycles per (program, platform) cell (Tables 7/8,
+//!   Figure 9), which [`evaluate_all`] fills from one execution per
+//!   variant for any platform list.
 //! * [`orchestrate`] — the parallel experiment runner: executes each
 //!   instrumented kernel *once* (a tuple fan-out feeds the characterizer
 //!   and, block by block as the trace is produced, a bank of platform

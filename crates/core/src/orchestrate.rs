@@ -487,19 +487,16 @@ impl BankOutput {
     }
 }
 
-/// The platform models applicable to `program`, in
-/// [`PlatformConfig::all`] order (dnapenny has no Itanium cell).
-fn applicable_platforms(program: ProgramId) -> Vec<PlatformConfig> {
-    PlatformConfig::all()
-        .into_iter()
-        .filter(|p| EvalMatrix::cell_applicable(program, p.name))
-        .collect()
+/// The members of `platforms` that `program` is evaluated on
+/// ([`EvalMatrix::cell_applicable`]: dnapenny has no Itanium cell), in
+/// the order given.
+fn applicable_platforms(program: ProgramId, platforms: &[PlatformConfig]) -> Vec<PlatformConfig> {
+    platforms.iter().copied().filter(|p| EvalMatrix::cell_applicable(program, p.name)).collect()
 }
 
-/// One bank of every platform model `program` is evaluated on,
-/// collecting raw events if `events` is set.
-fn platform_bank(program: ProgramId, events: bool) -> PlatformBank {
-    let bank = PlatformBank::new(&applicable_platforms(program));
+/// One bank of `platforms`, collecting raw events if `events` is set.
+fn platform_bank(platforms: &[PlatformConfig], events: bool) -> PlatformBank {
+    let bank = PlatformBank::new(platforms);
     if events {
         bank.with_metrics()
     } else {
@@ -526,42 +523,50 @@ pub(crate) fn record_variant(
 
 /// One (program, variant) execution: one pool job of [`run_suite`] or
 /// [`evaluate_all`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct TraceJob {
     program: ProgramId,
     variant: Variant,
+    /// The members of the platform bank the execution feeds (none for
+    /// an untransformed program).
+    platforms: Vec<PlatformConfig>,
 }
 
-/// Every (program, variant) execution over `programs`, in the fixed
+/// Every (program, variant) execution over `programs`, each feeding a
+/// bank of its program's applicable `platforms`, in the fixed
 /// enumeration the merges walk: programs in input order, each original
 /// variant just before its load-transformed one (untransformed programs
-/// have only the original).
-fn enumerate_jobs(programs: &[ProgramId]) -> Vec<TraceJob> {
+/// have only the original, with no bank).
+fn enumerate_jobs(programs: &[ProgramId], platforms: &[PlatformConfig]) -> Vec<TraceJob> {
     let mut jobs = Vec::new();
     for &program in programs {
-        jobs.push(TraceJob { program, variant: Variant::Original });
-        if program.is_transformable() {
-            jobs.push(TraceJob { program, variant: Variant::LoadTransformed });
+        if !program.is_transformable() {
+            jobs.push(TraceJob { program, variant: Variant::Original, platforms: Vec::new() });
+            continue;
+        }
+        let platforms = applicable_platforms(program, platforms);
+        for variant in Variant::ALL {
+            jobs.push(TraceJob { program, variant, platforms: platforms.clone() });
         }
     }
     jobs
 }
 
 /// Executes one variant once into `characterizer` (if any) and, through
-/// a [`BlockFeed`], a bank of every platform model its program is
-/// evaluated on: the in-memory suite's and [`evaluate_all`]'s job. The
-/// bank consumes each block as the kernel fills it, so no trace is
-/// recorded, encoded or decoded, and at most `capacity` ops are fed.
+/// a [`BlockFeed`], a bank of the job's platforms: the in-memory suite's
+/// and [`evaluate_all`]'s job. The bank consumes each block as the
+/// kernel fills it, so no trace is recorded, encoded or decoded, and at
+/// most `capacity` ops are fed.
 fn feed_variant(
-    job: TraceJob,
+    job: &TraceJob,
     scale: Scale,
     seed: u64,
     capacity: usize,
     characterizer: Option<Characterizer>,
     events: bool,
 ) -> Result<(Program, Option<Characterizer>, BankOutput), SuiteError> {
-    let TraceJob { program, variant } = job;
-    let feed = BlockFeed::new(platform_bank(program, events), capacity);
+    let (program, variant) = (job.program, job.variant);
+    let feed = BlockFeed::new(platform_bank(&job.platforms, events), capacity);
     let mut tape = Tape::new((characterizer, feed));
     registry::run(&mut tape, program, variant, scale, seed);
     let (static_program, (characterizer, feed)) = tape.finish();
@@ -575,12 +580,12 @@ fn feed_variant(
 /// Executes one variant once into `characterizer` (if any) and a spill
 /// recorder writing the trace's segments under the config's directory.
 fn record_spilled(
-    job: TraceJob,
+    job: &TraceJob,
     cfg: &SuiteConfig,
     spill: &SpillConfig,
     characterizer: Option<Characterizer>,
 ) -> Result<(Program, Option<Characterizer>, SegmentedRecording), SuiteError> {
-    let TraceJob { program, variant } = job;
+    let (program, variant) = (job.program, job.variant);
     let seg_err = |error| SuiteError::Segment { program, variant, error };
     let recorder =
         SpillRecorder::to_dir(spill.trace_dir(program, variant), spill.segment_ops(), cfg.capacity())
@@ -596,16 +601,15 @@ fn record_spilled(
 }
 
 /// Streams a spilled trace back from disk (next segment prefetched in
-/// the background) through one bank of every platform model its program
-/// is evaluated on. A failed read is a [`SuiteError::Segment`] naming
-/// the trace and segment.
+/// the background) through one bank of the job's platforms. A failed
+/// read is a [`SuiteError::Segment`] naming the trace and segment.
 fn replay_spilled(
-    job: TraceJob,
+    job: &TraceJob,
     segmented: &SegmentedRecording,
     events: bool,
 ) -> Result<BankOutput, SuiteError> {
-    let TraceJob { program, variant } = job;
-    let mut bank = platform_bank(program, events);
+    let (program, variant) = (job.program, job.variant);
+    let mut bank = platform_bank(&job.platforms, events);
     segmented
         .replay_bank(std::slice::from_mut(&mut bank))
         .map_err(|error| SuiteError::Segment { program, variant, error })?;
@@ -628,15 +632,15 @@ struct JobOutput {
 /// `<program>/trace` span. An original variant feeds a characterizer
 /// (report built under `<program>/characterize`, with raw cache events
 /// if [`SuiteConfig::metrics`] is set). A transformable program's
-/// variant also drives a bank of its platform models: live through
+/// variant also drives the bank of its job's platforms: live through
 /// [`feed_variant`], or from the segments a spilling run wrote, streamed
 /// back under `<program>/replay`. The trace counts in `live` meanwhile.
 fn run_suite_job(
-    job: TraceJob,
+    job: &TraceJob,
     cfg: &SuiteConfig,
     live: &LiveTraces,
 ) -> Result<JobOutput, SuiteError> {
-    let TraceJob { program, variant } = job;
+    let (program, variant) = (job.program, job.variant);
     let name = program.name();
     let trace_span = format!("{name}/trace");
     let mut timings = Timings::new();
@@ -679,14 +683,11 @@ fn run_suite_job(
     Ok(JobOutput { report, bank, timings })
 }
 
-/// One program's Table 8 cells, platform-major in
-/// [`PlatformConfig::all`] order, from its two variants' banks.
-fn eval_cells(
-    program: ProgramId,
-    original: &BankOutput,
-    transformed: &BankOutput,
-) -> Vec<EvalCell> {
-    applicable_platforms(program)
+/// One program's cells, in its job's platform order, from its two
+/// variants' banks.
+fn eval_cells(job: &TraceJob, original: &BankOutput, transformed: &BankOutput) -> Vec<EvalCell> {
+    let program = job.program;
+    job.platforms
         .iter()
         .enumerate()
         .map(|(i, platform)| EvalCell {
@@ -708,11 +709,11 @@ fn eval_cells(
 /// and is the error returned.
 pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
     let threads = if cfg.jobs == 0 { default_jobs() } else { cfg.jobs };
-    let enumeration = enumerate_jobs(&ProgramId::ALL);
+    let enumeration = enumerate_jobs(&ProgramId::ALL, &PlatformConfig::all());
     let live = LiveTraces::default();
     let work: Vec<_> = enumeration
         .iter()
-        .map(|&job| {
+        .map(|job| {
             let (cfg, live) = (&cfg, &live);
             (job_rank(job.program, job.variant), move || run_suite_job(job, cfg, live))
         })
@@ -734,15 +735,15 @@ pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
             metrics.merge(&events);
             reports.push((job.program, report));
         }
-        banks.extend(output.bank.map(|bank| (job.program, bank)));
+        banks.extend(output.bank.map(|bank| (job, bank)));
     }
     let replays = banks.len();
     let mut replay = ReplayThroughput { replayed_ops: 0, seconds };
     let mut per_program = Vec::new();
     let mut banks = banks.into_iter();
-    while let (Some((program, original)), Some((_, transformed))) = (banks.next(), banks.next()) {
-        let name = program.name();
-        for (i, platform) in applicable_platforms(program).iter().enumerate() {
+    while let (Some((job, original)), Some((_, transformed))) = (banks.next(), banks.next()) {
+        let name = job.program.name();
+        for (i, platform) in job.platforms.iter().enumerate() {
             for (bank, variant) in [(&original, "original"), (&transformed, "transformed")] {
                 replay.replayed_ops += bank.ops;
                 metrics.merge_prefixed(
@@ -751,7 +752,7 @@ pub fn run_suite(cfg: SuiteConfig) -> Result<SuiteResult, SuiteError> {
                 );
             }
         }
-        per_program.push((program, eval_cells(program, &original, &transformed)));
+        per_program.push((job.program, eval_cells(job, &original, &transformed)));
     }
     // Emit Table 8 cells program-major in the paper's (TRANSFORMED)
     // order, independent of ALL's ordering.
@@ -797,14 +798,34 @@ pub fn characterize_all(
     ProgramId::ALL.into_iter().zip(run_jobs(work, threads)).collect()
 }
 
-/// Runs the Table 8 evaluation in parallel with [`run_suite`]'s job
-/// shape, characterization left out: one pool job per (program,
-/// variant) executes the variant once, feeding a bank of every platform
-/// model as the kernel runs. Cell order matches [`EvalMatrix::run`].
-pub fn evaluate_all(scale: Scale, seed: u64, jobs: usize) -> Result<EvalMatrix, SuiteError> {
+/// Evaluates `programs` on `platforms` with [`run_suite`]'s job shape,
+/// characterization left out: one pool job per (program, variant)
+/// executes the variant once into one bank of the program's applicable
+/// members of `platforms` ([`EvalMatrix::cell_applicable`]). Table 8 is
+/// `evaluate_all(&ProgramId::TRANSFORMED, &PlatformConfig::all(), ..)`.
+///
+/// Cells are program-major in `programs` order, then in `platforms`
+/// order, inapplicable cells skipped (a program with none applicable
+/// runs no job). Names need not be unique (a tweaked copy keeps its
+/// base's name), so read such a matrix by position.
+///
+/// # Panics
+///
+/// If a program has no load-transformed variant.
+pub fn evaluate_all(
+    programs: &[ProgramId],
+    platforms: &[PlatformConfig],
+    scale: Scale,
+    seed: u64,
+    jobs: usize,
+) -> Result<EvalMatrix, SuiteError> {
+    assert!(programs.iter().all(|p| p.is_transformable()), "every program needs a load-transformed variant");
     let threads = if jobs == 0 { default_jobs() } else { jobs };
-    let work: Vec<_> = enumerate_jobs(&ProgramId::TRANSFORMED)
-        .into_iter()
+    // An empty bank panics, so a program with no member runs nothing.
+    let mut enumeration = enumerate_jobs(programs, platforms);
+    enumeration.retain(|job| !job.platforms.is_empty());
+    let work: Vec<_> = enumeration
+        .iter()
         .map(|job| {
             let run = move || {
                 feed_variant(job, scale, seed, DEFAULT_CAPACITY, None, false).map(|(.., bank)| bank)
@@ -812,12 +833,10 @@ pub fn evaluate_all(scale: Scale, seed: u64, jobs: usize) -> Result<EvalMatrix, 
             (job_rank(job.program, job.variant), run)
         })
         .collect();
-    let mut banks = run_jobs_ranked(work, threads)?.into_iter();
+    let banks = run_jobs_ranked(work, threads)?;
     let mut cells = Vec::new();
-    for program in ProgramId::TRANSFORMED {
-        let original = banks.next().expect("two banks per program");
-        let transformed = banks.next().expect("two banks per program");
-        cells.extend(eval_cells(program, &original, &transformed));
+    for (variants, banks) in enumeration.chunks(2).zip(banks.chunks(2)) {
+        cells.extend(eval_cells(&variants[0], &banks[0], &banks[1]));
     }
     Ok(EvalMatrix { cells })
 }
@@ -973,7 +992,7 @@ fn cross_check_program(program: ProgramId, seed: u64) -> ProgramCrossCheck {
     let mut tape = Tape::new(RefTape::new());
     registry::run(&mut tape, program, Variant::Original, Scale::Test, seed);
     let (_, reference) = tape.finish();
-    let platforms = applicable_platforms(program);
+    let platforms = applicable_platforms(program, &PlatformConfig::all());
     ProgramCrossCheck {
         program,
         ops: reference.len() as u64,
@@ -1141,20 +1160,19 @@ mod tests {
         let direct =
             crate::characterize::characterize_program(ProgramId::Hmmsearch, Scale::Test, 7);
         let (cfg, live) = (test_config(7, 1, None), LiveTraces::default());
-        let original = TraceJob { program: ProgramId::Hmmsearch, variant: Variant::Original };
-        let job = run_suite_job(original, &cfg, &live).expect("job");
+        let jobs = enumerate_jobs(&[ProgramId::Hmmsearch, ProgramId::Blast], &PlatformConfig::all());
+        let job = run_suite_job(&jobs[0], &cfg, &live).expect("job");
         let (report, _) = job.report.expect("original jobs characterize");
         assert_eq!(direct.mix, report.mix);
         assert_eq!(direct.cache, report.cache);
         assert_eq!(direct.sequences.loads_to_branch, report.sequences.loads_to_branch);
         assert_eq!(job.bank.expect("hmmsearch is transformable").ops, direct.mix.total());
-        let transformed = TraceJob { variant: Variant::LoadTransformed, ..original };
-        let job = run_suite_job(transformed, &cfg, &live).expect("job");
+        let job = run_suite_job(&jobs[1], &cfg, &live).expect("job");
         assert!(job.report.is_none());
         assert!(job.bank.expect("transformed jobs feed a bank").ops > 0);
         // An untransformed program's job characterizes and feeds nothing.
-        let blast = TraceJob { program: ProgramId::Blast, variant: Variant::Original };
-        let job = run_suite_job(blast, &cfg, &live).expect("job");
+        assert_eq!(jobs.len(), 3, "blast has no load-transformed job");
+        let job = run_suite_job(&jobs[2], &cfg, &live).expect("job");
         assert!(job.report.is_some());
         assert!(job.bank.is_none());
         assert_eq!(live.peak(), 1, "one job at a time, and blast's job holds no trace");
@@ -1165,15 +1183,45 @@ mod tests {
     fn fed_platform_sims_match_direct_execution() {
         // A fed bank must equal running the kernel directly into each
         // platform model, one CycleSim at a time.
-        let platforms = applicable_platforms(ProgramId::Predator);
-        let job = TraceJob { program: ProgramId::Predator, variant: Variant::Original };
-        let (_, _, bank) =
-            feed_variant(job, Scale::Test, 5, DEFAULT_CAPACITY, None, false).expect("feed");
-        assert_eq!(bank.results.len(), platforms.len());
-        for (platform, (fed, _)) in platforms.into_iter().zip(&bank.results) {
+        let job = &enumerate_jobs(&[ProgramId::Predator], &PlatformConfig::all())[0];
+        let (_, _, bank) = feed_variant(job, Scale::Test, 5, DEFAULT_CAPACITY, None, false).expect("feed");
+        assert_eq!(bank.results.len(), 4);
+        for (&platform, (fed, _)) in job.platforms.iter().zip(&bank.results) {
             let direct = crate::evaluate::evaluate_program(job.program, platform, Scale::Test, 5);
             assert_eq!(*fed, direct.original, "{}", platform.name);
             assert_eq!(bank.ops, fed.instructions);
+        }
+        // A heterogeneous bank (the mechanism ablation's tweaks, names
+        // repeated) through `evaluate_all`: cell `i` is platform `i`, and
+        // both variants equal their direct executions.
+        let tweaks: [fn(&mut PlatformConfig); 6] = [
+            |c| c.if_conversion = true,
+            |c| c.if_conversion = false,
+            |c| c.logical_regs = 256,
+            |c| {
+                c.int_load_latency = 1;
+                c.fp_load_latency = 2;
+            },
+            |c| c.mispredict_penalty = 0,
+            |c| c.mispredict_penalty *= 2,
+        ];
+        let platforms: Vec<PlatformConfig> = tweaks
+            .iter()
+            .flat_map(|tweak| {
+                PlatformConfig::all().map(|mut p| {
+                    tweak(&mut p);
+                    p
+                })
+            })
+            .collect();
+        let program = ProgramId::Hmmsearch;
+        let matrix = evaluate_all(&[program], &platforms, Scale::Test, 5, 2).expect("evaluate");
+        assert_eq!(matrix.cells.len(), platforms.len());
+        for (&platform, cell) in platforms.iter().zip(&matrix.cells) {
+            let direct = crate::evaluate::evaluate_program(program, platform, Scale::Test, 5);
+            assert_eq!((cell.program, cell.platform), (program, platform.name));
+            assert_eq!(cell.original, direct.original, "{platform:?}");
+            assert_eq!(cell.transformed, direct.transformed, "{platform:?}");
         }
     }
 
@@ -1186,16 +1234,15 @@ mod tests {
         // fed tape must leave them unchanged.
         let seed = 9;
         let mut ragged = 0;
-        for job in enumerate_jobs(&ProgramId::TRANSFORMED) {
-            let TraceJob { program, variant } = job;
+        for job in enumerate_jobs(&ProgramId::TRANSFORMED, &PlatformConfig::all()) {
+            let (program, variant) = (job.program, job.variant);
             let characterizer = (variant == Variant::Original).then(Characterizer::with_metrics);
             let (_, characterizer, fed) =
-                feed_variant(job, Scale::Test, seed, DEFAULT_CAPACITY, characterizer, true)
-                    .expect("feed");
+                feed_variant(&job, Scale::Test, seed, DEFAULT_CAPACITY, characterizer, true).expect("feed");
             assert_eq!(characterizer.is_some(), variant == Variant::Original);
             let recording =
                 record_variant(program, variant, Scale::Test, seed, DEFAULT_CAPACITY).expect("record");
-            let mut bank = platform_bank(program, true);
+            let mut bank = platform_bank(&job.platforms, true);
             recording.replay_bank(std::slice::from_mut(&mut bank));
             let replayed = BankOutput::drain(bank, recording.len());
             assert_eq!(fed.ops, replayed.ops, "{program} ({})", variant.label());
@@ -1353,7 +1400,7 @@ mod tests {
             assert_eq!(a.amat, b.amat, "{pa}");
         }
         assert_eq!(seq.eval.cells.len(), par.eval.cells.len());
-        // 6 programs x 4 platforms - 1 n.a. cell, like EvalMatrix::run.
+        // 6 programs x 4 platforms - 1 n.a. cell.
         assert_eq!(seq.eval.cells.len(), 23);
         for (a, b) in seq.eval.cells.iter().zip(&par.eval.cells) {
             assert_eq!(a.program, b.program);
@@ -1508,7 +1555,7 @@ mod tests {
         // fails the replay with a typed error naming the file.
         let dir = scratch("spill-missing");
         let spill = SpillConfig { dir: dir.clone(), segment_ops: 1 << 10 };
-        let job = TraceJob { program: ProgramId::Predator, variant: Variant::Original };
+        let job = &enumerate_jobs(&[ProgramId::Predator], &PlatformConfig::all())[0];
         let cfg = test_config(5, 1, Some(spill.clone()));
         let (_, _, segmented) = record_spilled(job, &cfg, &spill, None).expect("record");
         let paths = segmented.segment_paths();
@@ -1567,13 +1614,16 @@ mod tests {
         let check = cross_check_program(ProgramId::Predator, 5);
         assert_eq!(check.divergence, None, "predator trace diverged");
         assert!(check.ops > 0);
-        assert_eq!(check.platforms, applicable_platforms(ProgramId::Predator).len());
+        assert_eq!(check.platforms, 4);
     }
 
     #[test]
-    fn evaluate_all_matches_eval_matrix_run() {
-        let a = EvalMatrix::run(Scale::Test, 2);
-        let b = evaluate_all(Scale::Test, 2, 3).expect("evaluate");
+    fn evaluate_all_matches_the_suite_on_any_worker_count() {
+        let table8 = |jobs| {
+            evaluate_all(&ProgramId::TRANSFORMED, &PlatformConfig::all(), Scale::Test, 2, jobs)
+                .expect("evaluate")
+        };
+        let (a, b) = (table8(1), table8(3));
         // The suite's Table 8 comes from banks fed with the characterizer
         // fused into the original variant's tape: that fusion must leave
         // every simulated result unchanged. (All three are fed live; the
@@ -1587,6 +1637,10 @@ mod tests {
             spill: None,
         })
         .expect("suite");
+        // A program with no applicable platform runs no job (an empty
+        // bank would panic) and gets no cell.
+        let none = evaluate_all(&[ProgramId::Dnapenny], &[PlatformConfig::itanium2()], Scale::Test, 2, 1);
+        assert!(none.expect("nothing to run").cells.is_empty());
         for other in [&b, &suite.eval] {
             assert_eq!(a.cells.len(), other.cells.len());
             for (x, y) in a.cells.iter().zip(&other.cells) {
@@ -1596,5 +1650,11 @@ mod tests {
                 assert_eq!(x.transformed, y.transformed, "{} on {}", x.program, x.platform);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "load-transformed variant")]
+    fn evaluate_all_rejects_an_untransformable_program() {
+        let _ = evaluate_all(&[ProgramId::Blast], &PlatformConfig::all(), Scale::Test, 2, 1);
     }
 }

@@ -276,8 +276,7 @@ impl Recording {
     }
 
     /// [`replay_bank`](Self::replay_bank) with an explicit block size —
-    /// the benchmarking and property-test hook (block size must never
-    /// change any result).
+    /// the property-test hook (block size must never change any result).
     pub fn replay_bank_blocks<C: TraceConsumer>(&self, consumers: &mut [C], block_ops: usize) {
         let mut block = OpBlock::with_capacity(block_ops.min(self.stream.len()));
         let mut decoder = self.stream.block_decoder();

@@ -10,9 +10,8 @@ use std::process::ExitCode;
 use bioperf_core::candidates::{find_candidates, CandidateCriteria};
 use bioperf_core::characterize::characterize_program;
 use bioperf_core::cli::{self, CliError, Spec};
-use bioperf_core::evaluate::{evaluate_program, EvalMatrix};
 use bioperf_core::orchestrate::{
-    run_conform, run_suite, ConformConfig, FaultId, SpillConfig, SuiteConfig,
+    evaluate_all, run_conform, run_suite, ConformConfig, FaultId, SpillConfig, SuiteConfig,
 };
 use bioperf_core::report::{pct, pct2, TextTable};
 use bioperf_core::sweep::{parse_list, run_sweep, AxisError, SweepConfig, SweepGrid};
@@ -273,20 +272,25 @@ fn cmd_evaluate(program: ProgramId, scale: Scale) -> ExitCode {
         eprintln!("{program} has no load-transformed variant (paper Section 3.3)");
         return ExitCode::FAILURE;
     }
+    let matrix = match evaluate_all(&[program], &PlatformConfig::all(), scale, SEED, 0) {
+        Ok(matrix) => matrix,
+        Err(e) => {
+            eprintln!("evaluate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut table =
         TextTable::new(&["platform", "original (cycles)", "transformed", "speedup"]);
     for platform in PlatformConfig::all() {
-        if !EvalMatrix::cell_applicable(program, platform.name) {
-            table.row_owned(vec![platform.name.into(), "n.a.".into(), "n.a.".into(), "n.a.".into()]);
-            continue;
-        }
-        let cell = evaluate_program(program, platform, scale, SEED);
-        table.row_owned(vec![
-            platform.name.to_string(),
-            cell.original.cycles.to_string(),
-            cell.transformed.cycles.to_string(),
-            format!("{:+.1}%", (cell.speedup() - 1.0) * 100.0),
-        ]);
+        table.row_owned(match matrix.cell(program, platform.name) {
+            None => vec![platform.name.into(), "n.a.".into(), "n.a.".into(), "n.a.".into()],
+            Some(cell) => vec![
+                platform.name.to_string(),
+                cell.original.cycles.to_string(),
+                cell.transformed.cycles.to_string(),
+                format!("{:+.1}%", (cell.speedup() - 1.0) * 100.0),
+            ],
+        });
     }
     print!("{}", table.render());
     ExitCode::SUCCESS
@@ -319,25 +323,7 @@ fn cmd_suite(config: SuiteConfig, metrics: Option<&str>) -> ExitCode {
 
     println!("\nruntime evaluation (simulated cycles, original → load-transformed):\n");
     let platforms: Vec<&str> = PlatformConfig::all().iter().map(|p| p.name).collect();
-    let mut header = vec!["program"];
-    header.extend(platforms.iter());
-    let mut table = TextTable::new(&header);
-    for program in ProgramId::TRANSFORMED {
-        let mut row = vec![program.name().to_string()];
-        for platform in &platforms {
-            let cell = suite
-                .eval
-                .cells
-                .iter()
-                .find(|c| c.program == program && c.platform == *platform);
-            row.push(match cell {
-                None => "n.a.".to_string(),
-                Some(c) => format!("{:+.1}%", (c.speedup() - 1.0) * 100.0),
-            });
-        }
-        table.row_owned(row);
-    }
-    print!("{}", table.render());
+    print!("{}", suite.eval.speedup_table(&ProgramId::TRANSFORMED, &platforms).render());
 
     println!("\nharmonic-mean speedups:");
     for platform in &platforms {

@@ -3,8 +3,14 @@
 //! scale-stable.
 
 use bioperf_loadchar::core::evaluate::{evaluate_program, EvalMatrix};
+use bioperf_loadchar::core::orchestrate::evaluate_all;
 use bioperf_loadchar::kernels::{ProgramId, Scale};
 use bioperf_loadchar::pipe::PlatformConfig;
+
+/// Table 8 at Test scale: every transformed program on the four models.
+fn table8() -> EvalMatrix {
+    evaluate_all(&ProgramId::TRANSFORMED, &PlatformConfig::all(), Scale::Test, 42, 0).expect("evaluate")
+}
 
 /// Section 5 headline: hmmsearch gains substantially on the Alpha.
 #[test]
@@ -24,7 +30,7 @@ fn hmmsearch_itanium_speedup_is_positive() {
 /// out-of-order machines (the paper's register-pressure argument).
 #[test]
 fn pentium4_benefits_least() {
-    let m = EvalMatrix::run(Scale::Test, 42);
+    let m = table8();
     let p4 = m.harmonic_mean_speedup("Pentium 4");
     for other in ["Alpha 21264", "PowerPC G5"] {
         let hm = m.harmonic_mean_speedup(other);
@@ -35,7 +41,7 @@ fn pentium4_benefits_least() {
 /// The Alpha has the largest harmonic-mean speedup (paper Figure 9).
 #[test]
 fn alpha_wins_overall() {
-    let m = EvalMatrix::run(Scale::Test, 42);
+    let m = table8();
     let alpha = m.harmonic_mean_speedup("Alpha 21264");
     assert!(alpha > 1.1, "Alpha harmonic mean {alpha:.3}");
     for other in ["PowerPC G5", "Pentium 4", "Itanium 2"] {
