@@ -16,10 +16,9 @@ use bioperf_core::report::TextTable;
 use bioperf_kernels::{ProgramId, Scale};
 use bioperf_pipe::PlatformConfig;
 
-/// A model tweak, applied to a copy of a platform.
 type Tweak = fn(&mut PlatformConfig);
 
-/// Each row's label and tweak, applied to every Table 7 platform.
+/// Each row's label and its tweak to a copy of every Table 7 platform.
 const TWEAKS: [(&str, Tweak); 7] = [
     ("baseline model", |_| {}),
     ("force if-conversion ON", |c| c.if_conversion = true),

@@ -41,6 +41,7 @@ fn main() {
     ]);
     let platforms = [PlatformConfig::alpha21264()];
     let alpha = evaluate_or_exit("ablation_prefetch", &ProgramId::TRANSFORMED, &platforms, scale);
+    assert_eq!(alpha.cells.len(), ProgramId::TRANSFORMED.len(), "every program runs on the Alpha");
     for (program, cell) in ProgramId::TRANSFORMED.into_iter().zip(&alpha.cells) {
         let (m_none, a_none) = miss_and_amat(program, scale, Prefetcher::None);
         let (m_next, _) = miss_and_amat(program, scale, Prefetcher::NextLine);

@@ -114,13 +114,9 @@ impl EvalMatrix {
 }
 
 /// Simulates one program on one platform in both source shapes, each
-/// variant executed straight into one live [`CycleSim`].
-///
-/// This is the per-cell reference that the tests and the benchmark's
-/// output check compare the fed banks against, and nothing else should
-/// call it: every evaluation goes through
-/// [`crate::orchestrate::evaluate_all`], which executes each variant
-/// once for any number of platforms.
+/// variant executed straight into a live [`CycleSim`]: the per-cell
+/// reference the tests and the benchmark's output check hold the fed
+/// banks of [`crate::orchestrate::evaluate_all`] to. Nothing else calls it.
 pub fn evaluate_program(
     program: ProgramId,
     platform: PlatformConfig,

@@ -487,9 +487,8 @@ impl BankOutput {
     }
 }
 
-/// The members of `platforms` that `program` is evaluated on
-/// ([`EvalMatrix::cell_applicable`]: dnapenny has no Itanium cell), in
-/// the order given.
+/// The members of `platforms` that `program` is evaluated on, in the
+/// order given ([`EvalMatrix::cell_applicable`]).
 fn applicable_platforms(program: ProgramId, platforms: &[PlatformConfig]) -> Vec<PlatformConfig> {
     platforms.iter().copied().filter(|p| EvalMatrix::cell_applicable(program, p.name)).collect()
 }
@@ -527,8 +526,7 @@ pub(crate) fn record_variant(
 struct TraceJob {
     program: ProgramId,
     variant: Variant,
-    /// The members of the platform bank the execution feeds (none for
-    /// an untransformed program).
+    /// The members of the bank the execution feeds (none if untransformable).
     platforms: Vec<PlatformConfig>,
 }
 
@@ -683,8 +681,7 @@ fn run_suite_job(
     Ok(JobOutput { report, bank, timings })
 }
 
-/// One program's cells, in its job's platform order, from its two
-/// variants' banks.
+/// One program's cells, in its job's platform order, from its variants' banks.
 fn eval_cells(job: &TraceJob, original: &BankOutput, transformed: &BankOutput) -> Vec<EvalCell> {
     let program = job.program;
     job.platforms
@@ -806,8 +803,9 @@ pub fn characterize_all(
 ///
 /// Cells are program-major in `programs` order, then in `platforms`
 /// order, inapplicable cells skipped (a program with none applicable
-/// runs no job). Names need not be unique (a tweaked copy keeps its
-/// base's name), so read such a matrix by position.
+/// runs no job). Applicability goes by platform *name*: any member named
+/// "...Itanium..." is skipped for dnapenny, whatever its model. Names
+/// need not be unique (a tweaked copy keeps its base's), so read by position.
 ///
 /// # Panics
 ///

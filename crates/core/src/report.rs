@@ -106,6 +106,17 @@ pub fn pct3(x: f64) -> String {
     format!("{:.3}%", x * 100.0)
 }
 
+/// Harmonic mean of a slice of ratios.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty or contains non-positive values.
+pub fn harmonic_mean(xs: &[f64]) -> f64 {
+    assert!(!xs.is_empty(), "harmonic mean of nothing");
+    assert!(xs.iter().all(|&x| x > 0.0), "harmonic mean needs positive values");
+    xs.len() as f64 / xs.iter().map(|x| 1.0 / x).sum::<f64>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +156,18 @@ mod tests {
         assert_eq!(pct(0.254), "25.4%");
         assert_eq!(pct2(0.0178), "1.78%");
         assert_eq!(pct3(0.00072), "0.072%");
+    }
+
+    #[test]
+    fn harmonic_mean_matches_hand_calc() {
+        let hm = harmonic_mean(&[1.0, 2.0]);
+        assert!((hm - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!(harmonic_mean(&[3.0]), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn harmonic_mean_rejects_zero() {
+        harmonic_mean(&[1.0, 0.0]);
     }
 }
