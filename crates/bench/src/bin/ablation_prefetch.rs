@@ -16,13 +16,18 @@ use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_pipe::PlatformConfig;
 use bioperf_trace::Tape;
 
-fn miss_and_amat(program: ProgramId, scale: Scale, policy: Prefetcher) -> (f64, f64) {
-    let hierarchy = alpha21264_hierarchy().with_prefetcher(policy);
-    let mut tape = Tape::new(CacheSim::new(hierarchy));
+/// L1 load miss rate and AMAT of `program` on the reference hierarchy
+/// under each of `policies`, from one execution feeding a hierarchy per
+/// policy.
+fn miss_and_amat(program: ProgramId, scale: Scale, policies: [Prefetcher; 3]) -> [(f64, f64); 3] {
+    let sim = |policy| CacheSim::new(alpha21264_hierarchy().with_prefetcher(policy));
+    let mut tape = Tape::new((sim(policies[0]), sim(policies[1]), sim(policies[2])));
     registry::run(&mut tape, program, Variant::Original, scale, REPRO_SEED);
-    let (_, sim) = tape.finish();
-    let h = sim.into_hierarchy();
-    (h.stats().l1.load_miss_ratio(), h.amat())
+    let (_, (a, b, c)) = tape.finish();
+    [a, b, c].map(|sim| {
+        let h = sim.into_hierarchy();
+        (h.stats().l1.load_miss_ratio(), h.amat())
+    })
 }
 
 fn main() {
@@ -43,9 +48,9 @@ fn main() {
     let alpha = evaluate_or_exit("ablation_prefetch", &ProgramId::TRANSFORMED, &platforms, scale);
     assert_eq!(alpha.cells.len(), ProgramId::TRANSFORMED.len(), "every program runs on the Alpha");
     for (program, cell) in ProgramId::TRANSFORMED.into_iter().zip(&alpha.cells) {
-        let (m_none, a_none) = miss_and_amat(program, scale, Prefetcher::None);
-        let (m_next, _) = miss_and_amat(program, scale, Prefetcher::NextLine);
-        let (m_stride, a_stride) = miss_and_amat(program, scale, Prefetcher::Stride);
+        let policies = [Prefetcher::None, Prefetcher::NextLine, Prefetcher::Stride];
+        let [(m_none, a_none), (m_next, _), (m_stride, a_stride)] =
+            miss_and_amat(program, scale, policies);
         table.row_owned(vec![
             program.name().to_string(),
             pct2(m_none),

@@ -8,7 +8,9 @@
 //! the factored path is less than `x`× faster. `--grid standard` swaps
 //! in the 576-cell exploration grid (the configuration the speedup
 //! target is specified against), and `--grid timing` the 24-cell timing
-//! grid.
+//! grid. The sweep subcommand's axis flags (`--l1`, `--l2`, `--line`,
+//! `--lat`, `--pipe`, `--pred`, `--prefetch`) replace the preset's axes
+//! wholesale, so any grid can be diffed against the oracle.
 //!
 //! It writes no file: the committed `BENCH_sweep.json` has one producer,
 //! `bioperf-loadchar sweep --out`.
@@ -23,10 +25,17 @@ use bioperf_kernels::Scale;
 const ARTIFACT: &str = "bench_sweep";
 
 const USAGE: &str = "usage: bench_sweep [test|small|medium|large] [--jobs <n>] \
-                     [--grid smoke|standard|timing] [--min-speedup <x>]";
+                     [--grid smoke|standard|timing] [--min-speedup <x>]\n       \
+                     [--l1 <KBxWAYS,..>] [--l2 <KBxWAYS,..>] [--line <BYTES,..>] \
+                     [--lat <L1:L2:MEM,..>] [--pipe <WIDTHxROB,..>] [--pred <name,..>] \
+                     [--prefetch <name,..>]";
 
+/// The axis flags are `--` plus each of [`SweepGrid::AXES`].
 const SPEC: Spec = Spec {
-    values: &["--jobs", "--grid", "--min-speedup"],
+    values: &[
+        "--jobs", "--grid", "--min-speedup", "--l1", "--l2", "--line", "--lat", "--pipe", "--pred",
+        "--prefetch",
+    ],
     switches: &[],
     positionals: &["scale"],
     required: 0,
@@ -41,12 +50,14 @@ struct Args {
 
 fn read_args(argv: &[String]) -> Result<Args, CliError> {
     let a = cli::read(argv, &SPEC)?;
+    let mut grid = a.parse_with("--grid", SweepGrid::preset)?.unwrap_or_else(SweepGrid::smoke);
+    for axis in SweepGrid::AXES {
+        a.parse_with(&format!("--{axis}"), |value| grid.set_axis(axis, value))?;
+    }
     Ok(Args {
         scale: a.parse_with("scale", cli::scale)?.unwrap_or(Scale::Test),
         jobs: a.jobs()?,
-        grid: a
-            .parse_with("--grid", SweepGrid::preset)?
-            .unwrap_or_else(SweepGrid::smoke),
+        grid,
         min_speedup: a.parse_with("--min-speedup", cli::positive)?,
     })
 }

@@ -4,7 +4,7 @@ use bioperf_isa::{MicroOp, Program};
 use bioperf_metrics::{LogHistogram, MetricSet};
 use bioperf_trace::TraceConsumer;
 
-use crate::cache::Cache;
+use crate::cache::{AccessResult, Cache};
 use crate::config::{CacheConfig, LatencyConfig};
 use crate::prefetch::{PrefetchEngine, Prefetcher};
 
@@ -216,46 +216,74 @@ impl Hierarchy {
         }
     }
 
+    #[inline]
     fn access_inner(&mut self, addr: u64, kind: AccessKind) -> (ServicedBy, u64) {
-        let is_store = kind == AccessKind::Store;
+        let l1 = self.front(addr, kind);
+        let level = self.back(addr, kind, l1);
+        (level, self.latencies.total(level != ServicedBy::L1, level == ServicedBy::Memory))
+    }
+
+    /// The L1 half of a demand access: the L1 lookup, its prefetcher on
+    /// a miss, and the L1 statistics. It never reads L2 state (prefetch
+    /// fills drop their writebacks), so hierarchies with equal fresh
+    /// fronts see equal outcomes ([`Self::shares_front_with`]).
+    #[inline]
+    pub(crate) fn front(&mut self, addr: u64, kind: AccessKind) -> AccessResult {
+        let r1 = self.l1d.access(addr, kind == AccessKind::Store);
+        let l1 = &mut self.stats.l1;
         match kind {
-            AccessKind::Load => self.stats.l1.load_accesses += 1,
-            AccessKind::Store => self.stats.l1.store_accesses += 1,
+            AccessKind::Load => l1.load_accesses += 1,
+            AccessKind::Store => l1.store_accesses += 1,
         }
-        let r1 = self.l1d.access(addr, is_store);
+        l1.writebacks += r1.writeback.is_some() as u64;
+        if !r1.hit {
+            match kind {
+                AccessKind::Load => l1.load_misses += 1,
+                AccessKind::Store => l1.store_misses += 1,
+            }
+            self.prefetch.on_miss(addr, &mut self.l1d);
+        }
+        r1
+    }
+
+    /// The L2 half of a demand access whose L1 half returned `r1`: the
+    /// L1 victim's writeback, then on an L1 miss the demand access, with
+    /// the L2 statistics. Returns the servicing level.
+    #[inline]
+    pub(crate) fn back(&mut self, addr: u64, kind: AccessKind, r1: AccessResult) -> ServicedBy {
         if let Some(wb) = r1.writeback {
-            self.stats.l1.writebacks += 1;
             // Write the dirty block back into L2 (not counted as demand).
             let r2 = self.l2.access(wb, true);
-            if r2.writeback.is_some() {
-                self.stats.l2.writebacks += 1;
-            }
+            self.stats.l2.writebacks += r2.writeback.is_some() as u64;
         }
         if r1.hit {
-            return (ServicedBy::L1, self.latencies.total(false, false));
+            return ServicedBy::L1;
         }
-        match kind {
-            AccessKind::Load => self.stats.l1.load_misses += 1,
-            AccessKind::Store => self.stats.l1.store_misses += 1,
-        }
-        self.prefetch.on_miss(addr, &mut self.l1d);
-
         match kind {
             AccessKind::Load => self.stats.l2.load_accesses += 1,
             AccessKind::Store => self.stats.l2.store_accesses += 1,
         }
-        let r2 = self.l2.access(addr, is_store);
-        if r2.writeback.is_some() {
-            self.stats.l2.writebacks += 1;
-        }
+        let r2 = self.l2.access(addr, kind == AccessKind::Store);
+        self.stats.l2.writebacks += r2.writeback.is_some() as u64;
         if r2.hit {
-            return (ServicedBy::L2, self.latencies.total(true, false));
+            return ServicedBy::L2;
         }
         match kind {
             AccessKind::Load => self.stats.l2.load_misses += 1,
             AccessKind::Store => self.stats.l2.store_misses += 1,
         }
-        (ServicedBy::Memory, self.latencies.total(true, true))
+        ServicedBy::Memory
+    }
+
+    /// Whether `other`'s L1 half would return this hierarchy's outcomes
+    /// on any access sequence: both untouched and uninstrumented, with
+    /// equal L1 geometry and prefetcher policy.
+    pub(crate) fn shares_front_with(&self, other: &Hierarchy) -> bool {
+        let fresh = |h: &Hierarchy| h.stats == HierarchyStats::default() && !h.metrics_on;
+        fresh(self)
+            && fresh(other)
+            && self.l1d.config() == other.l1d.config()
+            && self.prefetch.policy() == other.prefetch.policy()
     }
 
     /// Average memory access time for loads, computed with the paper's

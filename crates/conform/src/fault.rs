@@ -69,11 +69,15 @@ pub enum FaultId {
     /// fed platform bank never sees a trace's last `len % BLOCK_OPS`
     /// ops.
     LiveFeedTail,
+    /// A keyed platform bank forks a diverging key's lanes after the
+    /// block's timing cores ran, so the forked lanes keep their parent's
+    /// timing of the block where the key's codes first differ.
+    RefineStaleFork,
 }
 
 impl FaultId {
     /// Every catalogued fault, in reporting order.
-    pub const ALL: [FaultId; 14] = [
+    pub const ALL: [FaultId; 15] = [
         FaultId::CacheLruTouch,
         FaultId::CacheDirtyWriteback,
         FaultId::PackedSrcDelta,
@@ -88,6 +92,7 @@ impl FaultId {
         FaultId::FactoredAnnotationSkew,
         FaultId::TimingFillOvershare,
         FaultId::LiveFeedTail,
+        FaultId::RefineStaleFork,
     ];
 
     /// Stable CLI / report name.
@@ -107,6 +112,7 @@ impl FaultId {
             FaultId::FactoredAnnotationSkew => "factored-annotation-skew",
             FaultId::TimingFillOvershare => "timing-fill-overshare",
             FaultId::LiveFeedTail => "live-feed-tail",
+            FaultId::RefineStaleFork => "refine-stale-fork",
         }
     }
 
@@ -136,6 +142,7 @@ impl FaultId {
                 "timing bank shares a latency fill across latency tables"
             }
             FaultId::LiveFeedTail => "live block feed drops its final partial block",
+            FaultId::RefineStaleFork => "keyed bank forks diverging lanes after the block ran",
         }
     }
 
@@ -157,6 +164,7 @@ impl FaultId {
             FaultId::FactoredAnnotationSkew => inject::ANN_SKEW,
             FaultId::TimingFillOvershare => inject::FILL_OVERSHARE,
             FaultId::LiveFeedTail => inject::FEED_TAIL,
+            FaultId::RefineStaleFork => inject::REFINE_STALE,
         }
     }
 
@@ -199,19 +207,25 @@ impl FaultId {
             // timing bank) reads every annotation one late, so
             // the first access whose level differs from its successor's
             // exposes it. The sweep self-check also fires on its single
-            // run.
+            // run, through its later pass's timing banks.
             FaultId::FactoredAnnotationSkew => 16,
             // The pipeline check's checked lane follows a decoy whose L1
             // latency is one cycle longer on the same stream, so the
             // first load whose latency reaches the cycle count exposes
-            // it. The sweep self-check's two latency triples on shared
-            // streams also fire on its single run.
+            // it. The sweep self-check's latency triples on shared
+            // streams and classes also fire on its single run.
             FaultId::TimingFillOvershare => 16,
             // The pipeline check's live-feed leg feeds the whole stream
             // op by op; a fuzz stream is shorter than one block, so all
             // of it is the dropped tail and any nonempty stream exposes
             // it.
             FaultId::LiveFeedTail => 16,
+            // The pipeline check's keyed leg forks the platform's key
+            // off a 4 KB-line decoy at the first new line of a touched
+            // page, where the decoy hits and the platform goes to
+            // memory; the stale fork times that block with the decoy's
+            // L1 hit. The sweep self-check's prefetching keys also fork.
+            FaultId::RefineStaleFork => 16,
         }
     }
 }

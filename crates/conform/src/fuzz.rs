@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use bioperf_branch::{BranchProfiler, PredictorKind};
-use bioperf_cache::AccessKind;
+use bioperf_cache::{AccessKind, CacheConfig, MAX_BLOCK_BYTES};
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
 use bioperf_pipe::{CachePassSim, PlatformBank, PlatformConfig, RegFile, SimResult, TimingBank};
 use bioperf_trace::packed::PackedStream;
@@ -614,13 +614,17 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 /// in-memory suite's engine, [`BLOCK_OPS`](bioperf_trace::BLOCK_OPS)
 /// blocks built live, the tail flushed at the end); then, per platform,
 /// a [`CachePassSim`]
-/// feeding a [`TimingBank`] (the sweep's factored engine), taking cycles
+/// feeding a [`TimingBank`] (the sweep's later passes), taking cycles
 /// and counters from the bank and hierarchy stats from the cache pass.
 /// The checked lane is a latency-fill follower: two decoy lanes on the
 /// same stream go first, one whose L1 latency is one cycle longer (it
 /// must not share the fill) and one with the same latencies but another
 /// width, ROB and predictor (it must, and leads the checked lane's
-/// group).
+/// group). Last, a keyed [`PlatformBank`] fed op by op through a
+/// [`BlockFeed`] (the sweep's live first pass) whose representative key
+/// is a decoy with 4 KB lines, so the platform's own key forks off its
+/// class at the first block where a new line of a touched page misses;
+/// the checked lane is the fork of the platform's lane.
 ///
 /// Before it is compared, every bank result must satisfy the model's
 /// bounds ([`bound_violation`]), so a fault that breaks one is reported
@@ -672,6 +676,11 @@ fn pipeline_check(
     }
     let block_ops = sizes[2];
     for (platform, slow) in platforms.iter().zip(&slow) {
+        // The keyed leg's decoy key: 4 KB lines, so it hits on every
+        // untouched line of a touched page, where the platform misses.
+        let mut page_lines = *platform;
+        page_lines.l1 = CacheConfig::new(256 * 1024, 4, MAX_BLOCK_BYTES);
+        page_lines.l2 = CacheConfig::new(4 * 1024 * 1024, 1, MAX_BLOCK_BYTES);
         let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
         replay_blocks(stream, std::slice::from_mut(&mut pass), block_ops);
         let (stats, annotations) = pass.finish_bank().pop().expect("one member");
@@ -691,6 +700,24 @@ fn pipeline_check(
         let fast = SimResult { cache: stats, ..bank.into_results()[2] };
         if fast != *slow {
             let detail = format!("factored: optimized {fast:?}, reference {slow:?}");
+            return Some(Divergence::new("pipeline", detail).on(platform));
+        }
+
+        let mut bank = PlatformBank::keyed(
+            platform.logical_regs,
+            platform.if_conversion,
+            vec![page_lines.hierarchy(), platform.hierarchy()],
+            false,
+        );
+        bank.push_keyed_lane(platform, PredictorKind::Hybrid);
+        let mut feed = BlockFeed::new(bank, ops.len());
+        for op in ops {
+            feed.consume(op, &program);
+        }
+        feed.finish(&program);
+        let fast = feed.into_inner().key_result(0, 1);
+        if fast != *slow {
+            let detail = format!("keyed: optimized {fast:?}, reference {slow:?}");
             return Some(Divergence::new("pipeline", detail).on(platform));
         }
     }

@@ -1,6 +1,6 @@
 //! The one-pass program characterizer (Figures 1–2, Tables 1–5).
 
-use bioperf_cache::{alpha21264_hierarchy, CacheSim, HierarchyStats};
+use bioperf_cache::HierarchyStats;
 use bioperf_isa::{MicroOp, OpClass, Program};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::MetricSet;
@@ -11,16 +11,17 @@ use crate::loadchar::{HotLoad, LoadBranchAnalysis, SequenceSummary};
 
 /// Streaming consumer combining all of the paper's characterization
 /// passes: instruction mix, load coverage, cache behaviour, and the
-/// load↔branch sequence/profile analysis.
+/// load↔branch sequence/profile analysis. The analysis's reference
+/// hierarchy sees every traced load and store, so it is also the Table 2
+/// cache simulation.
 #[derive(Debug)]
 pub struct Characterizer {
     /// Instruction-mix counters (Figure 1 / Table 1).
     pub mix: InstrMix,
     /// Load-coverage accumulator (Figure 2).
     pub coverage: LoadCoverage,
-    /// Cache simulation on the reference hierarchy (Table 2).
-    cache: CacheSim,
-    /// Sequence and per-load analysis (Tables 4 and 5).
+    /// Sequence and per-load analysis (Tables 4 and 5) and the reference
+    /// hierarchy's cache behaviour (Table 2).
     pub analysis: LoadBranchAnalysis,
 }
 
@@ -30,24 +31,21 @@ impl Characterizer {
         Self {
             mix: InstrMix::default(),
             coverage: LoadCoverage::new(),
-            cache: CacheSim::new(alpha21264_hierarchy()),
             analysis: LoadBranchAnalysis::new(),
         }
     }
 
     /// Like [`new`](Self::new), but with event-metric collection switched
-    /// on in the cache simulation; the collected events come back in
+    /// on in the reference hierarchy; the collected events come back in
     /// [`CharacterizationReport::events`].
     pub fn with_metrics() -> Self {
-        let mut c = Self::new();
-        c.cache = c.cache.with_metrics();
-        c
+        Self { analysis: LoadBranchAnalysis::new().with_metrics(), ..Self::new() }
     }
 
     /// Finalizes into a report.
-    pub fn into_report(self, program: Program, hot_load_rows: usize) -> CharacterizationReport {
-        let mut cache = self.cache.into_hierarchy();
-        let events = cache.take_metrics();
+    pub fn into_report(mut self, program: Program, hot_load_rows: usize) -> CharacterizationReport {
+        let events = self.analysis.take_cache_metrics();
+        let cache = self.analysis.hierarchy();
         let amat = cache.amat();
         let hot_loads = self.analysis.hot_loads(hot_load_rows, &program);
         CharacterizationReport {
@@ -76,7 +74,6 @@ impl TraceConsumer for Characterizer {
     fn consume(&mut self, op: &MicroOp, program: &Program) {
         self.mix.consume(op, program);
         self.coverage.consume(op, program);
-        self.cache.consume(op, program);
         self.analysis.consume(op, program);
     }
 }
@@ -104,7 +101,7 @@ pub struct CharacterizationReport {
     pub static_loads: usize,
     /// The traced static program (for source mapping).
     pub program: Program,
-    /// Raw event metrics from the cache simulation (empty unless the
+    /// Raw event metrics from the reference hierarchy (empty unless the
     /// characterizer was built with [`Characterizer::with_metrics`]).
     pub events: MetricSet,
 }

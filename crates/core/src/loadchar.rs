@@ -210,6 +210,24 @@ impl LoadBranchAnalysis {
         }
     }
 
+    /// Switches on event-metric collection in the reference hierarchy
+    /// (see [`Hierarchy::with_metrics`]).
+    pub fn with_metrics(mut self) -> Self {
+        self.hierarchy = self.hierarchy.with_metrics();
+        self
+    }
+
+    /// The reference hierarchy every traced load and store went through.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hierarchy
+    }
+
+    /// Takes the reference hierarchy's collected event metrics (empty
+    /// unless built [`with_metrics`](Self::with_metrics)).
+    pub fn take_cache_metrics(&mut self) -> bioperf_metrics::MetricSet {
+        self.hierarchy.take_metrics()
+    }
+
     /// Aggregate sequence results (Table 4).
     pub fn summary(&self) -> SequenceSummary {
         self.summary

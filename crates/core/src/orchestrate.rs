@@ -1058,15 +1058,17 @@ pub fn run_conform(cfg: &ConformConfig) -> io::Result<ConformResult> {
     // per-cell replays, plus an analytic stack-distance cross-check of
     // its cache pass. The cell merge runs above the op-level fuzzer's
     // horizon, so this is the detector for `sweep-merge-order`; the
-    // fuzzer's factored leg also sees `factored-annotation-skew` and
-    // `timing-fill-overshare`. Runs while the fault is still armed, under
-    // those three faults and in clean full-check mode.
+    // fuzzer's factored and keyed legs also see
+    // `factored-annotation-skew`, `timing-fill-overshare` and
+    // `refine-stale-fork`. Runs while the fault is still armed, under
+    // those four faults and in clean full-check mode.
     let sweep_divergence = if matches!(
         cfg.inject,
         Some(
             FaultId::SweepMergeOrder
                 | FaultId::FactoredAnnotationSkew
                 | FaultId::TimingFillOvershare
+                | FaultId::RefineStaleFork
         )
     ) || (cfg.inject.is_none() && cfg.check_programs)
     {

@@ -8,10 +8,10 @@
 //! validates every cell's cache geometry (degenerate points become
 //! skipped-cell diagnostics, not panics), and fans the surviving cells
 //! out over the [`run_jobs`](crate::orchestrate::run_jobs) worker pool,
-//! one job per (program, variant). A job records its variant's trace,
-//! runs the program's missing cells over it in grid order (decoding it
-//! once per bank it drives), and drops it before its worker claims the
-//! next job, so no recording is shared between jobs and at most one per
+//! one job per (program, variant). A job executes its variant's kernel
+//! once and runs the program's missing cells over the op stream in grid
+//! order; whatever it records it drops before its worker claims the
+//! next job, so no trace is shared between jobs and at most one per
 //! worker is alive at once ([`SweepResult::live_traces_peak`]). Jobs with
 //! more cells start first, then by program trace length, but results go
 //! back by (program, variant), and the merge walks programs in input
@@ -22,21 +22,26 @@
 //! independent axis groups. The hierarchy-access sequence a cell's
 //! simulator generates depends only on the trace and the register-file
 //! geometry — which every cell shares — never on latencies, pipeline
-//! shape, or predictor. So a job runs two passes back to back. A *cache
-//! pass* ([`bioperf_pipe::CachePassSim`]) replays the recording once per
-//! `CACHE_PASS_KEYS` (32) distinct cache-axis configurations (L1 × L2 ×
-//! line × prefetcher) and emits a 2-bit-per-access miss-level annotation
-//! stream plus final hierarchy stats per configuration. A *timing pass*
-//! then replays each cell as a lane of a [`TimingBank`], converting
-//! levels back to latencies through the cell's own latency axis instead
-//! of simulating a hierarchy. The streams are dropped when the job's
-//! timing pass is done with them; none leaves the job. On the standard
-//! grid this collapses 1152 hierarchy simulations to 64 while producing
-//! bit-identical measurements. The unfactored oracle
-//! ([`SweepConfig::factor`] `false`) runs the same jobs with every cell
-//! a live [`PlatformBank`] member that simulates its own hierarchy; the
-//! conformance harness's sweep self-check diffs the factored path
-//! against direct per-cell replays ([`sweep_self_check`]).
+//! shape, or predictor; and a cell's cycles depend only on its timing
+//! axis and the 2-bit miss-level code of each access under its cache
+//! axis (L1 × L2 × line × prefetcher). So a job's first pass is live:
+//! the kernel feeds a keyed [`PlatformBank`] block by block, one plan
+//! walk driving up to `CACHE_PASS_KEYS` (32) cache-axis hierarchies
+//! and the timing lanes of as many timing axes as fit 32 potential
+//! lanes. Keys whose codes have agreed so far share one lane per timing
+//! axis; a key whose block codes diverge forks its own lanes, so lanes
+//! run once per distinct code stream. Only a job with more keys or axes
+//! than that records its trace as well, and its later passes replay the
+//! recording through [`CachePassSim`]s for the remaining keys and
+//! [`TimingBank`]s for the remaining (axis, class) lanes, on the class
+//! representatives' streams; the streams are dropped with the job. On
+//! the standard grid this collapses 1152 hierarchy simulations to 64
+//! while producing bit-identical measurements. The unfactored oracle
+//! ([`SweepConfig::factor`] `false`) records each job and runs every
+//! cell as a live [`PlatformBank`] member that simulates its own
+//! hierarchy; the conformance harness's sweep self-check diffs the
+//! factored path against direct per-cell replays
+//! ([`sweep_self_check`]).
 //!
 //! Completed `(program, cell)` measurements append to a
 //! **`bioperf-sweep/v1` checkpoint** (binary, FNV-1a-checksummed records,
@@ -64,13 +69,13 @@ use bioperf_cache::{
     AnnotationStream, CacheConfig, CacheConfigError, Hierarchy, HierarchyStats, LatencyConfig,
     Prefetcher, StackDistProfiler,
 };
-use bioperf_kernels::{ProgramId, Scale, Variant};
+use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
 use bioperf_pipe::{
     CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank, MAX_LATENCY,
     MAX_WIDTH,
 };
-use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, Recording};
+use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, BlockFeed, Recorder, Recording, Tape};
 
 use crate::orchestrate::{
     default_jobs, job_rank, record_variant, run_jobs_ranked, LiveTraces, SuiteError,
@@ -94,18 +99,20 @@ pub const CHECKPOINT_HEADER_LEN: usize = 32;
 /// Size of one checkpoint record in bytes.
 pub const CHECKPOINT_RECORD_LEN: usize = 40;
 
-/// Members per timing bank of either engine: annotated lanes in the
-/// factored timing pass, live per-cell members in the unfactored oracle.
-/// A member is a timing core (about 0.55 MiB of ready and issue rings;
-/// a live member adds its hierarchy), so the cap bounds a job's memory,
-/// while every member past the first shares the bank's decode, plan and
-/// predictor walks, and (annotated) its group's latency fill.
+/// Members per timing bank of either engine: potential lanes (keys ×
+/// timing axes) of the factored live pass, annotated lanes of a later
+/// pass, live per-cell members in the unfactored oracle. A member is a
+/// timing core (about 0.55 MiB of ready and issue rings; a live member
+/// adds its hierarchy), so the cap bounds a job's memory, while every
+/// member past the first shares the bank's plan and predictor walks,
+/// and (keyed or annotated) its group's latency fill.
 const TIMING_BANK_LANES: usize = 32;
 
-/// Cache-axis configurations per cache pass of a factored job: one
-/// decode and register plan drive this many hierarchies, and the pass's
-/// annotation streams (about 0.11 B per recorded op each) are all a job
-/// holds at once. The standard grid has exactly this many.
+/// Cache-axis configurations per cache pass of a factored job, the live
+/// pass's included: one register plan drives this many hierarchies, and
+/// a recording job's streams of them (about 0.11 B per op each) are all
+/// it holds besides the recording. The standard grid has exactly this
+/// many.
 const CACHE_PASS_KEYS: usize = 32;
 
 /// Largest cache level a grid cell may ask for, in KB (64 MiB): 8× the
@@ -729,9 +736,10 @@ pub struct SweepConfig {
     /// measurements this invocation (`0` = unlimited). A budget-stopped
     /// run checkpoints what it measured and reports `complete: false`.
     pub max_cells: usize,
-    /// Evaluate via the factored two-pass pipeline (cache pass +
-    /// annotated timing replay). `false` selects the unfactored oracle:
-    /// the same per-(program, variant) jobs, with every cell a live
+    /// Evaluate via the factored engine (a live keyed pass, plus
+    /// recorded later passes when keys × timing axes exceed one bank).
+    /// `false` selects the unfactored oracle: the same per-(program,
+    /// variant) jobs, each recorded, with every cell a live
     /// [`PlatformBank`] member with its own hierarchy. Both produce
     /// bit-identical measurements and checkpoint bytes; the command line
     /// always runs the factored path, and `bench_sweep` times and
@@ -798,12 +806,17 @@ pub struct SweepResult {
     pub computed: usize,
     /// Measurements restored from the checkpoint.
     pub cached: usize,
-    /// Variant traces recorded by this invocation — zero when every
-    /// scheduled cell came out of the checkpoint (a resumed sweep with
-    /// no remaining work does no recording at all).
+    /// Variant traces executed by this invocation (fed live or
+    /// recorded) — zero when every scheduled cell came out of the
+    /// checkpoint (a resumed sweep with no remaining work executes no
+    /// kernel at all).
     pub recorded: usize,
-    /// Most recordings alive at once: at most [`Self::workers`], exactly
-    /// 1 on one worker, and 0 when nothing was recorded.
+    /// (Program, variant) jobs that captured a recording of their trace:
+    /// the oracle's jobs, and factored jobs that need a pass after their
+    /// live one. Not part of the report.
+    pub recorded_jobs: usize,
+    /// Most traces alive (being fed or recorded) at once: at most
+    /// [`Self::workers`], exactly 1 on one worker, and 0 when no job ran.
     pub live_traces_peak: usize,
     /// Whether every valid `(program, cell)` pair is measured.
     pub complete: bool,
@@ -1156,7 +1169,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
     // with no remaining cells records nothing (`SweepResult::recorded`
     // pins this).
     let live = LiveTraces::default();
-    let outputs = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
+    let (outputs, recorded_jobs) = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
     let recorded = 2 * jobs.iter().filter(|job| !job.cells.is_empty()).count();
 
     // Merge program by program, each program's cells in grid order — the
@@ -1200,6 +1213,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         computed,
         cached,
         recorded,
+        recorded_jobs,
         live_traces_peak: live.peak(),
         complete,
     })
@@ -1227,7 +1241,7 @@ impl CacheAxisKey {
 type TimingAxis = ((u64, u64, u64), (u32, usize), PredictorKind);
 
 /// Per scheduled cell of a [`SweepJob`], in its order: the hierarchy
-/// stats and cycles one variant's recording produced.
+/// stats and cycles one variant's execution produced.
 type CellResults = Vec<(HierarchyStats, u64)>;
 
 /// One scheduled cell of a [`SweepJob`].
@@ -1236,31 +1250,51 @@ struct JobCell {
     id: usize,
     /// Index into the job's cache-axis keys.
     key: usize,
-    axis: TimingAxis,
+    /// Index into the job's timing axes.
+    axis: usize,
     rc: ResolvedCell,
 }
 
 /// One program's share of the sweep: its scheduled cells in grid order,
-/// and one representative cell per distinct cache-axis key (first-seen
-/// order). Both variants of the program run the same job over their own
-/// recordings, through either engine.
+/// and one representative cell per distinct cache-axis key and per
+/// distinct timing axis (first-seen order). Both variants of the program
+/// run the same job, through either engine.
 #[derive(Default)]
 struct SweepJob {
     keys: Vec<CacheAxisKey>,
     reps: Vec<ResolvedCell>,
+    axes: Vec<TimingAxis>,
+    axis_reps: Vec<ResolvedCell>,
     cells: Vec<JobCell>,
+}
+
+/// The index of `item` in `items`, after pushing it (and `rep` onto
+/// `reps`) if it is new.
+fn intern<T: PartialEq>(
+    items: &mut Vec<T>,
+    reps: &mut Vec<ResolvedCell>,
+    item: T,
+    rep: ResolvedCell,
+) -> usize {
+    items.iter().position(|x| *x == item).unwrap_or_else(|| {
+        items.push(item);
+        reps.push(rep);
+        items.len() - 1
+    })
+}
+
+/// A cell's cache hierarchy: its geometry and prefetcher.
+fn hierarchy(rc: &ResolvedCell) -> Hierarchy {
+    Hierarchy::new(rc.platform.l1, rc.platform.l2, rc.lat).with_prefetcher(rc.prefetch)
 }
 
 impl SweepJob {
     /// Schedules grid cell `id`.
     fn add(&mut self, id: usize, spec: &CellSpec, rc: ResolvedCell) {
-        let key = CacheAxisKey::of(spec);
-        let key = self.keys.iter().position(|&x| x == key).unwrap_or_else(|| {
-            self.keys.push(key);
-            self.reps.push(rc);
-            self.keys.len() - 1
-        });
-        self.cells.push(JobCell { id, key, axis: (spec.lat, spec.pipe, spec.pred), rc });
+        let key = intern(&mut self.keys, &mut self.reps, CacheAxisKey::of(spec), rc);
+        let axis = (spec.lat, spec.pipe, spec.pred);
+        let axis = intern(&mut self.axes, &mut self.axis_reps, axis, rc);
+        self.cells.push(JobCell { id, key, axis, rc });
     }
 
     /// The unfactored oracle on one variant's recording: every cell is a
@@ -1280,94 +1314,136 @@ impl SweepJob {
         out
     }
 
-    /// The factored engine on one variant's recording: cache passes of
-    /// at most [`CACHE_PASS_KEYS`] hierarchies, each followed by the
-    /// timing lanes its streams feed, after which the streams are
-    /// dropped. Returns, per cell, its key's hierarchy stats and its
-    /// cycles — the same values [`Self::run_live`] returns.
+    /// The factored engine on one variant: returns, per cell, its key's
+    /// hierarchy stats and its cycles — the same values
+    /// [`Self::run_live`] returns — and whether the job recorded its
+    /// trace.
     ///
-    /// A cell's cycles depend only on its timing axis and the *contents*
-    /// of its annotation stream — never on which cache geometry produced
-    /// it. Distinct geometries frequently produce identical miss
-    /// sequences (every L2 that stops missing after warmup, every line
-    /// size the access pattern strides past), so lanes are keyed by
-    /// (timing axis, stream content key) in a job-wide memo that keeps
-    /// only cycles: a stream equal to one from an earlier pass reuses
-    /// that pass's lane. Every grid cell keeps the base platform's
-    /// register file and if-conversion mode (see `CellSpec::resolve`), so
-    /// within a [`TimingBank`] the register/spill plan runs once, each
-    /// predictor family once, each (stream, latency table) fill once,
-    /// and only the serial timing core per lane.
-    fn run_factored(&self, rec: &Recording) -> CellResults {
+    /// A cell's cycles depend only on its timing axis and the miss-level
+    /// code stream of its cache-axis key, never on which geometry
+    /// produced the stream, and distinct geometries often produce equal
+    /// streams (every L2 that stops missing after warmup, every line
+    /// size the access pattern strides past). So lanes are keyed by
+    /// (timing axis, key class), a class being the keys with equal
+    /// streams. Every grid cell keeps the base platform's register file
+    /// and if-conversion mode (see `CellSpec::resolve`), so the
+    /// register/spill plan runs once per pass for every key and lane.
+    ///
+    /// The first pass is live: the kernel feeds a keyed
+    /// [`PlatformBank`] block by block, one plan walk driving the first
+    /// [`CACHE_PASS_KEYS`] keys' hierarchies and as many timing axes as
+    /// fit [`TIMING_BANK_LANES`] potential lanes (at least one), its
+    /// classes refined as the codes arrive. Only a job with more keys or
+    /// axes than that also records the trace, keeping the class
+    /// representatives' streams; its later passes replay the recording
+    /// through cache passes for the remaining keys (a stream equal to a
+    /// class representative's joins that class) and [`TimingBank`]s of
+    /// one lane per remaining (axis, class).
+    fn run_factored(
+        &self,
+        program: ProgramId,
+        variant: Variant,
+        scale: Scale,
+        seed: u64,
+    ) -> Result<(CellResults, bool), SuiteError> {
         let base = self.reps[0].platform;
-        let mut stats: Vec<HierarchyStats> = Vec::with_capacity(self.reps.len());
-        // The memo: lane `i` is keyed by `lane_keys[i]` and timed at
-        // `cycles[i]`.
-        let mut lane_keys: Vec<(TimingAxis, (u64, u64))> = Vec::new();
-        let mut cycles: Vec<u64> = Vec::new();
-        let mut cell_lane: Vec<usize> = vec![0; self.cells.len()];
-        for reps in self.reps.chunks(CACHE_PASS_KEYS) {
-            let first = stats.len();
-            let hierarchies: Vec<Hierarchy> = reps
-                .iter()
-                .map(|rc| {
-                    Hierarchy::new(rc.platform.l1, rc.platform.l2, rc.lat)
-                        .with_prefetcher(rc.prefetch)
-                })
-                .collect();
-            let mut pass = CachePassSim::new(base.logical_regs, hierarchies);
-            rec.replay_bank(std::slice::from_mut(&mut pass));
-            let mut streams: Vec<Arc<AnnotationStream>> = Vec::with_capacity(reps.len());
-            for (s, stream) in pass.finish_bank() {
-                stats.push(s);
-                streams.push(Arc::new(stream));
-            }
+        let keys = self.reps.len().min(CACHE_PASS_KEYS);
+        let fit = (TIMING_BANK_LANES / keys).clamp(1, self.axes.len());
+        let later = keys < self.reps.len() || fit < self.axes.len();
 
-            // This pass's cells join the memo; a key not seen before
-            // becomes a new lane on its stream.
-            let mut lanes: Vec<(ResolvedCell, Arc<AnnotationStream>)> = Vec::new();
-            for (cell, lane) in self.cells.iter().zip(&mut cell_lane) {
-                if !(first..stats.len()).contains(&cell.key) {
-                    continue;
-                }
-                let stream = &streams[cell.key - first];
-                let key = (cell.axis, stream.content_key());
-                *lane = lane_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
-                    lane_keys.push(key);
-                    lanes.push((cell.rc, Arc::clone(stream)));
-                    lane_keys.len() - 1
-                });
+        let hierarchies = self.reps[..keys].iter().map(hierarchy).collect();
+        let mut bank =
+            PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies, later);
+        for rc in &self.axis_reps[..fit] {
+            bank.push_keyed_lane(&rc.platform, rc.pred);
+        }
+        let recorder = later.then(|| Recorder::with_capacity(DEFAULT_CAPACITY));
+        let mut tape = Tape::new((recorder, BlockFeed::new(bank, DEFAULT_CAPACITY)));
+        registry::run(&mut tape, program, variant, scale, seed);
+        let (static_program, (recorder, feed)) = tape.finish();
+        if feed.overflowed() {
+            return Err(SuiteError::TraceOverflow { program, variant, captured: feed.len() });
+        }
+        let bank = feed.into_inner();
+
+        // The memo: (axis, class) → cycles, for every lane timed so far.
+        let mut timed: Vec<((usize, usize), u64)> = Vec::new();
+        let mut stats: Vec<HierarchyStats> = (0..keys).map(|k| bank.key_stats(k)).collect();
+        let mut class_of: Vec<usize> = vec![0; self.reps.len()];
+        for (class, members) in bank.key_classes().iter().enumerate() {
+            for &k in members {
+                class_of[k] = class;
             }
-            // New lanes were keyed in order, so their cycles append in
-            // the same order.
-            for chunk in lanes.chunks(TIMING_BANK_LANES) {
-                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
-                for (rc, stream) in chunk {
-                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(stream));
-                }
-                rec.replay_bank(std::slice::from_mut(&mut bank));
-                cycles.extend(bank.into_results().into_iter().map(|r| r.cycles));
+            for axis in 0..fit {
+                timed.push(((axis, class), bank.key_result(axis, members[0]).cycles));
             }
         }
-        self.cells.iter().zip(cell_lane).map(|(cell, lane)| (stats[cell.key], cycles[lane])).collect()
+
+        if let Some(recorder) = recorder {
+            let rec = recorder.into_recording(static_program);
+            let mut streams: Vec<Arc<AnnotationStream>> =
+                bank.into_classes().into_iter().map(|(_, stream)| Arc::new(stream)).collect();
+            for (chunk, reps) in self.reps[keys..].chunks(CACHE_PASS_KEYS).enumerate() {
+                let hierarchies = reps.iter().map(hierarchy).collect();
+                let mut pass = CachePassSim::new(base.logical_regs, hierarchies);
+                rec.replay_bank(std::slice::from_mut(&mut pass));
+                for (i, (key_stats, stream)) in pass.finish_bank().into_iter().enumerate() {
+                    stats.push(key_stats);
+                    class_of[keys + chunk * CACHE_PASS_KEYS + i] =
+                        streams.iter().position(|s| **s == stream).unwrap_or_else(|| {
+                            streams.push(Arc::new(stream));
+                            streams.len() - 1
+                        });
+                }
+            }
+            let mut lanes: Vec<(usize, usize)> = Vec::new();
+            for cell in &self.cells {
+                let lane = (cell.axis, class_of[cell.key]);
+                if !timed.iter().any(|&(l, _)| l == lane) && !lanes.contains(&lane) {
+                    lanes.push(lane);
+                }
+            }
+            for chunk in lanes.chunks(TIMING_BANK_LANES) {
+                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+                for &(axis, class) in chunk {
+                    let rc = &self.axis_reps[axis];
+                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(&streams[class]));
+                }
+                rec.replay_bank(std::slice::from_mut(&mut bank));
+                let cycles = bank.into_results().into_iter().map(|r| r.cycles);
+                timed.extend(chunk.iter().copied().zip(cycles));
+            }
+        }
+
+        let results = self
+            .cells
+            .iter()
+            .map(|cell| {
+                let lane = (cell.axis, class_of[cell.key]);
+                let &(_, cycles) =
+                    timed.iter().find(|&&(l, _)| l == lane).expect("every lane timed");
+                (stats[cell.key], cycles)
+            })
+            .collect();
+        Ok((results, later))
     }
 }
 
 /// Runs every job with cells on both variants of its program, one pool
-/// job per (program, variant): the job records its variant, runs it
-/// through the factored engine or the live oracle, and drops the
-/// recording before its worker claims the next job, holding a
-/// [`LiveTraces`] guard meanwhile. Returns each program's `[original,
-/// transformed]` per-cell results (empty for a program with no cells),
-/// or the first recording failure in (program, variant) order, which
-/// stops the pool.
+/// job per (program, variant): the factored engine feeds its first
+/// pass live from the kernel (recording only for later passes), the
+/// live oracle records the variant and replays it; either way the trace
+/// counts in a [`LiveTraces`] guard until the job is done. Returns each
+/// program's `[original, transformed]` per-cell results (empty for a
+/// program with no cells) and how many jobs recorded their trace, or
+/// the first failure in (program, variant) order, which stops the pool.
 fn run_variant_jobs(
     cfg: &SweepConfig,
     programs: &[ProgramId],
     jobs: &[SweepJob],
     threads: usize,
     live: &LiveTraces,
-) -> Result<Vec<[CellResults; 2]>, SuiteError> {
+) -> Result<(Vec<[CellResults; 2]>, usize), SuiteError> {
     // Jobs with more cells start first, then by the program's trace
     // length rank, so a long job does not start last and run alone.
     // Results go back by (program, variant) index, so the start order
@@ -1383,43 +1459,51 @@ fn run_variant_jobs(
             let rank = (Reverse(job.cells.len()), job_rank(program, variant));
             let run = move || -> Result<_, SuiteError> {
                 let _live = live.enter();
+                if cfg.factor {
+                    return job.run_factored(program, variant, cfg.scale, cfg.seed);
+                }
                 let rec = record_variant(program, variant, cfg.scale, cfg.seed, DEFAULT_CAPACITY)?;
-                Ok(if cfg.factor { job.run_factored(&rec) } else { job.run_live(&rec) })
+                Ok((job.run_live(&rec), true))
             };
             (rank, run)
         })
         .collect();
     let mut results: Vec<[CellResults; 2]> =
         (0..jobs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
-    for (&(p, variant), out) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
+    let mut recorded_jobs = 0;
+    for (&(p, variant), (out, recorded)) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
         results[p][usize::from(variant == Variant::LoadTransformed)] = out;
+        recorded_jobs += usize::from(recorded);
     }
-    Ok(results)
+    Ok((results, recorded_jobs))
 }
 
 /// Differential self-check of the factored sweep end to end, run by
-/// the conformance harness. A tiny 16-cell sweep (two L1 sizes × two
-/// latency triples × two predictor families × two prefetchers, predator
-/// at Test scale) goes through the production path — cache pass,
-/// annotated timing banks, per-program merge — and every cell is then
-/// re-measured by direct live [`CycleSim`] replays, one simulator at a
-/// time (no bank, no annotations, no merge), and compared bitwise;
-/// each cell's AMAT must also lie in its latencies'
-/// [`LatencyConfig::amat_range`]. A stack-distance cross-check then
-/// validates the cache pass
+/// the conformance harness. A tiny 36-cell sweep (two L1 sizes × two
+/// prefetchers × three latency triples × three predictor families,
+/// predator at Test scale) goes through the production path — a live
+/// keyed first pass whose prefetching keys fork off their class, a
+/// recorded later pass through annotated timing banks for the one
+/// timing axis past the first pass's 32 potential lanes, and the
+/// per-program merge — and every cell is then re-measured by direct
+/// live [`CycleSim`] replays, one simulator at a time (no bank, no
+/// annotations, no merge), and compared bitwise; each cell's AMAT must
+/// also lie in its latencies' [`LatencyConfig::amat_range`]. A
+/// stack-distance cross-check then validates the cache pass
 /// analytically: for the prefetcher-free cells, L1 miss counts derived
 /// from one LRU stack-distance profile of the shared access stream must
 /// equal the banked hierarchies' counts. Returns the first divergence;
-/// under the `sweep-merge-order`, `factored-annotation-skew` and
-/// `timing-fill-overshare` faults the direct-replay diff fires.
+/// under the `sweep-merge-order`, `factored-annotation-skew`,
+/// `timing-fill-overshare` and `refine-stale-fork` faults the
+/// direct-replay diff fires.
 pub fn sweep_self_check(seed: u64) -> Option<String> {
     let grid = SweepGrid {
         l1: vec![(32, 2), (64, 2)],
         l2: vec![(4096, 1)],
         line: vec![64],
-        lat: vec![(3, 5, 72), (2, 4, 60)],
+        lat: vec![(3, 5, 72), (2, 4, 60), (4, 8, 100)],
         pipe: vec![(4, 80)],
-        pred: vec![PredictorKind::Hybrid, PredictorKind::Bimodal],
+        pred: PredictorKind::ALL.to_vec(),
         prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
     };
     let program = ProgramId::Predator;
@@ -1521,6 +1605,121 @@ pub fn sweep_self_check(seed: u64) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The factored engine as it was before its first pass went live:
+    /// record, one cache pass per [`CACHE_PASS_KEYS`] keys, then
+    /// [`TimingBank`] lanes memoized by (timing axis, stream content
+    /// key) — the reference the live keyed pass must reproduce.
+    fn recorded_reference(job: &SweepJob, rec: &Recording) -> CellResults {
+        let base = job.reps[0].platform;
+        let mut stats: Vec<HierarchyStats> = Vec::new();
+        let mut lane_keys: Vec<(usize, (u64, u64))> = Vec::new();
+        let mut cycles: Vec<u64> = Vec::new();
+        let mut cell_lane: Vec<usize> = vec![0; job.cells.len()];
+        for reps in job.reps.chunks(CACHE_PASS_KEYS) {
+            let first = stats.len();
+            let hierarchies = reps.iter().map(hierarchy).collect();
+            let mut pass = CachePassSim::new(base.logical_regs, hierarchies);
+            rec.replay_bank(std::slice::from_mut(&mut pass));
+            let mut streams: Vec<Arc<AnnotationStream>> = Vec::new();
+            for (s, stream) in pass.finish_bank() {
+                stats.push(s);
+                streams.push(Arc::new(stream));
+            }
+            let mut lanes: Vec<(ResolvedCell, Arc<AnnotationStream>)> = Vec::new();
+            for (cell, lane) in job.cells.iter().zip(&mut cell_lane) {
+                if !(first..stats.len()).contains(&cell.key) {
+                    continue;
+                }
+                let stream = &streams[cell.key - first];
+                let key = (cell.axis, stream.content_key());
+                *lane = lane_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
+                    lane_keys.push(key);
+                    lanes.push((cell.rc, Arc::clone(stream)));
+                    lane_keys.len() - 1
+                });
+            }
+            for chunk in lanes.chunks(TIMING_BANK_LANES) {
+                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
+                for (rc, stream) in chunk {
+                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(stream));
+                }
+                rec.replay_bank(std::slice::from_mut(&mut bank));
+                cycles.extend(bank.into_results().into_iter().map(|r| r.cycles));
+            }
+        }
+        let lanes = job.cells.iter().zip(cell_lane);
+        lanes.map(|(cell, lane)| (stats[cell.key], cycles[lane])).collect()
+    }
+
+    /// The job of `cells` of `grid`.
+    fn job_of(grid: &SweepGrid, cells: impl IntoIterator<Item = usize>) -> SweepJob {
+        let mut job = SweepJob::default();
+        for c in cells {
+            let spec = grid.spec(c);
+            job.add(c, &spec, spec.resolve().expect("valid test cell"));
+        }
+        job
+    }
+
+    /// The live keyed first pass (and the recorded later passes) equal
+    /// the recorded reference cell by cell on several traces: a grid
+    /// whose keys fork mid-trace, one whose keys never diverge, and a
+    /// resumed subset of the standard grid whose 32 keys need later
+    /// passes. Returns nothing; asserts the expected pass structure too.
+    #[test]
+    fn live_keyed_pass_matches_the_recorded_reference() {
+        let forking = SweepGrid {
+            l1: vec![(1, 1), (32, 2)],
+            l2: vec![(64, 1), (4096, 1)],
+            line: vec![32, 64],
+            lat: vec![(3, 5, 72)],
+            pipe: vec![(4, 80)],
+            pred: vec![PredictorKind::Hybrid],
+            prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
+        };
+        // Two L2s far larger than any Test-scale working set: every key
+        // sees the same misses, so its one class never splits.
+        let agreeing = SweepGrid {
+            l2: vec![(8192, 2), (16384, 4)],
+            lat: vec![(3, 5, 72)],
+            ..SweepGrid::timing()
+        };
+        let standard = SweepGrid::standard();
+        let resumed: Vec<usize> = (0..standard.cells()).filter(|c| c % 7 != 3).collect();
+        let cases = [
+            ("forking", &forking, (0..forking.cells()).collect::<Vec<_>>(), false),
+            ("agreeing", &agreeing, (0..agreeing.cells()).collect(), false),
+            ("resumed standard", &standard, resumed, true),
+        ];
+        for (name, grid, cells, later) in cases {
+            let job = job_of(grid, cells);
+            for program in [ProgramId::Predator, ProgramId::Hmmsearch, ProgramId::Clustalw] {
+                for variant in Variant::ALL {
+                    let (got, recorded) =
+                        job.run_factored(program, variant, Scale::Test, 42).expect("runs");
+                    assert_eq!(recorded, later, "{name}: only later passes record");
+                    let rec = record_variant(program, variant, Scale::Test, 42, DEFAULT_CAPACITY)
+                        .expect("records");
+                    assert_eq!(got, recorded_reference(&job, &rec), "{name} {program} {variant:?}");
+                    let streams: Vec<AnnotationStream> = {
+                        let mut pass = CachePassSim::new(
+                            job.reps[0].platform.logical_regs,
+                            job.reps.iter().map(hierarchy).collect(),
+                        );
+                        rec.replay_bank(std::slice::from_mut(&mut pass));
+                        pass.finish_bank().into_iter().map(|(_, s)| s).collect()
+                    };
+                    let distinct =
+                        (0..streams.len()).filter(|&i| !streams[..i].contains(&streams[i])).count();
+                    match name {
+                        "agreeing" => assert_eq!(distinct, 1, "{name} {program}: one class"),
+                        _ => assert!(distinct > 1, "{name} {program}: keys fork"),
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn grid_enumeration_round_trips() {

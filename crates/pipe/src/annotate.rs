@@ -1,5 +1,5 @@
-//! The factored sweep's cache pass: one trace decode drives a bank of
-//! cache-axis configurations and records each one's miss-level
+//! The factored sweep's recorded cache pass: one trace decode drives a
+//! bank of cache-axis configurations and records each one's miss-level
 //! annotation stream.
 //!
 //! [`CachePassSim`] replays exactly the hierarchy-access sequence a full
@@ -9,10 +9,13 @@
 //! fed to a [`MissLevelBank`]. That sequence depends only on the trace
 //! and the platform's logical register count: every sweep cell shares
 //! the register file geometry, so one pass serves every timing
-//! configuration (see `core::sweep`'s factored engine). Each access is
-//! applied to every member [`Hierarchy`], and the servicing level lands
-//! in that member's [`AnnotationStream`]; the timing pass later converts
-//! levels back to latencies through each cell's own latency axis.
+//! configuration. The sweep's live first pass runs the same bank inside
+//! a keyed [`PlatformBank`](crate::PlatformBank); a cache pass serves
+//! the keys past that pass's 32, replaying the job's recording. Each
+//! access is applied to every member [`Hierarchy`], and the servicing
+//! level lands in that member's [`AnnotationStream`]; timing lanes later
+//! convert levels back to latencies through each cell's own latency
+//! axis.
 
 use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, MissLevelBank};
 use bioperf_isa::{MicroOp, Program};

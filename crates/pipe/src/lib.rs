@@ -27,9 +27,11 @@
 //! members, and each member runs only its own timing core. A member's
 //! access latencies come from a live hierarchy ([`CycleSim`] is a
 //! one-member live bank; the sweep's unfactored oracle banks one live
-//! member per cell) or from the miss-level stream a
-//! [`CachePassSim`] recorded ([`TimingBank`], the factored sweep's timing
-//! pass).
+//! member per cell), from the bank's keyed hierarchies, whose
+//! miss-level codes its lanes read block by block
+//! ([`PlatformBank::keyed`], the factored sweep's live first pass), or
+//! from the miss-level stream a [`CachePassSim`] recorded
+//! ([`TimingBank`], the factored sweep's later passes).
 //!
 //! # Example
 //!

@@ -5,21 +5,32 @@
 //! predictor kind) family, one flag column per (walk, register-file
 //! size) pair and one latency fill per *fill group*; each member then
 //! runs only its timing core (the `timing` module). A fill group's access
-//! latencies come either from a live cache hierarchy — every live member
-//! has a group of its own — or from a cache pass's miss-level
-//! annotations, shared by every member with the same stream and latency
-//! table. [`CycleSim`] is a one-member live bank, the sweep's
-//! unfactored oracle replays its cells as live members (each with its
-//! own hierarchy, predictor and prefetcher), and [`TimingBank`], the
-//! factored sweep's timing pass, is a bank of annotated members over one
-//! register file and if-conversion mode. Per-op
+//! latencies come from one of three sources:
+//!
+//! * a live cache hierarchy — every live member has a group of its own;
+//! * a cache pass's miss-level annotations, shared by every member with
+//!   the same stream and latency table;
+//! * the bank's own *keyed* hierarchies: one per cache-axis key, run off
+//!   the plan's access events, whose per-block miss-level codes the
+//!   fill reads directly. Keys whose codes have agreed so far form a
+//!   class, timed by one lane per timing configuration; a key whose
+//!   block codes differ from its class representative's splits off
+//!   before any core runs the block, and its class's lanes start as
+//!   clones of the parent's.
+//!
+//! [`CycleSim`] is a one-member live bank, the sweep's unfactored oracle
+//! replays its cells as live members (each with its own hierarchy,
+//! predictor and prefetcher), the factored sweep's first pass is a keyed
+//! bank ([`PlatformBank::keyed`]) fed live by the kernel, and
+//! [`TimingBank`], its later passes, is a bank of annotated members over
+//! one register file and if-conversion mode. Per-op
 //! [`TraceConsumer::consume`] runs the same engine on one-op blocks, so
 //! there is a single execution path.
 
 use std::sync::Arc;
 
 use bioperf_branch::PredictorKind;
-use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, Prefetcher};
+use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, MissLevelBank, Prefetcher};
 use bioperf_isa::{MicroOp, Program};
 use bioperf_metrics::MetricSet;
 use bioperf_trace::{inject, OpBlock, TraceConsumer};
@@ -77,25 +88,34 @@ enum Source {
     Annotated {
         stream: Arc<AnnotationStream>,
         pos: usize,
-        /// Total access latency by 2-bit level code (L1 / L2 / memory;
-        /// the fourth entry aliases L1 so indexing a raw code never
-        /// bounds-checks). An exhausted cursor reads the benign L1 code,
-        /// so a skewed replay diverges instead of crashing.
+        /// Total access latency by 2-bit level code
+        /// ([`level_latencies`]). An exhausted cursor reads the benign L1
+        /// code, so a skewed replay diverges instead of crashing.
         lat: [u64; 4],
     },
+    /// The bank's keyed hierarchies: the block codes of `class`'s
+    /// representative key, read through `lat` like an annotation.
+    Keyed { class: usize, lat: [u64; 4] },
 }
 
 impl Source {
     /// `stream` read through `cfg`'s level latencies.
     fn annotated(cfg: &PlatformConfig, stream: Arc<AnnotationStream>) -> Self {
-        let lat = cfg.latencies();
         // An armed `factored-annotation-skew` fault starts the cursor one
         // annotation in — the off-by-one the conformance fuzzer and the
         // sweep self-check must catch.
         let pos = inject::active(inject::ANN_SKEW) as usize;
-        let hit = lat.total(false, false);
-        Source::Annotated { stream, pos, lat: [hit, lat.total(true, false), lat.total(true, true), hit] }
+        Source::Annotated { stream, pos, lat: level_latencies(cfg) }
     }
+}
+
+/// `cfg`'s total access latency by 2-bit level code (L1 / L2 / memory;
+/// the fourth entry aliases L1 so indexing a raw code never
+/// bounds-checks).
+fn level_latencies(cfg: &PlatformConfig) -> [u64; 4] {
+    let lat = cfg.latencies();
+    let hit = lat.total(false, false);
+    [hit, lat.total(true, false), lat.total(true, true), hit]
 }
 
 /// One latency fill per block, read by every member of the group.
@@ -112,29 +132,36 @@ struct FillGroup {
 impl FillGroup {
     /// Whether a member with `other`'s source can read this group's
     /// fill: both annotated, with the same stream (the same `Arc`, or
-    /// equal contents), cursor start, level latencies, latency table,
+    /// equal contents) and cursor start, or both keyed on the same
+    /// class; and with the same level latencies, latency table,
     /// register-file size and if-conversion mode. A live hierarchy
     /// belongs to its member alone.
     fn shares_fill(&self, other: &Self) -> bool {
-        let (
-            Source::Annotated { stream, pos, lat },
-            Source::Annotated { stream: other_stream, pos: other_pos, lat: other_lat },
-        ) = (&self.source, &other.source)
-        else {
-            return false;
+        let (same_stream, same_levels) = match (&self.source, &other.source) {
+            (
+                Source::Annotated { stream, pos, lat },
+                Source::Annotated { stream: other_stream, pos: other_pos, lat: other_lat },
+            ) => (
+                pos == other_pos && (Arc::ptr_eq(stream, other_stream) || stream == other_stream),
+                lat == other_lat,
+            ),
+            (
+                Source::Keyed { class, lat },
+                Source::Keyed { class: other_class, lat: other_lat },
+            ) => (class == other_class, lat == other_lat),
+            _ => return false,
         };
         // An armed `timing-fill-overshare` fault keys the fill on the
-        // stream alone, so members with different latency tables share.
-        let same_table = (lat == other_lat && self.fill.same_table(&other.fill))
+        // stream (or class) alone, so members with different latency
+        // tables share.
+        let same_table = (same_levels && self.fill.same_table(&other.fill))
             || inject::active(inject::FILL_OVERSHARE);
-        same_table
-            && (self.size, self.mode, pos) == (other.size, other.mode, other_pos)
-            && (Arc::ptr_eq(stream, other_stream) || stream == other_stream)
+        same_table && same_stream && (self.size, self.mode) == (other.size, other.mode)
     }
 
     /// Fills the block's latencies (`codes` are its kind codes) from
     /// this group's source.
-    fn load(&mut self, codes: &[u8], plan: &Plan) {
+    fn load(&mut self, codes: &[u8], plan: &Plan, keyed: Option<&Keyed>) {
         let (size, branches) = (&plan.sizes[self.size], &plan.modes[self.mode]);
         match &mut self.source {
             Source::Live(hierarchy) => {
@@ -146,6 +173,13 @@ impl FillGroup {
                     let code = stream.code(*pos);
                     *pos += 1;
                     lat[code as usize]
+                })
+            }
+            Source::Keyed { class, lat } => {
+                let keyed = keyed.expect("a keyed group lives in a keyed bank");
+                let mut levels = keyed.codes(*class).iter();
+                self.fill.load(codes, size, branches, |_, _| {
+                    lat[*levels.next().expect("one code per planned access") as usize]
                 })
             }
         }
@@ -173,6 +207,69 @@ struct Member {
     /// Index into the bank's fill groups.
     group: usize,
     core: TimingCore,
+}
+
+/// A keyed bank's hierarchies, one per cache-axis key, and the
+/// partition of the keys into classes whose codes have agreed on every
+/// block so far.
+#[derive(Debug, Clone)]
+struct Keyed {
+    hierarchies: MissLevelBank,
+    /// Index into the plan's register-file sizes (access events).
+    size: usize,
+    /// Each class's keys, ascending; the first is its representative.
+    classes: Vec<Vec<usize>>,
+    /// `lanes[class][lane]`: the member timing keyed lane `lane` on
+    /// `class`'s codes.
+    lanes: Vec<Vec<usize>>,
+}
+
+impl Keyed {
+    /// The block codes of `class`'s representative.
+    fn codes(&self, class: usize) -> &[u8] {
+        self.hierarchies.codes(self.classes[class][0])
+    }
+
+    /// The class `key` belongs to.
+    fn class_of(&self, key: usize) -> usize {
+        self.classes.iter().position(|keys| keys.contains(&key)).expect("a key of the bank")
+    }
+
+    /// Splits off, from every class, the keys whose block codes differ
+    /// from its representative's. Keys that split from one class with
+    /// equal codes stay together, as a new class whose representative is
+    /// its lowest key. Returns `(parent, child)` per new class, in
+    /// creation order.
+    fn refine(&mut self) -> Vec<(usize, usize)> {
+        let mut forks = Vec::new();
+        for parent in 0..self.classes.len() {
+            let keys = &self.classes[parent];
+            let rep = self.hierarchies.codes(keys[0]);
+            if keys[1..].iter().all(|&k| self.hierarchies.codes(k) == rep) {
+                continue;
+            }
+            let mut stay = Vec::new();
+            let mut split: Vec<Vec<usize>> = Vec::new();
+            for &k in keys {
+                let codes = self.hierarchies.codes(k);
+                if codes == rep {
+                    stay.push(k);
+                } else if let Some(group) =
+                    split.iter_mut().find(|g| self.hierarchies.codes(g[0]) == codes)
+                {
+                    group.push(k);
+                } else {
+                    split.push(vec![k]);
+                }
+            }
+            self.classes[parent] = stay;
+            for keys in split {
+                forks.push((parent, self.classes.len()));
+                self.classes.push(keys);
+            }
+        }
+        forks
+    }
 }
 
 /// The index of the first element of `v` that is `same` as `item`,
@@ -204,6 +301,7 @@ pub struct PlatformBank {
     columns: Vec<FlagColumn>,
     groups: Vec<FillGroup>,
     members: Vec<Member>,
+    keyed: Option<Box<Keyed>>,
     /// Reused one-op block for per-op [`TraceConsumer::consume`].
     one: OpBlock,
 }
@@ -247,6 +345,7 @@ impl PlatformBank {
             columns: Vec::new(),
             groups: Vec::new(),
             members: Vec::new(),
+            keyed: None,
             one: OpBlock::default(),
         }
     }
@@ -271,6 +370,96 @@ impl PlatformBank {
         let group =
             index_or_push(&mut self.groups, FillGroup { source, size, mode, fill }, FillGroup::shares_fill);
         self.members.push(Member { cfg, column, group, core });
+    }
+
+    /// An empty keyed bank over one register file and if-conversion
+    /// mode: the bank runs `hierarchies` (one per cache-axis key, in key
+    /// order) off each block's planned access events, and its keyed
+    /// lanes ([`Self::push_keyed_lane`]) read the resulting miss-level
+    /// codes. Keys whose codes have been equal on every block so far
+    /// form a class, and each lane runs once per class: when a key's
+    /// block codes differ from its class representative's (its lowest
+    /// key), it splits off before any timing core runs the block, and
+    /// the new class's lanes start as clones of the parent's cores, with
+    /// fill groups of their own. The final classes are exactly the keys
+    /// with equal whole code streams, compared code by code. With
+    /// `key_streams` set the bank also keeps every key's whole stream,
+    /// for [`Self::into_classes`].
+    ///
+    /// # Panics
+    ///
+    /// If `hierarchies` is empty.
+    pub fn keyed(
+        logical_regs: u32,
+        if_conversion: bool,
+        hierarchies: Vec<Hierarchy>,
+        key_streams: bool,
+    ) -> Self {
+        assert!(!hierarchies.is_empty(), "a keyed bank needs at least one key");
+        let keys = hierarchies.len();
+        let hierarchies = MissLevelBank::new(hierarchies);
+        let mut bank = Self::planned(&[logical_regs], &[if_conversion]);
+        bank.keyed = Some(Box::new(Keyed {
+            hierarchies: if key_streams { hierarchies } else { hierarchies.without_streams() },
+            size: bank.plan.size_index(logical_regs),
+            classes: vec![(0..keys).collect()],
+            lanes: vec![Vec::new()],
+        }));
+        bank
+    }
+
+    /// Adds a keyed lane timing `cfg` with a `kind` predictor on every
+    /// key's codes; lanes are numbered in push order. Lanes with equal
+    /// level latencies and latency tables share a fill.
+    ///
+    /// # Panics
+    ///
+    /// If the bank is not keyed, has consumed a block, or `cfg` has
+    /// another register file or if-conversion mode than the bank's.
+    pub fn push_keyed_lane(&mut self, cfg: &PlatformConfig, kind: PredictorKind) {
+        let keyed = self.keyed.as_ref().expect("a keyed bank");
+        assert_eq!(self.plan.instructions, 0, "keyed lanes join before the first block");
+        let size = self.plan.size_index(cfg.logical_regs);
+        assert_eq!(size, keyed.size, "lanes share the register file");
+        assert_eq!(self.plan.mode_index(cfg.if_conversion), 0, "lanes share if-conversion");
+        self.push(*cfg, kind, Source::Keyed { class: 0, lat: level_latencies(cfg) });
+        let member = self.members.len() - 1;
+        self.keyed.as_mut().expect("a keyed bank").lanes[0].push(member);
+    }
+
+    /// Keyed lane `lane`'s result on key `key`'s codes, with the key's
+    /// hierarchy stats.
+    pub fn key_result(&self, lane: usize, key: usize) -> SimResult {
+        let keyed = self.keyed.as_ref().expect("a keyed bank");
+        let member = keyed.lanes[keyed.class_of(key)][lane];
+        SimResult { cache: self.key_stats(key), ..self.result(member) }
+    }
+
+    /// Key `key`'s hierarchy stats so far.
+    pub fn key_stats(&self, key: usize) -> HierarchyStats {
+        self.keyed.as_ref().expect("a keyed bank").hierarchies.stats(key)
+    }
+
+    /// Key classes so far: keys whose codes have agreed on every block.
+    pub fn key_classes(&self) -> &[Vec<usize>] {
+        &self.keyed.as_ref().expect("a keyed bank").classes
+    }
+
+    /// Tears a keyed bank down into each class's keys (ascending) and its
+    /// representative's whole miss-level stream (empty unless built with
+    /// `key_streams`), in class order.
+    pub fn into_classes(self) -> Vec<(Vec<usize>, AnnotationStream)> {
+        let keyed = self.keyed.expect("a keyed bank");
+        let mut streams: Vec<Option<AnnotationStream>> =
+            keyed.hierarchies.finish().into_iter().map(|(_, stream)| Some(stream)).collect();
+        keyed
+            .classes
+            .into_iter()
+            .map(|keys| {
+                let stream = streams[keys[0]].take().expect("one class per representative");
+                (keys, stream)
+            })
+            .collect()
     }
 
     /// Switches on event-metric collection in every member (see
@@ -307,8 +496,9 @@ impl PlatformBank {
     }
 
     /// Member `i`'s running result. `SimResult::cache` is zeroed for an
-    /// annotated member: the cache pass that produced its stream owns
-    /// the hierarchy stats.
+    /// annotated or keyed member: the cache pass that produced its
+    /// stream, or the key ([`Self::key_result`]), owns the hierarchy
+    /// stats.
     pub fn result(&self, i: usize) -> SimResult {
         let m = &self.members[i];
         let column = &self.columns[m.column];
@@ -323,7 +513,7 @@ impl PlatformBank {
             spill_reloads: size.spill_reloads,
             cache: match &self.groups[m.group].source {
                 Source::Live(hierarchy) => *hierarchy.stats(),
-                Source::Annotated { .. } => HierarchyStats::default(),
+                Source::Annotated { .. } | Source::Keyed { .. } => HierarchyStats::default(),
             },
         }
     }
@@ -356,7 +546,7 @@ impl TraceConsumer for PlatformBank {
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        let Self { plan, walks, columns, groups, members, .. } = self;
+        let Self { plan, walks, columns, groups, members, keyed, .. } = self;
         plan.block(block);
         for walk in walks.iter_mut() {
             walk.walk(plan);
@@ -364,16 +554,61 @@ impl TraceConsumer for PlatformBank {
         for c in columns.iter_mut() {
             walks[c.walk].flags(&plan.sizes[c.size].flags, &mut c.flags);
         }
+        // An armed `refine-stale-fork` fault forks after the cores ran
+        // the block, so a forked lane keeps its parent's timing of it.
+        let stale = inject::active(inject::REFINE_STALE);
+        if let Some(keyed) = keyed {
+            let size = &plan.sizes[keyed.size];
+            keyed.hierarchies.access_run(&size.acc_addr, &size.acc_load);
+            if !stale {
+                fork(keyed, groups, members);
+            }
+        }
         // Hierarchies, predictors and timing cores are independent, so
         // all of the block's fills and then all of its cores keep each
         // structure's exact update order.
         for g in groups.iter_mut() {
-            g.load(block.kind_codes(), plan);
+            g.load(block.kind_codes(), plan, keyed.as_deref());
         }
         for m in members.iter_mut() {
             let flags = &columns[m.column].flags;
             m.core.run_block(plan, flags, &groups[m.group].fill, block.ops());
         }
+        if let (Some(keyed), true) = (keyed, stale) {
+            fork(keyed, groups, members);
+        }
+    }
+}
+
+/// Refines `keyed`'s classes on the block's codes and gives each new
+/// class a lane per lane of its parent: a clone of the parent lane's
+/// member, timing core as it stands, reading a clone of the parent
+/// lane's fill group retargeted to the new class.
+fn fork(keyed: &mut Keyed, groups: &mut Vec<FillGroup>, members: &mut Vec<Member>) {
+    for (parent, child) in keyed.refine() {
+        // Parent group → its clone for `child`.
+        let mut cloned: Vec<(usize, usize)> = Vec::new();
+        let lanes = keyed.lanes[parent]
+            .iter()
+            .map(|&m| {
+                let parent_group = members[m].group;
+                let group = match cloned.iter().find(|&&(from, _)| from == parent_group) {
+                    Some(&(_, to)) => to,
+                    None => {
+                        let mut group = groups[parent_group].clone();
+                        if let Source::Keyed { class, .. } = &mut group.source {
+                            *class = child;
+                        }
+                        groups.push(group);
+                        cloned.push((parent_group, groups.len() - 1));
+                        groups.len() - 1
+                    }
+                };
+                members.push(Member { group, ..members[m].clone() });
+                members.len() - 1
+            })
+            .collect();
+        keyed.lanes.push(lanes);
     }
 }
 
@@ -463,8 +698,8 @@ impl TraceConsumer for CycleSim {
     }
 }
 
-/// The factored sweep's timing pass: a [`PlatformBank`] of annotated
-/// members, one per sweep timing configuration ("lane").
+/// The factored sweep's later timing passes: a [`PlatformBank`] of
+/// annotated members, one per sweep timing configuration ("lane").
 ///
 /// A lane's access latencies come from a cache pass's miss-level
 /// stream ([`CachePassSim`](crate::CachePassSim)) converted through the
@@ -1107,6 +1342,137 @@ pub(crate) mod tests {
         }
         assert_eq!(bank.len(), 24);
         assert_eq!(bank.fill_groups(), 3);
+    }
+
+    /// Keyed-bank keys over `base`: its own geometry twice (never
+    /// diverge), a 1 KB L1 without and with a next-line prefetcher
+    /// (diverge mid-trace, once the base L1 is warm) and the base L1
+    /// over a 64 KB L2.
+    fn keyed_geometries(base: PlatformConfig) -> Vec<(PlatformConfig, Prefetcher)> {
+        let mut tiny = base;
+        tiny.l1 = bioperf_cache::CacheConfig::new(1024, 2, base.l1.block_bytes);
+        let mut small_l2 = base;
+        small_l2.l2 = bioperf_cache::CacheConfig::new(64 * 1024, 1, base.l2.block_bytes);
+        vec![
+            (base, Prefetcher::None),
+            (tiny, Prefetcher::None),
+            (base, Prefetcher::None),
+            (tiny, Prefetcher::NextLine),
+            (small_l2, Prefetcher::None),
+        ]
+    }
+
+    fn key_hierarchies(keys: &[(PlatformConfig, Prefetcher)]) -> Vec<Hierarchy> {
+        keys.iter().map(|(geometry, pf)| geometry.hierarchy().with_prefetcher(*pf)).collect()
+    }
+
+    /// Each key's whole miss-level stream, from a cache pass.
+    fn key_streams(
+        recording: &Recording,
+        base: &PlatformConfig,
+        keys: &[(PlatformConfig, Prefetcher)],
+    ) -> Vec<AnnotationStream> {
+        let mut pass = CachePassSim::new(base.logical_regs, key_hierarchies(keys));
+        recording.replay_bank(std::slice::from_mut(&mut pass));
+        pass.finish_bank().into_iter().map(|(_, stream)| stream).collect()
+    }
+
+    /// Every lane of a keyed bank, on every key, equals a live `CycleSim`
+    /// with the key's geometry and prefetcher and the lane's timing
+    /// configuration — cycles, counters and hierarchy stats — at every
+    /// block size and per op; and the final classes are exactly the keys
+    /// whose whole miss-level streams are equal.
+    #[test]
+    fn keyed_lanes_match_live_cyclesims_on_every_key() {
+        let recording = spill_heavy_recording();
+        let program = recording.program().clone();
+        for base in PlatformConfig::all() {
+            let keys = keyed_geometries(base);
+            let streams = key_streams(&recording, &base, &keys);
+            let mut classes: Vec<Vec<usize>> = Vec::new();
+            for (k, stream) in streams.iter().enumerate() {
+                match classes.iter_mut().find(|c| streams[c[0]] == *stream) {
+                    Some(class) => class.push(k),
+                    None => classes.push(vec![k]),
+                }
+            }
+            assert_eq!(classes.len(), 4, "{}: only the twin keys agree throughout", base.name);
+            let differs = |i: usize| streams[0].code(i) != streams[1].code(i);
+            let first_difference = (0..streams[0].len()).find(|&i| differs(i));
+            assert!(first_difference > Some(0), "{}: the 1 KB L1 diverges mid-trace", base.name);
+
+            let preds = [PredictorKind::Hybrid, PredictorKind::Bimodal];
+            let lanes: Vec<(PlatformConfig, PredictorKind)> =
+                variants(base).into_iter().zip(preds.into_iter().cycle()).collect();
+            let expected: Vec<Vec<SimResult>> = keys
+                .iter()
+                .map(|(geometry, prefetcher)| {
+                    lanes
+                        .iter()
+                        .map(|&(mut cfg, pred)| {
+                            (cfg.l1, cfg.l2) = (geometry.l1, geometry.l2);
+                            let sim = CycleSim::new(cfg).with_predictor(pred);
+                            let mut sim = sim.with_prefetcher(*prefetcher);
+                            recording.replay_bank(std::slice::from_mut(&mut sim));
+                            sim.into_result()
+                        })
+                        .collect()
+                })
+                .collect();
+            let new_bank = || {
+                let hierarchies = key_hierarchies(&keys);
+                let mut bank =
+                    PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies, false);
+                for (cfg, pred) in &lanes {
+                    bank.push_keyed_lane(cfg, *pred);
+                }
+                bank
+            };
+            let check = |bank: PlatformBank, path: &str| {
+                let mut got = bank.key_classes().to_vec();
+                got.sort();
+                assert_eq!(got, classes, "{} {path}: classes", base.name);
+                let lanes_run = classes.len() * lanes.len();
+                assert_eq!(bank.len(), lanes_run, "{} {path}: one lane per class", base.name);
+                for (k, want) in expected.iter().enumerate() {
+                    for (lane, want) in want.iter().enumerate() {
+                        let got = bank.key_result(lane, k);
+                        assert_eq!(&got, want, "{} {path}: key {k} lane {lane}", base.name);
+                    }
+                }
+            };
+            for block_ops in [1usize, 3, 64, 4096] {
+                let mut bank = new_bank();
+                recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+                check(bank, &format!("{block_ops}-op blocks"));
+            }
+            let mut bank = new_bank();
+            for op in recording.iter() {
+                bank.consume(&op, &program);
+            }
+            check(bank, "per-op");
+        }
+    }
+
+    /// A keyed bank built with key streams hands back each class's keys
+    /// with its representative's whole stream, equal to a cache pass's.
+    #[test]
+    fn keyed_bank_returns_class_streams() {
+        let recording = spill_heavy_recording();
+        let base = PlatformConfig::pentium4();
+        let keys = keyed_geometries(base);
+        let streams = key_streams(&recording, &base, &keys);
+        let mut bank =
+            PlatformBank::keyed(base.logical_regs, base.if_conversion, key_hierarchies(&keys), true);
+        bank.push_keyed_lane(&base, PredictorKind::Hybrid);
+        recording.replay_bank(std::slice::from_mut(&mut bank));
+        let classes = bank.into_classes();
+        assert_eq!(classes.iter().map(|(keys, _)| keys.len()).sum::<usize>(), keys.len());
+        for (keys, stream) in classes {
+            for k in keys {
+                assert_eq!(stream, streams[k], "key {k}");
+            }
+        }
     }
 
     /// The per-op consume path (one-op blocks) equals the blocked path.

@@ -63,6 +63,11 @@ pub const FILL_OVERSHARE: u8 = 13;
 /// `len % BLOCK_OPS` ops of a streamed trace never reach its consumer.
 /// Site: [`BlockFeed`](crate::BlockFeed)'s `finish`.
 pub const FEED_TAIL: u8 = 14;
+/// Fork a keyed `PlatformBank` class's lanes after the block's timing
+/// cores ran instead of before, so a forked lane starts from its parent's
+/// state *after* the block, timed with the parent's codes. Site:
+/// `bioperf-pipe`'s keyed refinement.
+pub const REFINE_STALE: u8 = 15;
 
 static ARMED: AtomicU8 = AtomicU8::new(NONE);
 

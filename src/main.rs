@@ -354,13 +354,15 @@ fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
     // --max-cells/resume split of the same sweep.
     eprintln!(
         "sweep: {} cells x {} programs on {} workers \
-         ({} replayed, {} from checkpoint, {} traces recorded, at most {} alive at once)",
+         ({} replayed, {} from checkpoint, {} traces executed, {} recorded, \
+         at most {} alive at once)",
         result.grid.cells(),
         result.programs.len(),
         result.workers,
         result.computed,
         result.cached,
         result.recorded,
+        result.recorded_jobs,
         result.live_traces_peak,
     );
 
