@@ -73,11 +73,20 @@ pub enum FaultId {
     /// block's timing cores ran, so the forked lanes keep their parent's
     /// timing of the block where the key's codes first differ.
     RefineStaleFork,
+    /// Both timing engines claim issue slots in the fixed 4096-slot ring
+    /// they once shared, so a claim 4096 cycles before a live cycle
+    /// resets that cycle's count and more than the issue width issue
+    /// there.
+    IssueRingAlias,
+    /// A keyed platform bank's shadow lanes ignore the issue window:
+    /// lanes whose in-flight issue claims differ merge, and a
+    /// materialized lane starts with no claims in flight.
+    ShadowStaleWindow,
 }
 
 impl FaultId {
     /// Every catalogued fault, in reporting order.
-    pub const ALL: [FaultId; 15] = [
+    pub const ALL: [FaultId; 17] = [
         FaultId::CacheLruTouch,
         FaultId::CacheDirtyWriteback,
         FaultId::PackedSrcDelta,
@@ -93,6 +102,8 @@ impl FaultId {
         FaultId::TimingFillOvershare,
         FaultId::LiveFeedTail,
         FaultId::RefineStaleFork,
+        FaultId::IssueRingAlias,
+        FaultId::ShadowStaleWindow,
     ];
 
     /// Stable CLI / report name.
@@ -113,6 +124,8 @@ impl FaultId {
             FaultId::TimingFillOvershare => "timing-fill-overshare",
             FaultId::LiveFeedTail => "live-feed-tail",
             FaultId::RefineStaleFork => "refine-stale-fork",
+            FaultId::IssueRingAlias => "issue-ring-alias",
+            FaultId::ShadowStaleWindow => "shadow-stale-window",
         }
     }
 
@@ -143,6 +156,8 @@ impl FaultId {
             }
             FaultId::LiveFeedTail => "live block feed drops its final partial block",
             FaultId::RefineStaleFork => "keyed bank forks diverging lanes after the block ran",
+            FaultId::IssueRingAlias => "timing engines claim issue slots in an aliasing 4096-slot ring",
+            FaultId::ShadowStaleWindow => "shadow lanes ignore the in-flight issue window",
         }
     }
 
@@ -165,6 +180,8 @@ impl FaultId {
             FaultId::TimingFillOvershare => inject::FILL_OVERSHARE,
             FaultId::LiveFeedTail => inject::FEED_TAIL,
             FaultId::RefineStaleFork => inject::REFINE_STALE,
+            FaultId::IssueRingAlias => inject::ISSUE_ALIAS,
+            FaultId::ShadowStaleWindow => inject::SHADOW_STALE,
         }
     }
 
@@ -226,6 +243,16 @@ impl FaultId {
             // memory; the stale fork times that block with the decoy's
             // L1 hit. The sweep self-check's prefetching keys also fork.
             FaultId::RefineStaleFork => 16,
+            // Only the issue-width check sees it, and only on a ladder
+            // case (every eighth): a miss's consumers must fill a cycle
+            // that an independent op 4096 cycles earlier then resets.
+            FaultId::IssueRingAlias => 64,
+            // The keyed legs' platform lane starts as a shadow of the
+            // decoy's and materializes at its first miss, and the
+            // single-op leg merges and materializes it again wherever
+            // the codes agree and diverge; a materialization with ops
+            // in flight loses their issue claims.
+            FaultId::ShadowStaleWindow => 16,
         }
     }
 }

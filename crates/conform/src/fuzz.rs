@@ -24,12 +24,13 @@
 //! real program trace. [`run_case`] adds deterministic per-case seeding,
 //! platform rotation, and removal-based counterexample shrinking.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bioperf_branch::{BranchProfiler, PredictorKind};
 use bioperf_cache::{AccessKind, CacheConfig, MAX_BLOCK_BYTES};
 use bioperf_isa::{MicroOp, OpKind, Program, StaticId, VReg, MAX_SRCS};
-use bioperf_pipe::{CachePassSim, PlatformBank, PlatformConfig, RegFile, SimResult, TimingBank};
+use bioperf_pipe::{CachePassSim, CycleSim, PlatformBank, PlatformConfig, RegFile, SimResult, TimingBank};
 use bioperf_trace::packed::PackedStream;
 use bioperf_trace::{BlockFeed, OpBlock, SpillRecorder, TraceConsumer};
 use rand::rngs::StdRng;
@@ -106,10 +107,46 @@ pub fn case_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The platform case `index` runs on (round-robin over the Table 7
-/// machines, so every fourth case stresses each configuration).
+/// Every `LADDER_EVERY`th case (the last of each run of that many) is a
+/// ladder case: [`generate_ladder_stream`] on [`ladder_platform`].
+const LADDER_EVERY: u64 = 8;
+
+/// Whether case `index` is a ladder case.
+fn is_ladder_case(index: u64) -> bool {
+    index % LADDER_EVERY == LADDER_EVERY - 1
+}
+
+/// The platform case `index` runs on: round-robin over the Table 7
+/// machines (so every fourth case stresses each configuration), except
+/// that a ladder case runs on [`ladder_platform`].
 pub fn platform_for_case(index: u64) -> PlatformConfig {
+    if is_ladder_case(index) {
+        return ladder_platform(index / LADDER_EVERY);
+    }
     PlatformConfig::all()[(index % 4) as usize]
+}
+
+/// The stream of case `index` from its seed: [`generate_ladder_stream`]
+/// on a ladder case, [`generate_stream`] otherwise.
+pub fn stream_for_case(index: u64, seed: u64) -> Vec<MicroOp> {
+    if is_ladder_case(index) {
+        generate_ladder_stream(seed)
+    } else {
+        generate_stream(seed)
+    }
+}
+
+/// The `k`th ladder platform: an out-of-order Table 7 machine whose
+/// memory access takes 4096 or 8192 cycles plus a few (4–17) in total.
+/// An op dispatched that few cycles after a miss issues claims the issue
+/// cycle a whole multiple of 4096 cycles before the one the miss's
+/// consumers claim — the pair a 4096-slot issue ring aliases.
+pub fn ladder_platform(k: u64) -> PlatformConfig {
+    let out_of_order = [PlatformConfig::alpha21264(), PlatformConfig::ppc_g5(), PlatformConfig::pentium4()];
+    let mut platform = out_of_order[(k % 3) as usize];
+    let total = 4096 * (1 + (k / 3) % 2) + 4 + (k * 5) % 14;
+    platform.memory_latency = total - platform.int_load_latency - platform.l2_latency;
+    platform
 }
 
 /// Generates the adversarial op stream for one seed.
@@ -195,6 +232,46 @@ pub fn generate_stream(seed: u64) -> Vec<MicroOp> {
             MicroOp { sid, kind, dst: Some(dst), srcs, addr: None, taken: false }
         };
         ops.push(op);
+    }
+    ops
+}
+
+/// Generates a long, high-IPC stream for one seed: a run of 300–600
+/// ALU ops, mostly independent (about one fetch width per cycle), then,
+/// in two streams of three, one to four bursts, each a load from a fresh
+/// far address (a miss at every level) followed by 40–90 ops of which
+/// about half consume it and the rest are independent. On a
+/// [`ladder_platform`] each burst's consumers wait thousands of cycles
+/// on the miss while the independent ops keep issuing near the front
+/// end, so many issue cycles exactly 4096 apart are live at once.
+pub fn generate_ladder_stream(seed: u64) -> Vec<MicroOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let op = |kind: OpKind, dst: u64, src: Option<u64>, addr: Option<u64>| MicroOp {
+        sid: StaticId::from_raw(u32::from(kind == OpKind::IntLoad)),
+        kind,
+        dst: Some(VReg(dst)),
+        srcs: [src.map(VReg), None, None],
+        addr,
+        taken: false,
+    };
+    let mut ops = Vec::new();
+    // Any load's first touch waits on memory, so the run is ALU ops, a
+    // quarter of them reading the op four back.
+    for v in 0..rng.gen_range(300u64..600) {
+        let src = (v >= 4 && rng.gen_bool(0.25)).then(|| v - 4);
+        ops.push(op(OpKind::IntAlu, v, src, None));
+    }
+    // A third of the streams stay throughput-bound, where cycles sit
+    // near ⌈instructions / issue width⌉.
+    let bursts = if rng.gen_bool(1.0 / 3.0) { 0 } else { rng.gen_range(1..5) };
+    for _ in 0..bursts {
+        let missed = ops.len() as u64;
+        let addr = rng.gen_range(1u64 << 40..1 << 48) & !0x3F;
+        ops.push(op(OpKind::IntLoad, missed, None, Some(addr)));
+        for _ in 0..rng.gen_range(40..90) {
+            let src = rng.gen_bool(0.5).then_some(missed);
+            ops.push(op(OpKind::IntAlu, ops.len() as u64, src, None));
+        }
     }
     ops
 }
@@ -306,6 +383,7 @@ pub fn check_trace(ops: &[MicroOp], platforms: &[PlatformConfig]) -> Option<Dive
         .or_else(|| platforms.iter().find_map(|p| cache_check(ops, p).map(|d| d.on(p))))
         .or_else(|| regfile_check(ops, platforms))
         .or_else(|| predictor_check(ops))
+        .or_else(|| issue_width_check(ops, platforms))
         .or_else(|| pipeline_check(ops, &stream, platforms, [unit, 3 * unit, 8 * unit]))
 }
 
@@ -605,6 +683,52 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
     })
 }
 
+/// Ops of a trace's prefix the issue-width check times: a timeline's
+/// capacity.
+const TIMELINE_OPS: usize = 65_536;
+
+/// The one timing check that does not rest on an issue ring's
+/// bookkeeping: on every platform, counted from a [`CycleSim`] timeline
+/// of the trace's first [`TIMELINE_OPS`] ops, no cycle may issue more
+/// than `issue_width` ops. A ring that lost a live cycle's count lets
+/// more issue there, in both engines alike, so the differential checks
+/// cannot see it.
+fn issue_width_check(ops: &[MicroOp], platforms: &[PlatformConfig]) -> Option<Divergence> {
+    let program = Program::new();
+    platforms.iter().find_map(|platform| {
+        let mut sim = CycleSim::new(*platform).with_timeline();
+        for op in &ops[..ops.len().min(TIMELINE_OPS)] {
+            sim.consume(op, &program);
+        }
+        let mut issued: HashMap<u64, u32> = HashMap::new();
+        for op in sim.timeline().unwrap_or_default() {
+            *issued.entry(op.issue).or_default() += 1;
+        }
+        let (cycle, n) = issued.into_iter().filter(|&(_, n)| n > platform.issue_width).min()?;
+        let detail = format!("{n} ops issue at cycle {cycle}, above issue width {}", platform.issue_width);
+        Some(Divergence::new("bounds", detail).on(platform))
+    })
+}
+
+/// A keyed [`PlatformBank`] with one lane timing `platform` (hybrid
+/// predictor) over two keys: `decoy`, the representative, and the
+/// platform's own geometry.
+fn keyed_bank(platform: &PlatformConfig, decoy: &PlatformConfig) -> PlatformBank {
+    let hierarchies = vec![decoy.hierarchy(), platform.hierarchy()];
+    let mut bank = PlatformBank::keyed(platform.logical_regs, platform.if_conversion, hierarchies, false);
+    bank.push_keyed_lane(platform, PredictorKind::Hybrid);
+    bank
+}
+
+/// The keyed leg's decoy key for `platform`: 4 KB lines, so it hits on
+/// every untouched line of a touched page, where the platform misses.
+fn page_lines(platform: &PlatformConfig) -> PlatformConfig {
+    let mut decoy = *platform;
+    decoy.l1 = CacheConfig::new(256 * 1024, 4, MAX_BLOCK_BYTES);
+    decoy.l2 = CacheConfig::new(4 * 1024 * 1024, 1, MAX_BLOCK_BYTES);
+    decoy
+}
+
 /// Full cycle simulation, the production engines vs. [`RefPipeline`]:
 /// one [`PlatformBank`] over every platform, replayed from packed
 /// blocks of each size in `sizes` (the spilled suite's engine: one
@@ -624,7 +748,11 @@ fn predictor_check(ops: &[MicroOp]) -> Option<Divergence> {
 /// [`BlockFeed`] (the sweep's live first pass) whose representative key
 /// is a decoy with 4 KB lines, so the platform's own key forks off its
 /// class at the first block where a new line of a touched page misses;
-/// the checked lane is the fork of the platform's lane.
+/// the checked lane is the fork of the platform's lane. The same keyed
+/// bank replayed from `sizes[0]`-op blocks (single ops on fuzz streams)
+/// times the platform's lane as a shadow of the decoy's wherever their
+/// codes agree and their states converged, and materializes it where
+/// they diverge again.
 ///
 /// Before it is compared, every bank result must satisfy the model's
 /// bounds ([`bound_violation`]), so a fault that breaks one is reported
@@ -676,11 +804,6 @@ fn pipeline_check(
     }
     let block_ops = sizes[2];
     for (platform, slow) in platforms.iter().zip(&slow) {
-        // The keyed leg's decoy key: 4 KB lines, so it hits on every
-        // untouched line of a touched page, where the platform misses.
-        let mut page_lines = *platform;
-        page_lines.l1 = CacheConfig::new(256 * 1024, 4, MAX_BLOCK_BYTES);
-        page_lines.l2 = CacheConfig::new(4 * 1024 * 1024, 1, MAX_BLOCK_BYTES);
         let mut pass = CachePassSim::new(platform.logical_regs, vec![platform.hierarchy()]);
         replay_blocks(stream, std::slice::from_mut(&mut pass), block_ops);
         let (stats, annotations) = pass.finish_bank().pop().expect("one member");
@@ -703,14 +826,8 @@ fn pipeline_check(
             return Some(Divergence::new("pipeline", detail).on(platform));
         }
 
-        let mut bank = PlatformBank::keyed(
-            platform.logical_regs,
-            platform.if_conversion,
-            vec![page_lines.hierarchy(), platform.hierarchy()],
-            false,
-        );
-        bank.push_keyed_lane(platform, PredictorKind::Hybrid);
-        let mut feed = BlockFeed::new(bank, ops.len());
+        let decoy = page_lines(platform);
+        let mut feed = BlockFeed::new(keyed_bank(platform, &decoy), ops.len());
         for op in ops {
             feed.consume(op, &program);
         }
@@ -718,6 +835,13 @@ fn pipeline_check(
         let fast = feed.into_inner().key_result(0, 1);
         if fast != *slow {
             let detail = format!("keyed: optimized {fast:?}, reference {slow:?}");
+            return Some(Divergence::new("pipeline", detail).on(platform));
+        }
+        let mut bank = keyed_bank(platform, &decoy);
+        replay_blocks(stream, std::slice::from_mut(&mut bank), sizes[0]);
+        let fast = bank.key_result(0, 1);
+        if fast != *slow {
+            let detail = format!("keyed {}-op blocks: optimized {fast:?}, reference {slow:?}", sizes[0]);
             return Some(Divergence::new("pipeline", detail).on(platform));
         }
     }
@@ -766,7 +890,7 @@ fn bound_violation(r: &SimResult, platform: &PlatformConfig) -> Option<String> {
 pub fn run_case(base_seed: u64, index: u64) -> CaseOutcome {
     let seed = case_seed(base_seed, index);
     let platform = platform_for_case(index);
-    let ops = generate_stream(seed);
+    let ops = stream_for_case(index, seed);
     let generated = ops.len();
     let divergence = check_stream(&ops, &platform).map(|first| {
         let shrunk = proptest::shrink::minimize_removals(
@@ -868,6 +992,45 @@ mod tests {
         over.cache.l2.load_misses = 41;
         let found = bound_violation(&over, &platform).expect("AMAT above its range");
         assert!(found.contains("AMAT"), "{found}");
+    }
+
+    /// The keyed single-op leg exercises shadow lanes: over a sample of
+    /// cases, its platform lane both merges into a shadow of the decoy's
+    /// and materializes again, so a fault in either step can show.
+    #[test]
+    fn keyed_leg_merges_and_materializes_shadow_lanes() {
+        crate::fault::disarm();
+        let mut work = bioperf_pipe::BankWork::default();
+        for index in 0..32u64 {
+            let platform = platform_for_case(index);
+            let mut stream = PackedStream::new();
+            for op in &stream_for_case(index, case_seed(1, index)) {
+                stream.push(op);
+            }
+            let mut bank = keyed_bank(&platform, &page_lines(&platform));
+            replay_blocks(&stream, std::slice::from_mut(&mut bank), 1);
+            work += bank.work();
+        }
+        assert!(work.merges > 0 && work.materializations > 0, "{work:?}");
+    }
+
+    /// Ladder cases are long, run on out-of-order platforms whose memory
+    /// access spans the old issue ring, and mostly hold misses.
+    #[test]
+    fn ladder_cases_are_long_and_span_the_old_issue_ring() {
+        let ladder: Vec<u64> = (0..64).filter(|&i| is_ladder_case(i)).collect();
+        assert_eq!(ladder.len(), 8);
+        let mut bursts = 0;
+        for &index in &ladder {
+            let platform = platform_for_case(index);
+            assert!(!platform.in_order, "case {index}");
+            let total = platform.latencies().total(true, true);
+            assert!(total % 4096 >= 4 && total % 4096 < 18 && total > 4096, "case {index}: {total}");
+            let ops = stream_for_case(index, case_seed(1, index));
+            assert!(ops.len() >= 300, "case {index}: {} ops", ops.len());
+            bursts += ops.iter().filter(|op| op.addr.is_some_and(|a| a >= 1 << 40)).count();
+        }
+        assert!(bursts >= 8, "{bursts} misses over the ladder cases");
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! ([`RefHierarchy`], [`RefRegFile`],
 //! [`RefPredictor`]) so no optimized component is in the loop.
 //!
-//! Two ring behaviors are part of the simulator's *documented contract*
-//! and are therefore reproduced rather than "fixed":
+//! Issue slots are keyed by their exact cycle, so the reference shares
+//! no ring with the simulator: the simulator's issue ring grows to hold
+//! every live cycle, and any slot it lost would show here as a
+//! difference. Two ready-ring behaviors are part of the simulator's
+//! *documented contract* and are therefore reproduced rather than
+//! "fixed":
 //!
-//! * slot aliasing — the issue and ready rings are `cycle & (size - 1)` /
-//!   `vreg & (size - 1)` maps whose sizes (`2^12` issue, `2^16` ready)
-//!   bound the span of simultaneously-live keys; a colliding key evicts
-//!   the old entry in both models;
+//! * slot aliasing — the ready ring is a `vreg & (2^16 - 1)` map, which
+//!   bounds the span of simultaneously-live vregs; a colliding vreg
+//!   evicts the old entry in both models;
 //! * the untouched-slot sentinel — a never-written ready slot reads as
 //!   `(u64::MAX, 0)`, so `VReg(u64::MAX)` appears "ready at cycle 0"
 //!   instead of unknown. The reference map reproduces this by defaulting
@@ -24,18 +27,21 @@ use std::collections::HashMap;
 use bioperf_cache::AccessKind;
 use bioperf_isa::{MicroOp, OpKind, Program, VReg};
 use bioperf_pipe::{PlatformConfig, SimResult};
-use bioperf_trace::TraceConsumer;
+use bioperf_trace::{inject, TraceConsumer};
 
 use crate::cache::RefHierarchy;
 use crate::predictor::RefPredictor;
 use crate::regfile::RefRegFile;
 
-/// Ring sizes and the spill-slot region, pinned to the optimized
-/// simulator's values (they are observable through slot aliasing and
-/// spill addresses).
-const ISSUE_RING: usize = 1 << 12;
+/// The ready-ring size and the spill-slot region, pinned to the
+/// optimized simulator's values (they are observable through slot
+/// aliasing and spill addresses).
 const READY_RING: usize = 1 << 16;
 const SPILL_BASE: u64 = 0x7fff_0000_0000;
+/// The issue ring an armed `issue-ring-alias` fault restores.
+const ALIAS_RING: u64 = 1 << 12;
+/// Fewest issue slots kept before dead cycles are dropped.
+const PRUNE_MIN: usize = 4096;
 const SPILL_SLOTS: u64 = 512;
 
 /// Naive trace-driven cycle model of one platform.
@@ -48,8 +54,11 @@ pub struct RefPipeline {
 
     fetch_cycle: u64,
     fetched_this_cycle: u32,
-    /// Ring-index → `(cycle, ops issued that cycle)`.
-    issue_slots: HashMap<usize, (u64, u32)>,
+    /// Cycle → `(cycle, ops issued that cycle)`, for cycles at or after
+    /// the front end's (earlier ones are never claimed again).
+    issue_slots: HashMap<u64, (u64, u32)>,
+    /// `issue_slots` size at which dead cycles are next dropped.
+    prune_at: usize,
     /// Ring-index → `(vreg, ready cycle)`.
     ready_slots: HashMap<usize, (u64, u64)>,
     /// Ring-index → whether the resident value came from a load.
@@ -76,6 +85,7 @@ impl RefPipeline {
             fetch_cycle: 0,
             fetched_this_cycle: 0,
             issue_slots: HashMap::new(),
+            prune_at: PRUNE_MIN,
             ready_slots: HashMap::new(),
             from_load: HashMap::new(),
             rob: Vec::new(),
@@ -105,10 +115,19 @@ impl RefPipeline {
     }
 
     fn issue_at(&mut self, earliest: u64) -> u64 {
+        if self.issue_slots.len() >= self.prune_at {
+            let front = self.fetch_cycle;
+            self.issue_slots.retain(|_, &mut (cycle, _)| cycle >= front);
+            self.prune_at = PRUNE_MIN.max(2 * self.issue_slots.len());
+        }
+        // An armed `issue-ring-alias` fault keys the slots by the cycle's
+        // position in a 4096-slot ring, where a claim resets whatever
+        // cycle the slot held: the ring both engines used to share.
+        let alias = inject::active(inject::ISSUE_ALIAS);
         let mut c = earliest;
         loop {
-            let slot =
-                self.issue_slots.entry((c as usize) & (ISSUE_RING - 1)).or_insert((u64::MAX, 0));
+            let key = if alias { c & (ALIAS_RING - 1) } else { c };
+            let slot = self.issue_slots.entry(key).or_insert((c, 0));
             if slot.0 != c {
                 *slot = (c, 0);
             }

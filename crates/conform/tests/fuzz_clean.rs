@@ -32,7 +32,7 @@ fn cases_are_reproducible_from_their_seed() {
         assert_eq!(first.platform, second.platform);
         assert_eq!(first.ops, second.ops);
         // Regenerating from the recorded seed yields the same stream.
-        let ops = bioperf_conform::fuzz::generate_stream(first.seed);
+        let ops = bioperf_conform::fuzz::stream_for_case(index, first.seed);
         assert_eq!(ops.len(), first.ops);
     }
 }

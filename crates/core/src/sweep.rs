@@ -72,8 +72,8 @@ use bioperf_cache::{
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
 use bioperf_pipe::{
-    CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank, MAX_LATENCY,
-    MAX_WIDTH,
+    BankWork, CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank, MAX_ISSUE_SPAN,
+    MAX_LATENCY, MAX_WIDTH,
 };
 use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, BlockFeed, Recorder, Recording, Tape};
 
@@ -348,6 +348,15 @@ pub enum CellError {
         /// ROB entries.
         rob: usize,
     },
+    /// A pipe shape and latency triple whose issue span
+    /// ([`PlatformConfig::issue_span`]) exceeds [`MAX_ISSUE_SPAN`]: the
+    /// timing core's issue ring could grow past its cap.
+    IssueSpan {
+        /// Fetch/issue width and ROB entries.
+        pipe: (u32, usize),
+        /// (L1, L2, memory) latencies.
+        lat: (u64, u64, u64),
+    },
 }
 
 impl fmt::Display for CellError {
@@ -365,6 +374,11 @@ impl fmt::Display for CellError {
             CellError::Pipe { width, rob } => write!(
                 f,
                 "pipe {width}x{rob}: width must be 1..={MAX_WIDTH} and the ROB 1..={MAX_ROB}"
+            ),
+            CellError::IssueSpan { pipe: (width, rob), lat: (l1, l2, memory) } => write!(
+                f,
+                "pipe {width}x{rob} lat {l1}:{l2}:{memory}: the ROB times the slowest op \
+                 must span at most {MAX_ISSUE_SPAN} cycles"
             ),
         }
     }
@@ -498,6 +512,9 @@ impl CellSpec {
             l2,
             ops: OpLatencies::classic(),
         };
+        if platform.issue_span() > MAX_ISSUE_SPAN {
+            return Err(CellError::IssueSpan { pipe: self.pipe, lat: self.lat });
+        }
         Ok(ResolvedCell {
             platform,
             pred: self.pred,
@@ -815,6 +832,10 @@ pub struct SweepResult {
     /// the oracle's jobs, and factored jobs that need a pass after their
     /// live one. Not part of the report.
     pub recorded_jobs: usize,
+    /// Timing work of the factored jobs' live keyed passes: lane-blocks,
+    /// the core-blocks that actually ran (shadow lanes run none),
+    /// merges and materializations. Not part of the report.
+    pub work: BankWork,
     /// Most traces alive (being fed or recorded) at once: at most
     /// [`Self::workers`], exactly 1 on one worker, and 0 when no job ran.
     pub live_traces_peak: usize,
@@ -1169,7 +1190,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
     // with no remaining cells records nothing (`SweepResult::recorded`
     // pins this).
     let live = LiveTraces::default();
-    let (outputs, recorded_jobs) = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
+    let (outputs, recorded_jobs, work) = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
     let recorded = 2 * jobs.iter().filter(|job| !job.cells.is_empty()).count();
 
     // Merge program by program, each program's cells in grid order — the
@@ -1214,6 +1235,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         cached,
         recorded,
         recorded_jobs,
+        work,
         live_traces_peak: live.peak(),
         complete,
     })
@@ -1316,8 +1338,8 @@ impl SweepJob {
 
     /// The factored engine on one variant: returns, per cell, its key's
     /// hierarchy stats and its cycles — the same values
-    /// [`Self::run_live`] returns — and whether the job recorded its
-    /// trace.
+    /// [`Self::run_live`] returns — whether the job recorded its trace,
+    /// and its live keyed pass's timing work.
     ///
     /// A cell's cycles depend only on its timing axis and the miss-level
     /// code stream of its cache-axis key, never on which geometry
@@ -1345,7 +1367,7 @@ impl SweepJob {
         variant: Variant,
         scale: Scale,
         seed: u64,
-    ) -> Result<(CellResults, bool), SuiteError> {
+    ) -> Result<(CellResults, bool, BankWork), SuiteError> {
         let base = self.reps[0].platform;
         let keys = self.reps.len().min(CACHE_PASS_KEYS);
         let fit = (TIMING_BANK_LANES / keys).clamp(1, self.axes.len());
@@ -1365,6 +1387,7 @@ impl SweepJob {
             return Err(SuiteError::TraceOverflow { program, variant, captured: feed.len() });
         }
         let bank = feed.into_inner();
+        let work = bank.work();
 
         // The memo: (axis, class) → cycles, for every lane timed so far.
         let mut timed: Vec<((usize, usize), u64)> = Vec::new();
@@ -1425,7 +1448,7 @@ impl SweepJob {
                 (stats[cell.key], cycles)
             })
             .collect();
-        Ok((results, later))
+        Ok((results, later, work))
     }
 }
 
@@ -1443,7 +1466,7 @@ fn run_variant_jobs(
     jobs: &[SweepJob],
     threads: usize,
     live: &LiveTraces,
-) -> Result<(Vec<[CellResults; 2]>, usize), SuiteError> {
+) -> Result<(Vec<[CellResults; 2]>, usize, BankWork), SuiteError> {
     // Jobs with more cells start first, then by the program's trace
     // length rank, so a long job does not start last and run alone.
     // Results go back by (program, variant) index, so the start order
@@ -1463,7 +1486,7 @@ fn run_variant_jobs(
                     return job.run_factored(program, variant, cfg.scale, cfg.seed);
                 }
                 let rec = record_variant(program, variant, cfg.scale, cfg.seed, DEFAULT_CAPACITY)?;
-                Ok((job.run_live(&rec), true))
+                Ok((job.run_live(&rec), true, BankWork::default()))
             };
             (rank, run)
         })
@@ -1471,11 +1494,13 @@ fn run_variant_jobs(
     let mut results: Vec<[CellResults; 2]> =
         (0..jobs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
     let mut recorded_jobs = 0;
-    for (&(p, variant), (out, recorded)) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
+    let mut work = BankWork::default();
+    for (&(p, variant), (out, recorded, job_work)) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
+        work += job_work;
         results[p][usize::from(variant == Variant::LoadTransformed)] = out;
         recorded_jobs += usize::from(recorded);
     }
-    Ok((results, recorded_jobs))
+    Ok((results, recorded_jobs, work))
 }
 
 /// Differential self-check of the factored sweep end to end, run by
@@ -1696,7 +1721,7 @@ mod tests {
             let job = job_of(grid, cells);
             for program in [ProgramId::Predator, ProgramId::Hmmsearch, ProgramId::Clustalw] {
                 for variant in Variant::ALL {
-                    let (got, recorded) =
+                    let (got, recorded, _) =
                         job.run_factored(program, variant, Scale::Test, 42).expect("runs");
                     assert_eq!(recorded, later, "{name}: only later passes record");
                     let rec = record_variant(program, variant, Scale::Test, 42, DEFAULT_CAPACITY)
@@ -1719,6 +1744,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The sweep counts its keyed passes' timing work: on the benchmark's
+    /// sweep-cache grid, whose keys fork and then agree again, shadow
+    /// lanes run fewer core-blocks than there are lane-blocks; on the
+    /// timing grid's one key every lane runs every block.
+    #[test]
+    fn shadow_lanes_skip_core_blocks_only_where_keys_fork() {
+        let sweep_cache = SweepGrid {
+            l1: vec![(32, 2), (64, 4)],
+            l2: vec![(1024, 2), (8192, 2)],
+            line: vec![32, 64],
+            lat: vec![(3, 5, 72)],
+            pipe: vec![(4, 80)],
+            pred: vec![PredictorKind::Hybrid],
+            prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
+        };
+        let run = |grid: SweepGrid| {
+            let cfg = SweepConfig {
+                scale: Scale::Test,
+                seed: 42,
+                jobs: 1,
+                programs: vec![ProgramId::Hmmsearch, ProgramId::Clustalw],
+                grid,
+                checkpoint: None,
+                max_cells: 0,
+                factor: true,
+            };
+            run_sweep(&cfg).expect("sweep").work
+        };
+        let work = run(sweep_cache);
+        assert!(work.core_blocks < work.lane_blocks, "{work:?}");
+        assert!(work.merges > 0 && work.materializations > 0, "{work:?}");
+        let work = run(SweepGrid::timing());
+        assert!(work.lane_blocks > 0, "{work:?}");
+        assert_eq!(work.core_blocks, work.lane_blocks, "{work:?}");
+        assert_eq!((work.merges, work.materializations), (0, 0), "{work:?}");
     }
 
     #[test]
@@ -1809,7 +1871,18 @@ mod tests {
         }
         let mut grid = SweepGrid::smoke();
         grid.lat = vec![(max - 1, max, max)];
+        grid.pipe = vec![(4, 1)];
         assert!(grid.spec(0).resolve().is_ok(), "the slowest runnable latencies resolve");
+
+        // The issue ring covers a span of the ROB times the slowest op: a
+        // 16-deep ROB over 2^20-cycle memory spans more than the cap.
+        let mut grid = SweepGrid::smoke();
+        grid.lat = vec![(3, 5, max)];
+        grid.pipe = vec![(4, 16)];
+        let err = CellError::IssueSpan { pipe: (4, 16), lat: (3, 5, max) };
+        assert_eq!(grid.spec(0).resolve().unwrap_err(), err);
+        grid.pipe = vec![(4, 15)];
+        assert!(grid.spec(0).resolve().is_ok(), "a 15-deep ROB spans at most the cap");
     }
 
     #[test]

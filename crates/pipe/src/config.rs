@@ -192,6 +192,21 @@ impl PlatformConfig {
         Hierarchy::new(self.l1, self.l2, self.latencies())
     }
 
+    /// The span of cycles this platform's issue ring may have to hold at
+    /// once, estimated as the ROB size times one more than its slowest
+    /// op: a load that goes to memory (at the FP hit latency if that is
+    /// slower) or its slowest execution unit. The timing core's ring
+    /// grows to whatever span a trace reaches; the sweep skips cells
+    /// whose span exceeds [`MAX_ISSUE_SPAN`](crate::MAX_ISSUE_SPAN), so
+    /// no cell can make a ring grow without bound.
+    pub fn issue_span(&self) -> u64 {
+        let hit = self.int_load_latency.max(self.fp_load_latency);
+        let access = hit.saturating_add(self.l2_latency).saturating_add(self.memory_latency);
+        let OpLatencies { int_alu, cmov, int_mul, fp_alu, fp_mul, fp_div } = self.ops;
+        let op = [int_alu, cmov, int_mul, fp_alu, fp_mul, fp_div].into_iter().fold(access, u64::max);
+        (self.rob_size as u64).saturating_mul(op.saturating_add(1))
+    }
+
     /// Execution latency of a non-load op kind.
     pub fn op_latency(&self, kind: OpKind) -> u64 {
         match kind {

@@ -62,5 +62,5 @@ mod timing;
 pub use annotate::CachePassSim;
 pub use config::{OpLatencies, PlatformConfig};
 pub use regfile::RegFile;
-pub use simulator::{CycleSim, OpTiming, PlatformBank, SimResult, TimingBank};
-pub use timing::{MAX_LATENCY, MAX_WIDTH};
+pub use simulator::{BankWork, CycleSim, OpTiming, PlatformBank, SimResult, TimingBank};
+pub use timing::{MAX_ISSUE_SPAN, MAX_LATENCY, MAX_WIDTH};

@@ -16,7 +16,45 @@
 //!   class, timed by one lane per timing configuration; a key whose
 //!   block codes differ from its class representative's splits off
 //!   before any core runs the block, and its class's lanes start as
-//!   clones of the parent's.
+//!   shadows of the parent's.
+//!
+//! **Shadow lanes.** Lanes of different classes on one timing axis
+//! often see equal codes for long stretches (BioPerf loads almost always
+//! hit L1), and once a disagreement has drained from the window their
+//! states differ only by a constant number of cycles. Before each block
+//! a keyed bank makes such a lane a *shadow* `(leader, shift)` of the
+//! first running lane on its axis whose class has equal block codes and
+//! whose state equals its own shifted (`TimingCore::offset_of`): a
+//! shadow's core does not run, no fill group only shadows read is
+//! loaded, and its cycles are its leader's plus the shift. A shadow
+//! whose codes diverge from its leader's is *materialized* before the
+//! block runs: its core takes over the leader's live state, shifted.
+//! A new class's lanes start as shadows of the parent's lanes, on fresh
+//! cores, instead of copies of them. [`BankWork`] counts the
+//! lane-blocks, the core-blocks that ran, merges and materializations.
+//!
+//! *Which state is live.* At a block's start the front end is at or
+//! after the completion of every op more than a ROB's worth back (the
+//! ROB's head bounds dispatch), and every op from now on dispatches at
+//! or after the front-end cycle, so a cycle value at or before it can
+//! never delay anything: such values count as equal. What is left is
+//! the fetch count, the last issue and last completion, the ROB, the
+//! ready slots the last ROB's worth of ops wrote (destinations and
+//! reloaded sources, which the bank remembers across blocks), and the
+//! issue counts from the front-end cycle through the last completion
+//! (every claim lies between its op's dispatch and completion). A
+//! materialized core keeps its own values everywhere else; they are
+//! harmless when they are at or before the new front-end cycle, which
+//! holds for a fresh core and for one that last ran at least a ROB's
+//! worth of ops ago, and otherwise the core is zeroed first.
+//!
+//! *Precondition.* A shadow is exact only because the recurrence is
+//! shift-invariant: shifting every live cycle of a state shifts every
+//! later result by the same amount. Maxima, additions of latencies and
+//! the issue claims all are, as long as the issue ring loses no live
+//! cycle — which is why the ring grows instead of aliasing (the
+//! `timing` module). Shadows are off in a bank that records event
+//! metrics or a timeline: a shadow's events would never happen.
 //!
 //! [`CycleSim`] is a one-member live bank, the sweep's unfactored oracle
 //! replays its cells as live members (each with its own hierarchy,
@@ -207,6 +245,49 @@ struct Member {
     /// Index into the bank's fill groups.
     group: usize,
     core: TimingCore,
+    /// Set while the member is a keyed bank's shadow lane: its core does
+    /// not run, and its state is its leader's shifted.
+    shadow: Option<Shadow>,
+    /// Instructions after which the core's own state, left behind when
+    /// it became a shadow, is harmless (0 for a fresh core).
+    stale_until: u64,
+}
+
+/// A shadow lane's leader: a running lane on the same timing axis whose
+/// class has had the same block codes since, and the offset its state
+/// stands at.
+#[derive(Debug, Clone, Copy)]
+struct Shadow {
+    /// Index into the bank's members.
+    leader: usize,
+    /// The leader's class.
+    class: usize,
+    /// The shadow's cycles minus the leader's (wrapping).
+    shift: u64,
+}
+
+/// How much timing work a bank has done, in (member, block) pairs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BankWork {
+    /// Member-blocks consumed: every member, shadow or not, per block.
+    pub lane_blocks: u64,
+    /// Member-blocks whose timing core ran: all of them, less the
+    /// blocks keyed lanes spent as shadows.
+    pub core_blocks: u64,
+    /// Running keyed lanes that became shadows of an equivalent lane.
+    pub merges: u64,
+    /// Shadows whose codes diverged from their leader's, so their core
+    /// took over the leader's live state.
+    pub materializations: u64,
+}
+
+impl std::ops::AddAssign for BankWork {
+    fn add_assign(&mut self, other: Self) {
+        self.lane_blocks += other.lane_blocks;
+        self.core_blocks += other.core_blocks;
+        self.merges += other.merges;
+        self.materializations += other.materializations;
+    }
 }
 
 /// A keyed bank's hierarchies, one per cache-axis key, and the
@@ -222,12 +303,95 @@ struct Keyed {
     /// `lanes[class][lane]`: the member timing keyed lane `lane` on
     /// `class`'s codes.
     lanes: Vec<Vec<usize>>,
+    /// The destination and source slots of up to the last `history` ops
+    /// (in no particular order): every ready slot the last ROB's worth
+    /// of ops of any lane can have written.
+    recent: Vec<[u32; 4]>,
+    /// Next `recent` entry to overwrite once it is full.
+    recent_pos: usize,
+    /// The largest lane ROB.
+    history: usize,
+    /// Per class this block: the lowest class with equal block codes.
+    code_class: Vec<usize>,
+    /// Per fill group this block: whether a running lane reads it.
+    needed: Vec<bool>,
 }
 
 impl Keyed {
     /// The block codes of `class`'s representative.
     fn codes(&self, class: usize) -> &[u8] {
         self.hierarchies.codes(self.classes[class][0])
+    }
+
+    /// Remembers the block's destination and source slots, keeping the
+    /// last `history` ops'.
+    fn remember(&mut self, plan: &Plan) {
+        let skip = plan.dst.len().saturating_sub(self.history);
+        for (&dst, src) in plan.dst.iter().zip(&plan.src).skip(skip) {
+            let slots = [dst, src[0], src[1], src[2]];
+            if self.recent.len() < self.history {
+                self.recent.push(slots);
+            } else {
+                self.recent[self.recent_pos] = slots;
+                self.recent_pos = (self.recent_pos + 1) % self.history;
+            }
+        }
+    }
+
+    /// Decides, before any core runs the block, which lanes run it:
+    /// materializes every shadow whose class's block codes differ from
+    /// its leader's, then makes each running lane a shadow of the first
+    /// running lane on its timing axis, in class order, whose class has
+    /// the same block codes and whose state it equals shifted. `start` is
+    /// the instruction count before the block.
+    fn shadow(&mut self, members: &mut [Member], start: u64, work: &mut BankWork) {
+        let window = !inject::active(inject::SHADOW_STALE);
+        self.code_class.clear();
+        for class in 0..self.classes.len() {
+            let codes = self.codes(class);
+            let same = (0..class).find(|&c| self.code_class[c] == c && self.codes(c) == codes);
+            self.code_class.push(same.unwrap_or(class));
+        }
+        let slots = self.recent.as_flattened();
+        for (class, lanes) in self.lanes.iter().enumerate() {
+            for &m in lanes {
+                let Some(s) = members[m].shadow else { continue };
+                if self.code_class[s.class] == self.code_class[class] {
+                    continue;
+                }
+                let reset = start < members[m].stale_until;
+                let (leader, member) = pair_mut(members, s.leader, m);
+                member.core.materialize(&leader.core, s.shift, slots, reset, window);
+                member.shadow = None;
+                work.materializations += 1;
+            }
+        }
+        for class in 1..self.lanes.len() {
+            for (axis, &m) in self.lanes[class].iter().enumerate() {
+                if members[m].shadow.is_some() {
+                    continue;
+                }
+                let merged = (0..class).find_map(|c| {
+                    let l = self.lanes[c][axis];
+                    if self.code_class[c] != self.code_class[class] || members[l].shadow.is_some() {
+                        return None;
+                    }
+                    let shift = members[l].core.offset_of(&members[m].core, slots, window)?;
+                    Some(Shadow { leader: l, class: c, shift })
+                });
+                let Some(shadow) = merged else { continue };
+                members[m].shadow = Some(shadow);
+                members[m].stale_until = start + members[m].core.rob_size() as u64;
+                work.merges += 1;
+                // The new shadow's own shadows follow it to its leader.
+                for lanes in &self.lanes {
+                    let follower = &mut members[lanes[axis]];
+                    if let Some(s) = follower.shadow.as_mut().filter(|s| s.leader == m) {
+                        *s = Shadow { shift: s.shift.wrapping_add(shadow.shift), ..shadow };
+                    }
+                }
+            }
+        }
     }
 
     /// The class `key` belongs to.
@@ -272,6 +436,17 @@ impl Keyed {
     }
 }
 
+/// `v[a]` and `v[b]` (distinct), the second mutably.
+fn pair_mut<T>(v: &mut [T], a: usize, b: usize) -> (&T, &mut T) {
+    if a < b {
+        let (head, tail) = v.split_at_mut(b);
+        (&head[a], &mut tail[0])
+    } else {
+        let (head, tail) = v.split_at_mut(a);
+        (&tail[0], &mut head[b])
+    }
+}
+
 /// The index of the first element of `v` that is `same` as `item`,
 /// after pushing `item` if there is none.
 fn index_or_push<T>(v: &mut Vec<T>, item: T, same: impl Fn(&T, &T) -> bool) -> usize {
@@ -302,6 +477,7 @@ pub struct PlatformBank {
     groups: Vec<FillGroup>,
     members: Vec<Member>,
     keyed: Option<Box<Keyed>>,
+    work: BankWork,
     /// Reused one-op block for per-op [`TraceConsumer::consume`].
     one: OpBlock,
 }
@@ -346,6 +522,7 @@ impl PlatformBank {
             groups: Vec::new(),
             members: Vec::new(),
             keyed: None,
+            work: BankWork::default(),
             one: OpBlock::default(),
         }
     }
@@ -369,7 +546,7 @@ impl PlatformBank {
             });
         let group =
             index_or_push(&mut self.groups, FillGroup { source, size, mode, fill }, FillGroup::shares_fill);
-        self.members.push(Member { cfg, column, group, core });
+        self.members.push(Member { cfg, column, group, core, shadow: None, stale_until: 0 });
     }
 
     /// An empty keyed bank over one register file and if-conversion
@@ -404,6 +581,11 @@ impl PlatformBank {
             size: bank.plan.size_index(logical_regs),
             classes: vec![(0..keys).collect()],
             lanes: vec![Vec::new()],
+            recent: Vec::new(),
+            recent_pos: 0,
+            history: 0,
+            code_class: Vec::new(),
+            needed: Vec::new(),
         }));
         bank
     }
@@ -424,7 +606,9 @@ impl PlatformBank {
         assert_eq!(self.plan.mode_index(cfg.if_conversion), 0, "lanes share if-conversion");
         self.push(*cfg, kind, Source::Keyed { class: 0, lat: level_latencies(cfg) });
         let member = self.members.len() - 1;
-        self.keyed.as_mut().expect("a keyed bank").lanes[0].push(member);
+        let keyed = self.keyed.as_mut().expect("a keyed bank");
+        keyed.lanes[0].push(member);
+        keyed.history = keyed.history.max(cfg.rob_size);
     }
 
     /// Keyed lane `lane`'s result on key `key`'s codes, with the key's
@@ -504,8 +688,12 @@ impl PlatformBank {
         let column = &self.columns[m.column];
         let size = &self.plan.sizes[column.size];
         let walk = &self.walks[column.walk];
+        let cycles = match m.shadow {
+            Some(s) => self.members[s.leader].core.cycles().wrapping_add(s.shift),
+            None => m.core.cycles(),
+        };
         SimResult {
-            cycles: m.core.cycles(),
+            cycles,
             instructions: self.plan.instructions,
             branches: self.plan.modes[walk.mode].branches,
             mispredicts: walk.mispredicts,
@@ -521,6 +709,11 @@ impl PlatformBank {
     /// Every member's result, in construction order.
     pub fn results(&self) -> Vec<SimResult> {
         (0..self.len()).map(|i| self.result(i)).collect()
+    }
+
+    /// The timing work done so far.
+    pub fn work(&self) -> BankWork {
+        self.work
     }
 
     /// Takes member `i`'s event metrics — pipeline events under `pipe/`,
@@ -546,45 +739,71 @@ impl TraceConsumer for PlatformBank {
     }
 
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
-        let Self { plan, walks, columns, groups, members, keyed, .. } = self;
+        let Self { plan, walks, columns, groups, members, keyed, work, .. } = self;
         plan.block(block);
+        let start = plan.instructions - plan.dst.len() as u64;
         for walk in walks.iter_mut() {
             walk.walk(plan);
         }
         for c in columns.iter_mut() {
             walks[c.walk].flags(&plan.sizes[c.size].flags, &mut c.flags);
         }
+        // Shadows stand in for lanes only when no member records events
+        // (a shadow's events would never happen), and only over issue
+        // rings that hold every live cycle: an armed `issue-ring-alias`
+        // fault's fixed ring can hold fewer than a materialization
+        // copies.
+        let shadows = members.iter().all(|m| !m.core.metrics_on && m.core.timeline.is_none())
+            && !inject::active(inject::ISSUE_ALIAS);
         // An armed `refine-stale-fork` fault forks after the cores ran
         // the block, so a forked lane keeps its parent's timing of it.
         let stale = inject::active(inject::REFINE_STALE);
-        if let Some(keyed) = keyed {
+        if let Some(keyed) = keyed.as_deref_mut() {
             let size = &plan.sizes[keyed.size];
             keyed.hierarchies.access_run(&size.acc_addr, &size.acc_load);
             if !stale {
-                fork(keyed, groups, members);
+                fork(keyed, groups, members, shadows);
+            }
+            if shadows {
+                keyed.shadow(members, start, work);
+            }
+            keyed.needed.clear();
+            keyed.needed.resize(groups.len(), false);
+            for m in members.iter().filter(|m| m.shadow.is_none()) {
+                keyed.needed[m.group] = true;
             }
         }
         // Hierarchies, predictors and timing cores are independent, so
         // all of the block's fills and then all of its cores keep each
-        // structure's exact update order.
-        for g in groups.iter_mut() {
-            g.load(block.kind_codes(), plan, keyed.as_deref());
+        // structure's exact update order. A keyed fill no running lane
+        // reads is skipped: it reads the codes and advances nothing.
+        for (i, g) in groups.iter_mut().enumerate() {
+            if keyed.as_ref().is_none_or(|k| k.needed[i]) {
+                g.load(block.kind_codes(), plan, keyed.as_deref());
+            }
         }
-        for m in members.iter_mut() {
+        work.lane_blocks += members.len() as u64;
+        for m in members.iter_mut().filter(|m| m.shadow.is_none()) {
             let flags = &columns[m.column].flags;
             m.core.run_block(plan, flags, &groups[m.group].fill, block.ops());
+            work.core_blocks += 1;
         }
-        if let (Some(keyed), true) = (keyed, stale) {
-            fork(keyed, groups, members);
+        if let Some(keyed) = keyed.as_deref_mut() {
+            if stale {
+                fork(keyed, groups, members, shadows);
+            }
+            keyed.remember(plan);
         }
     }
 }
 
 /// Refines `keyed`'s classes on the block's codes and gives each new
-/// class a lane per lane of its parent: a clone of the parent lane's
-/// member, timing core as it stands, reading a clone of the parent
-/// lane's fill group retargeted to the new class.
-fn fork(keyed: &mut Keyed, groups: &mut Vec<FillGroup>, members: &mut Vec<Member>) {
+/// class a lane per lane of its parent, reading a clone of the parent
+/// lane's fill group retargeted to the new class. With `shadows` the
+/// lane is a fresh core shadowing the parent lane (or the parent lane's
+/// leader), so it costs no core copy unless its codes diverge; without,
+/// it is a clone of the parent lane's member, timing core as it stands.
+fn fork(keyed: &mut Keyed, groups: &mut Vec<FillGroup>, members: &mut Vec<Member>, shadows: bool) {
     for (parent, child) in keyed.refine() {
         // Parent group → its clone for `child`.
         let mut cloned: Vec<(usize, usize)> = Vec::new();
@@ -604,7 +823,15 @@ fn fork(keyed: &mut Keyed, groups: &mut Vec<FillGroup>, members: &mut Vec<Member
                         groups.len() - 1
                     }
                 };
-                members.push(Member { group, ..members[m].clone() });
+                let lane = &members[m];
+                let member = if shadows {
+                    let shadow = lane.shadow.unwrap_or(Shadow { leader: m, class: parent, shift: 0 });
+                    let core = TimingCore::new(&lane.cfg);
+                    Member { group, core, shadow: Some(shadow), stale_until: 0, ..*lane }
+                } else {
+                    Member { group, ..lane.clone() }
+                };
+                members.push(member);
                 members.len() - 1
             })
             .collect();
@@ -1451,6 +1678,107 @@ pub(crate) mod tests {
                 bank.consume(&op, &program);
             }
             check(bank, "per-op");
+        }
+    }
+
+    /// A trace whose keys agree for long stretches: phases of hits on a
+    /// 256-byte region every L1 keeps, between short sweeps of an 8 KB
+    /// region a 1 KB L1 keeps missing.
+    fn phased_recording() -> Recording {
+        let mut tape = Tape::new(Recorder::new());
+        let xs: Vec<u64> = (0..1024).map(|i| i * 5).collect();
+        tape.region(here!("p"), &xs);
+        for phase in 0..7usize {
+            let (ops, span) = if phase % 2 == 0 { (8000, 32) } else { (300, 1024) };
+            let mut acc = tape.lit();
+            for i in 0..ops {
+                let v = tape.int_load(here!("p"), &xs[(i * 7 + phase) % span]);
+                acc = tape.int_op(here!("p"), &[acc, v]);
+                if i % 5 == 0 {
+                    tape.branch(here!("p"), &[acc], (i / 5) % 3 == 0);
+                }
+            }
+        }
+        let (program, rec) = tape.finish();
+        rec.into_recording(program)
+    }
+
+    /// Shadow lanes change no result: on a trace whose keys agree for
+    /// long stretches and then diverge, running lanes merge into shadows
+    /// and shadows materialize again at every block size and per op, on
+    /// in-order and out-of-order lanes, and every lane on every key still
+    /// equals a live `CycleSim`. A bank that collects event metrics never
+    /// shadows, and its lanes' events equal the live `CycleSim`s'.
+    #[test]
+    fn shadow_lanes_merge_and_materialize_and_match_live_cyclesims() {
+        let recording = phased_recording();
+        let program = recording.program().clone();
+        for base in PlatformConfig::all() {
+            let mut tiny = base;
+            tiny.l1 = bioperf_cache::CacheConfig::new(1024, 2, base.l1.block_bytes);
+            let keys = [(base, Prefetcher::None), (tiny, Prefetcher::None), (tiny, Prefetcher::NextLine)];
+            let preds = [PredictorKind::Hybrid, PredictorKind::Bimodal];
+            let lanes: Vec<(PlatformConfig, PredictorKind)> =
+                variants(base).into_iter().zip(preds.into_iter().cycle()).collect();
+            let live = |lane: usize, key: usize, metrics: bool| {
+                let (mut cfg, pred) = lanes[lane];
+                (cfg.l1, cfg.l2) = (keys[key].0.l1, keys[key].0.l2);
+                let sim = CycleSim::new(cfg).with_predictor(pred).with_prefetcher(keys[key].1);
+                let mut sim = if metrics { sim.with_metrics() } else { sim };
+                recording.replay_bank(std::slice::from_mut(&mut sim));
+                let events = sim.take_metrics();
+                (sim.into_result(), events)
+            };
+            let new_bank = || {
+                let hierarchies = key_hierarchies(&keys);
+                let mut bank =
+                    PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies, false);
+                for (cfg, pred) in &lanes {
+                    bank.push_keyed_lane(cfg, *pred);
+                }
+                bank
+            };
+            let check = |bank: &PlatformBank, path: &str| {
+                for key in 0..keys.len() {
+                    for lane in 0..lanes.len() {
+                        let want = SimResult { cache: bank.key_stats(key), ..live(lane, key, false).0 };
+                        assert_eq!(bank.key_result(lane, key), want, "{} {path}: key {key} lane {lane}", base.name);
+                    }
+                }
+                let work = bank.work();
+                assert!(work.merges > 0 && work.materializations > 0, "{} {path}: {work:?}", base.name);
+                assert!(work.core_blocks < work.lane_blocks, "{} {path}: {work:?}", base.name);
+            };
+            for block_ops in [1usize, 3, 64, 4096] {
+                let mut bank = new_bank();
+                recording.replay_bank_blocks(std::slice::from_mut(&mut bank), block_ops);
+                check(&bank, &format!("{block_ops}-op blocks"));
+            }
+            let mut bank = new_bank();
+            for op in recording.iter() {
+                bank.consume(&op, &program);
+            }
+            check(&bank, "per-op");
+
+            let mut bank = new_bank().with_metrics();
+            recording.replay_bank_blocks(std::slice::from_mut(&mut bank), 64);
+            let work = bank.work();
+            assert_eq!((work.core_blocks, work.merges), (work.lane_blocks, 0), "{}: metrics on", base.name);
+            for key in 0..keys.len() {
+                let keyed = bank.keyed.as_ref().expect("a keyed bank");
+                let members = keyed.lanes[keyed.class_of(key)].clone();
+                for (lane, member) in members.into_iter().enumerate() {
+                    let (want, events) = live(lane, key, true);
+                    let got = bank.take_metrics(member);
+                    for name in ["pipe/op_latency_cycles", "pipe/issue_delay_cycles"] {
+                        assert!(events.histogram(name).is_some(), "{}: live {name}", base.name);
+                        assert_eq!(got.histogram(name), events.histogram(name), "{}: key {key} lane {lane} {name}", base.name);
+                    }
+                    let name = "pipe/mispredict_redirects";
+                    assert_eq!(got.counter(name), events.counter(name), "{}: key {key} lane {lane} {name}", base.name);
+                    assert_eq!(bank.key_result(lane, key).cycles, want.cycles, "{}: metrics on", base.name);
+                }
+            }
         }
     }
 

@@ -10,6 +10,22 @@
 //! hierarchy or from a miss-level annotation stream — and every member's
 //! core reads them as slices. The core owns the ready-ring *cycles*; the
 //! plan owns the ring's tags.
+//!
+//! Issue slots live in a ring of `(cycle, count)` slots indexed by the
+//! cycle's low bits. Every claim is at or after its op's dispatch, and
+//! the front end never moves back, so a slot holding a cycle before the
+//! claiming op's dispatch is dead and may be reset; a claim that would
+//! overwrite a live cycle doubles the ring instead (checked only when
+//! the live cycles may span more than the ring). The ring therefore
+//! never loses a live cycle's count, so no result depends on its size,
+//! and the recurrence is shift-invariant:
+//! a state with every live cycle moved by `d` times every later op `d`
+//! cycles later. The keyed bank's shadow lanes rest on that:
+//! [`TimingCore::offset_of`] finds two cores whose live state differs
+//! by such a shift, and [`TimingCore::materialize`] copies one into the
+//! other. A fresh core's ring is 4096 slots, and it grows only as far as
+//! the live span, which a sweep bounds per cell
+//! ([`PlatformConfig::issue_span`]).
 
 use bioperf_branch::{DynPredictor, PredictorKind};
 use bioperf_cache::AccessKind;
@@ -23,14 +39,21 @@ use crate::plan::{
     ACC_TAG_BITS, READY_RING, SPILL_MASK, SRC_RELOAD_COMPUTED,
 };
 
-/// Issue-ring size; bounds the span of active cycles, which is limited
-/// by the ROB size times the largest latency.
+/// A fresh core's issue-ring size. The ring doubles whenever a claim
+/// would overwrite a slot whose cycle is still live, so it always holds
+/// every live cycle exactly and no claim depends on the ring's size.
 const ISSUE_RING: usize = 1 << 12;
 
 /// Each issue-ring slot packs `(cycle << 8) | issued-count` into one
 /// `u64` (issue widths are ≤ [`MAX_WIDTH`], cycles nowhere near 2⁵⁶),
 /// so a claim is one load, one compare and one store on a 32 KB ring.
+/// A zeroed slot reads as cycle 0 with no issues.
 const ISSUE_COUNT_BITS: u32 = 8;
+
+/// The largest issue span, in cycles, a sweep cell may have
+/// ([`PlatformConfig::issue_span`]): the issue ring grows to cover the
+/// live span, so this caps it at 2²⁴ slots (128 MiB).
+pub const MAX_ISSUE_SPAN: u64 = 1 << 24;
 
 /// The widest fetch and issue the core can run: a full slot's count must
 /// fit the issue ring's count field.
@@ -208,7 +231,7 @@ pub(crate) struct TimingCore {
     // Scheduling state.
     fetch_cycle: u64,
     fetched_this_cycle: u32,
-    issue_ring: Vec<u64>,
+    issue_ring: Box<[u64]>,
     /// Completion cycles keyed like the plan's ready-ring tags, plus the
     /// two out-of-band `SINK_SLOT`/`ZERO_SLOT` entries.
     ready_cycle: Vec<u64>,
@@ -254,7 +277,7 @@ impl TimingCore {
             mispredict_penalty: cfg.mispredict_penalty,
             fetch_cycle: 0,
             fetched_this_cycle: 0,
-            issue_ring: vec![u64::MAX; ISSUE_RING],
+            issue_ring: vec![0; ISSUE_RING].into_boxed_slice(),
             // Two extra slots: the write sink and the constant-zero read.
             ready_cycle: vec![0; READY_RING + 2],
             rob: vec![0; cfg.rob_size],
@@ -273,6 +296,91 @@ impl TimingCore {
     /// position, whichever is later.
     pub(crate) fn cycles(&self) -> u64 {
         self.max_completion.max(self.fetch_cycle)
+    }
+
+    /// The ROB size: how many of the latest ops can hold a completion
+    /// after the front-end cycle.
+    pub(crate) fn rob_size(&self) -> usize {
+        self.rob.len()
+    }
+
+    /// Ops issued at cycle `c`, if `c` is live.
+    fn issued_at(&self, c: u64) -> u64 {
+        let packed = self.issue_ring[c as usize & (self.issue_ring.len() - 1)];
+        if packed >> ISSUE_COUNT_BITS == c {
+            packed & ((1 << ISSUE_COUNT_BITS) - 1)
+        } else {
+            0
+        }
+    }
+
+    /// The live issue window: the front-end cycle through the last
+    /// completion. Every claim is at or after its op's dispatch and at or
+    /// before its completion, so no other cycle holds a live claim.
+    fn window(&self) -> std::ops::RangeInclusive<u64> {
+        self.fetch_cycle..=self.cycles()
+    }
+
+    /// The offset `d` at which `other` is this core's state shifted by
+    /// `d` cycles (wrapping), if it is one: same shape assumed, equal
+    /// fetch counts, and, counted from each core's front-end cycle, equal
+    /// last issue, last completion, ROB entries, ready cycles in `slots`
+    /// and (with `window`) issue counts over the live window. A value at
+    /// or before a core's front-end cycle reads as 0: every op from now
+    /// on dispatches at or after it, so such a value never delays one.
+    /// The caller's `slots` must cover every ready slot written by the
+    /// last ROB's worth of ops; every other slot holds a completion at or
+    /// before the front-end cycle (the ROB's head bounds it).
+    pub(crate) fn offset_of(&self, other: &TimingCore, slots: &[u32], window: bool) -> Option<u64> {
+        let (f, g) = (self.fetch_cycle, other.fetch_cycle);
+        let same = |a: u64, b: u64| a.saturating_sub(f) == b.saturating_sub(g);
+        let n = self.rob.len();
+        let rob = |core: &TimingCore, k: usize| core.rob[(core.rob_pos + k) % n];
+        let agrees = self.fetched_this_cycle == other.fetched_this_cycle
+            && same(self.last_issue, other.last_issue)
+            && same(self.max_completion, other.max_completion)
+            && (0..n).all(|k| same(rob(self, k), rob(other, k)))
+            && slots.iter().all(|&s| same(self.ready_cycle[s as usize], other.ready_cycle[s as usize]))
+            && (!window || self.window().all(|c| self.issued_at(c) == other.issued_at(c - f + g)));
+        agrees.then(|| g.wrapping_sub(f))
+    }
+
+    /// Overwrites this core's live state with `leader`'s shifted by
+    /// `shift` cycles (wrapping) — the scalars, the ROB, the ready cycles
+    /// in `slots` and (with `window`) the live issue window — writing 0
+    /// for values at or before the leader's front-end cycle. Every other
+    /// ready slot and issue slot keeps this core's own value, which is
+    /// harmless when it lies at or before the new front-end cycle: true
+    /// of a fresh core, and of one that last ran at least a ROB's worth
+    /// of ops ago. Otherwise the caller passes `reset`, which zeroes them.
+    pub(crate) fn materialize(&mut self, leader: &TimingCore, shift: u64, slots: &[u32], reset: bool, window: bool) {
+        if reset {
+            self.ready_cycle.fill(0);
+            self.issue_ring.fill(0);
+        }
+        let f = leader.fetch_cycle;
+        let live = |v: u64| if v > f { v.wrapping_add(shift) } else { 0 };
+        self.fetch_cycle = f.wrapping_add(shift);
+        self.fetched_this_cycle = leader.fetched_this_cycle;
+        self.last_issue = live(leader.last_issue);
+        self.max_completion = live(leader.max_completion);
+        self.rob_pos = leader.rob_pos;
+        for (own, &theirs) in self.rob.iter_mut().zip(&leader.rob) {
+            *own = live(theirs);
+        }
+        for &s in slots {
+            self.ready_cycle[s as usize] = live(leader.ready_cycle[s as usize]);
+        }
+        if window {
+            if self.issue_ring.len() < leader.issue_ring.len() {
+                self.issue_ring = vec![0; leader.issue_ring.len()].into_boxed_slice();
+            }
+            let mask = self.issue_ring.len() - 1;
+            for c in leader.window() {
+                let own = c.wrapping_add(shift);
+                self.issue_ring[own as usize & mask] = (own << ISSUE_COUNT_BITS) | leader.issued_at(c);
+            }
+        }
     }
 
     /// Takes the event metrics (unprefixed), leaving collection in its
@@ -329,11 +437,9 @@ impl TimingCore {
         spill_lat: &[u32],
         ops: &[MicroOp],
     ) {
-        let mut issue_ring = std::mem::take(&mut self.issue_ring);
+        let mut ring = std::mem::take(&mut self.issue_ring);
         let mut ready_cycle = std::mem::take(&mut self.ready_cycle);
         let mut rob = std::mem::take(&mut self.rob);
-        let ring: &mut [u64; ISSUE_RING] =
-            issue_ring.as_mut_slice().try_into().expect("an ISSUE_RING-slot issue ring");
         let (fetch_width, issue_width, penalty) =
             (self.fetch_width, self.issue_width, self.mispredict_penalty);
         let rob_size = rob.len();
@@ -343,6 +449,24 @@ impl TimingCore {
         let mut last_issue = self.last_issue;
         let mut max_completion = self.max_completion;
         let mut spill_idx = 0usize;
+        // Claims an issue slot at or after `$earliest` for the op
+        // dispatched at `$dispatch`, where `$top` bounds every cycle
+        // claimed so far. Live cycles lie in `$dispatch..=$top`, and the
+        // claim steps past full (so live) cycles only, so while it and
+        // `$top` both lie within a ring's length of `$dispatch` every
+        // live cycle has a slot of its own and the plain claim cannot
+        // overwrite one; otherwise the checked claim grows the ring if
+        // it would.
+        macro_rules! claim {
+            ($dispatch:ident, $top:expr, $earliest:expr) => {{
+                let earliest = $earliest;
+                if earliest.max($top + 1) < $dispatch + ring.len() as u64 {
+                    issue_at(&mut ring, earliest, issue_width)
+                } else {
+                    issue_at_growing(&mut ring, $dispatch, earliest, issue_width)
+                }
+            }};
+        }
         let per_op = plan.src.iter().zip(&plan.dst).zip(flags.iter().zip(lat));
         for (i, ((&slots, &dst), (&flags, &lat))) in per_op.enumerate() {
             // Dispatch: one front-end slot, after the ROB entry of the op
@@ -368,6 +492,8 @@ impl TimingCore {
                 a.max(b).max(c)
             } else {
                 let mut operands = 0u64;
+                // The last completion bounds every earlier op's claims.
+                let mut top = max_completion;
                 for (j, &slot) in slots.iter().enumerate() {
                     let base = ready_cycle[slot as usize];
                     let code = (flags >> (2 * j)) & 0b11;
@@ -381,9 +507,10 @@ impl TimingCore {
                     // value's spill store claims an issue slot too.
                     fetched += 1;
                     if code == SRC_RELOAD_COMPUTED {
-                        issue_at(ring, dispatch, issue_width);
+                        top = top.max(claim!(dispatch, top, dispatch));
                     }
-                    let start = issue_at(ring, dispatch.max(base), issue_width);
+                    let start = claim!(dispatch, top, dispatch.max(base));
+                    top = top.max(start);
                     let ready = start + spill_lat[spill_idx] as u64;
                     spill_idx += 1;
                     ready_cycle[slot as usize] = ready;
@@ -397,7 +524,9 @@ impl TimingCore {
                 // elder.
                 earliest = earliest.max(last_issue);
             }
-            let start = issue_at(ring, earliest, issue_width);
+            // This op's spill and reload claims are at or before
+            // `earliest`, so the last completion bounds the rest.
+            let start = claim!(dispatch, max_completion, earliest);
             if IN_ORDER {
                 last_issue = start;
             }
@@ -429,7 +558,7 @@ impl TimingCore {
         self.rob_pos = rob_pos;
         self.last_issue = last_issue;
         self.max_completion = max_completion;
-        self.issue_ring = issue_ring;
+        self.issue_ring = ring;
         self.ready_cycle = ready_cycle;
         self.rob = rob;
     }
@@ -451,13 +580,15 @@ impl TimingCore {
 
 /// Claims an issue slot at the first cycle ≥ `earliest` with fewer than
 /// `issue_width` issues and returns that cycle. A full slot is one
-/// compare; any slot whose cycle tag differs belongs to a lapped (or
-/// never-claimed) cycle and is reset, not counted.
+/// compare; a slot whose cycle tag differs is reset, never counted (a
+/// select), so the caller must know that slot's cycle is dead (see the
+/// `claim!` macro) or call [`issue_at_growing`].
 #[inline(always)]
-fn issue_at(ring: &mut [u64; ISSUE_RING], earliest: u64, issue_width: u64) -> u64 {
+fn issue_at(ring: &mut [u64], earliest: u64, issue_width: u64) -> u64 {
+    let mask = ring.len() - 1;
     let mut c = earliest;
     loop {
-        let slot = &mut ring[(c as usize) & (ISSUE_RING - 1)];
+        let slot = &mut ring[(c as usize) & mask];
         let packed = *slot;
         if packed != (c << ISSUE_COUNT_BITS) | issue_width {
             *slot = if packed >> ISSUE_COUNT_BITS == c { packed + 1 } else { (c << ISSUE_COUNT_BITS) | 1 };
@@ -465,4 +596,48 @@ fn issue_at(ring: &mut [u64; ISSUE_RING], earliest: u64, issue_width: u64) -> u6
         }
         c += 1;
     }
+}
+
+/// [`issue_at`] where live cycles may share a slot: `floor` is the
+/// claiming op's dispatch cycle, and since the front end never moves
+/// back and every claim is at or after its op's dispatch, a cycle before
+/// it is never claimed again. A slot holding a dead or never-claimed
+/// cycle (a zeroed slot away from position 0) is reset; one holding
+/// another live cycle doubles the ring first ([`grown`]), so no cycle's
+/// count is ever lost. An armed `issue-ring-alias` fault resets live
+/// slots too: the fixed 4096-slot ring both engines used to claim in.
+#[cold]
+#[inline(never)]
+fn issue_at_growing(ring: &mut Box<[u64]>, floor: u64, earliest: u64, issue_width: u64) -> u64 {
+    if inject::active(inject::ISSUE_ALIAS) {
+        return issue_at(ring, earliest, issue_width);
+    }
+    let mut c = earliest;
+    loop {
+        let mask = ring.len() - 1;
+        let packed = ring[(c as usize) & mask];
+        let held = packed >> ISSUE_COUNT_BITS;
+        if held != c && held >= floor && (held ^ c) as usize & mask == 0 {
+            *ring = grown(ring, floor);
+        } else if packed != (c << ISSUE_COUNT_BITS) | issue_width {
+            return issue_at(ring, c, issue_width);
+        } else {
+            c += 1;
+        }
+    }
+}
+
+/// `ring` doubled, every slot whose cycle is live (at or after `floor`)
+/// at its cycle's new position. Two live cycles never collide there: they
+/// would have shared a slot in the smaller ring.
+fn grown(ring: &[u64], floor: u64) -> Box<[u64]> {
+    let mut grown = vec![0u64; ring.len() * 2].into_boxed_slice();
+    let mask = grown.len() - 1;
+    for (pos, &packed) in ring.iter().enumerate() {
+        let held = packed >> ISSUE_COUNT_BITS;
+        if held >= floor && held as usize & (ring.len() - 1) == pos {
+            grown[held as usize & mask] = packed;
+        }
+    }
+    grown
 }

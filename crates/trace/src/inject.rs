@@ -68,6 +68,17 @@ pub const FEED_TAIL: u8 = 14;
 /// state *after* the block, timed with the parent's codes. Site:
 /// `bioperf-pipe`'s keyed refinement.
 pub const REFINE_STALE: u8 = 15;
+/// Claim issue slots in a fixed 4096-slot ring that overwrites whatever
+/// cycle a slot holds, as both timing engines once did, so a claim 4096
+/// cycles before a live one resets that cycle's count. Sites:
+/// `bioperf-pipe`'s timing core and `bioperf-conform`'s reference
+/// pipeline.
+pub const ISSUE_ALIAS: u8 = 16;
+/// Leave the issue window out of a keyed `PlatformBank`'s shadow-lane
+/// equivalence and materialization, so lanes whose in-flight issue
+/// claims differ merge, and a materialized lane starts with none. Site:
+/// `bioperf-pipe`'s shadow lanes.
+pub const SHADOW_STALE: u8 = 17;
 
 static ARMED: AtomicU8 = AtomicU8::new(NONE);
 

@@ -355,7 +355,7 @@ fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
     eprintln!(
         "sweep: {} cells x {} programs on {} workers \
          ({} replayed, {} from checkpoint, {} traces executed, {} recorded, \
-         at most {} alive at once)",
+         at most {} alive at once; {} lane-blocks, {} core-blocks run, {} materializations)",
         result.grid.cells(),
         result.programs.len(),
         result.workers,
@@ -364,6 +364,9 @@ fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
         result.recorded,
         result.recorded_jobs,
         result.live_traces_peak,
+        result.work.lane_blocks,
+        result.work.core_blocks,
+        result.work.materializations,
     );
 
     print!("{}", result.render_table());
