@@ -43,10 +43,12 @@
 //! reloaded sources, which the bank remembers across blocks), and the
 //! issue counts from the front-end cycle through the last completion
 //! (every claim lies between its op's dispatch and completion). A
-//! materialized core keeps its own values everywhere else; they are
-//! harmless when they are at or before the new front-end cycle, which
-//! holds for a fresh core and for one that last ran at least a ROB's
-//! worth of ops ago, and otherwise the core is zeroed first.
+//! materialized core keeps its own values everywhere else: a fresh
+//! core's zeros, or the state it stopped at when it became a shadow,
+//! which is the state it would have run from, so only the slots the
+//! skipped ops wrote differ — the remembered ones while they are the
+//! last ROB's worth of ops, and values at or before the front-end cycle
+//! after that.
 //!
 //! *Precondition.* A shadow is exact only because the recurrence is
 //! shift-invariant: shifting every live cycle of a state shifts every
@@ -248,9 +250,6 @@ struct Member {
     /// Set while the member is a keyed bank's shadow lane: its core does
     /// not run, and its state is its leader's shifted.
     shadow: Option<Shadow>,
-    /// Instructions after which the core's own state, left behind when
-    /// it became a shadow, is harmless (0 for a fresh core).
-    stale_until: u64,
 }
 
 /// A shadow lane's leader: a running lane on the same timing axis whose
@@ -342,9 +341,8 @@ impl Keyed {
     /// materializes every shadow whose class's block codes differ from
     /// its leader's, then makes each running lane a shadow of the first
     /// running lane on its timing axis, in class order, whose class has
-    /// the same block codes and whose state it equals shifted. `start` is
-    /// the instruction count before the block.
-    fn shadow(&mut self, members: &mut [Member], start: u64, work: &mut BankWork) {
+    /// the same block codes and whose state it equals shifted.
+    fn shadow(&mut self, members: &mut [Member], work: &mut BankWork) {
         let window = !inject::active(inject::SHADOW_STALE);
         self.code_class.clear();
         for class in 0..self.classes.len() {
@@ -359,9 +357,8 @@ impl Keyed {
                 if self.code_class[s.class] == self.code_class[class] {
                     continue;
                 }
-                let reset = start < members[m].stale_until;
                 let (leader, member) = pair_mut(members, s.leader, m);
-                member.core.materialize(&leader.core, s.shift, slots, reset, window);
+                member.core.materialize(&leader.core, s.shift, slots, window);
                 member.shadow = None;
                 work.materializations += 1;
             }
@@ -381,7 +378,6 @@ impl Keyed {
                 });
                 let Some(shadow) = merged else { continue };
                 members[m].shadow = Some(shadow);
-                members[m].stale_until = start + members[m].core.rob_size() as u64;
                 work.merges += 1;
                 // The new shadow's own shadows follow it to its leader.
                 for lanes in &self.lanes {
@@ -546,7 +542,7 @@ impl PlatformBank {
             });
         let group =
             index_or_push(&mut self.groups, FillGroup { source, size, mode, fill }, FillGroup::shares_fill);
-        self.members.push(Member { cfg, column, group, core, shadow: None, stale_until: 0 });
+        self.members.push(Member { cfg, column, group, core, shadow: None });
     }
 
     /// An empty keyed bank over one register file and if-conversion
@@ -741,7 +737,6 @@ impl TraceConsumer for PlatformBank {
     fn consume_block(&mut self, block: &OpBlock, _program: &Program) {
         let Self { plan, walks, columns, groups, members, keyed, work, .. } = self;
         plan.block(block);
-        let start = plan.instructions - plan.dst.len() as u64;
         for walk in walks.iter_mut() {
             walk.walk(plan);
         }
@@ -765,7 +760,7 @@ impl TraceConsumer for PlatformBank {
                 fork(keyed, groups, members, shadows);
             }
             if shadows {
-                keyed.shadow(members, start, work);
+                keyed.shadow(members, work);
             }
             keyed.needed.clear();
             keyed.needed.resize(groups.len(), false);
@@ -827,7 +822,7 @@ fn fork(keyed: &mut Keyed, groups: &mut Vec<FillGroup>, members: &mut Vec<Member
                 let member = if shadows {
                     let shadow = lane.shadow.unwrap_or(Shadow { leader: m, class: parent, shift: 0 });
                     let core = TimingCore::new(&lane.cfg);
-                    Member { group, core, shadow: Some(shadow), stale_until: 0, ..*lane }
+                    Member { group, core, shadow: Some(shadow), ..*lane }
                 } else {
                     Member { group, ..lane.clone() }
                 };
@@ -1706,7 +1701,8 @@ pub(crate) mod tests {
     /// Shadow lanes change no result: on a trace whose keys agree for
     /// long stretches and then diverge, running lanes merge into shadows
     /// and shadows materialize again at every block size and per op, on
-    /// in-order and out-of-order lanes, and every lane on every key still
+    /// in-order and out-of-order lanes (one with issue windows longer
+    /// than a fresh issue ring), and every lane on every key still
     /// equals a live `CycleSim`. A bank that collects event metrics never
     /// shadows, and its lanes' events equal the live `CycleSim`s'.
     #[test]
@@ -1718,8 +1714,11 @@ pub(crate) mod tests {
             tiny.l1 = bioperf_cache::CacheConfig::new(1024, 2, base.l1.block_bytes);
             let keys = [(base, Prefetcher::None), (tiny, Prefetcher::None), (tiny, Prefetcher::NextLine)];
             let preds = [PredictorKind::Hybrid, PredictorKind::Bimodal];
-            let lanes: Vec<(PlatformConfig, PredictorKind)> =
+            let mut lanes: Vec<(PlatformConfig, PredictorKind)> =
                 variants(base).into_iter().zip(preds.into_iter().cycle()).collect();
+            // An L2 hit slower than the issue ring is long: a lane's live
+            // issue window then spans more slots than a fresh ring has.
+            lanes.push((variant(base, (3, 5000, 5100), (4, 80)), PredictorKind::Hybrid));
             let live = |lane: usize, key: usize, metrics: bool| {
                 let (mut cfg, pred) = lanes[lane];
                 (cfg.l1, cfg.l2) = (keys[key].0.l1, keys[key].0.l2);

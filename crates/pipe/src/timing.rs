@@ -298,12 +298,6 @@ impl TimingCore {
         self.max_completion.max(self.fetch_cycle)
     }
 
-    /// The ROB size: how many of the latest ops can hold a completion
-    /// after the front-end cycle.
-    pub(crate) fn rob_size(&self) -> usize {
-        self.rob.len()
-    }
-
     /// Ops issued at cycle `c`, if `c` is live.
     fn issued_at(&self, c: u64) -> u64 {
         let packed = self.issue_ring[c as usize & (self.issue_ring.len() - 1)];
@@ -349,15 +343,14 @@ impl TimingCore {
     /// `shift` cycles (wrapping) — the scalars, the ROB, the ready cycles
     /// in `slots` and (with `window`) the live issue window — writing 0
     /// for values at or before the leader's front-end cycle. Every other
-    /// ready slot and issue slot keeps this core's own value, which is
-    /// harmless when it lies at or before the new front-end cycle: true
-    /// of a fresh core, and of one that last ran at least a ROB's worth
-    /// of ops ago. Otherwise the caller passes `reset`, which zeroes them.
-    pub(crate) fn materialize(&mut self, leader: &TimingCore, shift: u64, slots: &[u32], reset: bool, window: bool) {
-        if reset {
-            self.ready_cycle.fill(0);
-            self.issue_ring.fill(0);
-        }
+    /// ready slot and issue slot keeps this core's own value. That is
+    /// exact for a fresh core (zeros) and for a core that equalled
+    /// `leader` shifted when it stopped running: its own state is then
+    /// the state it would have run from, so its values are the ones it
+    /// would hold now except in slots the ops it skipped wrote. `slots`
+    /// covers those while they are the last ROB's worth of ops; older
+    /// ones hold values at or before the front-end cycle either way.
+    pub(crate) fn materialize(&mut self, leader: &TimingCore, shift: u64, slots: &[u32], window: bool) {
         let f = leader.fetch_cycle;
         let live = |v: u64| if v > f { v.wrapping_add(shift) } else { 0 };
         self.fetch_cycle = f.wrapping_add(shift);
@@ -375,10 +368,17 @@ impl TimingCore {
             if self.issue_ring.len() < leader.issue_ring.len() {
                 self.issue_ring = vec![0; leader.issue_ring.len()].into_boxed_slice();
             }
+            // The window may be longer than the ring, with its claimed
+            // cycles spread out; only those own slots, so only those are
+            // written (no cycle this core left in the window has a count
+            // its leader lacks).
             let mask = self.issue_ring.len() - 1;
             for c in leader.window() {
-                let own = c.wrapping_add(shift);
-                self.issue_ring[own as usize & mask] = (own << ISSUE_COUNT_BITS) | leader.issued_at(c);
+                let issued = leader.issued_at(c);
+                if issued > 0 {
+                    let own = c.wrapping_add(shift);
+                    self.issue_ring[own as usize & mask] = (own << ISSUE_COUNT_BITS) | issued;
+                }
             }
         }
     }
@@ -640,4 +640,31 @@ fn grown(ring: &[u64], floor: u64) -> Box<[u64]> {
         }
     }
     grown
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A live issue window longer than the ring keeps every claimed
+    /// cycle's count through a materialization, however the unclaimed
+    /// cycles between them fall on the ring.
+    #[test]
+    fn materialize_keeps_every_claimed_cycle_of_a_long_window() {
+        let cfg = PlatformConfig::alpha21264();
+        let mut leader = TimingCore::new(&cfg);
+        let ring = ISSUE_RING as u64;
+        leader.fetch_cycle = 100;
+        leader.max_completion = 100 + 3 * ring;
+        let claims = [(101, cfg.issue_width as u64), (102 + ring, 2), (150 + 2 * ring, 1)];
+        for (c, n) in claims {
+            leader.issue_ring[c as usize & (ISSUE_RING - 1)] = (c << ISSUE_COUNT_BITS) | n;
+        }
+        let mut shadow = TimingCore::new(&cfg);
+        shadow.materialize(&leader, 5, &[], true);
+        for c in leader.window() {
+            assert_eq!(shadow.issued_at(c + 5), leader.issued_at(c), "cycle {c}");
+        }
+        assert_eq!(leader.offset_of(&shadow, &[], true), Some(5));
+    }
 }
