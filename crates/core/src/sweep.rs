@@ -72,8 +72,8 @@ use bioperf_cache::{
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
 use bioperf_pipe::{
-    BankWork, CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank, MAX_ISSUE_SPAN,
-    MAX_LATENCY, MAX_WIDTH,
+    BankWork, CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank,
+    MAX_ISSUE_SPAN, MAX_LATENCY, MAX_WIDTH,
 };
 use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, BlockFeed, Recorder, Recording, Tape};
 

@@ -451,21 +451,22 @@ impl TimingCore {
         let mut spill_idx = 0usize;
         // Claims an issue slot at or after `$earliest` for the op
         // dispatched at `$dispatch`, where `$top` bounds every cycle
-        // claimed so far. Live cycles lie in `$dispatch..=$top`, and the
-        // claim steps past full (so live) cycles only, so while it and
-        // `$top` both lie within a ring's length of `$dispatch` every
-        // live cycle has a slot of its own and the plain claim cannot
-        // overwrite one; otherwise the checked claim grows the ring if
-        // it would.
+        // claimed so far and `$earliest` is at most the later of the two.
+        // Live cycles lie in `$dispatch..=$top` and the claim steps past
+        // full (so live) cycles only, so while `$top` lies within a
+        // ring's length of `$dispatch` every live cycle and the claim
+        // have slots of their own and the plain claim cannot overwrite
+        // one; otherwise the checked claim grows the ring if it would.
+        // (For an op without reloads the check reads no operand, so it
+        // need not wait for one.)
         macro_rules! claim {
-            ($dispatch:ident, $top:expr, $earliest:expr) => {{
-                let earliest = $earliest;
-                if earliest.max($top + 1) < $dispatch + ring.len() as u64 {
-                    issue_at(&mut ring, earliest, issue_width)
+            ($dispatch:ident, $top:expr, $earliest:expr) => {
+                if $top < $dispatch + ring.len() as u64 - 1 {
+                    issue_at(&mut ring, $earliest, issue_width)
                 } else {
-                    issue_at_growing(&mut ring, $dispatch, earliest, issue_width)
+                    issue_at_growing(&mut ring, $dispatch, $earliest, issue_width)
                 }
-            }};
+            };
         }
         let per_op = plan.src.iter().zip(&plan.dst).zip(flags.iter().zip(lat));
         for (i, ((&slots, &dst), (&flags, &lat))) in per_op.enumerate() {
@@ -483,6 +484,10 @@ impl TimingCore {
             }
             fetched += 1;
             let dispatch = fetch_cycle;
+            // Bounds every cycle claimed so far and this op's earliest
+            // issue: an operand is an earlier op's completion or reload
+            // (at most the last completion) or one of this op's reloads.
+            let mut reach = max_completion;
             let operands = if flags & SPILL_MASK == 0 {
                 // Common case: three unconditional ring reads (absent
                 // sources resolve to ZERO_SLOT's constant 0).
@@ -492,7 +497,9 @@ impl TimingCore {
                 a.max(b).max(c)
             } else {
                 let mut operands = 0u64;
-                // The last completion bounds every earlier op's claims.
+                // The last completion bounds every earlier op's claims and
+                // every reloaded value's ready cycle (a source is reloaded
+                // once, before this op writes its slot).
                 let mut top = max_completion;
                 for (j, &slot) in slots.iter().enumerate() {
                     let base = ready_cycle[slot as usize];
@@ -516,6 +523,7 @@ impl TimingCore {
                     ready_cycle[slot as usize] = ready;
                     operands = operands.max(ready);
                 }
+                reach = reach.max(operands);
                 operands
             };
             let mut earliest = dispatch.max(operands);
@@ -525,8 +533,8 @@ impl TimingCore {
                 earliest = earliest.max(last_issue);
             }
             // This op's spill and reload claims are at or before
-            // `earliest`, so the last completion bounds the rest.
-            let start = claim!(dispatch, max_completion, earliest);
+            // `earliest`, so `reach` bounds them and `earliest` both.
+            let start = claim!(dispatch, reach, earliest);
             if IN_ORDER {
                 last_issue = start;
             }
