@@ -12,11 +12,12 @@
 //! posts the table to the job summary.
 //!
 //! A last row times the factored sweep's production lane shape: one
-//! cache pass at the geometry of the `timing` sweep preset (the
-//! `sweep-timing` benchmark workload's grid), then one 24-lane
-//! `TimingBank` over its miss-level stream, reported as
-//! lane-op Mops/s and as the ratio of lane ns/op to the ns/op of a
-//! decode-only pass in the same process (no floor: informational).
+//! keyed `PlatformBank` over the geometry of the `timing` sweep preset
+//! (the `sweep-timing` benchmark workload's grid) with one keyed lane
+//! per grid cell, the shape of every live pass of a sweep job, replayed
+//! from the same recording and reported as lane-op Mops/s and as the
+//! ratio of lane ns/op to the ns/op of a decode-only pass in the same
+//! process (no floor: informational).
 //!
 //! `--spill-dir <dir>` switches to a streamed-only run: the trace is
 //! recorded directly into segment files (never held in memory whole)
@@ -25,18 +26,16 @@
 //! memory is bounded by the segment size, not the trace size.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use bioperf_bench::{banner, peak_rss_bytes, BenchArgs, JsonReport, REPRO_SEED};
-use bioperf_cache::Hierarchy;
 use bioperf_core::cli::{self, CliError, Spec};
 use bioperf_core::report::TextTable;
 use bioperf_core::SweepGrid;
 use bioperf_isa::{MicroOp, Program};
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
-use bioperf_pipe::{CachePassSim, CycleSim, PlatformBank, PlatformConfig, SimResult, TimingBank};
+use bioperf_pipe::{CycleSim, PlatformBank, PlatformConfig, SimResult};
 use bioperf_trace::{
     segment_recording, OpBlock, Recorder, Recording, SegmentedRecording, SpillRecorder, Tape,
     TraceConsumer,
@@ -105,9 +104,9 @@ impl TraceConsumer for DecodeOnly {
     }
 }
 
-/// The sweep's production lane shape over `recording`: one cache pass
-/// at the [`SweepGrid::timing`] geometry, then one `TimingBank` with a
-/// lane per grid cell over its stream. Returns the lane count, the bank's
+/// The sweep's production lane shape over `recording`: one keyed
+/// `PlatformBank` whose one key is the [`SweepGrid::timing`] geometry,
+/// with a keyed lane per grid cell. Returns the lane count, the bank's
 /// seconds and a decode-only pass's seconds.
 fn sweep_timing_lanes(recording: &Recording) -> (usize, f64, f64) {
     let grid = SweepGrid::timing();
@@ -115,19 +114,16 @@ fn sweep_timing_lanes(recording: &Recording) -> (usize, f64, f64) {
         .map(|c| grid.spec(c).resolve().expect("the sweep-timing grid's cells are valid"))
         .collect();
     let base = cells[0];
-    let hierarchy = Hierarchy::new(base.platform.l1, base.platform.l2, base.lat).with_prefetcher(base.prefetch);
-    let mut pass = CachePassSim::new(base.platform.logical_regs, vec![hierarchy]);
-    recording.replay_bank(std::slice::from_mut(&mut pass));
-    let (_, stream) = pass.finish_bank().pop().expect("one cache-pass member");
-    let stream = Arc::new(stream);
-    let mut bank = TimingBank::new(base.platform.logical_regs, base.platform.if_conversion);
+    let hierarchy = base.platform.hierarchy().with_prefetcher(base.prefetch);
+    let (regs, if_conversion) = (base.platform.logical_regs, base.platform.if_conversion);
+    let mut bank = PlatformBank::keyed(regs, if_conversion, vec![hierarchy]);
     for rc in &cells {
-        bank.push_lane(&rc.platform, rc.pred, Arc::clone(&stream));
+        bank.push_keyed_lane(&rc.platform, rc.pred);
     }
     let start = Instant::now();
     recording.replay_bank(std::slice::from_mut(&mut bank));
     let lane_secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(bank.into_results());
+    std::hint::black_box(bank.results());
     let start = Instant::now();
     recording.replay_bank(std::slice::from_mut(&mut DecodeOnly));
     let decode_secs = start.elapsed().as_secs_f64();
@@ -363,7 +359,7 @@ fn main() {
     json.value("segments", Json::U64(segmented.segment_count() as u64));
     json.value("mops_per_sec/sweep_timing_lanes", Json::F64(lane_mops));
     json.value("sweep_timing_lane_to_decode_ratio", Json::F64(lane_ratio));
-    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode; then a 24-lane sweep-timing TimingBank over one cache pass's stream, as lane-op Mops/s and lane ns/op over decode-only ns/op");
+    json.note("one hmmsearch recording; each platform replayed sequentially, all four off one block-batched bank decode, then off one streamed segment decode; then a keyed bank of the sweep-timing grid's one geometry and 24 lanes, as lane-op Mops/s and lane ns/op over decode-only ns/op");
     report_peak_rss(&mut json);
     json.write_if_requested(&args.bench);
     enforce_floor("bank", bank_mops, args.min_mops);

@@ -7,13 +7,13 @@
 //! timing lane later converts each code back into a latency through the
 //! cell's own [`LatencyConfig`](crate::LatencyConfig), without touching
 //! a live cache. [`MissLevelBank`] produces the codes block by block
-//! (its per-run code columns feed the sweep's live keyed pass directly)
-//! and, when asked, whole streams (for the sweep's recorded later
-//! passes).
+//! (its per-run code columns feed the sweep's live keyed passes
+//! directly, which keep no stream) and, when asked, whole streams (for a
+//! recorded cache pass, `bioperf_pipe::CachePassSim`).
 //!
-//! Streams live only in memory, inside the sweep job that makes them,
-//! and are dropped with it. At 2 bits per access (about 0.44 accesses
-//! per recorded op) a stream costs about 0.11 B per op of the trace.
+//! Streams live only in memory, inside the cache pass that makes them.
+//! At 2 bits per access (about 0.44 accesses per recorded op) a stream
+//! costs about 0.11 B per op of the trace.
 
 use bioperf_trace::fnv1a;
 

@@ -57,9 +57,10 @@ pub enum FaultId {
     /// per-cell results by one, crediting every measurement to a
     /// neighboring grid cell.
     SweepMergeOrder,
-    /// The factored sweep's miss-level annotation cursor starts at 1
-    /// instead of 0, so every annotated access reads its successor's
-    /// level.
+    /// An annotated timing lane's miss-level annotation cursor starts at
+    /// 1 instead of 0, so every annotated access reads its successor's
+    /// level. Only the fuzzer's cache pass → `TimingBank` leg reads
+    /// annotations.
     FactoredAnnotationSkew,
     /// The factored sweep's timing bank keys its shared latency fill on
     /// the annotation stream alone, ignoring the latency table, so a lane
@@ -149,7 +150,7 @@ impl FaultId {
             FaultId::BranchChooserStale => "hybrid chooser stops training",
             FaultId::SweepMergeOrder => "sweep cell merge rotates each program's results by one",
             FaultId::FactoredAnnotationSkew => {
-                "factored sweep's annotation cursor starts off by one"
+                "annotated timing lanes' cursor starts off by one"
             }
             FaultId::TimingFillOvershare => {
                 "timing bank shares a latency fill across latency tables"
@@ -223,8 +224,7 @@ impl FaultId {
             // The pipeline check's factored leg (a cache pass feeding a
             // timing bank) reads every annotation one late, so
             // the first access whose level differs from its successor's
-            // exposes it. The sweep self-check also fires on its single
-            // run, through its later pass's timing banks.
+            // exposes it. The sweep reads no annotations.
             FaultId::FactoredAnnotationSkew => 16,
             // The pipeline check's checked lane follows a decoy whose L1
             // latency is one cycle longer on the same stream, so the

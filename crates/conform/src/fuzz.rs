@@ -715,7 +715,7 @@ fn issue_width_check(ops: &[MicroOp], platforms: &[PlatformConfig]) -> Option<Di
 /// platform's own geometry.
 fn keyed_bank(platform: &PlatformConfig, decoy: &PlatformConfig) -> PlatformBank {
     let hierarchies = vec![decoy.hierarchy(), platform.hierarchy()];
-    let mut bank = PlatformBank::keyed(platform.logical_regs, platform.if_conversion, hierarchies, false);
+    let mut bank = PlatformBank::keyed(platform.logical_regs, platform.if_conversion, hierarchies);
     bank.push_keyed_lane(platform, PredictorKind::Hybrid);
     bank
 }
@@ -738,14 +738,15 @@ fn page_lines(platform: &PlatformConfig) -> PlatformConfig {
 /// in-memory suite's engine, [`BLOCK_OPS`](bioperf_trace::BLOCK_OPS)
 /// blocks built live, the tail flushed at the end); then, per platform,
 /// a [`CachePassSim`]
-/// feeding a [`TimingBank`] (the sweep's later passes), taking cycles
+/// feeding a [`TimingBank`] (the annotated engine; the sweep no longer
+/// runs one), taking cycles
 /// and counters from the bank and hierarchy stats from the cache pass.
 /// The checked lane is a latency-fill follower: two decoy lanes on the
 /// same stream go first, one whose L1 latency is one cycle longer (it
 /// must not share the fill) and one with the same latencies but another
 /// width, ROB and predictor (it must, and leads the checked lane's
 /// group). Last, a keyed [`PlatformBank`] fed op by op through a
-/// [`BlockFeed`] (the sweep's live first pass) whose representative key
+/// [`BlockFeed`] (every live pass of the sweep) whose representative key
 /// is a decoy with 4 KB lines, so the platform's own key forks off its
 /// class at the first block where a new line of a touched page misses;
 /// the checked lane is the fork of the platform's lane. The same keyed

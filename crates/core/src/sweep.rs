@@ -9,9 +9,9 @@
 //! skipped-cell diagnostics, not panics), and fans the surviving cells
 //! out over the [`run_jobs`](crate::orchestrate::run_jobs) worker pool,
 //! one job per (program, variant). A job executes its variant's kernel
-//! once and runs the program's missing cells over the op stream in grid
-//! order; whatever it records it drops before its worker claims the
-//! next job, so no trace is shared between jobs and at most one per
+//! and runs the program's missing cells over the op stream in grid
+//! order; the oracle's recording is dropped before its worker claims
+//! the next job, so no trace is shared between jobs and at most one per
 //! worker is alive at once ([`SweepResult::live_traces_peak`]). Jobs with
 //! more cells start first, then by program trace length, but results go
 //! back by (program, variant), and the merge walks programs in input
@@ -24,23 +24,22 @@
 //! geometry — which every cell shares — never on latencies, pipeline
 //! shape, or predictor; and a cell's cycles depend only on its timing
 //! axis and the 2-bit miss-level code of each access under its cache
-//! axis (L1 × L2 × line × prefetcher). So a job's first pass is live:
+//! axis (L1 × L2 × line × prefetcher). So every pass of a job is live:
 //! the kernel feeds a keyed [`PlatformBank`] block by block, one plan
-//! walk driving up to `CACHE_PASS_KEYS` (32) cache-axis hierarchies
-//! and the timing lanes of as many timing axes as fit 32 potential
-//! lanes. Keys whose codes have agreed so far share one lane per timing
-//! axis; a key whose block codes diverge forks its own lanes, so lanes
-//! run once per distinct code stream. Only a job with more keys or axes
-//! than that records its trace as well, and its later passes replay the
-//! recording through [`CachePassSim`]s for the remaining keys and
-//! [`TimingBank`]s for the remaining (axis, class) lanes, on the class
-//! representatives' streams; the streams are dropped with the job. On
-//! the standard grid this collapses 1152 hierarchy simulations to 64
-//! while producing bit-identical measurements. The unfactored oracle
-//! ([`SweepConfig::factor`] `false`) records each job and runs every
-//! cell as a live [`PlatformBank`] member that simulates its own
-//! hierarchy; the conformance harness's sweep self-check diffs the
-//! factored path against direct per-cell replays
+//! walk driving every cache-axis key's hierarchy and the timing lanes
+//! of as many timing axes as fit one pass's budget of potential lanes
+//! (keys × axes). Keys whose codes have agreed so far share one lane per
+//! timing axis; a key whose block codes diverge forks its own lanes, so
+//! lanes run once per distinct code stream. A job with more axes than
+//! fit one pass re-executes its kernel for the next pass, which
+//! recomputes the same key classes exactly; nothing is recorded, so a
+//! factored job's memory does not grow with the trace. On the standard
+//! grid a pass simulates a job's 32 hierarchies where the oracle
+//! simulates 576, while producing bit-identical measurements. The
+//! unfactored oracle ([`SweepConfig::factor`] `false`) records each
+//! job and runs every cell as a live [`PlatformBank`] member that
+//! simulates its own hierarchy; the conformance harness's sweep
+//! self-check diffs the factored path against direct per-cell replays
 //! ([`sweep_self_check`]).
 //!
 //! Completed `(program, cell)` measurements append to a
@@ -62,20 +61,19 @@ use std::cmp::Reverse;
 use std::fmt;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use bioperf_branch::PredictorKind;
 use bioperf_cache::{
-    AnnotationStream, CacheConfig, CacheConfigError, Hierarchy, HierarchyStats, LatencyConfig,
-    Prefetcher, StackDistProfiler,
+    CacheConfig, CacheConfigError, Hierarchy, HierarchyStats, LatencyConfig, Prefetcher,
+    StackDistProfiler,
 };
 use bioperf_kernels::{registry, ProgramId, Scale, Variant};
 use bioperf_metrics::Json;
 use bioperf_pipe::{
-    BankWork, CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, TimingBank,
-    MAX_ISSUE_SPAN, MAX_LATENCY, MAX_WIDTH,
+    BankWork, CachePassSim, CycleSim, OpLatencies, PlatformBank, PlatformConfig, MAX_ISSUE_SPAN,
+    MAX_LATENCY, MAX_WIDTH,
 };
-use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, BlockFeed, Recorder, Recording, Tape};
+use bioperf_trace::{fnv1a, replay::DEFAULT_CAPACITY, BlockFeed, Recording, Tape};
 
 use crate::orchestrate::{
     default_jobs, job_rank, record_variant, run_jobs_ranked, LiveTraces, SuiteError,
@@ -99,21 +97,23 @@ pub const CHECKPOINT_HEADER_LEN: usize = 32;
 /// Size of one checkpoint record in bytes.
 pub const CHECKPOINT_RECORD_LEN: usize = 40;
 
-/// Members per timing bank of either engine: potential lanes (keys ×
-/// timing axes) of the factored live pass, annotated lanes of a later
-/// pass, live per-cell members in the unfactored oracle. A member is a
-/// timing core (about 0.55 MiB of ready and issue rings; a live member
-/// adds its hierarchy), so the cap bounds a job's memory, while every
-/// member past the first shares the bank's plan and predictor walks,
-/// and (keyed or annotated) its group's latency fill.
-const TIMING_BANK_LANES: usize = 32;
+/// Live members per bank of the unfactored oracle. Each member is a
+/// timing core (about 0.55 MiB of ready and issue rings) with its own
+/// hierarchy, so the cap bounds an oracle job's memory, while every
+/// member past the first shares the bank's decode, plan walk and
+/// predictor walks.
+const ORACLE_BANK_MEMBERS: usize = 32;
 
-/// Cache-axis configurations per cache pass of a factored job, the live
-/// pass's included: one register plan drives this many hierarchies, and
-/// a recording job's streams of them (about 0.11 B per op each) are all
-/// it holds besides the recording. The standard grid has exactly this
-/// many.
-const CACHE_PASS_KEYS: usize = 32;
+/// Potential lanes (keys × timing axes) per live pass of a factored
+/// job. A pass carries every key of the job and the next
+/// ⌊`PASS_LANES` / keys⌋ timing axes (at least one), so a job with more
+/// axes than fit re-executes its kernel once per further pass. A lane's
+/// timing core is about 0.55 MiB and a pass runs one per (axis, key
+/// class), so the budget bounds a pass's memory; on the standard grid
+/// 96 needs six passes per job, 192 needs three but holds more cores,
+/// and 32 would need eighteen (EXPERIMENTS.md, "One live engine for
+/// every sweep job").
+const PASS_LANES: usize = 96;
 
 /// Largest cache level a grid cell may ask for, in KB (64 MiB): 8× the
 /// largest geometry any shipped grid uses, and about 24 MiB of line
@@ -753,9 +753,9 @@ pub struct SweepConfig {
     /// measurements this invocation (`0` = unlimited). A budget-stopped
     /// run checkpoints what it measured and reports `complete: false`.
     pub max_cells: usize,
-    /// Evaluate via the factored engine (a live keyed pass, plus
-    /// recorded later passes when keys × timing axes exceed one bank).
-    /// `false` selects the unfactored oracle: the same per-(program,
+    /// Evaluate via the factored engine: live keyed passes that each
+    /// re-execute the kernel, as many per job as its timing axes need,
+    /// with nothing recorded. `false` selects the unfactored oracle: the same per-(program,
     /// variant) jobs, each recorded, with every cell a live
     /// [`PlatformBank`] member with its own hierarchy. Both produce
     /// bit-identical measurements and checkpoint bytes; the command line
@@ -823,15 +823,12 @@ pub struct SweepResult {
     pub computed: usize,
     /// Measurements restored from the checkpoint.
     pub cached: usize,
-    /// Variant traces executed by this invocation (fed live or
-    /// recorded) — zero when every scheduled cell came out of the
-    /// checkpoint (a resumed sweep with no remaining work executes no
-    /// kernel at all).
+    /// Kernel executions by this invocation: one per live pass of each
+    /// factored (program, variant) job, one per oracle job — zero when
+    /// every scheduled cell came out of the checkpoint (a resumed sweep
+    /// with no remaining work executes no kernel at all). Not part of the
+    /// report.
     pub recorded: usize,
-    /// (Program, variant) jobs that captured a recording of their trace:
-    /// the oracle's jobs, and factored jobs that need a pass after their
-    /// live one. Not part of the report.
-    pub recorded_jobs: usize,
     /// Timing work of the factored jobs' live keyed passes: lane-blocks,
     /// the core-blocks that actually ran (shadow lanes run none),
     /// merges and materializations. Not part of the report.
@@ -1183,15 +1180,14 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         jobs[p].add(c, &cfg.grid.spec(c), resolved[c].expect("scheduled cells are valid"));
     }
 
-    // One pool job per (program, variant) with work: it records the
-    // variant, runs the program's missing cells in grid order through
-    // the engine `cfg.factor` selects, and drops the recording. A
-    // fully-checkpointed program schedules no job, so a resumed sweep
-    // with no remaining cells records nothing (`SweepResult::recorded`
-    // pins this).
+    // One pool job per (program, variant) with work: it executes the
+    // variant (once per live pass, or once into the oracle's recording)
+    // and runs the program's missing cells in grid order through the
+    // engine `cfg.factor` selects. A fully-checkpointed program
+    // schedules no job, so a resumed sweep with no remaining cells
+    // executes no kernel (`SweepResult::recorded` pins this).
     let live = LiveTraces::default();
-    let (outputs, recorded_jobs, work) = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
-    let recorded = 2 * jobs.iter().filter(|job| !job.cells.is_empty()).count();
+    let (outputs, recorded, work) = run_variant_jobs(cfg, &programs, &jobs, threads, &live)?;
 
     // Merge program by program, each program's cells in grid order — the
     // order of `missing`, identical for every worker count and either
@@ -1234,7 +1230,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepResult, SweepError> {
         computed,
         cached,
         recorded,
-        recorded_jobs,
         work,
         live_traces_peak: live.peak(),
         complete,
@@ -1321,12 +1316,12 @@ impl SweepJob {
 
     /// The unfactored oracle on one variant's recording: every cell is a
     /// live [`PlatformBank`] member with its own hierarchy, predictor and
-    /// prefetcher, in banks of at most [`TIMING_BANK_LANES`] members that
-    /// share one decode, plan walk and predictor walk per family. Returns,
-    /// per cell, its hierarchy stats and its cycles.
+    /// prefetcher, in banks of at most [`ORACLE_BANK_MEMBERS`] members
+    /// that share one decode, plan walk and predictor walk per family.
+    /// Returns, per cell, its hierarchy stats and its cycles.
     fn run_live(&self, rec: &Recording) -> CellResults {
         let mut out = Vec::with_capacity(self.cells.len());
-        for cells in self.cells.chunks(TIMING_BANK_LANES) {
+        for cells in self.cells.chunks(ORACLE_BANK_MEMBERS) {
             let mut bank = PlatformBank::with_predictors(
                 cells.iter().map(|cell| (cell.rc.platform, cell.rc.pred, cell.rc.prefetch)),
             );
@@ -1338,8 +1333,8 @@ impl SweepJob {
 
     /// The factored engine on one variant: returns, per cell, its key's
     /// hierarchy stats and its cycles — the same values
-    /// [`Self::run_live`] returns — whether the job recorded its trace,
-    /// and its live keyed pass's timing work.
+    /// [`Self::run_live`] returns — with the number of live passes
+    /// (kernel executions) the job made and their timing work.
     ///
     /// A cell's cycles depend only on its timing axis and the miss-level
     /// code stream of its cache-axis key, never on which geometry
@@ -1351,115 +1346,70 @@ impl SweepJob {
     /// and if-conversion mode (see `CellSpec::resolve`), so the
     /// register/spill plan runs once per pass for every key and lane.
     ///
-    /// The first pass is live: the kernel feeds a keyed
-    /// [`PlatformBank`] block by block, one plan walk driving the first
-    /// [`CACHE_PASS_KEYS`] keys' hierarchies and as many timing axes as
-    /// fit [`TIMING_BANK_LANES`] potential lanes (at least one), its
-    /// classes refined as the codes arrive. Only a job with more keys or
-    /// axes than that also records the trace, keeping the class
-    /// representatives' streams; its later passes replay the recording
-    /// through cache passes for the remaining keys (a stream equal to a
-    /// class representative's joins that class) and [`TimingBank`]s of
-    /// one lane per remaining (axis, class).
+    /// Every pass is live: the kernel feeds a keyed [`PlatformBank`]
+    /// block by block, one plan walk driving every key's hierarchy and
+    /// the lanes of the next timing axes, in first-seen order, that fit
+    /// [`PASS_LANES`] potential lanes (at least one), its classes refined
+    /// as the codes arrive. A pass re-executes the same kernel over the
+    /// same keys, so it recomputes the first pass's classes and key stats
+    /// exactly (asserted); a cell takes its stats from the first pass and
+    /// its cycles from the pass that holds its axis. Nothing is recorded.
     fn run_factored(
         &self,
         program: ProgramId,
         variant: Variant,
         scale: Scale,
         seed: u64,
-    ) -> Result<(CellResults, bool, BankWork), SuiteError> {
+    ) -> Result<(CellResults, usize, BankWork), SuiteError> {
         let base = self.reps[0].platform;
-        let keys = self.reps.len().min(CACHE_PASS_KEYS);
-        let fit = (TIMING_BANK_LANES / keys).clamp(1, self.axes.len());
-        let later = keys < self.reps.len() || fit < self.axes.len();
+        let keys = self.reps.len();
+        let fit = (PASS_LANES / keys).clamp(1, self.axes.len());
 
-        let hierarchies = self.reps[..keys].iter().map(hierarchy).collect();
-        let mut bank =
-            PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies, later);
-        for rc in &self.axis_reps[..fit] {
-            bank.push_keyed_lane(&rc.platform, rc.pred);
-        }
-        let recorder = later.then(|| Recorder::with_capacity(DEFAULT_CAPACITY));
-        let mut tape = Tape::new((recorder, BlockFeed::new(bank, DEFAULT_CAPACITY)));
-        registry::run(&mut tape, program, variant, scale, seed);
-        let (static_program, (recorder, feed)) = tape.finish();
-        if feed.overflowed() {
-            return Err(SuiteError::TraceOverflow { program, variant, captured: feed.len() });
-        }
-        let bank = feed.into_inner();
-        let work = bank.work();
-
-        // The memo: (axis, class) → cycles, for every lane timed so far.
-        let mut timed: Vec<((usize, usize), u64)> = Vec::new();
-        let mut stats: Vec<HierarchyStats> = (0..keys).map(|k| bank.key_stats(k)).collect();
-        let mut class_of: Vec<usize> = vec![0; self.reps.len()];
-        for (class, members) in bank.key_classes().iter().enumerate() {
-            for &k in members {
-                class_of[k] = class;
+        let mut work = BankWork::default();
+        // Pass 1's key classes and key stats, and `cycles[axis][key]`.
+        let mut first: Option<(Vec<Vec<usize>>, Vec<HierarchyStats>)> = None;
+        let mut cycles: Vec<Vec<u64>> = Vec::with_capacity(self.axes.len());
+        for axes in self.axis_reps.chunks(fit) {
+            let hierarchies = self.reps.iter().map(hierarchy).collect();
+            let mut bank = PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies);
+            for rc in axes {
+                bank.push_keyed_lane(&rc.platform, rc.pred);
             }
-            for axis in 0..fit {
-                timed.push(((axis, class), bank.key_result(axis, members[0]).cycles));
+            let mut tape = Tape::new(BlockFeed::new(bank, DEFAULT_CAPACITY));
+            registry::run(&mut tape, program, variant, scale, seed);
+            let (_, feed) = tape.finish();
+            if feed.overflowed() {
+                return Err(SuiteError::TraceOverflow { program, variant, captured: feed.len() });
             }
-        }
-
-        if let Some(recorder) = recorder {
-            let rec = recorder.into_recording(static_program);
-            let mut streams: Vec<Arc<AnnotationStream>> =
-                bank.into_classes().into_iter().map(|(_, stream)| Arc::new(stream)).collect();
-            for (chunk, reps) in self.reps[keys..].chunks(CACHE_PASS_KEYS).enumerate() {
-                let hierarchies = reps.iter().map(hierarchy).collect();
-                let mut pass = CachePassSim::new(base.logical_regs, hierarchies);
-                rec.replay_bank(std::slice::from_mut(&mut pass));
-                for (i, (key_stats, stream)) in pass.finish_bank().into_iter().enumerate() {
-                    stats.push(key_stats);
-                    class_of[keys + chunk * CACHE_PASS_KEYS + i] =
-                        streams.iter().position(|s| **s == stream).unwrap_or_else(|| {
-                            streams.push(Arc::new(stream));
-                            streams.len() - 1
-                        });
-                }
+            let bank = feed.into_inner();
+            work += bank.work();
+            let pass = (bank.key_classes().to_vec(), (0..keys).map(|k| bank.key_stats(k)).collect());
+            match &first {
+                None => first = Some(pass),
+                Some(first) => assert_eq!(
+                    *first, pass,
+                    "{program} {variant:?}: a later live pass recomputed other key classes or stats"
+                ),
             }
-            let mut lanes: Vec<(usize, usize)> = Vec::new();
-            for cell in &self.cells {
-                let lane = (cell.axis, class_of[cell.key]);
-                if !timed.iter().any(|&(l, _)| l == lane) && !lanes.contains(&lane) {
-                    lanes.push(lane);
-                }
-            }
-            for chunk in lanes.chunks(TIMING_BANK_LANES) {
-                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
-                for &(axis, class) in chunk {
-                    let rc = &self.axis_reps[axis];
-                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(&streams[class]));
-                }
-                rec.replay_bank(std::slice::from_mut(&mut bank));
-                let cycles = bank.into_results().into_iter().map(|r| r.cycles);
-                timed.extend(chunk.iter().copied().zip(cycles));
+            for lane in 0..axes.len() {
+                cycles.push((0..keys).map(|k| bank.key_result(lane, k).cycles).collect());
             }
         }
-
-        let results = self
-            .cells
-            .iter()
-            .map(|cell| {
-                let lane = (cell.axis, class_of[cell.key]);
-                let &(_, cycles) =
-                    timed.iter().find(|&&(l, _)| l == lane).expect("every lane timed");
-                (stats[cell.key], cycles)
-            })
-            .collect();
-        Ok((results, later, work))
+        let (_, stats) = first.expect("a job has a timing axis");
+        let results =
+            self.cells.iter().map(|cell| (stats[cell.key], cycles[cell.axis][cell.key])).collect();
+        Ok((results, self.axes.len().div_ceil(fit), work))
     }
 }
 
 /// Runs every job with cells on both variants of its program, one pool
-/// job per (program, variant): the factored engine feeds its first
-/// pass live from the kernel (recording only for later passes), the
-/// live oracle records the variant and replays it; either way the trace
-/// counts in a [`LiveTraces`] guard until the job is done. Returns each
-/// program's `[original, transformed]` per-cell results (empty for a
-/// program with no cells) and how many jobs recorded their trace, or
-/// the first failure in (program, variant) order, which stops the pool.
+/// job per (program, variant): the factored engine feeds each live pass
+/// from a fresh kernel execution, the live oracle records the variant
+/// and replays it; either way the trace counts in a [`LiveTraces`] guard
+/// until the job is done. Returns each program's `[original,
+/// transformed]` per-cell results (empty for a program with no cells),
+/// the kernel executions and the factored passes' timing work, or the
+/// first failure in (program, variant) order, which stops the pool.
 fn run_variant_jobs(
     cfg: &SweepConfig,
     programs: &[ProgramId],
@@ -1486,39 +1436,39 @@ fn run_variant_jobs(
                     return job.run_factored(program, variant, cfg.scale, cfg.seed);
                 }
                 let rec = record_variant(program, variant, cfg.scale, cfg.seed, DEFAULT_CAPACITY)?;
-                Ok((job.run_live(&rec), true, BankWork::default()))
+                Ok((job.run_live(&rec), 1, BankWork::default()))
             };
             (rank, run)
         })
         .collect();
     let mut results: Vec<[CellResults; 2]> =
         (0..jobs.len()).map(|_| [Vec::new(), Vec::new()]).collect();
-    let mut recorded_jobs = 0;
+    let mut executions = 0;
     let mut work = BankWork::default();
-    for (&(p, variant), (out, recorded, job_work)) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
+    for (&(p, variant), (out, passes, job_work)) in descr.iter().zip(run_jobs_ranked(pool, threads)?) {
         work += job_work;
         results[p][usize::from(variant == Variant::LoadTransformed)] = out;
-        recorded_jobs += usize::from(recorded);
+        executions += passes;
     }
-    Ok((results, recorded_jobs, work))
+    Ok((results, executions, work))
 }
 
 /// Differential self-check of the factored sweep end to end, run by
-/// the conformance harness. A tiny 36-cell sweep (two L1 sizes × two
-/// prefetchers × three latency triples × three predictor families,
-/// predator at Test scale) goes through the production path — a live
-/// keyed first pass whose prefetching keys fork off their class, a
-/// recorded later pass through annotated timing banks for the one
-/// timing axis past the first pass's 32 potential lanes, and the
-/// per-program merge — and every cell is then re-measured by direct
-/// live [`CycleSim`] replays, one simulator at a time (no bank, no
-/// annotations, no merge), and compared bitwise; each cell's AMAT must
-/// also lie in its latencies' [`LatencyConfig::amat_range`]. A
-/// stack-distance cross-check then validates the cache pass
-/// analytically: for the prefetcher-free cells, L1 miss counts derived
-/// from one LRU stack-distance profile of the shared access stream must
-/// equal the banked hierarchies' counts. Returns the first divergence;
-/// under the `sweep-merge-order`, `factored-annotation-skew`,
+/// the conformance harness. A tiny 108-cell sweep (two L1 sizes × two
+/// prefetchers × three latency triples × three pipe shapes × three
+/// predictor families, predator at Test scale) goes through the
+/// production path — live keyed passes whose prefetching keys fork off
+/// their class, two of them because the grid's 4 keys × 27 timing axes
+/// exceed one pass's budget of potential lanes, and the per-program
+/// merge — and
+/// every cell is then re-measured by direct live [`CycleSim`] replays,
+/// one simulator at a time (no bank, no shared fill, no merge), and
+/// compared bitwise; each cell's AMAT must also lie in its latencies'
+/// [`LatencyConfig::amat_range`]. A stack-distance cross-check then
+/// validates the cache pass analytically: for the prefetcher-free
+/// cells, L1 miss counts derived from one LRU stack-distance profile of
+/// the shared access stream must equal the banked hierarchies' counts.
+/// Returns the first divergence; under the `sweep-merge-order`,
 /// `timing-fill-overshare` and `refine-stale-fork` faults the
 /// direct-replay diff fires.
 pub fn sweep_self_check(seed: u64) -> Option<String> {
@@ -1527,7 +1477,7 @@ pub fn sweep_self_check(seed: u64) -> Option<String> {
         l2: vec![(4096, 1)],
         line: vec![64],
         lat: vec![(3, 5, 72), (2, 4, 60), (4, 8, 100)],
-        pipe: vec![(4, 80)],
+        pipe: vec![(2, 32), (4, 80), (8, 192)],
         pred: PredictorKind::ALL.to_vec(),
         prefetch: vec![Prefetcher::None, Prefetcher::NextLine],
     };
@@ -1631,52 +1581,6 @@ pub fn sweep_self_check(seed: u64) -> Option<String> {
 mod tests {
     use super::*;
 
-    /// The factored engine as it was before its first pass went live:
-    /// record, one cache pass per [`CACHE_PASS_KEYS`] keys, then
-    /// [`TimingBank`] lanes memoized by (timing axis, stream content
-    /// key) — the reference the live keyed pass must reproduce.
-    fn recorded_reference(job: &SweepJob, rec: &Recording) -> CellResults {
-        let base = job.reps[0].platform;
-        let mut stats: Vec<HierarchyStats> = Vec::new();
-        let mut lane_keys: Vec<(usize, (u64, u64))> = Vec::new();
-        let mut cycles: Vec<u64> = Vec::new();
-        let mut cell_lane: Vec<usize> = vec![0; job.cells.len()];
-        for reps in job.reps.chunks(CACHE_PASS_KEYS) {
-            let first = stats.len();
-            let hierarchies = reps.iter().map(hierarchy).collect();
-            let mut pass = CachePassSim::new(base.logical_regs, hierarchies);
-            rec.replay_bank(std::slice::from_mut(&mut pass));
-            let mut streams: Vec<Arc<AnnotationStream>> = Vec::new();
-            for (s, stream) in pass.finish_bank() {
-                stats.push(s);
-                streams.push(Arc::new(stream));
-            }
-            let mut lanes: Vec<(ResolvedCell, Arc<AnnotationStream>)> = Vec::new();
-            for (cell, lane) in job.cells.iter().zip(&mut cell_lane) {
-                if !(first..stats.len()).contains(&cell.key) {
-                    continue;
-                }
-                let stream = &streams[cell.key - first];
-                let key = (cell.axis, stream.content_key());
-                *lane = lane_keys.iter().position(|x| *x == key).unwrap_or_else(|| {
-                    lane_keys.push(key);
-                    lanes.push((cell.rc, Arc::clone(stream)));
-                    lane_keys.len() - 1
-                });
-            }
-            for chunk in lanes.chunks(TIMING_BANK_LANES) {
-                let mut bank = TimingBank::new(base.logical_regs, base.if_conversion);
-                for (rc, stream) in chunk {
-                    bank.push_lane(&rc.platform, rc.pred, Arc::clone(stream));
-                }
-                rec.replay_bank(std::slice::from_mut(&mut bank));
-                cycles.extend(bank.into_results().into_iter().map(|r| r.cycles));
-            }
-        }
-        let lanes = job.cells.iter().zip(cell_lane);
-        lanes.map(|(cell, lane)| (stats[cell.key], cycles[lane])).collect()
-    }
-
     /// The job of `cells` of `grid`.
     fn job_of(grid: &SweepGrid, cells: impl IntoIterator<Item = usize>) -> SweepJob {
         let mut job = SweepJob::default();
@@ -1687,13 +1591,13 @@ mod tests {
         job
     }
 
-    /// The live keyed first pass (and the recorded later passes) equal
-    /// the recorded reference cell by cell on several traces: a grid
-    /// whose keys fork mid-trace, one whose keys never diverge, and a
-    /// resumed subset of the standard grid whose 32 keys need later
-    /// passes. Returns nothing; asserts the expected pass structure too.
+    /// The factored engine's live passes equal the oracle's live
+    /// members cell by cell, job by job, on several traces: a grid whose
+    /// keys fork mid-trace, one whose keys never diverge, and a resumed
+    /// subset of the standard grid whose 32 keys × 18 timing axes need
+    /// six passes. Asserts the pass counts and which grids fork too.
     #[test]
-    fn live_keyed_pass_matches_the_recorded_reference() {
+    fn live_passes_match_the_oracle_job_by_job() {
         let forking = SweepGrid {
             l1: vec![(1, 1), (32, 2)],
             l2: vec![(64, 1), (4096, 1)],
@@ -1713,28 +1617,26 @@ mod tests {
         let standard = SweepGrid::standard();
         let resumed: Vec<usize> = (0..standard.cells()).filter(|c| c % 7 != 3).collect();
         let cases = [
-            ("forking", &forking, (0..forking.cells()).collect::<Vec<_>>(), false),
-            ("agreeing", &agreeing, (0..agreeing.cells()).collect(), false),
-            ("resumed standard", &standard, resumed, true),
+            ("forking", &forking, (0..forking.cells()).collect::<Vec<_>>(), 1),
+            ("agreeing", &agreeing, (0..agreeing.cells()).collect(), 1),
+            ("resumed standard", &standard, resumed, 6),
         ];
-        for (name, grid, cells, later) in cases {
+        for (name, grid, cells, passes) in cases {
             let job = job_of(grid, cells);
             for program in [ProgramId::Predator, ProgramId::Hmmsearch, ProgramId::Clustalw] {
                 for variant in Variant::ALL {
-                    let (got, recorded, _) =
+                    let (got, ran, _) =
                         job.run_factored(program, variant, Scale::Test, 42).expect("runs");
-                    assert_eq!(recorded, later, "{name}: only later passes record");
+                    assert_eq!(ran, passes, "{name}: live passes");
                     let rec = record_variant(program, variant, Scale::Test, 42, DEFAULT_CAPACITY)
                         .expect("records");
-                    assert_eq!(got, recorded_reference(&job, &rec), "{name} {program} {variant:?}");
-                    let streams: Vec<AnnotationStream> = {
-                        let mut pass = CachePassSim::new(
-                            job.reps[0].platform.logical_regs,
-                            job.reps.iter().map(hierarchy).collect(),
-                        );
-                        rec.replay_bank(std::slice::from_mut(&mut pass));
-                        pass.finish_bank().into_iter().map(|(_, s)| s).collect()
-                    };
+                    assert_eq!(got, job.run_live(&rec), "{name} {program} {variant:?}");
+                    let mut pass = CachePassSim::new(
+                        job.reps[0].platform.logical_regs,
+                        job.reps.iter().map(hierarchy).collect(),
+                    );
+                    rec.replay_bank(std::slice::from_mut(&mut pass));
+                    let streams: Vec<_> = pass.finish_bank().into_iter().map(|(_, s)| s).collect();
                     let distinct =
                         (0..streams.len()).filter(|&i| !streams[..i].contains(&streams[i])).count();
                     match name {

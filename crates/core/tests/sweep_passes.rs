@@ -1,9 +1,11 @@
-//! The factored sweep's pass structure, end to end. A job runs one live
-//! pass (the kernel feeding a keyed bank of up to 32 cache-axis keys and
-//! as many timing axes as fit 32 potential lanes) and records its trace
-//! only when keys × axes leave work for later passes. These tests hold
-//! the factored engine to the unfactored oracle on a grid that needs
-//! later passes, at one and four workers, and pin which grids record.
+//! The factored sweep's pass structure, end to end. Every pass of a job
+//! is live: the kernel feeds a keyed bank of all the job's cache-axis
+//! keys and as many timing axes as fit one pass's budget of 96
+//! potential lanes (keys × axes), and a job with more axes re-executes
+//! its kernel for each further pass. Nothing is recorded. These tests
+//! hold the factored engine to the unfactored oracle on a grid that
+//! needs several passes, at one and four workers, and pin how many
+//! kernel executions each grid takes.
 
 use bioperf_branch::PredictorKind;
 use bioperf_cache::Prefetcher;
@@ -38,17 +40,19 @@ fn sweep_cache_grid() -> SweepGrid {
     }
 }
 
+/// Kernel executions of one program's two jobs on the standard grid:
+/// its 32 keys leave room for ⌊96 / 32⌋ = 3 of its 18 timing axes per
+/// pass, so each variant runs 6 live passes.
+const STANDARD_EXECUTIONS: usize = 2 * 6;
+
 #[test]
-fn later_passes_match_the_oracle_at_any_worker_count() {
-    // 16 keys × 4 timing axes: the live pass times two axes, a recorded
-    // later pass the other two.
-    let grid = SweepGrid::smoke();
+fn live_passes_match_the_oracle_at_any_worker_count() {
+    let grid = SweepGrid::standard();
     let programs = [ProgramId::Predator, ProgramId::Hmmsearch];
     let oracle = sweep(&grid, &programs, 1, false);
     for jobs in [1, 4] {
         let factored = sweep(&grid, &programs, jobs, true);
-        assert_eq!(factored.recorded_jobs, 4, "jobs {jobs}: every job needs a later pass");
-        assert_eq!(factored.recorded, 4, "jobs {jobs}");
+        assert_eq!(factored.recorded, programs.len() * STANDARD_EXECUTIONS, "jobs {jobs}");
         for (p, program) in programs.iter().enumerate() {
             for (cell, (got, want)) in factored.measures[p].iter().zip(&oracle.measures[p]).enumerate() {
                 assert!(got.is_some(), "{program} cell {cell} measured");
@@ -60,19 +64,20 @@ fn later_passes_match_the_oracle_at_any_worker_count() {
 }
 
 #[test]
-fn only_jobs_with_later_passes_record() {
+fn each_live_pass_executes_the_kernel_once() {
     let programs = [ProgramId::Predator];
-    for (name, grid, recorded_jobs) in [
-        ("timing", SweepGrid::timing(), 0),
-        ("sweep-cache", sweep_cache_grid(), 0),
-        ("standard", SweepGrid::standard(), 2),
+    for (name, grid, executions) in [
+        ("timing", SweepGrid::timing(), 2),
+        ("sweep-cache", sweep_cache_grid(), 2),
+        ("smoke", SweepGrid::smoke(), 2),
+        ("standard", SweepGrid::standard(), STANDARD_EXECUTIONS),
     ] {
         let result = sweep(&grid, &programs, 1, true);
-        assert_eq!(result.recorded_jobs, recorded_jobs, "{name}");
-        assert_eq!(result.recorded, 2, "{name}: both variants execute once");
+        assert_eq!(result.recorded, executions, "{name}: one execution per pass per variant");
         assert_eq!(result.computed, grid.cells(), "{name}");
+        assert_eq!(result.live_traces_peak, 1, "{name}: one job's passes run one at a time");
     }
-    // The oracle records every job.
-    let oracle = sweep(&SweepGrid::timing(), &programs, 1, false);
-    assert_eq!(oracle.recorded_jobs, 2);
+    // The oracle records each variant once and replays the recording.
+    let oracle = sweep(&SweepGrid::standard(), &programs, 1, false);
+    assert_eq!(oracle.recorded, 2);
 }

@@ -107,10 +107,10 @@ fn interrupted_and_resumed_sweep_matches_uninterrupted_byte_for_byte() {
 /// `bench_sweep` checks cell by cell.
 ///
 /// The second grid has 36 distinct cache-axis keys (six L1s × three L2s
-/// × two lines), more than one cache pass holds, so each factored job
-/// runs two passes. At Test scale the L2 axis stops mattering, so the
-/// second pass's streams equal streams of the first, and their cells
-/// reuse the first pass's timing lanes. The third grid has 36 cells with
+/// × two lines) and four timing axes, more potential lanes than one live
+/// pass holds, so each factored job runs two passes, and the second
+/// must recompute the first's key classes (at Test scale the L2 axis
+/// stops mattering, so keys share classes). The third grid has 36 cells with
 /// every prefetcher, more than one bank holds, so each oracle job splits
 /// its cells over two live banks whose members mix prefetchers.
 #[test]
@@ -120,6 +120,7 @@ fn factored_and_unfactored_checkpoints_are_byte_identical() {
         l1: vec![(8, 1), (16, 2), (32, 2), (64, 2), (64, 4), (128, 4)],
         l2: vec![(1024, 4), (2048, 1), (4096, 1)],
         line: vec![32, 64],
+        lat: vec![(3, 5, 72), (2, 4, 60)],
         ..tiny_grid()
     };
     let two_banks = SweepGrid {
@@ -141,6 +142,8 @@ fn factored_and_unfactored_checkpoints_are_byte_identical() {
         let factored = run_sweep(&factored_cfg).expect("factored sweep");
         let oracle = run_sweep(&oracle_cfg).expect("unfactored sweep");
         assert!(factored.complete && factored.skipped.is_empty(), "{tag}");
+        let passes = if tag == "two-pass" { 2 } else { 1 };
+        assert_eq!(factored.recorded, 2 * passes, "{tag}: live passes per variant");
         assert_eq!(factored.to_json().render_pretty(), oracle.to_json().render_pretty(), "{tag}");
         assert_eq!(
             fs::read(&factored_ck).expect("factored checkpoint"),

@@ -1,6 +1,5 @@
-//! The factored sweep's recorded cache pass: one trace decode drives a
-//! bank of cache-axis configurations and records each one's miss-level
-//! annotation stream.
+//! A recorded cache pass: one trace decode drives a bank of cache-axis
+//! configurations and records each one's miss-level annotation stream.
 //!
 //! [`CachePassSim`] replays exactly the hierarchy-access sequence a full
 //! [`CycleSim`](crate::CycleSim) would generate — the demand loads and
@@ -9,13 +8,15 @@
 //! fed to a [`MissLevelBank`]. That sequence depends only on the trace
 //! and the platform's logical register count: every sweep cell shares
 //! the register file geometry, so one pass serves every timing
-//! configuration. The sweep's live first pass runs the same bank inside
-//! a keyed [`PlatformBank`](crate::PlatformBank); a cache pass serves
-//! the keys past that pass's 32, replaying the job's recording. Each
-//! access is applied to every member [`Hierarchy`], and the servicing
-//! level lands in that member's [`AnnotationStream`]; timing lanes later
-//! convert levels back to latencies through each cell's own latency
-//! axis.
+//! configuration. Every live pass of the sweep runs the same bank inside
+//! a keyed [`PlatformBank`](crate::PlatformBank), which keeps only each
+//! block's codes; a cache pass keeps whole streams, and serves the sweep
+//! self-check's stack-distance address log, the conformance fuzzer's
+//! annotated [`TimingBank`](crate::TimingBank) leg and the frozen
+//! performance benchmark. Each access is applied to every member
+//! [`Hierarchy`], and the servicing level lands in that member's
+//! [`AnnotationStream`]; annotated timing lanes convert levels back to
+//! latencies through each lane's own latency table.
 
 use bioperf_cache::{AnnotationStream, Hierarchy, HierarchyStats, MissLevelBank};
 use bioperf_isa::{MicroOp, Program};

@@ -29,9 +29,11 @@
 //! one-member live bank; the sweep's unfactored oracle banks one live
 //! member per cell), from the bank's keyed hierarchies, whose
 //! miss-level codes its lanes read block by block
-//! ([`PlatformBank::keyed`], the factored sweep's live first pass), or
+//! ([`PlatformBank::keyed`], every live pass of the factored sweep), or
 //! from the miss-level stream a [`CachePassSim`] recorded
-//! ([`TimingBank`], the factored sweep's later passes).
+//! ([`TimingBank`]; no production path reads one any more, it stays for
+//! the conformance fuzzer's annotated leg and the frozen performance
+//! benchmark).
 //!
 //! # Example
 //!

@@ -9,7 +9,7 @@
 //!
 //! * a live cache hierarchy — every live member has a group of its own;
 //! * a cache pass's miss-level annotations, shared by every member with
-//!   the same stream and latency table;
+//!   the same stream and latency table ([`TimingBank`]'s only source);
 //! * the bank's own *keyed* hierarchies: one per cache-axis key, run off
 //!   the plan's access events, whose per-block miss-level codes the
 //!   fill reads directly. Keys whose codes have agreed so far form a
@@ -60,10 +60,12 @@
 //!
 //! [`CycleSim`] is a one-member live bank, the sweep's unfactored oracle
 //! replays its cells as live members (each with its own hierarchy,
-//! predictor and prefetcher), the factored sweep's first pass is a keyed
-//! bank ([`PlatformBank::keyed`]) fed live by the kernel, and
-//! [`TimingBank`], its later passes, is a bank of annotated members over
-//! one register file and if-conversion mode. Per-op
+//! predictor and prefetcher), and every pass of the factored sweep is a
+//! keyed bank ([`PlatformBank::keyed`]) fed live by the kernel.
+//! [`TimingBank`] is a bank of annotated members over one register file
+//! and if-conversion mode; no production path runs one, and it stays
+//! only for the conformance fuzzer's annotated leg and the frozen
+//! performance benchmark. Per-op
 //! [`TraceConsumer::consume`] runs the same engine on one-op blocks, so
 //! there is a single execution path.
 
@@ -124,7 +126,9 @@ impl SimResult {
 enum Source {
     /// A live cache hierarchy, simulated access by access.
     Live(Box<Hierarchy>),
-    /// A cache pass's miss-level stream, read from cursor `pos` on.
+    /// A cache pass's miss-level stream, read from cursor `pos` on. Only
+    /// [`TimingBank`] lanes read one: the conformance fuzzer's annotated
+    /// leg and the frozen performance benchmark; the sweep never does.
     Annotated {
         stream: Arc<AnnotationStream>,
         pos: usize,
@@ -555,25 +559,19 @@ impl PlatformBank {
     /// key), it splits off before any timing core runs the block, and
     /// the new class's lanes start as clones of the parent's cores, with
     /// fill groups of their own. The final classes are exactly the keys
-    /// with equal whole code streams, compared code by code. With
-    /// `key_streams` set the bank also keeps every key's whole stream,
-    /// for [`Self::into_classes`].
+    /// with equal whole code streams, compared code by code. The bank
+    /// keeps only each block's codes, never a whole stream, so its memory
+    /// does not grow with the trace.
     ///
     /// # Panics
     ///
     /// If `hierarchies` is empty.
-    pub fn keyed(
-        logical_regs: u32,
-        if_conversion: bool,
-        hierarchies: Vec<Hierarchy>,
-        key_streams: bool,
-    ) -> Self {
+    pub fn keyed(logical_regs: u32, if_conversion: bool, hierarchies: Vec<Hierarchy>) -> Self {
         assert!(!hierarchies.is_empty(), "a keyed bank needs at least one key");
         let keys = hierarchies.len();
-        let hierarchies = MissLevelBank::new(hierarchies);
         let mut bank = Self::planned(&[logical_regs], &[if_conversion]);
         bank.keyed = Some(Box::new(Keyed {
-            hierarchies: if key_streams { hierarchies } else { hierarchies.without_streams() },
+            hierarchies: MissLevelBank::new(hierarchies).without_streams(),
             size: bank.plan.size_index(logical_regs),
             classes: vec![(0..keys).collect()],
             lanes: vec![Vec::new()],
@@ -623,23 +621,6 @@ impl PlatformBank {
     /// Key classes so far: keys whose codes have agreed on every block.
     pub fn key_classes(&self) -> &[Vec<usize>] {
         &self.keyed.as_ref().expect("a keyed bank").classes
-    }
-
-    /// Tears a keyed bank down into each class's keys (ascending) and its
-    /// representative's whole miss-level stream (empty unless built with
-    /// `key_streams`), in class order.
-    pub fn into_classes(self) -> Vec<(Vec<usize>, AnnotationStream)> {
-        let keyed = self.keyed.expect("a keyed bank");
-        let mut streams: Vec<Option<AnnotationStream>> =
-            keyed.hierarchies.finish().into_iter().map(|(_, stream)| Some(stream)).collect();
-        keyed
-            .classes
-            .into_iter()
-            .map(|keys| {
-                let stream = streams[keys[0]].take().expect("one class per representative");
-                (keys, stream)
-            })
-            .collect()
     }
 
     /// Switches on event-metric collection in every member (see
@@ -920,8 +901,11 @@ impl TraceConsumer for CycleSim {
     }
 }
 
-/// The factored sweep's later timing passes: a [`PlatformBank`] of
-/// annotated members, one per sweep timing configuration ("lane").
+/// A [`PlatformBank`] of annotated members, one per timing
+/// configuration ("lane"), over a recorded cache pass's streams. The
+/// sweep no longer runs one (its every pass is a live keyed
+/// [`PlatformBank`]); it stays only for the conformance fuzzer's
+/// annotated leg and the frozen performance benchmark.
 ///
 /// A lane's access latencies come from a cache pass's miss-level
 /// stream ([`CachePassSim`](crate::CachePassSim)) converted through the
@@ -1643,8 +1627,7 @@ pub(crate) mod tests {
                 .collect();
             let new_bank = || {
                 let hierarchies = key_hierarchies(&keys);
-                let mut bank =
-                    PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies, false);
+                let mut bank = PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies);
                 for (cfg, pred) in &lanes {
                     bank.push_keyed_lane(cfg, *pred);
                 }
@@ -1730,8 +1713,7 @@ pub(crate) mod tests {
             };
             let new_bank = || {
                 let hierarchies = key_hierarchies(&keys);
-                let mut bank =
-                    PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies, false);
+                let mut bank = PlatformBank::keyed(base.logical_regs, base.if_conversion, hierarchies);
                 for (cfg, pred) in &lanes {
                     bank.push_keyed_lane(cfg, *pred);
                 }
@@ -1777,27 +1759,6 @@ pub(crate) mod tests {
                     assert_eq!(got.counter(name), events.counter(name), "{}: key {key} lane {lane} {name}", base.name);
                     assert_eq!(bank.key_result(lane, key).cycles, want.cycles, "{}: metrics on", base.name);
                 }
-            }
-        }
-    }
-
-    /// A keyed bank built with key streams hands back each class's keys
-    /// with its representative's whole stream, equal to a cache pass's.
-    #[test]
-    fn keyed_bank_returns_class_streams() {
-        let recording = spill_heavy_recording();
-        let base = PlatformConfig::pentium4();
-        let keys = keyed_geometries(base);
-        let streams = key_streams(&recording, &base, &keys);
-        let mut bank =
-            PlatformBank::keyed(base.logical_regs, base.if_conversion, key_hierarchies(&keys), true);
-        bank.push_keyed_lane(&base, PredictorKind::Hybrid);
-        recording.replay_bank(std::slice::from_mut(&mut bank));
-        let classes = bank.into_classes();
-        assert_eq!(classes.iter().map(|(keys, _)| keys.len()).sum::<usize>(), keys.len());
-        for (keys, stream) in classes {
-            for k in keys {
-                assert_eq!(stream, streams[k], "key {k}");
             }
         }
     }

@@ -32,9 +32,11 @@ pub const BLOCK_CARRY: u8 = 4;
 /// merge, crediting every measurement to a neighboring grid cell.
 /// Site: the sweep merge in `bioperf-core`.
 pub const SWEEP_MERGE: u8 = 5;
-/// Start the factored sweep's miss-level annotation cursor at 1 instead
-/// of 0, so every annotated access reads its successor's level. Site:
-/// the annotated fill source in `bioperf-pipe`'s `PlatformBank`.
+/// Start an annotated timing lane's miss-level annotation cursor at 1
+/// instead of 0, so every annotated access reads its successor's level.
+/// Site: the annotated fill source in `bioperf-pipe`'s `PlatformBank`
+/// (the `TimingBank` the fuzzer's factored leg and the frozen benchmark
+/// drive; the sweep reads no annotations).
 pub const ANN_SKEW: u8 = 6;
 /// Skip the LRU `last_use` refresh on a cache hit, so replacement decays
 /// toward FIFO order. Site: `bioperf-cache`.

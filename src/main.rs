@@ -354,7 +354,7 @@ fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
     // --max-cells/resume split of the same sweep.
     eprintln!(
         "sweep: {} cells x {} programs on {} workers \
-         ({} replayed, {} from checkpoint, {} traces executed, {} recorded, \
+         ({} replayed, {} from checkpoint, {} traces executed, \
          at most {} alive at once; {} lane-blocks, {} core-blocks run, {} materializations)",
         result.grid.cells(),
         result.programs.len(),
@@ -362,7 +362,6 @@ fn cmd_sweep(config: &SweepConfig, out: Option<&str>) -> ExitCode {
         result.computed,
         result.cached,
         result.recorded,
-        result.recorded_jobs,
         result.live_traces_peak,
         result.work.lane_blocks,
         result.work.core_blocks,
